@@ -175,7 +175,8 @@ class Deserializer
     {
         if (!ensure(len))
             return false;
-        std::memcpy(out, data_ + pos_, len);
+        if (len) // an empty destination vector may hand in a null out
+            std::memcpy(out, data_ + pos_, len);
         pos_ += len;
         return true;
     }

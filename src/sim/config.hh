@@ -66,8 +66,8 @@ std::string describeFaultPlan(const FaultPlan &plan);
  * FUs, ports, predictors, memory hierarchy, engine geometry and policy
  * flags, fault plan). Two configs hash equal iff they describe the
  * same machine — the hash never reads raw struct bytes, so padding
- * can't leak in. The sweep server keys its snapshot cache on this
- * (docs/sweep.md, "cache key").
+ * can't leak in. The sweep's snapshot store keys on the hash of each
+ * workload's warm configuration (docs/sweep.md, "Snapshot store").
  */
 std::uint64_t configIdentityHash(const CoreConfig &cfg);
 

@@ -76,17 +76,11 @@ setError(std::string *error, const char *msg)
     return false;
 }
 
-} // namespace
-
-namespace {
-
-/** Shared header walk: checksum, magic, version and geometry; the
- *  image's program identity hash comes back via @p imageProgram for
- *  the caller to judge. On success @p des is positioned at the
+/** Header walk: checksum, magic, version, geometry and program
+ *  identity against @p sim. On success @p des is positioned at the
  *  warm-state payload. */
 bool
-walkHeader(Deserializer &des, const CoreConfig &cfg,
-           std::uint64_t *imageProgram, std::string *error)
+checkHeader(Deserializer &des, Simulator &sim, std::string *error)
 {
     if (!des.verifyChecksum())
         return setError(error,
@@ -100,23 +94,10 @@ walkHeader(Deserializer &des, const CoreConfig &cfg,
     if (des.u32() != version)
         return setError(error, "unsupported checkpoint version");
     const std::uint64_t prog = des.u64();
-    if (imageProgram)
-        *imageProgram = prog;
-    if (!geometryMatches(des, cfg))
+    if (!geometryMatches(des, sim.core().config()))
         return setError(error,
                         "checkpoint geometry does not match the target "
                         "configuration (caches/predictors/TL shape)");
-    return true;
-}
-
-/** Header walk bound to a concrete simulator: adds the program
- *  identity check on top of walkHeader(). */
-bool
-checkHeader(Deserializer &des, Simulator &sim, std::string *error)
-{
-    std::uint64_t prog = 0;
-    if (!walkHeader(des, sim.core().config(), &prog, error))
-        return false;
     if (prog != sim.program().identityHash())
         return setError(error,
                         "checkpoint was captured from a different "
@@ -160,19 +141,10 @@ Checkpoint::validate(Simulator &sim,
 }
 
 bool
-Checkpoint::validateImage(const CoreConfig &cfg,
-                          const std::vector<std::uint8_t> &bytes,
-                          std::uint64_t *programHash, std::string *error)
-{
-    Deserializer des(bytes);
-    return walkHeader(des, cfg, programHash, error);
-}
-
-bool
 Checkpoint::save(const std::string &path,
                  const std::vector<std::uint8_t> &bytes)
 {
-    // Concurrent writers (the snapshot cache serves many clients) and
+    // Concurrent writers (two sweeps sharing a --checkpoint-dir) and
     // crashes must never publish a partial image: write to a
     // same-directory temp file, then rename() it into place — atomic
     // on POSIX, so readers see either the old file or the complete

@@ -61,23 +61,11 @@ class Checkpoint
     /**
      * Header-only validation: is @p bytes an intact image, captured
      * from @p sim's program, restorable into @p sim's configuration?
-     * Touches no simulator state — used to vet cached snapshot files
-     * before trusting them (a stale file is recaptured instead).
+     * Touches no simulator state — the sweep executor's per-config
+     * probe decides with it whether a configuration can fork.
      */
     static bool validate(Simulator &sim,
                          const std::vector<std::uint8_t> &bytes);
-
-    /**
-     * Like validate(), but without a Simulator: checks integrity
-     * (checksum, magic, version) and geometry compatibility against
-     * @p cfg, and reports the image's program identity hash via
-     * @p programHash for the caller to compare. The sweep server vets
-     * cached snapshots this way — it never builds programs itself.
-     */
-    static bool validateImage(const CoreConfig &cfg,
-                              const std::vector<std::uint8_t> &bytes,
-                              std::uint64_t *programHash = nullptr,
-                              std::string *error = nullptr);
 
     /**
      * Write a checkpoint image to @p path atomically: the bytes land

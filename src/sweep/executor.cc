@@ -13,6 +13,7 @@
 #include "common/random.hh"
 #include "obs/telemetry.hh"
 #include "sweep/checkpoint.hh"
+#include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
 
 namespace sdv {
@@ -152,86 +153,49 @@ buildPrograms(const SweepPlan &plan)
     return programs;
 }
 
+/** Where a plan's jobs start: from reset, from one warm image measured
+ *  to completion (--checkpoint), or from interval samples measured
+ *  region by region (--samples, which takes precedence). */
+enum class Mode { Full, Checkpoint, Sampled };
+
 /**
- * Capture (or reuse from disk) one warmed checkpoint per workload.
- * The warm-up configuration is the workload's first engine-enabled
- * job (falling back to its first job) — a deterministic choice, so
- * snapshots never depend on scheduling. Workloads whose program runs
- * to HALT inside the warm-up get no checkpoint and fall back to cold
- * full runs.
- *
- * Cached snapshot files are keyed by (workload, scale, warm-up
- * length) and validated against the current program and geometry
- * before being trusted; a stale or foreign file is recaptured and
- * overwritten, never silently reused.
+ * Capture pass of one workload under its warm configuration @p cfg:
+ * the interval samples, or the single warm image. An empty set means
+ * no usable boundary — the workload's jobs run in full.
  */
-std::map<std::string, std::vector<std::uint8_t>>
-captureCheckpoints(const SweepPlan &plan, const ExecOptions &opt,
-                   const std::map<std::string, Program> &programs,
-                   ExecMetrics *metrics)
+SampleSet
+captureSet(Mode mode, const std::string &workload, const CoreConfig &cfg,
+           const Program &prog, const ExecOptions &opt)
 {
-    std::map<std::string, std::vector<std::uint8_t>> checkpoints;
-    for (const SweepJob &job : plan.jobs) {
-        if (checkpoints.count(job.workload))
-            continue;
-
-        // Deterministic warm-up config for this workload.
-        const CoreConfig cfg = warmConfig(plan, opt, job.workload);
-        const Program &prog = programs.at(job.workload);
-
-        // The cache key includes every option that shapes the warm-up
-        // run itself: a snapshot captured under a different chaining
-        // mode holds differently-warmed caches and TL state.
-        const std::string path =
-            opt.checkpointDir.empty()
-                ? std::string()
-                : opt.checkpointDir + "/" + job.workload + ".s" +
-                      std::to_string(plan.scale) + ".w" +
-                      std::to_string(opt.warmupInsts) +
-                      (opt.eagerChain ? ".eager" : "") + ".ckpt";
-
-        std::vector<std::uint8_t> bytes;
-        if (!path.empty()) {
-            const auto st = Checkpoint::load(path, bytes);
-            if (st == Checkpoint::LoadStatus::Ok) {
-                Simulator probe(cfg, prog);
-                if (Checkpoint::validate(probe, bytes)) {
-                    checkpoints.emplace(job.workload, std::move(bytes));
-                    continue;
-                }
-                warn("cached checkpoint ", path,
-                     " is stale; recapturing");
-            } else if (st == Checkpoint::LoadStatus::Corrupt) {
-                // A missing file is the normal cold-cache path; a
-                // present-but-damaged one means something poisoned
-                // the cache and deserves visibility.
-                warn_once("cached checkpoint ", path,
-                          " is corrupt (torn or truncated write?); "
-                          "recapturing");
-            }
-            bytes.clear();
-        }
-
-        Simulator sim(cfg, prog);
-        if (!sim.warmup(opt.warmupInsts, opt.maxCycles)) {
-            warn("workload '", job.workload,
-                 "' reached no warm-up boundary (program finished or "
-                 "budget elapsed); running its jobs without a "
-                 "checkpoint");
-            checkpoints.emplace(job.workload,
-                                std::vector<std::uint8_t>{});
-            continue;
-        }
-        bytes = Checkpoint::capture(sim);
-        if (metrics) {
-            ++metrics->checkpointCaptures;
-            metrics->checkpointCaptureBytes += bytes.size();
-        }
-        if (!path.empty() && !Checkpoint::save(path, bytes))
-            warn("could not write checkpoint ", path);
-        checkpoints.emplace(job.workload, std::move(bytes));
+    if (mode == Mode::Sampled) {
+        SamplePlan sp = opt.sample;
+        sp.warmupInsts = opt.warmupInsts;
+        return captureSamples(cfg, prog, sp, opt.maxCycles);
     }
-    return checkpoints;
+    SampleSet set;
+    Simulator sim(cfg, prog);
+    if (!sim.warmup(opt.warmupInsts, opt.maxCycles)) {
+        warn("workload '", workload,
+             "' reached no warm-up boundary (program finished or "
+             "budget elapsed); running its jobs without a checkpoint");
+        return set;
+    }
+    SampleCheckpoint sc;
+    sc.startInst = opt.warmupInsts;
+    sc.bytes = Checkpoint::capture(sim);
+    set.samples.push_back(std::move(sc));
+    return set;
+}
+
+/** @return the first warm image of @p set — the one a validate probe
+ *  checks a configuration against — or null when it has none. */
+const std::vector<std::uint8_t> *
+warmImage(const SampleSet &set)
+{
+    for (const SampleCheckpoint &sc : set.samples)
+        if (!sc.bytes.empty())
+            return &sc.bytes;
+    return nullptr;
 }
 
 /** Run @p worker on min(jobs, units) pool threads (1 = inline). */
@@ -251,245 +215,6 @@ runOnPool(unsigned jobs, std::size_t units,
         pool.emplace_back(worker);
     for (std::thread &t : pool)
         t.join();
-}
-
-/**
- * Interval-sampled plan execution: one serial capture pass per
- * workload (under its deterministic warm-up configuration), then a
- * pool over every (job, sample) pair — each fork restores one sample
- * snapshot and measures its region — and a plan-ordered aggregation.
- * Jobs whose configuration cannot restore the snapshots (geometry
- * mismatch) fall back to exact full runs, visible via samples == 0.
- */
-std::vector<RunOutcome>
-runPlanSampled(const SweepPlan &plan, const ExecOptions &opt,
-               const std::map<std::string, Program> &programs,
-               ExecMetrics *metrics)
-{
-    // Capture pass (serial, scheduling-independent): the warm-up
-    // configuration is the workload's first engine-enabled job, as in
-    // the one-boundary checkpoint path.
-    std::map<std::string, SampleSet> sets;
-    for (const SweepJob &job : plan.jobs) {
-        if (sets.count(job.workload))
-            continue;
-        const CoreConfig cfg = warmConfig(plan, opt, job.workload);
-        SamplePlan sp = opt.sample;
-        sp.warmupInsts = opt.warmupInsts;
-        sets.emplace(job.workload,
-                     captureSamples(cfg, programs.at(job.workload), sp,
-                                    opt.maxCycles));
-    }
-
-    // Decide each job's mode up front (serial, so fallbacks never
-    // depend on scheduling): sampled when the snapshots validate
-    // against the job's configuration, exact full run otherwise.
-    // Validation needs a Simulator (it binds program identity and
-    // geometry), so cache the verdict per distinct (workload, config)
-    // — a figure grid shares each configuration across jobs.
-    std::vector<bool> jobSampled(plan.jobs.size(), false);
-    std::map<std::pair<std::string, std::string>, bool> configOk;
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        const SweepJob &job = plan.jobs[i];
-        const SampleSet &set = sets.at(job.workload);
-        if (!set.usable())
-            continue;
-        const auto key = std::make_pair(job.workload, job.configKey);
-        auto it = configOk.find(key);
-        if (it == configOk.end()) {
-            CoreConfig cfg = job.cfg;
-            applyExecOverlay(cfg, opt);
-            Simulator probe(cfg, programs.at(job.workload));
-            // samples[0] is the cold region (no image); the first
-            // warm snapshot decides whether this config can fork.
-            const bool ok =
-                Checkpoint::validate(probe, set.samples[1].bytes);
-            if (!ok)
-                warn("running ", job.workload, "/", job.configKey,
-                     " as a full run (snapshot geometry mismatch)");
-            it = configOk.emplace(key, ok).first;
-        }
-        jobSampled[i] = it->second;
-    }
-
-    // Work units: one per (sampled job, sample) plus one per full-run
-    // job. Unit order is fixed; the pool only changes who runs what.
-    struct Unit
-    {
-        std::size_t job;
-        int sample; ///< -1: full run
-    };
-    std::vector<Unit> units;
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        if (!jobSampled[i]) {
-            units.push_back({i, -1});
-            continue;
-        }
-        const SampleSet &set = sets.at(plan.jobs[i].workload);
-        for (std::size_t k = 0; k < set.samples.size(); ++k)
-            units.push_back({i, int(k)});
-    }
-
-    std::vector<RunOutcome> outcomes(plan.jobs.size());
-    std::vector<std::vector<SimResult>> sampleResults(plan.jobs.size());
-    std::vector<std::vector<std::uint64_t>> sampleHashes(
-        plan.jobs.size());
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        stampOutcome(outcomes[i], plan.jobs[i]);
-        if (jobSampled[i]) {
-            const std::size_t n =
-                sets.at(plan.jobs[i].workload).samples.size();
-            sampleResults[i].resize(n);
-            sampleHashes[i].assign(n, 0);
-        }
-    }
-
-    // Each unit owns its wall-time slot; the per-job totals fold in
-    // after the pool joins (a shared += would be a data race).
-    std::vector<double> unitWall(units.size(), 0.0);
-    std::vector<double> unitQueueWait(units.size(), 0.0);
-    std::vector<char> unitTimedOut(units.size(), 0);
-    std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
-    const auto poolStart = std::chrono::steady_clock::now();
-
-    JobWatchdog wd(units.size(), opt.jobTimeout,
-                   [&plan, &units](std::size_t u) {
-                       const SweepJob &j = plan.jobs[units[u].job];
-                       std::string d = j.workload + "/" + j.configKey +
-                                       " (seed " +
-                                       std::to_string(j.seed) + ")";
-                       if (units[u].sample >= 0)
-                           d += " sample " +
-                                std::to_string(units[u].sample);
-                       return d;
-                   });
-
-    auto runUnit = [&](std::size_t u) {
-        const Unit unit = units[u];
-        const SweepJob &job = plan.jobs[unit.job];
-        CoreConfig cfg = job.cfg;
-        applyExecOverlay(cfg, opt);
-        const Program &prog = programs.at(job.workload);
-        unitQueueWait[u] = secondsSince(poolStart);
-        const auto t0 = std::chrono::steady_clock::now();
-        if (unit.sample < 0) {
-            Simulator sim(cfg, prog);
-            wd.begin(u, sim);
-            outcomes[unit.job].res =
-                sim.run(opt.maxCycles, false, opt.quiesceInterval);
-            wd.end(u);
-            unitTimedOut[u] = outcomes[unit.job].res.timedOut;
-            outcomes[unit.job].commitHash = sim.core().commitPcHash();
-            unitWall[u] = secondsSince(t0);
-            return;
-        }
-        const SampleCheckpoint &sc =
-            sets.at(job.workload).samples[size_t(unit.sample)];
-        Simulator sim(cfg, prog);
-        std::string err;
-        // Empty bytes: the exact cold-start region forks from
-        // reset instead of restoring a snapshot.
-        if (!sc.bytes.empty()) {
-            restoreCount.fetch_add(1, std::memory_order_relaxed);
-            restoreBytes.fetch_add(sc.bytes.size(),
-                                   std::memory_order_relaxed);
-        }
-        if (!sc.bytes.empty() &&
-            !Checkpoint::restore(sim, sc.bytes, &err)) {
-            // validate() passed serially, so this is exceptional;
-            // a zero-inst measurement drops out of the weighted
-            // aggregation (deterministically) instead of crashing.
-            warn("sample restore failed for ", job.workload, "/",
-                 job.configKey, ": ", err);
-            return;
-        }
-        wd.begin(u, sim);
-        SimResult r = sim.runInsts(sc.measureInsts, opt.maxCycles);
-        wd.end(u);
-        unitTimedOut[u] = r.timedOut;
-        // An aborted sample contributes nothing (like a failed
-        // restore): zero-inst measurements drop out of the weighted
-        // aggregation deterministically.
-        if (r.timedOut)
-            return;
-        sampleHashes[unit.job][size_t(unit.sample)] =
-            sim.core().commitPcHash();
-        sampleResults[unit.job][size_t(unit.sample)] = std::move(r);
-        unitWall[u] = secondsSince(t0);
-    };
-
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (std::size_t u = next.fetch_add(1); u < units.size();
-             u = next.fetch_add(1))
-            runUnit(u);
-    };
-    runOnPool(opt.jobs, units.size(), worker);
-    if (metrics) {
-        metrics->poolWallSeconds = secondsSince(poolStart);
-        metrics->workers = unsigned(std::min<std::size_t>(
-            std::max(1u, opt.jobs), units.size()));
-        metrics->checkpointRestores =
-            restoreCount.load(std::memory_order_relaxed);
-        metrics->checkpointRestoreBytes =
-            restoreBytes.load(std::memory_order_relaxed);
-    }
-
-    // Watchdog retry pass: aborted units re-run once, serially, with a
-    // fresh timer each.
-    if (wd.enabled()) {
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            if (!unitTimedOut[u])
-                continue;
-            const SweepJob &j = plan.jobs[units[u].job];
-            warn("job watchdog: retrying ", j.workload, "/",
-                 j.configKey, " serially");
-            unitTimedOut[u] = 0;
-            runUnit(u);
-            outcomes[units[u].job].retried = true;
-        }
-        for (std::size_t u = 0; u < units.size(); ++u)
-            if (unitTimedOut[u])
-                outcomes[units[u].job].timedOut = true;
-    }
-
-    // Plan-ordered aggregation: a pure integer fold of the per-sample
-    // measurements, independent of which thread measured what.
-    const auto collate0 = std::chrono::steady_clock::now();
-    for (std::size_t u = 0; u < units.size(); ++u)
-        outcomes[units[u].job].wallSeconds += unitWall[u];
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        if (!jobSampled[i])
-            continue;
-        const SampleSet &set = sets.at(plan.jobs[i].workload);
-        outcomes[i].res = aggregateSamples(set, sampleResults[i]);
-        outcomes[i].commitHash = foldSampleHashes(sampleHashes[i]);
-        outcomes[i].fromCheckpoint = true;
-        outcomes[i].samples = unsigned(set.samples.size());
-    }
-    if (metrics) {
-        metrics->collateSeconds = secondsSince(collate0);
-        metrics->jobs.resize(plan.jobs.size());
-        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-            ExecMetrics::JobMetrics &jm = metrics->jobs[i];
-            jm.workload = plan.jobs[i].workload;
-            jm.configKey = plan.jobs[i].configKey;
-            jm.queueWaitSeconds = -1.0; // min over the job's units
-            jm.runSeconds = outcomes[i].wallSeconds;
-        }
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            ExecMetrics::JobMetrics &jm = metrics->jobs[units[u].job];
-            if (jm.queueWaitSeconds < 0.0 ||
-                unitQueueWait[u] < jm.queueWaitSeconds)
-                jm.queueWaitSeconds = unitQueueWait[u];
-        }
-        for (ExecMetrics::JobMetrics &jm : metrics->jobs) {
-            if (jm.queueWaitSeconds < 0.0)
-                jm.queueWaitSeconds = 0.0;
-            metrics->busySeconds += jm.runSeconds;
-        }
-    }
-    return outcomes;
 }
 
 } // namespace
@@ -548,68 +273,167 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
 {
     if (metrics) {
         *metrics = ExecMetrics{};
-        metrics->enabled = true;
         metrics->jobsAuto = opt.jobsAutoDetected;
     }
+    const Mode mode = opt.sample.enabled() ? Mode::Sampled
+                      : opt.checkpoint     ? Mode::Checkpoint
+                                           : Mode::Full;
+    sdv_assert(mode != Mode::Sampled || !opt.verify,
+               "interval sampling produces estimates that cannot be "
+               "functionally verified; drop --verify");
+    // Fault injection and observability apply to runs measured to
+    // completion; sample measurements carry neither.
+    const bool wholeRuns = mode != Mode::Sampled;
+    auto jobConfig = [&](const SweepJob &job) {
+        CoreConfig cfg = job.cfg;
+        applyExecOverlay(cfg, opt);
+        if (wholeRuns)
+            cfg.engine.fault = jobFaultPlan(opt.fault, job);
+        return cfg;
+    };
     const std::map<std::string, Program> programs = buildPrograms(plan);
 
-    if (opt.sample.enabled()) {
-        sdv_assert(!opt.verify,
-                   "interval sampling produces estimates that cannot "
-                   "be functionally verified; drop --verify");
-        return runPlanSampled(plan, opt, programs, metrics);
+    // Snapshot sets: one per workload, captured serially in plan order
+    // under the workload's deterministic warm configuration, or reused
+    // from --checkpoint-dir. Every captured image is counted here.
+    std::map<std::string, SampleSet> sets;
+    if (mode != Mode::Full) {
+        for (const SweepJob &job : plan.jobs) {
+            if (sets.count(job.workload))
+                continue;
+            const Program &prog = programs.at(job.workload);
+            auto capture = [&] {
+                SampleSet set =
+                    captureSet(mode, job.workload,
+                               warmConfig(plan, opt, job.workload),
+                               prog, opt);
+                if (metrics)
+                    for (const SampleCheckpoint &sc : set.samples)
+                        if (!sc.bytes.empty()) {
+                            ++metrics->checkpointCaptures;
+                            metrics->checkpointCaptureBytes +=
+                                sc.bytes.size();
+                        }
+                return set;
+            };
+            sets.emplace(job.workload,
+                         loadOrCapture(opt.checkpointDir,
+                                       snapshotKey(plan, opt, job.workload),
+                                       prog.identityHash(), capture));
+        }
     }
 
-    std::map<std::string, std::vector<std::uint8_t>> checkpoints;
-    if (opt.checkpoint)
-        checkpoints = captureCheckpoints(plan, opt, programs, metrics);
+    // Validation: one serial probe per distinct (workload, config)
+    // decides whether the config forks from the workload's snapshots
+    // (serial, so fallbacks never depend on scheduling). A config that
+    // cannot take them (geometry mismatch, e.g. an ablation varying the
+    // TL confidence) runs in full from reset instead.
+    std::vector<char> forks(plan.jobs.size(), 0);
+    std::map<std::pair<std::string, std::string>, bool> configOk;
+    for (std::size_t i = 0; i < plan.jobs.size() && mode != Mode::Full;
+         ++i) {
+        const SweepJob &job = plan.jobs[i];
+        const std::vector<std::uint8_t> *image =
+            warmImage(sets.at(job.workload));
+        if (!image)
+            continue;
+        const auto key = std::make_pair(job.workload, job.configKey);
+        auto it = configOk.find(key);
+        if (it == configOk.end()) {
+            Simulator probe(jobConfig(job), programs.at(job.workload));
+            const bool ok = Checkpoint::validate(probe, *image);
+            if (!ok)
+                warn("running ", job.workload, "/", job.configKey,
+                     " as a full run (snapshot geometry mismatch)");
+            it = configOk.emplace(key, ok).first;
+        }
+        forks[i] = it->second;
+    }
 
-    std::vector<RunOutcome> outcomes(plan.jobs.size());
-    JobWatchdog wd(plan.jobs.size(), opt.jobTimeout,
-                   [&plan](std::size_t u) {
-                       const SweepJob &j = plan.jobs[u];
-                       return j.workload + "/" + j.configKey +
-                              " (seed " + std::to_string(j.seed) + ")";
-                   });
+    // Work units: one (job, sample) pair per snapshot of a forking job,
+    // one full run (sample -1) per other job. Unit order is fixed and
+    // job-major; the pool only changes who runs what.
+    struct Unit
+    {
+        std::size_t job;
+        int sample; ///< index into the workload's set; -1: from reset
+    };
+    std::vector<Unit> units;
+    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+        if (!forks[i]) {
+            units.push_back({i, -1});
+            continue;
+        }
+        const SampleSet &set = sets.at(plan.jobs[i].workload);
+        for (std::size_t k = 0; k < set.samples.size(); ++k)
+            units.push_back({i, int(k)});
+    }
 
-    std::vector<double> jobQueueWait(plan.jobs.size(), 0.0);
+    // Each unit owns its slot; the fold below reads them in plan order
+    // after the pool joins.
+    struct Slot
+    {
+        SimResult res;
+        std::uint64_t hash = 0;
+        bool restored = false;
+        bool retried = false;
+        std::shared_ptr<obs::TraceRecorder> trace;
+        std::string telemetryJson;
+        double queueWait = 0.0;
+        double wall = 0.0;
+    };
+    std::vector<Slot> slots(units.size());
     std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
     const auto poolStart = std::chrono::steady_clock::now();
 
-    auto runJob = [&](std::size_t i) {
-        const SweepJob &job = plan.jobs[i];
-        RunOutcome &out = outcomes[i];
-        stampOutcome(out, job);
+    JobWatchdog wd(units.size(), opt.jobTimeout,
+                   [&plan, &units, mode](std::size_t u) {
+                       const SweepJob &j = plan.jobs[units[u].job];
+                       std::string d = j.workload + "/" + j.configKey +
+                                       " (seed " +
+                                       std::to_string(j.seed) + ")";
+                       if (mode == Mode::Sampled && units[u].sample >= 0)
+                           d += " sample " +
+                                std::to_string(units[u].sample);
+                       return d;
+                   });
 
-        jobQueueWait[i] = secondsSince(poolStart);
+    auto runUnit = [&](std::size_t u) {
+        const Unit unit = units[u];
+        const SweepJob &job = plan.jobs[unit.job];
+        Slot &slot = slots[u];
+        slot = Slot{};
+        slot.queueWait = secondsSince(poolStart);
         const auto t0 = std::chrono::steady_clock::now();
-        CoreConfig cfg = job.cfg;
-        applyExecOverlay(cfg, opt);
-        cfg.engine.fault = jobFaultPlan(opt.fault, job);
-        out.cfg = cfg; ///< resolved config (fault plan, chaining mode)
+        const CoreConfig cfg = jobConfig(job);
         const Program &prog = programs.at(job.workload);
         std::optional<Simulator> sim;
         sim.emplace(cfg, prog);
 
-        if (opt.checkpoint) {
-            const auto &bytes = checkpoints.at(job.workload);
-            // A job whose configuration cannot take the snapshot
-            // (e.g. an ablation entry varying checkpointed
-            // geometry such as the TL confidence) runs from cold
-            // instead — deterministic per job, and visible in the
-            // output via from_checkpoint. A failed restore may
-            // leave partial state, so the cold path rebuilds the
-            // simulator from scratch.
+        // Empty bytes: the exact cold-start region of a sampled run
+        // forks from reset instead of restoring a snapshot.
+        const SampleCheckpoint *sc =
+            unit.sample < 0
+                ? nullptr
+                : &sets.at(job.workload).samples[std::size_t(unit.sample)];
+        if (sc && !sc->bytes.empty()) {
+            restoreCount.fetch_add(1, std::memory_order_relaxed);
+            restoreBytes.fetch_add(sc->bytes.size(),
+                                   std::memory_order_relaxed);
             std::string err;
-            if (!bytes.empty() && Checkpoint::validate(*sim, bytes) &&
-                Checkpoint::restore(*sim, bytes, &err)) {
-                out.fromCheckpoint = true;
-                restoreCount.fetch_add(1, std::memory_order_relaxed);
-                restoreBytes.fetch_add(bytes.size(),
-                                       std::memory_order_relaxed);
-            } else if (!bytes.empty()) {
-                warn("running ", job.workload, "/", job.configKey,
-                     " cold", err.empty() ? "" : ": ", err);
+            slot.restored = Checkpoint::restore(*sim, sc->bytes, &err);
+            if (!slot.restored) {
+                // validate() passed serially, so this is exceptional. A
+                // failed restore may leave partial state: a whole run
+                // restarts cold on a fresh simulator; a sample keeps a
+                // zero-inst measurement, which drops out of the
+                // weighted aggregation deterministically.
+                warn("snapshot restore failed for ", job.workload, "/",
+                     job.configKey, ": ", err);
+                if (!wholeRuns) {
+                    slot.wall = secondsSince(t0);
+                    return;
+                }
                 sim.emplace(cfg, prog);
             }
         }
@@ -618,51 +442,100 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         // simulated outcome is bit-identical with or without them).
         obs::IntervalTelemetry telemetry(
             opt.telemetryInterval ? opt.telemetryInterval : 1);
-        if (opt.traceEvents) {
-            out.trace = std::make_shared<obs::TraceRecorder>();
-            out.trace->configure(opt.traceCategories, opt.traceLast);
-            sim->setRecorder(out.trace.get());
+        if (wholeRuns && opt.traceEvents) {
+            slot.trace = std::make_shared<obs::TraceRecorder>();
+            slot.trace->configure(opt.traceCategories, opt.traceLast);
+            sim->setRecorder(slot.trace.get());
         }
-        if (opt.telemetryInterval)
+        if (wholeRuns && opt.telemetryInterval)
             sim->setTelemetry(&telemetry);
 
-        wd.begin(i, *sim);
-        out.res = sim->run(opt.maxCycles, opt.verify,
-                           opt.checkpoint ? 0 : opt.quiesceInterval);
-        wd.end(i);
-        out.timedOut = out.res.timedOut;
-        out.commitHash = sim->core().commitPcHash();
-        out.wallSeconds = secondsSince(t0);
-        if (opt.telemetryInterval)
-            out.telemetryJson = telemetry.toJson();
+        wd.begin(u, *sim);
+        if (wholeRuns || !sc)
+            slot.res = sim->run(opt.maxCycles, opt.verify,
+                                mode == Mode::Checkpoint
+                                    ? 0
+                                    : opt.quiesceInterval);
+        else
+            slot.res = sim->runInsts(sc->measureInsts, opt.maxCycles);
+        wd.end(u);
+        slot.hash = sim->core().commitPcHash();
+        if (wholeRuns && opt.telemetryInterval)
+            slot.telemetryJson = telemetry.toJson();
+        slot.wall = secondsSince(t0);
     };
 
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {
-        for (std::size_t i = next.fetch_add(1); i < plan.jobs.size();
-             i = next.fetch_add(1))
-            runJob(i);
+        for (std::size_t u = next.fetch_add(1); u < units.size();
+             u = next.fetch_add(1))
+            runUnit(u);
     };
-    runOnPool(opt.jobs, plan.jobs.size(), worker);
+    runOnPool(opt.jobs, units.size(), worker);
 
-    // Watchdog retry pass: every aborted job gets one serial re-run
-    // with an uncontended machine and a fresh timer. A job that times
-    // out again stays marked failed (timedOut && !finished).
+    // Watchdog retry pass: every aborted unit gets one serial re-run
+    // with an uncontended machine and a fresh timer. A unit that times
+    // out again leaves its job marked failed.
     if (wd.enabled()) {
-        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-            if (!outcomes[i].timedOut)
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            if (!slots[u].res.timedOut)
                 continue;
-            warn("job watchdog: retrying ", plan.jobs[i].workload, "/",
-                 plan.jobs[i].configKey, " serially");
-            outcomes[i] = RunOutcome{};
-            runJob(i);
-            outcomes[i].retried = true;
+            const SweepJob &j = plan.jobs[units[u].job];
+            warn("job watchdog: retrying ", j.workload, "/", j.configKey,
+                 " serially");
+            runUnit(u);
+            slots[u].retried = true;
         }
     }
+    const double poolWall = secondsSince(poolStart);
+
+    // Plan-ordered fold, independent of which thread ran what: a job
+    // measured to completion takes its one unit's result; a sampled job
+    // is the pure integer aggregation of its per-sample measurements,
+    // where an aborted sample counts as a zero-inst measurement.
+    const auto collate0 = std::chrono::steady_clock::now();
+    std::vector<RunOutcome> outcomes(plan.jobs.size());
+    for (std::size_t u = 0, i = 0; i < plan.jobs.size(); ++i) {
+        const SweepJob &job = plan.jobs[i];
+        RunOutcome &out = outcomes[i];
+        stampOutcome(out, job);
+        out.cfg = jobConfig(job); // resolved: overlay and fault plan
+        const std::size_t first = u;
+        while (u < units.size() && units[u].job == i) {
+            out.timedOut |= slots[u].res.timedOut;
+            out.retried |= slots[u].retried;
+            out.wallSeconds += slots[u].wall;
+            ++u;
+        }
+        Slot &s = slots[first];
+        if (wholeRuns || units[first].sample < 0) {
+            out.res = std::move(s.res);
+            out.commitHash = s.hash;
+            out.fromCheckpoint = s.restored;
+            out.trace = std::move(s.trace);
+            out.telemetryJson = std::move(s.telemetryJson);
+            continue;
+        }
+        std::vector<SimResult> measured(u - first);
+        std::vector<std::uint64_t> hashes(u - first, 0);
+        for (std::size_t k = 0; k < measured.size(); ++k) {
+            if (slots[first + k].res.timedOut)
+                continue;
+            measured[k] = std::move(slots[first + k].res);
+            hashes[k] = slots[first + k].hash;
+        }
+        const SampleSet &set = sets.at(job.workload);
+        out.res = aggregateSamples(set, measured);
+        out.commitHash = foldSampleHashes(hashes);
+        out.fromCheckpoint = true;
+        out.samples = unsigned(set.samples.size());
+    }
+
     if (metrics) {
-        metrics->poolWallSeconds = secondsSince(poolStart);
+        metrics->collateSeconds = secondsSince(collate0);
+        metrics->poolWallSeconds = poolWall;
         metrics->workers = unsigned(std::min<std::size_t>(
-            std::max(1u, opt.jobs), plan.jobs.size()));
+            std::max(1u, opt.jobs), units.size()));
         metrics->checkpointRestores =
             restoreCount.load(std::memory_order_relaxed);
         metrics->checkpointRestoreBytes =
@@ -672,9 +545,14 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
             ExecMetrics::JobMetrics &jm = metrics->jobs[i];
             jm.workload = plan.jobs[i].workload;
             jm.configKey = plan.jobs[i].configKey;
-            jm.queueWaitSeconds = jobQueueWait[i];
+            jm.queueWaitSeconds = -1.0; // min over the job's units
             jm.runSeconds = outcomes[i].wallSeconds;
             metrics->busySeconds += jm.runSeconds;
+        }
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            double &qw = metrics->jobs[units[u].job].queueWaitSeconds;
+            if (qw < 0.0 || slots[u].queueWait < qw)
+                qw = slots[u].queueWait;
         }
     }
     return outcomes;
@@ -787,8 +665,6 @@ resultRecordJson(const RunOutcome &o)
 std::string
 resultsJson(const std::vector<RunOutcome> &outcomes)
 {
-    // Assembled from the same per-record serializer the server streams
-    // over the wire, so served and in-process output cannot diverge.
     std::string out = "[\n";
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         out += resultRecordJson(outcomes[i]);
@@ -823,64 +699,6 @@ ExecMetrics::toJson() const
         workers, jobsAuto ? "true" : "false", poolWallSeconds,
         busySeconds, utilization(), collateSeconds);
     out += buf;
-    if (serve) {
-        std::snprintf(
-            buf, sizeof(buf),
-            ", \"serve\": {\"cache_hits\": %llu, "
-            "\"cache_misses\": %llu, \"cache_waits\": %llu, "
-            "\"units_dispatched\": %llu, \"unit_retries\": %llu, "
-            "\"worker_restarts\": %llu, \"queue_depth_peak\": %llu, "
-            "\"request_seconds\": %.6f, \"worker_loads\": [",
-            static_cast<unsigned long long>(cacheHits),
-            static_cast<unsigned long long>(cacheMisses),
-            static_cast<unsigned long long>(cacheWaits),
-            static_cast<unsigned long long>(unitsDispatched),
-            static_cast<unsigned long long>(unitRetries),
-            static_cast<unsigned long long>(workerRestarts),
-            static_cast<unsigned long long>(queueDepthPeak),
-            requestSeconds);
-        out += buf;
-        for (std::size_t i = 0; i < workerLoads.size(); ++i) {
-            const WorkerLoad &w = workerLoads[i];
-            std::snprintf(buf, sizeof(buf),
-                          "%s{\"pid\": %d, \"units\": %llu, "
-                          "\"busy_seconds\": %.6f}",
-                          i ? ", " : "", w.pid,
-                          static_cast<unsigned long long>(w.units),
-                          w.busySeconds);
-            out += buf;
-        }
-        out += "]";
-        std::snprintf(
-            buf, sizeof(buf),
-            ", \"hang_kills\": %llu, \"deadline_failures\": %llu, "
-            "\"cache_evictions\": %llu, \"cache_gc_removed\": %llu, "
-            "\"cache_disk_bytes\": %llu, "
-            "\"queue_wait_avg_seconds\": %.6f, "
-            "\"queue_wait_max_seconds\": %.6f, \"client_waits\": [",
-            static_cast<unsigned long long>(hangKills),
-            static_cast<unsigned long long>(deadlineFailures),
-            static_cast<unsigned long long>(cacheEvictions),
-            static_cast<unsigned long long>(cacheGcRemoved),
-            static_cast<unsigned long long>(cacheDiskBytes),
-            queueWaitAvgSeconds, queueWaitMaxSeconds);
-        out += buf;
-        for (std::size_t i = 0; i < clientWaits.size(); ++i) {
-            const ClientWait &c = clientWaits[i];
-            std::snprintf(
-                buf, sizeof(buf),
-                "%s{\"client\": %llu, \"priority\": %u, "
-                "\"units\": %llu, \"wait_avg_seconds\": %.6f, "
-                "\"wait_max_seconds\": %.6f}",
-                i ? ", " : "",
-                static_cast<unsigned long long>(c.clientId),
-                c.priority,
-                static_cast<unsigned long long>(c.units),
-                c.waitAvgSeconds, c.waitMaxSeconds);
-            out += buf;
-        }
-        out += "]}";
-    }
     std::snprintf(
         buf, sizeof(buf),
         ", \"checkpoint_captures\": %llu, "
@@ -920,34 +738,6 @@ ExecMetrics::summaryTable() const
                   jobsAuto ? " (auto)" : "", poolWallSeconds,
                   busySeconds, utilization() * 100.0, collateSeconds);
     out += buf;
-    if (serve) {
-        std::snprintf(
-            buf, sizeof(buf),
-            "serve: cache %llu hit / %llu miss / %llu wait, "
-            "%llu units (%llu retried), %llu worker restarts, "
-            "queue peak %llu, request %.2fs\n",
-            static_cast<unsigned long long>(cacheHits),
-            static_cast<unsigned long long>(cacheMisses),
-            static_cast<unsigned long long>(cacheWaits),
-            static_cast<unsigned long long>(unitsDispatched),
-            static_cast<unsigned long long>(unitRetries),
-            static_cast<unsigned long long>(workerRestarts),
-            static_cast<unsigned long long>(queueDepthPeak),
-            requestSeconds);
-        out += buf;
-        std::snprintf(
-            buf, sizeof(buf),
-            "serve: %llu hang kills, %llu deadline failures, "
-            "cache %llu evicted / %llu GCed (%llu bytes on disk), "
-            "queue wait avg %.3fs max %.3fs\n",
-            static_cast<unsigned long long>(hangKills),
-            static_cast<unsigned long long>(deadlineFailures),
-            static_cast<unsigned long long>(cacheEvictions),
-            static_cast<unsigned long long>(cacheGcRemoved),
-            static_cast<unsigned long long>(cacheDiskBytes),
-            queueWaitAvgSeconds, queueWaitMaxSeconds);
-        out += buf;
-    }
     if (checkpointCaptures || checkpointRestores) {
         std::snprintf(
             buf, sizeof(buf),
@@ -1012,18 +802,6 @@ writeJsonDoc(const std::string &path, const std::string &planName,
         wall_seconds, exec_metrics.c_str(), resultsArray.c_str());
     std::fclose(f);
     return true;
-}
-
-bool
-writeJsonFile(const std::string &path, const SweepPlan &plan,
-              const ExecOptions &opt,
-              const std::vector<RunOutcome> &outcomes,
-              double wall_seconds, const ExecMetrics *metrics)
-{
-    return writeJsonDoc(path, plan.name, plan.scale, plan.footprint,
-                        opt, resultsJson(outcomes), wall_seconds,
-                        metrics && metrics->enabled ? metrics->toJson()
-                                                    : std::string());
 }
 
 } // namespace sweep

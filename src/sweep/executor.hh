@@ -1,16 +1,19 @@
 /**
  * @file
  * Parallel sweep executor: runs a SweepPlan's jobs on a pool of worker
- * threads, one private Simulator per job (simulations share no mutable
- * state — the only shared object is the pre-decoded, read-only
- * Program), and collates results in plan order. Results are a pure
+ * threads, one private Simulator per work unit (simulations share no
+ * mutable state — the only shared objects are the pre-decoded
+ * programs and the immutable snapshot sets), and collates results in
+ * plan order. Results are a pure
  * function of the plan and options: serial and parallel execution
  * produce byte-identical JSON.
  *
- * With checkpointing enabled, each workload is warmed once (serially,
- * so the snapshot is deterministic) and every configuration of that
- * workload forks from the snapshot instead of re-simulating the
- * warm-up; see src/sweep/checkpoint.hh and docs/sweep.md.
+ * Every mode runs through one pipeline: a serial capture pass per
+ * workload (none for full runs, one warm image for --checkpoint, the
+ * interval samples for --samples; reused from --checkpoint-dir when
+ * present), one serial validate probe per distinct (workload, config),
+ * a pool over (job, sample) units and a plan-ordered fold. See
+ * src/sweep/checkpoint.hh, src/sweep/sampling.hh and docs/sweep.md.
  */
 
 #ifndef SDV_SWEEP_EXECUTOR_HH
@@ -66,10 +69,10 @@ struct ExecOptions
      *  Takes precedence over the one-boundary `checkpoint` mode;
      *  incompatible with `verify` (estimates cannot be verified). */
     SamplePlan sample;
-    /** When non-empty, checkpoint images are written to (and reused
-     *  from) <dir>/<workload>.s<scale>.w<warmupInsts>.ckpt across
-     *  invocations; cached files are validated against the current
-     *  program and geometry and recaptured when stale. */
+    /** When non-empty, the snapshot sets of --checkpoint and --samples
+     *  are persisted to (and reused from) <dir>/<key>.snap across
+     *  invocations (src/sweep/snapshot_cache.hh); a file written by
+     *  another build, for another program or damaged is recaptured. */
     std::string checkpointDir;
 
     // --- observability (all default-off: the default-mode JSON stays
@@ -96,13 +99,12 @@ struct ExecOptions
  *  deterministic payload. */
 struct ExecMetrics
 {
-    bool enabled = false;       ///< collected this run
     unsigned workers = 0;       ///< pool threads actually used
     bool jobsAuto = false;      ///< workers came from --jobs 0 auto-detect
     double poolWallSeconds = 0.0; ///< pool start to join
     double busySeconds = 0.0;   ///< sum of unit run times
     double collateSeconds = 0.0; ///< plan-ordered aggregation/serialization
-    std::uint64_t checkpointCaptures = 0;    ///< warm snapshots taken
+    std::uint64_t checkpointCaptures = 0;    ///< snapshot images captured
     std::uint64_t checkpointCaptureBytes = 0;
     std::uint64_t checkpointRestores = 0;    ///< forks from snapshots
     std::uint64_t checkpointRestoreBytes = 0;
@@ -116,46 +118,6 @@ struct ExecMetrics
         double runSeconds = 0.0;       ///< job simulation time
     };
     std::vector<JobMetrics> jobs;
-
-    // --- serve-mode rider (sdv_sweep --serve): per-request server
-    // observations, populated by SweepServer instead of runPlan.
-    bool serve = false;             ///< request went through the daemon
-    std::uint64_t cacheHits = 0;    ///< snapshot-cache hits (memory or disk)
-    std::uint64_t cacheMisses = 0;  ///< captures this request triggered
-    std::uint64_t cacheWaits = 0;   ///< single-flight waits on another
-                                    ///< client's in-flight capture
-    std::uint64_t unitsDispatched = 0; ///< work units sent to workers
-    std::uint64_t unitRetries = 0;  ///< units re-queued after a worker died
-    std::uint64_t workerRestarts = 0; ///< crashed workers respawned (lifetime)
-    std::uint64_t queueDepthPeak = 0; ///< max queued units while enqueuing
-    double requestSeconds = 0.0;    ///< submit to final record streamed
-    std::uint64_t hangKills = 0;    ///< hung workers SIGKILLed (lifetime)
-    std::uint64_t deadlineFailures = 0; ///< units failed past a deadline
-    std::uint64_t cacheEvictions = 0; ///< snapshots evicted for the budget
-    std::uint64_t cacheGcRemoved = 0; ///< stale snapshots GCed at startup
-    std::uint64_t cacheDiskBytes = 0; ///< cache-directory payload now
-    double queueWaitAvgSeconds = 0.0; ///< this request's mean queue wait
-    double queueWaitMaxSeconds = 0.0; ///< this request's worst queue wait
-
-    /** Per worker-process load (lifetime totals, pid-ordered). */
-    struct WorkerLoad
-    {
-        int pid = 0;
-        std::uint64_t units = 0;    ///< units completed
-        double busySeconds = 0.0;   ///< sum of unit wall times
-    };
-    std::vector<WorkerLoad> workerLoads;
-
-    /** Per-client fair-share tally (lifetime, client-id-ordered). */
-    struct ClientWait
-    {
-        std::uint64_t clientId = 0;
-        std::uint32_t priority = 1;
-        std::uint64_t units = 0;     ///< units dispatched for this client
-        double waitAvgSeconds = 0.0; ///< mean enqueue-to-dispatch wait
-        double waitMaxSeconds = 0.0; ///< worst enqueue-to-dispatch wait
-    };
-    std::vector<ClientWait> clientWaits;
 
     /** @return busySeconds / (workers * poolWallSeconds), in [0, 1]. */
     double
@@ -202,8 +164,7 @@ struct RunOutcome
                               ///< deterministic JSON payload
 
     /** Flight recorder this job filled (ExecOptions::traceEvents;
-     *  null otherwise). shared_ptr because outcomes are copied during
-     *  the watchdog retry pass. */
+     *  null otherwise). shared_ptr so outcomes stay copyable. */
     std::shared_ptr<obs::TraceRecorder> trace;
     /** Interval-telemetry JSON array ("[...]") for this job
      *  (ExecOptions::telemetryInterval; empty otherwise). */
@@ -213,8 +174,8 @@ struct RunOutcome
 /**
  * Run every job of @p plan and return outcomes in plan order.
  * Programs are built and pre-decoded up front (one per workload,
- * shared read-only); checkpoints, when enabled, are captured serially
- * before the pool starts.
+ * shared read-only); snapshot sets, when enabled, are captured (or
+ * loaded) serially before the pool starts.
  */
 std::vector<RunOutcome> runPlan(const SweepPlan &plan,
                                 const ExecOptions &opt,
@@ -229,29 +190,15 @@ std::string resultsJson(const std::vector<RunOutcome> &outcomes);
 
 /**
  * @return one complete record of the resultsJson() array ("  {...}",
- * no trailing separator). The sweep server streams records to clients
- * with this exact function, which is what makes a served, sharded
- * sweep byte-identical to the serial path by construction.
+ * no trailing separator).
  */
 std::string resultRecordJson(const RunOutcome &o);
 
 /**
  * Write the full sweep JSON document: a "sweep" metadata object (plan,
- * scale, options, total wall time) plus the resultsJson() array under
- * "results". tools/compare_bench.py understands this schema.
- */
-bool writeJsonFile(const std::string &path, const SweepPlan &plan,
-                   const ExecOptions &opt,
-                   const std::vector<RunOutcome> &outcomes,
-                   double wall_seconds,
-                   const ExecMetrics *metrics = nullptr);
-
-/**
- * writeJsonFile() with the deterministic results array (and optional
- * "exec_metrics" object) already serialized — the serve-mode client
- * writes documents from streamed record text without ever holding
- * RunOutcomes. Byte-identical to writeJsonFile() given the same
- * inputs.
+ * scale, options, total wall time), the optional "exec_metrics" object
+ * (ExecMetrics::toJson) and the serialized results array (resultsJson)
+ * under "results". tools/compare_bench.py understands this schema.
  */
 bool writeJsonDoc(const std::string &path, const std::string &planName,
                   unsigned scale, Footprint footprint,
@@ -274,9 +221,7 @@ void applyExecOverlay(CoreConfig &cfg, const ExecOptions &opt);
  * @return the deterministic warm-up configuration for @p workload
  * under @p plan: its first engine-enabled job (falling back to its
  * first job), with the exec overlay applied. This is the machine the
- * capture pass runs — both the in-process executor and the sweep
- * server's snapshot cache derive it from here, so a cached snapshot
- * set is exactly what the serial path would have captured.
+ * capture pass runs, and its hash is part of the snapshot-store key.
  */
 CoreConfig warmConfig(const SweepPlan &plan, const ExecOptions &opt,
                       const std::string &workload);
@@ -286,8 +231,7 @@ CoreConfig warmConfig(const SweepPlan &plan, const ExecOptions &opt,
 FaultPlan jobFaultPlan(const FaultPlan &base, const SweepJob &job);
 
 /** Fill the identity fields of @p out from @p job (figure, workload,
- *  group/column, config, seed) — the common prologue of every
- *  execution path, including the sweep server's collator. */
+ *  group/column, config, seed). */
 void stampOutcome(RunOutcome &out, const SweepJob &job);
 
 /**

@@ -6,9 +6,10 @@
  * speculative fault is detected or provably vanished — never silently
  * committed), the graceful-degradation path (chains demoted to scalar
  * under sustained faults stay bit-identical to a no-SDV run and
- * re-enable after a clean window), the speculation fuzzer's determinism
- * and repro round trip, and the simulator abort flag the job watchdog
- * drives.
+ * re-enable after a clean window; TL and shadow-GMRBB flips stay
+ * contained), the speculation fuzzer's determinism, repro round trip
+ * and delta-debugging minimizer, and the simulator abort flag the job
+ * watchdog drives.
  */
 
 #include <atomic>
@@ -180,6 +181,30 @@ TEST(FaultInjection, DegradedChainsFallBackToScalarAndReenable)
     EXPECT_EQ(res.insts, nres.insts);
 }
 
+TEST(FaultInjection, TlAndGmrbbFlipsAreInjectedAndContained)
+{
+    // High ppm so both new fault sites demonstrably fire; the
+    // divergence oracle plus the escape accounting then prove the
+    // corruption is contained: TL faults can only mislead *future*
+    // spawns (caught by the expected-address check) and shadow-GMRBB
+    // flips only mislabel release regions — neither may ever corrupt
+    // architectural state.
+    const auto &workloads = allWorkloads();
+    ASSERT_FALSE(workloads.empty());
+    sweep::FuzzCase c;
+    c.workload = workloads.front().name;
+    c.fault.enabled = true;
+    c.fault.seed = 0x7ab;
+    c.fault.tlFlipPpm = 50'000;
+    c.fault.gmrbbFlipPpm = 50'000;
+
+    const sweep::FuzzOutcome o =
+        sweep::runFuzzCase(c, /*event_skip=*/true, 50'000'000);
+    EXPECT_GT(o.tlFlips, 0u);
+    EXPECT_GT(o.gmrbbFlips, 0u);
+    EXPECT_FALSE(o.diverged) << o.reason;
+}
+
 // --- speculation fuzzing ---------------------------------------------------
 
 /** Case drawing is a pure function of (workload, sample, base seed). */
@@ -263,6 +288,43 @@ TEST(Fuzz, ReproFileRoundTrip)
     EXPECT_FALSE(
         sweep::loadFuzzRepro("/nonexistent/repro.json", bad, &err));
     EXPECT_FALSE(err.empty());
+}
+
+TEST(FuzzMinimizer, DeltaDebugEscapesCoupledKnobTrap)
+{
+    // Synthetic failure coupled across two knobs: it reproduces iff
+    // (quiesce != 0) == eager — i.e. with both perturbed or neither.
+    // Greedy single resets are stuck (either lone reset breaks the
+    // equality); the pair reset minimizes fully.
+    sweep::FuzzCase c;
+    c.workload = "synthetic";
+    c.quiesceInterval = 500;
+    c.eagerChain = true;
+    const sweep::FuzzPredicate diverges =
+        [](const sweep::FuzzCase &t) {
+            return (t.quiesceInterval != 0) == t.eagerChain;
+        };
+    ASSERT_TRUE(diverges(c));
+
+    const sweep::FuzzCase greedy =
+        sweep::minimizeFuzzCaseGreedy(c, diverges);
+    EXPECT_EQ(500u, greedy.quiesceInterval);
+    EXPECT_TRUE(greedy.eagerChain);
+
+    const sweep::FuzzCase minimized = sweep::minimizeFuzzCase(c, diverges);
+    EXPECT_TRUE(diverges(minimized))
+        << "the minimized case must still reproduce";
+    EXPECT_EQ(0u, minimized.quiesceInterval);
+    EXPECT_FALSE(minimized.eagerChain);
+
+    // Never larger than greedy: count perturbed knobs.
+    const auto perturbed = [](const sweep::FuzzCase &t) {
+        return int(t.quiesceInterval != 0) + int(t.eagerChain) +
+               int(t.fault.enabled) + int(t.vlen != 4) +
+               int(t.numVregs != 128) + int(t.ports != 1) +
+               int(t.tlConfidence != 2) + int(t.fuzzSeed != 0);
+    };
+    EXPECT_LE(perturbed(minimized), perturbed(greedy));
 }
 
 // --- watchdog abort flag ---------------------------------------------------

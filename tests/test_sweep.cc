@@ -4,23 +4,45 @@
  * (restore-then-run equals warmup-then-continue on every tier-1
  * workload, statistics and commit hashes included), corrupted /
  * truncated snapshot rejection, cross-configuration restores, the plan
- * registry, and executor determinism (parallel == serial, checkpointed
- * or not).
+ * registry, executor determinism (parallel == serial, checkpointed or
+ * not) and the snapshot store behind --checkpoint-dir (reuse, keying,
+ * recapture of corrupt and foreign containers).
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
+#include <filesystem>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "common/serialize.hh"
 #include "sweep/checkpoint.hh"
 #include "sweep/executor.hh"
 #include "sweep/plan.hh"
+#include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
 
 namespace sdv {
 namespace {
+
+/** A fresh directory, removed with its contents at scope exit. */
+struct ScratchDir
+{
+    std::string path;
+
+    ScratchDir()
+    {
+        std::string tmpl = ::testing::TempDir() + "sdvXXXXXX";
+        const char *dir = ::mkdtemp(tmpl.data());
+        EXPECT_NE(dir, nullptr);
+        path = dir ? dir : "";
+    }
+
+    ~ScratchDir() { std::filesystem::remove_all(path); }
+};
 
 std::deque<Program> &
 keeper()
@@ -183,6 +205,43 @@ TEST(Checkpoint, FileRoundTrip)
     Simulator restored(cfg, prog);
     ASSERT_TRUE(sweep::Checkpoint::restore(restored, loaded));
     EXPECT_TRUE(restored.run(50'000'000, /*verify=*/true).verified);
+}
+
+TEST(SweepCheckpoint, LoadDistinguishesMissingFromCorrupt)
+{
+    ScratchDir dir;
+    const std::string missing = dir.path + "/absent.ckpt";
+    const std::string corrupt = dir.path + "/corrupt.ckpt";
+
+    std::vector<std::uint8_t> bytes;
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Missing,
+              sweep::Checkpoint::load(missing, bytes));
+
+    std::FILE *f = std::fopen(corrupt.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a checkpoint", f);
+    std::fclose(f);
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Corrupt,
+              sweep::Checkpoint::load(corrupt, bytes));
+
+    // Round-trip through the atomic save path: the payload comes back
+    // verbatim and no temp file is left beside it.
+    const std::string saved = dir.path + "/saved.ckpt";
+    std::vector<std::uint8_t> payload;
+    {
+        Serializer ser;
+        ser.str("atomic-save probe");
+        payload = ser.finish();
+    }
+    ASSERT_TRUE(sweep::Checkpoint::save(saved, payload));
+    std::vector<std::uint8_t> loaded;
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Ok,
+              sweep::Checkpoint::load(saved, loaded));
+    EXPECT_EQ(payload, loaded);
+    for (const auto &e : std::filesystem::directory_iterator(dir.path))
+        EXPECT_EQ(e.path().filename().string().find("tmp"),
+                  std::string::npos)
+            << "temp-file litter: " << e.path();
 }
 
 TEST(Checkpoint, RejectsCorruptedAndTruncatedImages)
@@ -365,6 +424,165 @@ TEST(SweepExecutor, CheckpointedSweepIsDeterministicAndVerified)
         EXPECT_TRUE(o.res.verified) << o.workload;
     }
     EXPECT_EQ(sweep::resultsJson(serial), sweep::resultsJson(parallel));
+}
+
+TEST(SweepExecutor, ResolveJobsAutoDetects)
+{
+    EXPECT_EQ(5u, sweep::resolveJobs(5));
+    EXPECT_EQ(1u, sweep::resolveJobs(1));
+    const unsigned resolved = sweep::resolveJobs(0);
+    EXPECT_GE(resolved, 1u);
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw > 1) {
+        EXPECT_EQ(hw - 1, resolved);
+    }
+}
+
+// --- snapshot store (--checkpoint-dir) -------------------------------------
+
+/** What one sweep through a snapshot directory produced. */
+struct StoreRun
+{
+    std::string json;
+    std::uint64_t captures = 0;
+    std::uint64_t captureBytes = 0;
+};
+
+StoreRun
+runThrough(const sweep::SweepPlan &plan, sweep::ExecOptions opt,
+           const std::string &dir)
+{
+    opt.checkpointDir = dir;
+    sweep::ExecMetrics m;
+    StoreRun r;
+    r.json = sweep::resultsJson(sweep::runPlan(plan, opt, &m));
+    r.captures = m.checkpointCaptures;
+    r.captureBytes = m.checkpointCaptureBytes;
+    return r;
+}
+
+/** A small sampled sweep: 3 quick workloads x 2 configs x 3 samples. */
+sweep::ExecOptions
+sampledOptions()
+{
+    sweep::ExecOptions opt;
+    opt.jobs = 2;
+    opt.warmupInsts = warmupInsts;
+    opt.sample.samples = 3;
+    opt.sample.measureInsts = 2'000;
+    return opt;
+}
+
+sweep::SweepPlan
+quickPlan(const std::string &name)
+{
+    sweep::PlanOptions popt;
+    popt.quick = true;
+    return sweep::buildPlan(name, popt);
+}
+
+TEST(SweepStore, RerunOnPopulatedDirectoryCapturesNothing)
+{
+    const sweep::SweepPlan plan = quickPlan("fig07");
+    sweep::ExecOptions ckpt;
+    ckpt.jobs = 2;
+    ckpt.checkpoint = true;
+    ckpt.warmupInsts = warmupInsts;
+    ckpt.verify = true;
+    // Images per run: one per workload, or one per warm sample.
+    for (const auto &[opt, images] :
+         {std::make_pair(ckpt, 3u), std::make_pair(sampledOptions(), 9u)}) {
+        SCOPED_TRACE(opt.sample.enabled() ? "sampled" : "checkpoint");
+        const StoreRun cold = runThrough(plan, opt, "");
+        EXPECT_EQ(images, cold.captures);
+        EXPECT_GT(cold.captureBytes, 0u);
+
+        ScratchDir dir;
+        const StoreRun first = runThrough(plan, opt, dir.path);
+        EXPECT_EQ(images, first.captures);
+        EXPECT_EQ(cold.captureBytes, first.captureBytes);
+        EXPECT_EQ(cold.json, first.json);
+
+        const StoreRun again = runThrough(plan, opt, dir.path);
+        EXPECT_EQ(0u, again.captures);
+        EXPECT_EQ(0u, again.captureBytes);
+        EXPECT_EQ(cold.json, again.json);
+    }
+}
+
+TEST(SweepStore, DirectorySharedByTwoPlansKeepsThemApart)
+{
+    // fig11 and headline warm their workloads under different machines;
+    // headline must not fork from fig11's snapshots.
+    sweep::ExecOptions opt;
+    opt.jobs = 2;
+    opt.checkpoint = true;
+    const sweep::SweepPlan headline = quickPlan("headline");
+    const std::string cold =
+        sweep::resultsJson(sweep::runPlan(headline, opt));
+
+    ScratchDir dir;
+    runThrough(quickPlan("fig11"), opt, dir.path);
+    const StoreRun shared = runThrough(headline, opt, dir.path);
+    EXPECT_EQ(3u, shared.captures);
+    EXPECT_EQ(cold, shared.json);
+}
+
+TEST(SweepStore, CorruptContainerIsRecapturedWithAWarning)
+{
+    const sweep::SweepPlan plan = quickPlan("fig07");
+    const sweep::ExecOptions opt = sampledOptions();
+    ScratchDir dir;
+    const StoreRun cold = runThrough(plan, opt, dir.path);
+
+    const std::string path =
+        dir.path + "/" +
+        sweep::snapshotKey(plan, opt, plan.jobs.front().workload) + ".snap";
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a snapshot set", f);
+    std::fclose(f);
+
+    ::testing::internal::CaptureStderr();
+    const StoreRun r = runThrough(plan, opt, dir.path);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(path + " is corrupt"), std::string::npos) << err;
+    EXPECT_EQ(3u, r.captures); // that workload's samples only
+    EXPECT_EQ(cold.json, r.json);
+    EXPECT_EQ(0u, runThrough(plan, opt, dir.path).captures);
+}
+
+TEST(SweepStore, ContainerFromAnotherBuildIsRecapturedNeverRestored)
+{
+    const sweep::SweepPlan plan = quickPlan("fig07");
+    const sweep::ExecOptions opt = sampledOptions();
+    const std::string cold =
+        sweep::resultsJson(sweep::runPlan(plan, opt));
+
+    // A container at the right key holding another warm-up's samples:
+    // restoring it would change that workload's records.
+    const std::string &w = plan.jobs.front().workload;
+    const Program &prog = keep(buildWorkload(w, plan.scale, plan.footprint));
+    sweep::SamplePlan sp = opt.sample;
+    sp.warmupInsts = opt.warmupInsts + 1'000;
+    const sweep::SampleSet other = sweep::captureSamples(
+        sweep::warmConfig(plan, opt, w), prog, sp, opt.maxCycles);
+    ScratchDir dir;
+    const std::string path =
+        dir.path + "/" + sweep::snapshotKey(plan, opt, w) + ".snap";
+
+    // Control: written by this binary, the container is trusted.
+    ASSERT_TRUE(sweep::saveSnapshotSet(path, other, prog.identityHash(),
+                                       sweep::binaryFingerprint()));
+    EXPECT_NE(cold, runThrough(plan, opt, dir.path).json);
+
+    // Written by another build: recaptured and overwritten in place.
+    ASSERT_TRUE(sweep::saveSnapshotSet(path, other, prog.identityHash(),
+                                       sweep::binaryFingerprint() ^ 1));
+    const StoreRun r = runThrough(plan, opt, dir.path);
+    EXPECT_EQ(3u, r.captures);
+    EXPECT_EQ(cold, r.json);
+    EXPECT_EQ(0u, runThrough(plan, opt, dir.path).captures);
 }
 
 // --- program sharing -------------------------------------------------------

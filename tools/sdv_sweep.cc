@@ -10,19 +10,9 @@
  *   sdv_sweep --plan fig11 --jobs 4 --json fig11.json
  *   sdv_sweep --plan fig11 --checkpoint --warmup 10000 --jobs 4
  *   sdv_sweep --plan all --quick --jobs 2
+ *   sdv_sweep --plan fig11 --samples 3 --checkpoint-dir snaps
  *   sdv_sweep --fuzz-speculation --fuzz-samples 8 --jobs 4
  *   sdv_sweep --fuzz-replay fuzz_repro.json
- *
- * Service mode (docs/sweep.md, "The sweep service"): a long-lived
- * daemon owns a pool of worker processes and a shared snapshot cache;
- * clients submit plans over the socket and stream back the same
- * plan-ordered records the in-process executor would have produced.
- *
- *   sdv_sweep --serve --socket /tmp/sdv.sock --workers 4
- *   sdv_sweep --plan fig11 --connect /tmp/sdv.sock --json fig11.json
- *   sdv_sweep --loadtest 1000 --loadtest-concurrency 4 \
- *             --plan fig11 --samples 3 --connect /tmp/sdv.sock
- *   sdv_sweep --shutdown --connect /tmp/sdv.sock
  */
 
 #include <chrono>
@@ -31,17 +21,11 @@
 #include <cstring>
 #include <string>
 
-#include <unistd.h>
-
 #include "common/log.hh"
 #include "obs/hooks.hh"
-#include "sweep/chaos.hh"
-#include "sweep/client.hh"
 #include "sweep/executor.hh"
 #include "sweep/fuzz.hh"
 #include "sweep/plan.hh"
-#include "sweep/server.hh"
-#include "sweep/worker.hh"
 
 using namespace sdv;
 
@@ -77,7 +61,8 @@ usage(const char *argv0)
         "(default 20000)\n"
         "  --sample-period P capture period in insts (default: spread "
         "evenly over the run)\n"
-        "  --checkpoint-dir D  persist/reuse snapshots in D\n"
+        "  --checkpoint-dir D  persist snapshot sets (--checkpoint and "
+        "--samples) in D and reuse them on later runs\n"
         "  --quiesce-interval N  context-switch the transient vector\n"
         "                    state every N fetched instructions\n"
         "                    (steady-state experiments; full runs "
@@ -88,8 +73,9 @@ usage(const char *argv0)
         "  --seed N          base of the per-job RNG stream seeds "
         "(recorded per job in the JSON; today's workloads are fully "
         "deterministic, so results do not change)\n"
-        "  --job-timeout S   wall-clock watchdog: abort any job "
-        "running longer than S seconds, retry it once serially\n"
+        "  --job-timeout S   wall-clock watchdog: abort any job (or "
+        "sample of one) running longer than S seconds, retry it once "
+        "serially\n"
         "  --fault-elem-ppm N  inject vector-element bit flips at N "
         "per million landings (adversarial robustness runs)\n"
         "  --fault-vrmt-ppm N  corrupt VRMT installs at N per million\n"
@@ -106,41 +92,6 @@ usage(const char *argv0)
         "  --metrics-summary print executor metrics (queue wait, run "
         "time, utilization, checkpoint traffic) and record them in the "
         "JSON as \"exec_metrics\"\n"
-        "service mode (docs/sweep.md):\n"
-        "  --serve           run as the sweep daemon (needs --socket)\n"
-        "  --socket PATH     Unix socket the daemon listens on\n"
-        "  --workers N       daemon worker processes (default 0 = "
-        "auto)\n"
-        "  --cache-dir D     daemon snapshot-cache directory (default: "
-        "<socket>.cache)\n"
-        "  --cache-limit-mb N  daemon snapshot-cache disk budget in MB "
-        "(LRU eviction; 0 = unbounded)\n"
-        "  --hang-timeout-ms N  daemon: SIGKILL a worker silent this "
-        "long while holding a unit (default 2000)\n"
-        "  --connect PATH    submit --plan to the daemon at PATH "
-        "instead of running in-process\n"
-        "  --deadline-ms N   fail the request with a structured "
-        "deadline error after N ms (0 = none)\n"
-        "  --priority N      fair-share weight of this client's units "
-        "(default 1)\n"
-        "  --retries N       reattempts on connect/transport failures "
-        "(jittered exponential backoff)\n"
-        "  --backoff-ms N    base retry backoff in ms (default 100; "
-        "doubles per attempt)\n"
-        "  --shutdown        ask the daemon at --connect to wind down\n"
-        "  --loadtest N      submit N copies of --plan through "
-        "--connect and report throughput/latency\n"
-        "  --loadtest-concurrency C  client connections for --loadtest "
-        "(default 4)\n"
-        "  --chaos N         run a seeded chaos campaign: N concurrent "
-        "copies of --plan with injected worker exits/hangs, corrupted "
-        "and truncated frames, slow workers, client disconnects and "
-        "deadline victims; asserts byte-exact survivors and balanced "
-        "daemon accounting\n"
-        "  --chaos-seed S    chaos placement seed (same seed replays "
-        "the same campaign; default 1)\n"
-        "  --chaos-exit-units N  test hook: the first N units of this "
-        "request crash their worker once each\n"
         "fuzzing (instead of --plan):\n"
         "  --fuzz-speculation  run the speculation fuzz campaign: "
         "every workload x N fuzzed samples, each checked against a "
@@ -182,21 +133,6 @@ numArg(int argc, char **argv, int &i)
     return std::strtoull(argv[++i], nullptr, 0);
 }
 
-/** @return this process's own executable path (the daemon spawns it
- *  again as --worker), falling back to argv[0]. */
-std::string
-selfExecutable(const char *argv0)
-{
-    char buf[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return buf;
-    }
-    return argv0;
-}
-
 } // namespace
 
 int
@@ -214,24 +150,6 @@ main(int argc, char **argv)
     bool fuzz_faults = true;
     std::string fuzz_repro = "fuzz_repro.json";
     std::string fuzz_replay;
-    bool serve = false;
-    bool worker = false;
-    bool shutdown = false;
-    std::string socket_path;
-    std::string connect_path;
-    std::string cache_dir;
-    unsigned serve_workers = 0;
-    unsigned loadtest = 0;
-    unsigned loadtest_concurrency = 4;
-    std::uint32_t chaos_exit_units = 0;
-    std::uint64_t deadline_ms = 0;
-    std::uint32_t client_priority = 1;
-    unsigned client_retries = 0;
-    unsigned backoff_ms = 100;
-    std::uint64_t cache_limit_mb = 0;
-    unsigned hang_timeout_ms = 2000;
-    unsigned chaos_requests = 0;
-    std::uint64_t chaos_seed = 1;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--plan") == 0 && i + 1 < argc) {
@@ -244,58 +162,6 @@ main(int argc, char **argv)
                 eopt.jobs = sweep::resolveJobs(0);
                 eopt.jobsAutoDetected = true;
             }
-        } else if (std::strcmp(argv[i], "--serve") == 0) {
-            serve = true;
-        } else if (std::strcmp(argv[i], "--worker") == 0) {
-            worker = true;
-        } else if (std::strcmp(argv[i], "--shutdown") == 0) {
-            shutdown = true;
-        } else if (std::strcmp(argv[i], "--socket") == 0 &&
-                   i + 1 < argc) {
-            socket_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--connect") == 0 &&
-                   i + 1 < argc) {
-            connect_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--cache-dir") == 0 &&
-                   i + 1 < argc) {
-            cache_dir = argv[++i];
-        } else if (std::strcmp(argv[i], "--workers") == 0) {
-            serve_workers = unsigned(numArg(argc, argv, i));
-        } else if (std::strcmp(argv[i], "--loadtest") == 0) {
-            loadtest = unsigned(numArg(argc, argv, i));
-            if (loadtest == 0)
-                fatal("--loadtest needs a request count >= 1");
-        } else if (std::strcmp(argv[i], "--loadtest-concurrency") ==
-                   0) {
-            loadtest_concurrency = unsigned(numArg(argc, argv, i));
-            if (loadtest_concurrency == 0)
-                fatal("--loadtest-concurrency must be >= 1");
-        } else if (std::strcmp(argv[i], "--chaos-exit-units") == 0) {
-            chaos_exit_units = std::uint32_t(numArg(argc, argv, i));
-        } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-            deadline_ms = numArg(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--priority") == 0) {
-            client_priority = std::uint32_t(numArg(argc, argv, i));
-            if (client_priority == 0)
-                fatal("--priority must be >= 1");
-        } else if (std::strcmp(argv[i], "--retries") == 0) {
-            client_retries = unsigned(numArg(argc, argv, i));
-        } else if (std::strcmp(argv[i], "--backoff-ms") == 0) {
-            backoff_ms = unsigned(numArg(argc, argv, i));
-            if (backoff_ms == 0)
-                fatal("--backoff-ms must be >= 1");
-        } else if (std::strcmp(argv[i], "--cache-limit-mb") == 0) {
-            cache_limit_mb = numArg(argc, argv, i);
-        } else if (std::strcmp(argv[i], "--hang-timeout-ms") == 0) {
-            hang_timeout_ms = unsigned(numArg(argc, argv, i));
-            if (hang_timeout_ms == 0)
-                fatal("--hang-timeout-ms must be >= 1");
-        } else if (std::strcmp(argv[i], "--chaos") == 0) {
-            chaos_requests = unsigned(numArg(argc, argv, i));
-            if (chaos_requests == 0)
-                fatal("--chaos needs a request count >= 1");
-        } else if (std::strcmp(argv[i], "--chaos-seed") == 0) {
-            chaos_seed = numArg(argc, argv, i);
         } else if (std::strcmp(argv[i], "--scale") == 0) {
             popt.scale = unsigned(numArg(argc, argv, i));
             if (popt.scale == 0)
@@ -388,175 +254,6 @@ main(int argc, char **argv)
         } else {
             usage(argv[0]);
         }
-    }
-
-    if (worker) {
-        if (socket_path.empty())
-            fatal("--worker needs --socket PATH");
-        return sweep::workerMain(socket_path);
-    }
-
-    if (serve) {
-        if (socket_path.empty())
-            fatal("--serve needs --socket PATH");
-        sweep::SweepServer::Options sopt;
-        sopt.socketPath = socket_path;
-        sopt.workers = serve_workers;
-        sopt.cacheDir =
-            cache_dir.empty() ? socket_path + ".cache" : cache_dir;
-        sopt.workerExe = selfExecutable(argv[0]);
-        sopt.verbose = true;
-        sopt.cacheLimitMb = cache_limit_mb;
-        sopt.hangTimeoutMs = hang_timeout_ms;
-        sweep::SweepServer server(sopt);
-        std::string err;
-        if (!server.start(&err))
-            fatal("--serve: ", err);
-        server.run();
-        return 0;
-    }
-
-    if (shutdown) {
-        if (connect_path.empty())
-            fatal("--shutdown needs --connect PATH");
-        std::string err;
-        if (!sweep::requestShutdown(connect_path, &err))
-            fatal("--shutdown: ", err);
-        std::printf("shutdown requested on %s\n",
-                    connect_path.c_str());
-        return 0;
-    }
-
-    if (!connect_path.empty() || loadtest || chaos_requests) {
-        if (connect_path.empty())
-            fatal(loadtest ? "--loadtest needs --connect PATH"
-                           : "--chaos needs --connect PATH");
-        if (plan_name.empty())
-            usage(argv[0]);
-        if (!sweep::havePlan(plan_name))
-            fatal("unknown plan '", plan_name, "' (try --list)");
-        sweep::proto::SweepRequest req;
-        req.plan = plan_name;
-        req.popt = popt;
-        req.eopt = eopt;
-        req.deadlineMs = deadline_ms;
-        req.chaos.exitUnits = chaos_exit_units;
-
-        if (chaos_requests) {
-            sweep::ChaosOptions copt;
-            copt.requests = chaos_requests;
-            copt.seed = chaos_seed;
-            copt.verbose = true;
-            // The campaign owns the chaos/deadline fields.
-            req.deadlineMs = 0;
-            req.chaos = sweep::proto::ChaosSpec{};
-            std::printf("chaos campaign: %u requests of plan %s via "
-                        "%s, seed %llu\n",
-                        copt.requests, plan_name.c_str(),
-                        connect_path.c_str(),
-                        static_cast<unsigned long long>(copt.seed));
-            const sweep::ChaosReport rep =
-                sweep::runChaosCampaign(connect_path, req, copt);
-            std::fputs(rep.summary().c_str(), stdout);
-            if (!json_path.empty() && rep.ok()) {
-                std::string arr = "[\n";
-                for (std::size_t i = 0; i < rep.records.size(); ++i) {
-                    arr += rep.records[i];
-                    arr += i + 1 < rep.records.size() ? ",\n" : "\n";
-                }
-                arr += "]";
-                if (!sweep::writeJsonDoc(json_path, plan_name,
-                                         popt.scale, popt.footprint,
-                                         eopt, arr, 0.0, std::string()))
-                    fatal("cannot write ", json_path);
-                std::printf("surviving records written to %s\n",
-                            json_path.c_str());
-            }
-            return rep.ok() ? 0 : 1;
-        }
-
-        if (loadtest) {
-            sweep::LoadTestOptions lopt;
-            lopt.requests = loadtest;
-            lopt.concurrency = loadtest_concurrency;
-            std::printf("load test: %u requests of plan %s over %u "
-                        "connection(s) via %s\n",
-                        lopt.requests, plan_name.c_str(),
-                        lopt.concurrency, connect_path.c_str());
-            sweep::LoadTestResult res;
-            std::string err;
-            const bool ok =
-                sweep::runLoadTest(connect_path, req, lopt, res, &err);
-            std::printf(
-                "completed %u/%u requests in %.2fs: %.1f req/s, "
-                "latency p50 %.3fs p95 %.3fs p99 %.3fs\n"
-                "snapshot cache: %llu hits, %llu misses "
-                "(%.1f%% hit rate)\n",
-                res.completed, res.completed + res.failed,
-                res.wallSeconds, res.requestsPerSecond, res.p50,
-                res.p95, res.p99,
-                static_cast<unsigned long long>(res.cacheHits),
-                static_cast<unsigned long long>(res.cacheMisses),
-                100.0 * res.hitRate());
-            if (!ok)
-                fatal("load test: ", err);
-            return 0;
-        }
-
-        const auto t0 = std::chrono::steady_clock::now();
-        sweep::ClientOptions copt;
-        copt.priority = client_priority;
-        copt.retries = client_retries;
-        copt.backoffMs = backoff_ms;
-        copt.retrySeed = popt.baseSeed ^ std::uint64_t(::getpid());
-        sweep::ClientResult res;
-        std::string err;
-        const sweep::SubmitStatus st = sweep::submitSweepRetry(
-            connect_path, req, copt, res, &err);
-        switch (st) {
-        case sweep::SubmitStatus::Ok:
-            break;
-        case sweep::SubmitStatus::DaemonAbsent:
-            // Clean, actionable verdict: nothing is listening — this
-            // is not a daemon malfunction.
-            fatal("no sweep daemon at ", connect_path, " (start one "
-                  "with --serve --socket ", connect_path,
-                  ", or drop --connect to run in-process)");
-        case sweep::SubmitStatus::ProtocolMismatch:
-            // Present-but-incompatible is a hard error: err already
-            // quotes both hello versions.
-            fatal("daemon at ", connect_path,
-                  " is incompatible: ", err);
-        case sweep::SubmitStatus::DeadlineExpired:
-            fatal("request deadline expired: ", err);
-        default:
-            fatal("request failed (", sweep::submitStatusName(st),
-                  "): ", err);
-        }
-        if (res.attempts > 1)
-            std::printf("request succeeded after %u attempts\n",
-                        res.attempts);
-        const double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        std::printf("served %zu records in %.2fs (cache: %llu hits, "
-                    "%llu misses)\n",
-                    res.records.size(), wall,
-                    static_cast<unsigned long long>(res.cacheHits),
-                    static_cast<unsigned long long>(res.cacheMisses));
-        if (metrics_summary)
-            std::printf("exec_metrics: %s\n", res.metricsJson.c_str());
-        if (!json_path.empty()) {
-            if (!sweep::writeJsonDoc(json_path, plan_name, popt.scale,
-                                     popt.footprint, eopt,
-                                     res.resultsArray(), wall,
-                                     metrics_summary ? res.metricsJson
-                                                     : std::string()))
-                fatal("cannot write ", json_path);
-            std::printf("results written to %s\n", json_path.c_str());
-        }
-        return 0;
     }
 
     if (!fuzz_replay.empty()) {
@@ -652,9 +349,6 @@ main(int argc, char **argv)
               "results are estimates, not verifiable runs");
     if (eopt.sample.enabled() && eopt.checkpoint)
         warn("--samples subsumes --checkpoint; sampling mode used");
-    if (eopt.sample.enabled() && !eopt.checkpointDir.empty())
-        warn("--checkpoint-dir is not used with --samples: sample "
-             "snapshots are recaptured per invocation");
     if (eopt.sample.enabled() &&
         (eopt.traceEvents || eopt.telemetryInterval))
         warn("--trace-events/--telemetry only observe full runs; "
@@ -740,9 +434,11 @@ main(int argc, char **argv)
     }
 
     if (!json_path.empty()) {
-        if (!sweep::writeJsonFile(json_path, plan, eopt, outcomes,
-                                  wall,
-                                  metrics_summary ? &metrics : nullptr))
+        if (!sweep::writeJsonDoc(json_path, plan.name, plan.scale,
+                                 plan.footprint, eopt,
+                                 sweep::resultsJson(outcomes), wall,
+                                 metrics_summary ? metrics.toJson()
+                                                 : std::string()))
             fatal("cannot write ", json_path);
         std::printf("results written to %s\n", json_path.c_str());
     }
