@@ -45,13 +45,13 @@ columnIpc(const std::vector<sweep::RunOutcome> &outcomes,
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv, /*json_supported=*/true);
+    const auto opt = bench::parseArgs(argc, argv);
     bench::banner("Ablation - vector registers, vector length, TL "
                   "confidence",
                   "the paper fixes 128 x 4 x 64-bit and confidence 2; "
                   "these sweeps show the sensitivity of that choice");
 
-    const auto outcomes = bench::runGrid(opt, "ablation");
+    const auto outcomes = bench::runGrid(opt, "ablation", "ablation_resources");
     const double base = columnIpc(outcomes, "base");
 
     std::printf("baseline (128 regs, VL 4, conf 2): IPC %.3f\n\n", base);
@@ -82,6 +82,5 @@ main(int argc, char **argv)
     std::printf("  1 scalar port + SDV : IPC %.3f (vs %.3f with the "
                 "wide bus)\n",
                 columnIpc(outcomes, "scalarbus"), base);
-    bench::writeJson(opt, "ablation_resources");
     return 0;
 }

@@ -16,7 +16,7 @@ using namespace sdv;
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv);
+    const auto opt = bench::parseArgs(argc, argv, /*simulating=*/false);
     bench::banner("Figure 1 - stride distribution",
                   "stride 0 most frequent for both suites; <4-element "
                   "strides are 97.9% (INT) / 81.3% (FP) of strided loads");
@@ -27,7 +27,8 @@ main(int argc, char **argv)
     double int_lt4 = 0, fp_lt4 = 0;
     unsigned n_int = 0, n_fp = 0;
 
-    bench::forEachWorkload(opt, [&](const Workload &w, const Program &p) {
+    bench::forEachWorkload(opt.plan, [&](const Workload &w,
+                                         const Program &p) {
         const StrideProfile prof = profileStrides(p);
         double *frac = w.isFp ? fp_frac : int_frac;
         for (unsigned s = 0; s < 10; ++s)

@@ -14,13 +14,14 @@ using namespace sdv;
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv);
+    const auto opt = bench::parseArgs(argc, argv, /*simulating=*/false);
     bench::banner("Figure 3 - percentage of vectorizable instructions",
                   "unbounded resources: 47% of SpecInt95, 51% of "
                   "SpecFP95 instructions can be vectorized");
 
     bench::SuiteTable table({"vectorizable", "loads", "arith"});
-    bench::forEachWorkload(opt, [&](const Workload &w, const Program &p) {
+    bench::forEachWorkload(opt.plan, [&](const Workload &w,
+                                         const Program &p) {
         const VectAnalysis a = analyzeVectorizability(p);
         table.add(w.name, w.isFp,
                   {a.fraction(),

@@ -21,7 +21,7 @@ main(int argc, char **argv)
                   "blocking on a not-ready scalar operand costs little "
                   "(real vs ideal bars nearly equal)");
 
-    const auto outcomes = bench::runGrid(opt, "fig07");
+    const auto outcomes = bench::runGrid(opt, "fig07", "fig07_scalar_blocking");
 
     bench::SuiteTable table({"real", "ideal", "loss"});
     // Plan order: per workload, "real" then "ideal".

@@ -20,7 +20,7 @@ main(int argc, char **argv)
                   "the fraction of vector instances whose sources start "
                   "mid-register is low");
 
-    const auto outcomes = bench::runGrid(opt, "fig09");
+    const auto outcomes = bench::runGrid(opt, "fig09", "fig09_offset_nonzero");
 
     bench::SuiteTable table({"offset!=0"});
     for (const sweep::RunOutcome &o : outcomes) {

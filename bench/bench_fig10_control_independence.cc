@@ -21,7 +21,8 @@ main(int argc, char **argv)
                   "~17% of the 100 instructions after a mispredicted "
                   "branch are reused from vector registers (SpecInt)");
 
-    const auto outcomes = bench::runGrid(opt, "fig10");
+    const auto outcomes =
+        bench::runGrid(opt, "fig10", "fig10_control_independence");
 
     bench::SuiteTable table({"reused", "window insts/total"});
     for (const sweep::RunOutcome &o : outcomes) {

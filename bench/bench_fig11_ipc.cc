@@ -20,14 +20,13 @@ using namespace sdv;
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv,
-                                      /*json_supported=*/true);
+    const auto opt = bench::parseArgs(argc, argv);
     bench::banner("Figure 11 - IPC by port count, bus width and "
                   "dynamic vectorization",
                   "a 4-way processor with one wide bus + SDV beats the "
                   "same processor with 4 scalar buses by ~19%");
 
-    const auto outcomes = bench::runGrid(opt, "fig11");
+    const auto outcomes = bench::runGrid(opt, "fig11", "fig11_ipc");
     const auto ipc = [](const sweep::RunOutcome &o) {
         return o.res.ipc;
     };
@@ -42,6 +41,5 @@ main(int argc, char **argv)
                 .c_str());
     }
 
-    bench::writeJson(opt, "fig11_ipc");
     return 0;
 }

@@ -20,7 +20,7 @@ main(int argc, char **argv)
                   "wide buses and vectorization both cut occupancy; the "
                   "1-port configurations are the most contended");
 
-    const auto outcomes = bench::runGrid(opt, "fig12");
+    const auto outcomes = bench::runGrid(opt, "fig12", "fig12_port_occupancy");
     const auto occupancy = [](const sweep::RunOutcome &o) {
         return o.res.ports.occupancy(o.cfg.dcachePorts);
     };

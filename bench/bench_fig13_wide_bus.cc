@@ -21,7 +21,7 @@ main(int argc, char **argv)
                   "most accesses serve multiple words; unused "
                   "(speculative) accesses are small except compress");
 
-    const auto outcomes = bench::runGrid(opt, "fig13");
+    const auto outcomes = bench::runGrid(opt, "fig13", "fig13_wide_bus");
 
     bench::SuiteTable table({"1pos", "2pos", "3pos", "4pos", "unused"});
     for (const sweep::RunOutcome &o : outcomes) {

@@ -20,7 +20,7 @@ main(int argc, char **argv)
                   "28% of SpecInt and 23% of SpecFP instructions "
                   "validate a vector element instead of executing");
 
-    const auto outcomes = bench::runGrid(opt, "fig14");
+    const auto outcomes = bench::runGrid(opt, "fig14", "fig14_validations");
 
     bench::SuiteTable table({"validations", "load vals", "arith vals"});
     for (const sweep::RunOutcome &o : outcomes) {

@@ -22,7 +22,8 @@ main(int argc, char **argv)
                   "avg per released register: ~1.75 computed+used, "
                   "~2.0 computed-not-used, ~0.25 not computed");
 
-    const auto outcomes = bench::runGrid(opt, "fig15");
+    const auto outcomes =
+        bench::runGrid(opt, "fig15", "fig15_prediction_accuracy");
 
     bench::SuiteTable table({"comp. used", "comp. not used", "not comp."});
     for (const sweep::RunOutcome &o : outcomes) {

@@ -26,12 +26,12 @@ using namespace sdv;
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv, /*json_supported=*/true);
+    const auto opt = bench::parseArgs(argc, argv);
     bench::banner("Headline claims (abstract, Sections 1, 3.6 and 6)",
                   "speedups, memory-request reductions, store conflict "
                   "rates");
 
-    const auto outcomes = bench::runGrid(opt, "headline");
+    const auto outcomes = bench::runGrid(opt, "headline", "headline_claims");
 
     double int_cycles_v = 0, int_cycles_4p = 0, int_cycles_im = 0;
     double fp_cycles_v = 0, fp_cycles_4p = 0, fp_cycles_im = 0;
@@ -101,6 +101,5 @@ main(int argc, char **argv)
                 100.0 * int_conf / (n_int ? n_int : 1));
     std::printf("  SpecFP:  %5.2f%%   (paper: 2.5%%)\n",
                 100.0 * fp_conf / (n_fp ? n_fp : 1));
-    bench::writeJson(opt, "headline_claims");
     return 0;
 }

@@ -12,12 +12,13 @@
 #include "arch/executor.hh"
 #include "arch/memory.hh"
 #include "branch/gshare.hh"
-#include "harness.hh"
 #include "mem/cache.hh"
+#include "sim/simulator.hh"
 #include "vector/elem_kernels.hh"
 #include "vector/table_of_loads.hh"
 #include "vector/vreg_file.hh"
 #include "vector/vrmt.hh"
+#include "workloads/workload.hh"
 
 using namespace sdv;
 
@@ -234,35 +235,7 @@ BENCHMARK(BM_CoreSimulation)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-/**
- * Custom main so this binary speaks the same flag dialect as the other
- * benches: --json <path> maps onto google-benchmark's JSON reporter
- * and --quick shortens the measuring window for CI smoke runs.
- */
-int
-main(int argc, char **argv)
-{
-    std::vector<std::string> args;
-    args.emplace_back(argc > 0 ? argv[0] : "bench_micro_components");
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        if (a == "--json" && i + 1 < argc) {
-            args.push_back(std::string("--benchmark_out=") + argv[++i]);
-            args.emplace_back("--benchmark_out_format=json");
-        } else if (a == "--quick") {
-            args.emplace_back("--benchmark_min_time=0.05");
-        } else {
-            args.push_back(a);
-        }
-    }
-    std::vector<char *> argv2;
-    for (auto &s : args)
-        argv2.push_back(s.data());
-    int argc2 = int(argv2.size());
-    benchmark::Initialize(&argc2, argv2.data());
-    if (benchmark::ReportUnrecognizedArguments(argc2, argv2.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+// google-benchmark's own flags: a CI smoke run is
+//   --benchmark_min_time=0.05 --benchmark_out=m.json
+//   --benchmark_out_format=json
+BENCHMARK_MAIN();

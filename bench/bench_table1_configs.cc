@@ -82,7 +82,7 @@ printConfig(unsigned width)
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv);
+    const auto opt = bench::parseArgs(argc, argv, /*simulating=*/false);
     bench::banner("Table 1 - processor microarchitectural parameters",
                   "4-way and 8-way machines; extra storage totals ~56KB");
 
@@ -101,10 +101,11 @@ main(int argc, char **argv)
                 (unsigned long long)cost.totalBytes());
 
     std::printf("\nworkload footprints at --scale %u, --footprint %s:\n",
-                opt.scale, footprintName(opt.footprint));
+                opt.plan.scale, footprintName(opt.plan.footprint));
     for (const WorkloadSpec &w : allWorkloads())
         std::printf("  %-9s %s\n", w.name.c_str(),
-                    describeFootprint(w, opt.scale, opt.footprint)
+                    describeFootprint(w, opt.plan.scale,
+                                      opt.plan.footprint)
                         .c_str());
     return 0;
 }

@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared scaffolding for the per-figure benchmark binaries: workload
- * construction, simulation helpers, suite averaging and paper-style
- * table output.
+ * Shared scaffolding for the per-figure benchmark binaries: the
+ * command line (the run-flag table every sweep front end shares),
+ * grid runs through the sweep executor, suite averaging and
+ * paper-style table output.
  */
 
 #ifndef SDV_BENCH_HARNESS_HH
@@ -13,83 +14,26 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "sim/simulator.hh"
 #include "sweep/executor.hh"
+#include "sweep/options.hh"
 #include "workloads/workload.hh"
 
 namespace sdv {
 namespace bench {
 
-/** Command-line options shared by all bench binaries. */
-struct Options
-{
-    unsigned scale = 1; ///< workload scale factor (--scale N, >= 1)
-    Footprint footprint = Footprint::Base; ///< --footprint base|l2|mem
-    bool quick = false; ///< --quick: restrict to a subset of runs
-    bool eventSkip = true; ///< --no-event-skip: tick every cycle
-    bool trace = true; ///< --no-trace: interpreter dispatch reference
-    unsigned jobs = 1;  ///< --jobs N: worker threads for grid benches
-                        ///< (0 on the command line = auto-detect)
-    bool jobsAuto = false; ///< jobs came from --jobs 0 auto-detection
-    bool checkpoint = false; ///< --checkpoint: fork from warm snapshots
-    std::uint64_t warmupInsts = 10'000; ///< --warmup N
-    unsigned samples = 0; ///< --samples N: interval sampling (grids)
-    std::uint64_t sampleInsts = 20'000; ///< --sample-insts M per sample
-    /** --quiesce-interval N: context-switch the transient vector state
-     *  every N fetched instructions (0 = never; steady-state
-     *  experiments; see docs/performance.md). */
-    std::uint64_t quiesceInterval = 0;
-    /** --eager-chain: spawn load-chain successors one incarnation
-     *  early (EngineConfig::eagerChainLoads). */
-    bool eagerChain = false;
-    std::string jsonPath; ///< --json <path>: machine-readable results
-
-    // Observability (docs/observability.md); applies to recorded runs
-    // (the named run() overload and runGrid). All default-off so the
-    // default --json output stays byte-identical.
-    std::string traceEventsPath; ///< --trace-events F: Perfetto JSON
-    unsigned traceFilter = obs::CatAll; ///< --trace-filter sdv,mem,core
-    std::size_t traceLast = 0;   ///< --trace-last N: ring capacity
-    std::uint64_t telemetryInterval = 0; ///< --telemetry N cycles
-};
-
 /**
- * Parse argv (unknown flags are fatal with usage help).
- * @param json_supported accept --json; leave false in benches that
- *        never record runs, so the flag fails loudly instead of
- *        silently producing no file
+ * Parse argv through the shared run-flag table (sweep/options.hh) and
+ * run its cross-flag checks; a bad flag or value exits 2 with usage.
+ * Silences warn() from then on.
+ * @param simulating false for a bench that runs no simulation: it
+ *        accepts only the flags that pick its workloads (--scale,
+ *        --footprint, --quick)
  */
-Options parseArgs(int argc, char **argv, bool json_supported = false);
+sweep::RunOptions parseArgs(int argc, char **argv,
+                            bool simulating = true);
 
 /** Print the figure banner. */
 void banner(const std::string &title, const std::string &paper_line);
-
-/**
- * Run one workload on one configuration (verification off: the test
- * suite covers correctness; benches measure).
- */
-SimResult run(const CoreConfig &cfg, const Program &prog);
-
-/**
- * Like run(), additionally recording the result (plus host wall time
- * and simulated MIPS) under @p workload / @p config_label for a later
- * writeJson(). Use in benches that participate in the BENCH_*.json
- * perf trajectory.
- */
-SimResult run(const CoreConfig &cfg, const Program &prog,
-              const std::string &workload,
-              const std::string &config_label);
-
-/**
- * Emit every recorded run as a JSON array to Options::jsonPath (no-op
- * when --json was not given). Schema per element:
- * {bench, workload, config, cycles, insts, ipc, wall_seconds,
- *  sim_mips} plus an optional "telemetry" array under --telemetry.
- * Also flushes the flight-recorder trace file when --trace-events was
- * given (independent of --json), one source per recorded run in
- * record order.
- */
-void writeJson(const Options &opt, const std::string &bench_name);
 
 /** Per-benchmark metric collection with INT / FP / total averages. */
 struct SuiteTable
@@ -127,22 +71,25 @@ struct SuiteTable
     std::vector<Row> rows_;
 };
 
-/** Run @p fn over every workload (honouring Options::quick = first two
- *  INT + first FP only). */
+/** Run @p fn over the workloads @p opt selects (--quick subset,
+ *  --scale, --footprint). */
 void forEachWorkload(
-    const Options &opt,
+    const sweep::PlanOptions &opt,
     const std::function<void(const Workload &, const Program &)> &fn);
 
 /**
- * Instantiate the registry plan for figure @p plan_name with this
- * bench's options and execute it through the sweep executor —
- * honouring --jobs, --checkpoint and --warmup — recording every run
- * for writeJson(). Outcomes come back in plan order (workload-major,
- * grid order within), bit-identical to the legacy serial per-figure
- * loops.
+ * Run the registry plan for figure @p plan_name through the sweep
+ * executor with this bench's options, then write the files the flags
+ * asked for: the --trace-events file (one source per traced run, plan
+ * order) and the --json records of bench @p bench_name. Schema per
+ * record: {bench, workload, config, cycles, insts, ipc, wall_seconds,
+ * sim_mips, val_mismatches} plus a "telemetry" array under
+ * --telemetry. Outcomes come back in plan order (workload-major, grid
+ * order within). Fatal when --verify finds a run that does not verify.
  */
-std::vector<sweep::RunOutcome> runGrid(const Options &opt,
-                                       const std::string &plan_name);
+std::vector<sweep::RunOutcome> runGrid(const sweep::RunOptions &opt,
+                                       const std::string &plan_name,
+                                       const std::string &bench_name);
 
 /**
  * Pivot @p outcomes into a SuiteTable: one row per workload, one

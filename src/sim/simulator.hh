@@ -9,8 +9,11 @@
 #ifndef SDV_SIM_SIMULATOR_HH
 #define SDV_SIM_SIMULATOR_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <span>
+#include <type_traits>
 
 #include "core/core.hh"
 #include "sim/config.hh"
@@ -77,6 +80,48 @@ struct SimResult
                          double(core.postMispredictWindowInsts);
     }
 };
+
+/** One statistics block of a SimResult, viewed as its u64 counters. */
+template <typename Word>
+struct StatsBlock
+{
+    const char *name; ///< the SimResult member ("core", "l2")
+    std::span<Word> words;
+};
+
+/**
+ * @return the nine statistics blocks of @p r in declaration order, as
+ * u64 spans (writable when @p r is). Each block is a flat array of u64
+ * counters (asserted: a non-u64 field fails to compile rather than
+ * being mis-walked), so code that treats every counter alike walks
+ * these spans instead of listing fields.
+ */
+template <typename Result>
+    requires std::is_same_v<std::remove_const_t<Result>, SimResult>
+auto
+statsBlocks(Result &r)
+{
+    using Word = std::conditional_t<std::is_const_v<Result>,
+                                    const std::uint64_t, std::uint64_t>;
+    const auto block = [](const char *name, auto &stats) {
+        using Stats = std::remove_cvref_t<decltype(stats)>;
+        static_assert(std::is_trivially_copyable_v<Stats> &&
+                          sizeof(Stats) % sizeof(std::uint64_t) == 0,
+                      "stats struct must be a flat array of u64 counters");
+        return StatsBlock<Word>{
+            name, {reinterpret_cast<Word *>(&stats),
+                   sizeof(Stats) / sizeof(std::uint64_t)}};
+    };
+    return std::array{block("core", r.core),
+                      block("engine", r.engine),
+                      block("datapath", r.datapath),
+                      block("ports", r.ports),
+                      block("wideBus", r.wideBus),
+                      block("fates", r.fates),
+                      block("l1d", r.l1d),
+                      block("l1i", r.l1i),
+                      block("l2", r.l2)};
+}
 
 /** One-program, one-configuration simulation. */
 class Simulator

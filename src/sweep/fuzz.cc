@@ -270,21 +270,12 @@ FuzzReport
 runFuzzCampaign(const FuzzOptions &opt)
 {
     std::vector<FuzzCase> cases;
-    unsigned ints_done = 0, fps_done = 0;
-    for (const Workload &w : allWorkloads()) {
-        if (opt.quick) {
-            if (!w.isFp && ints_done >= 2)
-                continue;
-            if (w.isFp && fps_done >= 1)
-                continue;
-        }
-        (w.isFp ? fps_done : ints_done) += 1;
+    for (const Workload *w : selectWorkloads(allWorkloads(), opt.quick))
         for (unsigned k = 0; k < opt.samples; ++k)
-            cases.push_back(drawFuzzCase(w.name, opt.scale,
+            cases.push_back(drawFuzzCase(w->name, opt.scale,
                                          opt.footprint, k,
                                          opt.baseSeed,
                                          opt.withFaults));
-    }
 
     FuzzReport rep;
     rep.outcomes.resize(cases.size());

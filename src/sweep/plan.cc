@@ -226,25 +226,17 @@ appendFigure(SweepPlan &plan, const std::string &name,
     // suite (which stays fixed at the paper's 12 workloads).
     const std::vector<Workload> &suite =
         name == "attack" ? attackWorkloads() : allWorkloads();
-    unsigned ints_done = 0, fps_done = 0;
-    for (const Workload &w : suite) {
-        if (opt.quick) {
-            if (!w.isFp && ints_done >= 2)
-                continue;
-            if (w.isFp && fps_done >= 1)
-                continue;
-        }
-        (w.isFp ? fps_done : ints_done) += 1;
+    for (const Workload *w : selectWorkloads(suite, opt.quick)) {
         for (const GridConfig &g : grid) {
             SweepJob job;
             job.figure = name;
-            job.workload = w.name;
-            job.isFp = w.isFp;
+            job.workload = w->name;
+            job.isFp = w->isFp;
             job.group = g.group;
             job.column = g.column;
             job.configKey = g.key();
             job.cfg = g.cfg;
-            job.seed = deriveSeed(w.name, name + ":" + job.configKey,
+            job.seed = deriveSeed(w->name, name + ":" + job.configKey,
                                   opt.baseSeed);
             plan.jobs.push_back(job);
         }

@@ -153,6 +153,17 @@ attackWorkloads()
     return workloads;
 }
 
+std::vector<const WorkloadSpec *>
+selectWorkloads(const std::vector<WorkloadSpec> &suite, bool quick)
+{
+    std::vector<const WorkloadSpec *> picked;
+    unsigned ints = 0, fps = 0;
+    for (const WorkloadSpec &w : suite)
+        if (!quick || (w.isFp ? fps++ < 1 : ints++ < 2))
+            picked.push_back(&w);
+    return picked;
+}
+
 const WorkloadSpec *
 findWorkload(const std::string &name)
 {

@@ -139,6 +139,14 @@ const std::vector<WorkloadSpec> &allWorkloads();
  *  reachable by name (findWorkload) and through the "attack" plan. */
 const std::vector<WorkloadSpec> &attackWorkloads();
 
+/**
+ * @return the workloads of @p suite a run covers, in suite order: all
+ * of them, or under @p quick (--quick) only the first two integer and
+ * the first floating-point one.
+ */
+std::vector<const WorkloadSpec *>
+selectWorkloads(const std::vector<WorkloadSpec> &suite, bool quick);
+
 /** @return the workload named @p name (the 12-workload suite or the
  *  timing-channel pair), or nullptr. */
 const WorkloadSpec *findWorkload(const std::string &name);

@@ -23,6 +23,7 @@
 #include "sweep/executor.hh"
 #include "sweep/plan.hh"
 #include "workloads/workload.hh"
+#include "expect_same_stats.hh"
 
 namespace sdv {
 namespace {
@@ -39,42 +40,6 @@ keep(Program &&p)
 {
     keeper().push_back(std::move(p));
     return keeper().back();
-}
-
-/** The identity any observer must preserve: timing, instruction
- *  stream, and the statistics every figure is built from. */
-void
-expectSameSimulation(const SimResult &a, const SimResult &b,
-                     std::uint64_t hash_a, std::uint64_t hash_b,
-                     const std::string &label)
-{
-    SCOPED_TRACE(label);
-    EXPECT_EQ(a.finished, b.finished);
-    EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(hash_a, hash_b);
-
-    EXPECT_EQ(a.core.committedValidations, b.core.committedValidations);
-    EXPECT_EQ(a.core.fetchStallCycles, b.core.fetchStallCycles);
-    EXPECT_EQ(a.core.fetchStallValWaitCycles,
-              b.core.fetchStallValWaitCycles);
-    EXPECT_EQ(a.core.squashedInsts, b.core.squashedInsts);
-    EXPECT_EQ(a.core.eventSkipJumps, b.core.eventSkipJumps);
-    EXPECT_EQ(a.core.eventSkippedCycles, b.core.eventSkippedCycles);
-    EXPECT_EQ(a.engine.loadChainSpawns, b.engine.loadChainSpawns);
-    EXPECT_EQ(a.engine.arithChainSpawns, b.engine.arithChainSpawns);
-    EXPECT_EQ(a.engine.loadValidations, b.engine.loadValidations);
-    EXPECT_EQ(a.engine.arithValidations, b.engine.arithValidations);
-    EXPECT_EQ(a.engine.lateValidationFallbacks,
-              b.engine.lateValidationFallbacks);
-    EXPECT_EQ(a.fates.regsReleased, b.fates.regsReleased);
-    for (unsigned i = 0; i < 8; ++i)
-        EXPECT_EQ(a.fates.lifetimeHist[i], b.fates.lifetimeHist[i]);
-    EXPECT_EQ(a.l1d.readMisses, b.l1d.readMisses);
-    EXPECT_EQ(a.l1i.readMisses, b.l1i.readMisses);
-    EXPECT_EQ(a.l2.readMisses, b.l2.readMisses);
 }
 
 // --- observation does not perturb simulation -------------------------------
@@ -97,8 +62,12 @@ TEST(Observability, InstrumentedRunIsBitIdenticalOnEveryWorkload)
         const SimResult rb = instrumented.run(50'000'000, /*verify=*/true);
 
         ASSERT_TRUE(ra.finished) << w.name;
-        expectSameSimulation(ra, rb, plain.core().commitPcHash(),
-                             instrumented.core().commitPcHash(), w.name);
+        // The identity any observer must preserve: every statistic
+        // and the committed instruction stream.
+        expectSameStats(ra, rb, w.name);
+        EXPECT_EQ(plain.core().commitPcHash(),
+                  instrumented.core().commitPcHash())
+            << w.name;
 #if SDV_OBS_ENABLED
         // The SDV configs exercise the chain lifecycle on every
         // workload, so an instrumented run must actually observe it.

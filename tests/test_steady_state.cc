@@ -28,6 +28,7 @@
 
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
+#include "expect_same_stats.hh"
 
 namespace sdv {
 namespace {
@@ -156,22 +157,14 @@ TEST(SteadyState, NewModesStayBitIdenticalUnderEventSkipping)
                 Simulator b(cfg, prog);
                 const SimResult rb = b.run(200'000'000, false, qi);
 
-                SCOPED_TRACE(w + (eager ? "/eager" : "/default") +
-                             (qi ? "/quiesced" : "/continuous"));
-                EXPECT_EQ(ra.cycles, rb.cycles);
-                EXPECT_EQ(ra.insts, rb.insts);
-                EXPECT_EQ(ra.core.fetchStallCycles,
-                          rb.core.fetchStallCycles);
-                EXPECT_EQ(ra.core.fetchStallValWaitCycles,
-                          rb.core.fetchStallValWaitCycles);
-                EXPECT_EQ(ra.core.committedValidations,
-                          rb.core.committedValidations);
-                EXPECT_EQ(ra.fates.regsReleased, rb.fates.regsReleased);
-                EXPECT_EQ(ra.fates.lifetimeCycles,
-                          rb.fates.lifetimeCycles);
+                const std::string label =
+                    w + (eager ? "/eager" : "/default") +
+                    (qi ? "/quiesced" : "/continuous");
+                expectSameStats(ra, rb, label, eventSkipCounters);
                 EXPECT_EQ(a.core().commitPcHash(),
-                          b.core().commitPcHash());
-                EXPECT_EQ(rb.core.eventSkippedCycles, 0u);
+                          b.core().commitPcHash())
+                    << label;
+                EXPECT_EQ(rb.core.eventSkippedCycles, 0u) << label;
             }
         }
     }

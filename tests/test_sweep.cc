@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <thread>
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
@@ -24,6 +25,7 @@
 #include "sweep/plan.hh"
 #include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
+#include "expect_same_stats.hh"
 
 namespace sdv {
 namespace {
@@ -56,94 +58,6 @@ keep(Program &&p)
 {
     keeper().push_back(std::move(p));
     return keeper().back();
-}
-
-/** Full-fidelity comparison of two runs: every statistic any figure is
- *  built from, plus the committed-stream hash. */
-void
-expectIdenticalResults(const SimResult &a, const SimResult &b,
-                       std::uint64_t hash_a, std::uint64_t hash_b,
-                       const std::string &label)
-{
-    SCOPED_TRACE(label);
-    EXPECT_EQ(a.finished, b.finished);
-    EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(hash_a, hash_b);
-
-    const CoreStats &ca = a.core, &cb = b.core;
-    EXPECT_EQ(ca.cycles, cb.cycles);
-    EXPECT_EQ(ca.committedInsts, cb.committedInsts);
-    EXPECT_EQ(ca.committedLoads, cb.committedLoads);
-    EXPECT_EQ(ca.committedStores, cb.committedStores);
-    EXPECT_EQ(ca.committedBranches, cb.committedBranches);
-    EXPECT_EQ(ca.committedValidations, cb.committedValidations);
-    EXPECT_EQ(ca.committedLoadValidations, cb.committedLoadValidations);
-    EXPECT_EQ(ca.scalarLoadAccesses, cb.scalarLoadAccesses);
-    EXPECT_EQ(ca.loadForwards, cb.loadForwards);
-    EXPECT_EQ(ca.branchMispredicts, cb.branchMispredicts);
-    EXPECT_EQ(ca.fetchStallCycles, cb.fetchStallCycles);
-    EXPECT_EQ(ca.fetchStallValWaitCycles, cb.fetchStallValWaitCycles);
-    EXPECT_EQ(ca.decodeBlockCycles, cb.decodeBlockCycles);
-    EXPECT_EQ(ca.robFullStalls, cb.robFullStalls);
-    EXPECT_EQ(ca.lsqFullStalls, cb.lsqFullStalls);
-    EXPECT_EQ(ca.storeConflictSquashes, cb.storeConflictSquashes);
-    EXPECT_EQ(ca.squashedInsts, cb.squashedInsts);
-    EXPECT_EQ(ca.postMispredictWindowInsts, cb.postMispredictWindowInsts);
-    EXPECT_EQ(ca.postMispredictReused, cb.postMispredictReused);
-    EXPECT_EQ(ca.eventSkipJumps, cb.eventSkipJumps);
-    EXPECT_EQ(ca.eventSkippedCycles, cb.eventSkippedCycles);
-
-    EXPECT_EQ(a.engine.loadSpawns, b.engine.loadSpawns);
-    EXPECT_EQ(a.engine.loadChainSpawns, b.engine.loadChainSpawns);
-    EXPECT_EQ(a.engine.arithSpawns, b.engine.arithSpawns);
-    EXPECT_EQ(a.engine.arithChainSpawns, b.engine.arithChainSpawns);
-    EXPECT_EQ(a.engine.loadValidations, b.engine.loadValidations);
-    EXPECT_EQ(a.engine.arithValidations, b.engine.arithValidations);
-    EXPECT_EQ(a.engine.loadAddrMisspecs, b.engine.loadAddrMisspecs);
-    EXPECT_EQ(a.engine.arithOperandMisspecs,
-              b.engine.arithOperandMisspecs);
-    EXPECT_EQ(a.engine.storesChecked, b.engine.storesChecked);
-    EXPECT_EQ(a.engine.storeRangeConflicts, b.engine.storeRangeConflicts);
-    EXPECT_EQ(a.engine.decodeBlockEvents, b.engine.decodeBlockEvents);
-    EXPECT_EQ(a.engine.lateValidationFallbacks,
-              b.engine.lateValidationFallbacks);
-    EXPECT_EQ(a.engine.validationValueMismatches,
-              b.engine.validationValueMismatches);
-
-    EXPECT_EQ(a.datapath.instancesSpawned, b.datapath.instancesSpawned);
-    EXPECT_EQ(a.datapath.elemsComputed, b.datapath.elemsComputed);
-    EXPECT_EQ(a.datapath.elemLoadAccessesIssued,
-              b.datapath.elemLoadAccessesIssued);
-    EXPECT_EQ(a.datapath.elemLoadsRideAlong, b.datapath.elemLoadsRideAlong);
-    EXPECT_EQ(a.datapath.instancesAborted, b.datapath.instancesAborted);
-
-    EXPECT_EQ(a.ports.cycles, b.ports.cycles);
-    EXPECT_EQ(a.ports.busyPortCycles, b.ports.busyPortCycles);
-    EXPECT_EQ(a.ports.readAccesses, b.ports.readAccesses);
-    EXPECT_EQ(a.ports.writeAccesses, b.ports.writeAccesses);
-    EXPECT_EQ(a.ports.wordsServed, b.ports.wordsServed);
-    EXPECT_EQ(a.wideBus.totalReads, b.wideBus.totalReads);
-    for (unsigned n = 0; n <= 4; ++n)
-        EXPECT_EQ(a.wideBus.usefulWords[n], b.wideBus.usefulWords[n]);
-
-    EXPECT_EQ(a.fates.regsReleased, b.fates.regsReleased);
-    EXPECT_EQ(a.fates.elemsComputedUsed, b.fates.elemsComputedUsed);
-    EXPECT_EQ(a.fates.elemsComputedNotUsed, b.fates.elemsComputedNotUsed);
-    EXPECT_EQ(a.fates.elemsNotComputed, b.fates.elemsNotComputed);
-
-    auto expect_cache_eq = [](const CacheStats &x, const CacheStats &y) {
-        EXPECT_EQ(x.readAccesses, y.readAccesses);
-        EXPECT_EQ(x.readMisses, y.readMisses);
-        EXPECT_EQ(x.writeAccesses, y.writeAccesses);
-        EXPECT_EQ(x.writeMisses, y.writeMisses);
-        EXPECT_EQ(x.writebacks, y.writebacks);
-    };
-    expect_cache_eq(a.l1d, b.l1d);
-    expect_cache_eq(a.l1i, b.l1i);
-    expect_cache_eq(a.l2, b.l2);
 }
 
 constexpr std::uint64_t warmupInsts = 5'000;
@@ -181,8 +95,10 @@ TEST(Checkpoint, RestoreThenRunMatchesStraightThroughOnEveryWorkload)
         ASSERT_TRUE(ra.finished) << w.name;
         EXPECT_TRUE(ra.verified) << w.name;
         EXPECT_TRUE(rb.verified) << w.name;
-        expectIdenticalResults(ra, rb, cont.core().commitPcHash(),
-                               restored.core().commitPcHash(), w.name);
+        expectSameStats(ra, rb, w.name);
+        EXPECT_EQ(cont.core().commitPcHash(),
+                  restored.core().commitPcHash())
+            << w.name;
     }
 }
 
@@ -357,6 +273,34 @@ TEST(SweepPlan, RegistryCoversEveryFigureGrid)
                       deriveSeed(job.workload,
                                  job.figure + ":" + job.configKey, 0));
     }
+}
+
+TEST(SweepPlan, QuickSubsetIsFirstTwoIntAndFirstFp)
+{
+    // The one --quick rule behind plans, the fuzz campaign and benches.
+    std::vector<std::string> names;
+    for (const Workload *w : selectWorkloads(allWorkloads(), true))
+        names.push_back(w->name);
+    EXPECT_EQ(names, (std::vector<std::string>{"go", "m88ksim", "swim"}));
+    EXPECT_EQ(selectWorkloads(allWorkloads(), false).size(),
+              allWorkloads().size());
+    EXPECT_EQ(selectWorkloads(attackWorkloads(), true).size(), 2u);
+}
+
+TEST(SweepStats, ExpectSameStatsReportsTheBlockAndWordOfAMismatch)
+{
+    // Every counter takes part: one differing deep inside a block
+    // fails, and the report locates it.
+    SimResult a;
+    a.l2.writebacks = 7;
+    SimResult b = a;
+    expectSameStats(a, b, "equal");
+    b.l2.writebacks = 8;
+    const std::size_t word =
+        offsetof(CacheStats, writebacks) / sizeof(std::uint64_t);
+    EXPECT_NONFATAL_FAILURE(expectSameStats(a, b, "differs"),
+                            "l2 word " + std::to_string(word) + ": 7 vs 8");
+    expectSameStats(a, b, "exempt", {{"l2", word}});
 }
 
 TEST(SweepPlan, SeedsAreStreamAndOrderIndependent)

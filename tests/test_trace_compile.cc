@@ -18,6 +18,7 @@
 #include "isa/trace.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
+#include "expect_same_stats.hh"
 
 namespace sdv {
 namespace {
@@ -55,83 +56,15 @@ runOnce(CoreConfig cfg, const Program &prog, bool trace, bool verify,
     return d;
 }
 
-/** Assert full equality of the stats the figures are built from.
- *  Unlike the event-skip equivalence suite, nothing is excluded:
- *  dispatch mode must not be observable in any counter. */
+/** Assert equality of every statistic. Unlike the event-skip
+ *  equivalence suite, nothing is exempt: dispatch mode must not be
+ *  observable in any counter. */
 void
 expectIdentical(const RunDigest &tr, const RunDigest &ref,
                 const std::string &label)
 {
-    SCOPED_TRACE(label);
-    EXPECT_EQ(tr.res.finished, ref.res.finished);
-    EXPECT_EQ(tr.res.cycles, ref.res.cycles);
-    EXPECT_EQ(tr.res.insts, ref.res.insts);
-    EXPECT_DOUBLE_EQ(tr.res.ipc, ref.res.ipc);
-    EXPECT_EQ(tr.commitHash, ref.commitHash);
-
-    const CoreStats &a = tr.res.core;
-    const CoreStats &b = ref.res.core;
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedInsts, b.committedInsts);
-    EXPECT_EQ(a.committedLoads, b.committedLoads);
-    EXPECT_EQ(a.committedStores, b.committedStores);
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.committedValidations, b.committedValidations);
-    EXPECT_EQ(a.committedLoadValidations, b.committedLoadValidations);
-    EXPECT_EQ(a.scalarLoadAccesses, b.scalarLoadAccesses);
-    EXPECT_EQ(a.loadForwards, b.loadForwards);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.fetchStallCycles, b.fetchStallCycles);
-    EXPECT_EQ(a.fetchStallValWaitCycles, b.fetchStallValWaitCycles);
-    EXPECT_EQ(a.decodeBlockCycles, b.decodeBlockCycles);
-    EXPECT_EQ(a.robFullStalls, b.robFullStalls);
-    EXPECT_EQ(a.lsqFullStalls, b.lsqFullStalls);
-    EXPECT_EQ(a.storeConflictSquashes, b.storeConflictSquashes);
-    EXPECT_EQ(a.squashedInsts, b.squashedInsts);
-    EXPECT_EQ(a.eventSkippedCycles, b.eventSkippedCycles);
-    EXPECT_EQ(a.eventSkipJumps, b.eventSkipJumps);
-    EXPECT_EQ(a.postMispredictWindowInsts, b.postMispredictWindowInsts);
-    EXPECT_EQ(a.postMispredictReused, b.postMispredictReused);
-
-    EXPECT_EQ(tr.res.ports.cycles, ref.res.ports.cycles);
-    EXPECT_EQ(tr.res.ports.busyPortCycles, ref.res.ports.busyPortCycles);
-    EXPECT_EQ(tr.res.ports.readAccesses, ref.res.ports.readAccesses);
-    EXPECT_EQ(tr.res.ports.writeAccesses, ref.res.ports.writeAccesses);
-    EXPECT_EQ(tr.res.ports.wordsServed, ref.res.ports.wordsServed);
-    EXPECT_EQ(tr.res.wideBus.totalReads, ref.res.wideBus.totalReads);
-    for (unsigned n = 0; n <= 4; ++n)
-        EXPECT_EQ(tr.res.wideBus.usefulWords[n],
-                  ref.res.wideBus.usefulWords[n]);
-
-    EXPECT_EQ(tr.res.engine.loadSpawns, ref.res.engine.loadSpawns);
-    EXPECT_EQ(tr.res.engine.loadValidations,
-              ref.res.engine.loadValidations);
-    EXPECT_EQ(tr.res.engine.arithValidations,
-              ref.res.engine.arithValidations);
-    EXPECT_EQ(tr.res.engine.storeRangeConflicts,
-              ref.res.engine.storeRangeConflicts);
-    EXPECT_EQ(tr.res.engine.lateValidationFallbacks,
-              ref.res.engine.lateValidationFallbacks);
-    EXPECT_EQ(tr.res.engine.validationValueMismatches,
-              ref.res.engine.validationValueMismatches);
-    EXPECT_EQ(tr.res.datapath.elemsComputed,
-              ref.res.datapath.elemsComputed);
-    EXPECT_EQ(tr.res.datapath.elemLoadAccessesIssued,
-              ref.res.datapath.elemLoadAccessesIssued);
-    EXPECT_EQ(tr.res.fates.regsReleased, ref.res.fates.regsReleased);
-    EXPECT_EQ(tr.res.fates.elemsComputedUsed,
-              ref.res.fates.elemsComputedUsed);
-    EXPECT_EQ(tr.res.fates.lifetimeCycles, ref.res.fates.lifetimeCycles);
-    EXPECT_EQ(tr.res.fates.releasedCond1, ref.res.fates.releasedCond1);
-    EXPECT_EQ(tr.res.fates.releasedCond2, ref.res.fates.releasedCond2);
-    EXPECT_EQ(tr.res.fates.releasedKilled, ref.res.fates.releasedKilled);
-
-    EXPECT_EQ(tr.res.l1d.accesses(), ref.res.l1d.accesses());
-    EXPECT_EQ(tr.res.l1d.misses(), ref.res.l1d.misses());
-    EXPECT_EQ(tr.res.l1i.accesses(), ref.res.l1i.accesses());
-    EXPECT_EQ(tr.res.l1i.misses(), ref.res.l1i.misses());
-    EXPECT_EQ(tr.res.l2.accesses(), ref.res.l2.accesses());
-    EXPECT_EQ(tr.res.l2.misses(), ref.res.l2.misses());
+    expectSameStats(tr.res, ref.res, label);
+    EXPECT_EQ(tr.commitHash, ref.commitHash) << label;
 }
 
 TEST(TraceCompile, BitIdenticalOnEveryTier1Workload)
