@@ -909,11 +909,18 @@ SdvEngine::onStoreCommit(const DynInst &d)
     std::vector<VecRegRef> &successors = storeCheckSuccessors_;
     successors.clear();
     vrf_.forEachLive([&](VecRegRef ref) {
-        if (vrf_.rangeOverlaps(ref, lo, hi) && !vrf_.isKilled(ref)) {
+        if (!vrf_.rangeOverlaps(ref, lo, hi))
+            return;
+        if (!vrf_.isKilled(ref)) {
             conflict = true;
             vrmt_.invalidateByVreg(ref, &load_pcs, &successors);
             vrf_.kill(ref);
             datapath_.abortByDest(ref);
+        } else if (vrf_.anyUsed(ref)) {
+            // Killed before this store, but a validation decoded
+            // against it is still in flight and younger than the
+            // store: it would commit the pre-store value, so squash.
+            conflict = true;
         }
     });
     // An invalidated entry's eagerly-spawned successor is reachable

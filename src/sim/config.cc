@@ -98,7 +98,8 @@ describeFaultPlan(const FaultPlan &plan)
     std::string s = "seed=" + std::to_string(plan.seed);
     s += " elem_ppm=" + std::to_string(plan.elemFlipPpm);
     s += " vrmt_ppm=" + std::to_string(plan.vrmtFlipPpm);
-    s += " image_ppm=" + std::to_string(plan.imageFlipPpm);
+    s += " tl_ppm=" + std::to_string(plan.tlFlipPpm);
+    s += " gmrbb_ppm=" + std::to_string(plan.gmrbbFlipPpm);
     s += " demote_k=" + std::to_string(plan.demoteThreshold);
     s += " reenable=" + std::to_string(plan.reenableWindow);
     return s;
@@ -172,7 +173,8 @@ configIdentityHash(const CoreConfig &cfg)
     ser.u64(e.fault.seed);
     ser.u32(e.fault.elemFlipPpm);
     ser.u32(e.fault.vrmtFlipPpm);
-    ser.u32(e.fault.imageFlipPpm);
+    ser.u32(e.fault.tlFlipPpm);
+    ser.u32(e.fault.gmrbbFlipPpm);
     ser.u32(e.fault.demoteThreshold);
     ser.u64(e.fault.reenableWindow);
 

@@ -5,8 +5,9 @@
  * A FaultPlan names the speculative structures that get bits flipped
  * and the per-event rates: speculative vector-register elements (at the
  * cycle their value lands in the register file), VRMT entries (at
- * install, corrupting the captured stride/base address) and checkpoint
- * snapshot bytes (applied to a serialized image before restore). The
+ * install, corrupting the captured stride/base address), Table of
+ * Loads entries and the shadow GMRBB. Checkpoint snapshot bytes are
+ * flipped by applyImageFaults, which takes its rate as an argument. The
  * plan is part of the simulation configuration surface — sim/config.hh
  * re-exports it and EngineConfig embeds one — and this header is
  * deliberately dependency-free below common/ so the vector datapath and
@@ -54,11 +55,6 @@ struct FaultPlan
     /** Per VRMT load-entry install: probability (ppm) of flipping one
      *  bit of the captured stride or base address. */
     std::uint32_t vrmtFlipPpm = 0;
-
-    /** Per checkpoint image byte: probability (ppm) of flipping one
-     *  bit (applied by applyImageFaults; the checksum guards must
-     *  reject every corrupted image). */
-    std::uint32_t imageFlipPpm = 0;
 
     /** Per TL observation (train/promote at decode): probability (ppm)
      *  of flipping one low bit of the entry's stride or last address.
@@ -240,9 +236,8 @@ class FaultInjector
 /**
  * Flip one bit of each byte of @p bytes with probability
  * @p flip_ppm / 1e6 (the checkpoint-image fault site). @return the
- * number of bytes corrupted. Used by the checkpoint fuzz tests and the
- * fuzz campaign; the loader's checksum guard must reject any image
- * this touched.
+ * number of bytes corrupted. Used by the checkpoint fuzz tests; the
+ * loader's checksum guard must reject any image this touched.
  */
 std::size_t applyImageFaults(std::vector<std::uint8_t> &bytes,
                              Random &rng, std::uint32_t flip_ppm);

@@ -32,7 +32,7 @@ Simulator::advanceTo(std::uint64_t target_insts,
     // the boundary). The quiescence check runs only once fetch is
     // exhausted, so the steady-state warm-up loop stays as cheap as a
     // normal run.
-    while (core_.cycle() < max_cycles && !checkAbort() &&
+    while (core_.cycle() < max_cycles &&
            !(core_.fetchExhausted() && core_.quiescent()))
         core_.tick();
     core_.setFetchLimit(0);
@@ -75,22 +75,19 @@ Simulator::runInsts(std::uint64_t insts, std::uint64_t max_cycles)
     // As in advanceTo(): run until the capped fetch stream has fully
     // drained, so the measured region's statistics are complete.
     while (core_.cycle() < max_cycles && !core_.done() &&
-           !checkAbort() &&
            !(core_.fetchExhausted() && core_.quiescent()))
         core_.tick();
     // A sample is complete when its region drained or the program ran
     // to HALT inside it; only a blown cycle budget leaves it unusable.
     const bool drained =
-        !aborted_ &&
-        (core_.done() || (core_.fetchExhausted() && core_.quiescent()));
+        core_.done() || (core_.fetchExhausted() && core_.quiescent());
     core_.setFetchLimit(0);
     core_.setCycleLimit(neverCycle);
     core_.finalize();
 
     SimResult res;
     res.finished = drained;
-    res.timedOut = aborted_;
-    if (!res.finished && !res.timedOut)
+    if (!res.finished)
         warn("sample measurement hit the cycle budget");
     collect(res);
     return res;
@@ -106,8 +103,7 @@ Simulator::run(std::uint64_t max_cycles, bool verify,
     if (telemetry_)
         telemetry_->begin(core_);
     if (quiesce_interval == 0) {
-        while (!core_.done() && core_.cycle() < max_cycles &&
-               !checkAbort()) {
+        while (!core_.done() && core_.cycle() < max_cycles) {
             core_.tick();
             if (telemetry_ && telemetry_->due(core_.cycle()))
                 telemetry_->sample(core_);
@@ -119,18 +115,16 @@ Simulator::run(std::uint64_t max_cycles, bool verify,
         // (unlike warmup()/advanceTo(), which rebase them).
         std::uint64_t boundary =
             core_.oracle().instCount() + quiesce_interval;
-        while (!core_.done() && core_.cycle() < max_cycles &&
-               !checkAbort()) {
+        while (!core_.done() && core_.cycle() < max_cycles) {
             core_.setFetchLimit(boundary);
-            while (core_.cycle() < max_cycles && !checkAbort() &&
+            while (core_.cycle() < max_cycles &&
                    !(core_.fetchExhausted() && core_.quiescent())) {
                 core_.tick();
                 if (telemetry_ && telemetry_->due(core_.cycle()))
                     telemetry_->sample(core_);
             }
             core_.setFetchLimit(0);
-            if (core_.done() || core_.cycle() >= max_cycles ||
-                aborted_)
+            if (core_.done() || core_.cycle() >= max_cycles)
                 break;
             core_.quiesceVectorState();
             boundary += quiesce_interval;
@@ -145,9 +139,8 @@ Simulator::run(std::uint64_t max_cycles, bool verify,
 
     core_.finalize();
 
-    res.finished = !aborted_ && core_.done();
-    res.timedOut = aborted_;
-    if (!res.finished && !res.timedOut)
+    res.finished = core_.done();
+    if (!res.finished)
         warn("simulation hit the cycle budget before HALT");
 
     collect(res);

@@ -10,7 +10,6 @@
 #define SDV_SIM_SIMULATOR_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <type_traits>
@@ -29,9 +28,6 @@ struct SimResult
 {
     bool finished = false;      ///< HALT committed within the budget
     bool verified = false;      ///< committed stream matches functional
-    /** True when an external abort flag (setAbortFlag) stopped the run
-     *  — the sweep executor's job watchdog fired. Implies !finished. */
-    bool timedOut = false;
     Cycle cycles = 0;
     std::uint64_t insts = 0;
     double ipc = 0.0;
@@ -193,23 +189,6 @@ class Simulator
     SimResult runInsts(std::uint64_t insts,
                        std::uint64_t max_cycles = 50'000'000);
 
-    /**
-     * Attach an external abort flag (nullptr detaches). The run loops
-     * poll it every few hundred ticks; once observed true, the current
-     * run()/runInsts()/advanceTo() stops at the next tick boundary
-     * with SimResult::timedOut set (the simulator state is then
-     * mid-flight and must be discarded). The flag is how the sweep
-     * executor's wall-clock job watchdog (--job-timeout) cancels a
-     * hung simulation from outside the worker thread.
-     */
-    void
-    setAbortFlag(const std::atomic<bool> *flag)
-    {
-        abort_ = flag;
-        aborted_ = false;
-        abortPoll_ = 0;
-    }
-
     /** Attach a flight recorder (forwards to the core and every
      *  instrumented component; null detaches). Pure observation. */
     void setRecorder(obs::TraceRecorder *rec) { core_.setRecorder(rec); }
@@ -235,25 +214,9 @@ class Simulator
     /** Gather every statistic of the (finalized) core into @p res. */
     void collect(SimResult &res);
 
-    /** Poll the external abort flag (sticky; sampled every 256th
-     *  call so the hot run loops pay almost nothing). */
-    bool
-    checkAbort()
-    {
-        if (!abort_ || aborted_)
-            return aborted_;
-        if ((++abortPoll_ & 0xffu) != 0)
-            return false;
-        aborted_ = abort_->load(std::memory_order_relaxed);
-        return aborted_;
-    }
-
     const Program &prog_;
     Core core_;
     obs::IntervalTelemetry *telemetry_ = nullptr;
-    const std::atomic<bool> *abort_ = nullptr;
-    bool aborted_ = false;
-    std::uint32_t abortPoll_ = 0;
 };
 
 /** Convenience wrapper: build, run, return the result. */

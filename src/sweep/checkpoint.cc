@@ -141,6 +141,17 @@ Checkpoint::validate(Simulator &sim,
 }
 
 bool
+Checkpoint::compatible(const CoreConfig &captured,
+                       const CoreConfig &target)
+{
+    Serializer ser;
+    writeGeometry(ser, captured);
+    const std::vector<std::uint8_t> geometry = ser.finish();
+    Deserializer des(geometry);
+    return geometryMatches(des, target);
+}
+
+bool
 Checkpoint::save(const std::string &path,
                  const std::vector<std::uint8_t> &bytes)
 {

@@ -61,11 +61,21 @@ class Checkpoint
     /**
      * Header-only validation: is @p bytes an intact image, captured
      * from @p sim's program, restorable into @p sim's configuration?
-     * Touches no simulator state — the sweep executor's per-config
-     * probe decides with it whether a configuration can fork.
+     * Touches no simulator state.
      */
     static bool validate(Simulator &sim,
                          const std::vector<std::uint8_t> &bytes);
+
+    /**
+     * Can an image captured under @p captured restore into a machine
+     * configured as @p target? True when the warm structures have the
+     * same geometry — the check validate() and restore() make against
+     * the image header, decided from the two configurations alone.
+     * The sweep executor forks a job from its workload's snapshots
+     * when this holds for the warm and the job configuration.
+     */
+    static bool compatible(const CoreConfig &captured,
+                           const CoreConfig &target);
 
     /**
      * Write a checkpoint image to @p path atomically: the bytes land

@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <thread>
 
 #include "common/histogram.hh"
@@ -41,100 +42,6 @@ secondsSince(const std::chrono::steady_clock::time_point &t0)
                std::chrono::steady_clock::now() - t0)
         .count();
 }
-
-/**
- * Wall-clock job watchdog (--job-timeout): one timer slot per pool
- * unit. A worker arms its slot (begin) before running a simulation and
- * disarms it (end) after; the scan thread wakes every 50 ms and trips
- * the abort flag of any armed slot past the timeout. The Simulator
- * polls that flag and stops with SimResult::timedOut set — the worker
- * thread itself is never killed, so no state is torn down mid-write.
- */
-class JobWatchdog
-{
-  public:
-    JobWatchdog(std::size_t units, std::uint64_t timeout_sec,
-                std::function<std::string(std::size_t)> describe)
-        : timeoutMs_(timeout_sec * 1000),
-          describe_(std::move(describe)), entries_(units)
-    {
-        if (timeoutMs_ != 0)
-            thread_ = std::thread([this] { scan(); });
-    }
-
-    ~JobWatchdog()
-    {
-        if (thread_.joinable()) {
-            stop_.store(true, std::memory_order_relaxed);
-            thread_.join();
-        }
-    }
-
-    bool enabled() const { return timeoutMs_ != 0; }
-
-    /** Arm unit @p u's timer and attach its abort flag to @p sim. */
-    void
-    begin(std::size_t u, Simulator &sim)
-    {
-        if (!enabled())
-            return;
-        Entry &e = entries_[u];
-        e.abort.store(false, std::memory_order_relaxed);
-        sim.setAbortFlag(&e.abort);
-        e.startMs.store(nowMs(), std::memory_order_release);
-    }
-
-    /** Disarm unit @p u's timer (the attempt is over). */
-    void
-    end(std::size_t u)
-    {
-        if (enabled())
-            entries_[u].startMs.store(0, std::memory_order_release);
-    }
-
-  private:
-    struct Entry
-    {
-        std::atomic<std::uint64_t> startMs{0}; ///< 0 = not running
-        std::atomic<bool> abort{false};
-    };
-
-    static std::uint64_t
-    nowMs()
-    {
-        return std::uint64_t(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    }
-
-    void
-    scan()
-    {
-        while (!stop_.load(std::memory_order_relaxed)) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(50));
-            const std::uint64_t now = nowMs();
-            for (std::size_t u = 0; u < entries_.size(); ++u) {
-                Entry &e = entries_[u];
-                const std::uint64_t t0 =
-                    e.startMs.load(std::memory_order_acquire);
-                if (t0 == 0 || now < t0 || now - t0 < timeoutMs_)
-                    continue;
-                if (!e.abort.exchange(true,
-                                      std::memory_order_relaxed))
-                    warn("job watchdog: aborting ", describe_(u),
-                         " after ", (now - t0) / 1000, "s");
-            }
-        }
-    }
-
-    const std::uint64_t timeoutMs_;
-    const std::function<std::string(std::size_t)> describe_;
-    std::vector<Entry> entries_;
-    std::atomic<bool> stop_{false};
-    std::thread thread_;
-};
 
 /** Programs used by a plan, keyed by workload, built once and
  *  pre-decoded so worker threads share them read-only. */
@@ -187,36 +94,6 @@ captureSet(Mode mode, const std::string &workload, const CoreConfig &cfg,
     return set;
 }
 
-/** @return the first warm image of @p set — the one a validate probe
- *  checks a configuration against — or null when it has none. */
-const std::vector<std::uint8_t> *
-warmImage(const SampleSet &set)
-{
-    for (const SampleCheckpoint &sc : set.samples)
-        if (!sc.bytes.empty())
-            return &sc.bytes;
-    return nullptr;
-}
-
-/** Run @p worker on min(jobs, units) pool threads (1 = inline). */
-void
-runOnPool(unsigned jobs, std::size_t units,
-          const std::function<void()> &worker)
-{
-    const unsigned nthreads =
-        unsigned(std::min<std::size_t>(std::max(1u, jobs), units));
-    if (nthreads <= 1) {
-        worker();
-        return;
-    }
-    std::vector<std::thread> pool;
-    pool.reserve(nthreads);
-    for (unsigned t = 0; t < nthreads; ++t)
-        pool.emplace_back(worker);
-    for (std::thread &t : pool)
-        t.join();
-}
-
 } // namespace
 
 FaultPlan
@@ -236,6 +113,30 @@ resolveJobs(unsigned requested)
         return requested;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 1 ? hw - 1 : 1;
+}
+
+void
+runOnPool(unsigned jobs, std::size_t units,
+          const std::function<void(std::size_t)> &unit)
+{
+    std::atomic<std::size_t> next{0};
+    auto worker = [&]() {
+        for (std::size_t u = next.fetch_add(1); u < units;
+             u = next.fetch_add(1))
+            unit(u);
+    };
+    const unsigned nthreads =
+        unsigned(std::min<std::size_t>(std::max(1u, jobs), units));
+    if (nthreads <= 1) {
+        worker();
+        return;
+    }
+    std::vector<std::thread> pool;
+    pool.reserve(nthreads);
+    for (unsigned t = 0; t < nthreads; ++t)
+        pool.emplace_back(worker);
+    for (std::thread &t : pool)
+        t.join();
 }
 
 void
@@ -323,31 +224,24 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         }
     }
 
-    // Validation: one serial probe per distinct (workload, config)
-    // decides whether the config forks from the workload's snapshots
-    // (serial, so fallbacks never depend on scheduling). A config that
-    // cannot take them (geometry mismatch, e.g. an ablation varying the
-    // TL confidence) runs in full from reset instead.
+    // Forks: a job forks from its workload's snapshots when there are
+    // any and its machine shapes the warm structures like the warm
+    // configuration that captured them. A config that cannot (an
+    // ablation varying the TL confidence, say) runs in full from
+    // reset instead, with one warning per (workload, config).
     std::vector<char> forks(plan.jobs.size(), 0);
-    std::map<std::pair<std::string, std::string>, bool> configOk;
+    std::set<std::pair<std::string, std::string>> warned;
     for (std::size_t i = 0; i < plan.jobs.size() && mode != Mode::Full;
          ++i) {
         const SweepJob &job = plan.jobs[i];
-        const std::vector<std::uint8_t> *image =
-            warmImage(sets.at(job.workload));
-        if (!image)
+        if (sets.at(job.workload).samples.empty())
             continue;
-        const auto key = std::make_pair(job.workload, job.configKey);
-        auto it = configOk.find(key);
-        if (it == configOk.end()) {
-            Simulator probe(jobConfig(job), programs.at(job.workload));
-            const bool ok = Checkpoint::validate(probe, *image);
-            if (!ok)
-                warn("running ", job.workload, "/", job.configKey,
-                     " as a full run (snapshot geometry mismatch)");
-            it = configOk.emplace(key, ok).first;
-        }
-        forks[i] = it->second;
+        forks[i] = Checkpoint::compatible(
+            warmConfig(plan, opt, job.workload), jobConfig(job));
+        if (!forks[i] &&
+            warned.emplace(job.workload, job.configKey).second)
+            warn("running ", job.workload, "/", job.configKey,
+                 " as a full run (snapshot geometry mismatch)");
     }
 
     // Work units: one (job, sample) pair per snapshot of a forking job,
@@ -376,7 +270,6 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         SimResult res;
         std::uint64_t hash = 0;
         bool restored = false;
-        bool retried = false;
         std::shared_ptr<obs::TraceRecorder> trace;
         std::string telemetryJson;
         double queueWait = 0.0;
@@ -386,23 +279,10 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
     const auto poolStart = std::chrono::steady_clock::now();
 
-    JobWatchdog wd(units.size(), opt.jobTimeout,
-                   [&plan, &units, mode](std::size_t u) {
-                       const SweepJob &j = plan.jobs[units[u].job];
-                       std::string d = j.workload + "/" + j.configKey +
-                                       " (seed " +
-                                       std::to_string(j.seed) + ")";
-                       if (mode == Mode::Sampled && units[u].sample >= 0)
-                           d += " sample " +
-                                std::to_string(units[u].sample);
-                       return d;
-                   });
-
     auto runUnit = [&](std::size_t u) {
         const Unit unit = units[u];
         const SweepJob &job = plan.jobs[unit.job];
         Slot &slot = slots[u];
-        slot = Slot{};
         slot.queueWait = secondsSince(poolStart);
         const auto t0 = std::chrono::steady_clock::now();
         const CoreConfig cfg = jobConfig(job);
@@ -423,7 +303,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
             std::string err;
             slot.restored = Checkpoint::restore(*sim, sc->bytes, &err);
             if (!slot.restored) {
-                // validate() passed serially, so this is exceptional. A
+                // The geometry matched, so this is exceptional. A
                 // failed restore may leave partial state: a whole run
                 // restarts cold on a fresh simulator; a sample keeps a
                 // zero-inst measurement, which drops out of the
@@ -450,7 +330,6 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         if (wholeRuns && opt.telemetryInterval)
             sim->setTelemetry(&telemetry);
 
-        wd.begin(u, *sim);
         if (wholeRuns || !sc)
             slot.res = sim->run(opt.maxCycles, opt.verify,
                                 mode == Mode::Checkpoint
@@ -458,41 +337,18 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
                                     : opt.quiesceInterval);
         else
             slot.res = sim->runInsts(sc->measureInsts, opt.maxCycles);
-        wd.end(u);
         slot.hash = sim->core().commitPcHash();
         if (wholeRuns && opt.telemetryInterval)
             slot.telemetryJson = telemetry.toJson();
         slot.wall = secondsSince(t0);
     };
 
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (std::size_t u = next.fetch_add(1); u < units.size();
-             u = next.fetch_add(1))
-            runUnit(u);
-    };
-    runOnPool(opt.jobs, units.size(), worker);
-
-    // Watchdog retry pass: every aborted unit gets one serial re-run
-    // with an uncontended machine and a fresh timer. A unit that times
-    // out again leaves its job marked failed.
-    if (wd.enabled()) {
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            if (!slots[u].res.timedOut)
-                continue;
-            const SweepJob &j = plan.jobs[units[u].job];
-            warn("job watchdog: retrying ", j.workload, "/", j.configKey,
-                 " serially");
-            runUnit(u);
-            slots[u].retried = true;
-        }
-    }
+    runOnPool(opt.jobs, units.size(), runUnit);
     const double poolWall = secondsSince(poolStart);
 
     // Plan-ordered fold, independent of which thread ran what: a job
     // measured to completion takes its one unit's result; a sampled job
-    // is the pure integer aggregation of its per-sample measurements,
-    // where an aborted sample counts as a zero-inst measurement.
+    // is the pure integer aggregation of its per-sample measurements.
     const auto collate0 = std::chrono::steady_clock::now();
     std::vector<RunOutcome> outcomes(plan.jobs.size());
     for (std::size_t u = 0, i = 0; i < plan.jobs.size(); ++i) {
@@ -501,12 +357,8 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         stampOutcome(out, job);
         out.cfg = jobConfig(job); // resolved: overlay and fault plan
         const std::size_t first = u;
-        while (u < units.size() && units[u].job == i) {
-            out.timedOut |= slots[u].res.timedOut;
-            out.retried |= slots[u].retried;
-            out.wallSeconds += slots[u].wall;
-            ++u;
-        }
+        while (u < units.size() && units[u].job == i)
+            out.wallSeconds += slots[u++].wall;
         Slot &s = slots[first];
         if (wholeRuns || units[first].sample < 0) {
             out.res = std::move(s.res);
@@ -519,8 +371,6 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         std::vector<SimResult> measured(u - first);
         std::vector<std::uint64_t> hashes(u - first, 0);
         for (std::size_t k = 0; k < measured.size(); ++k) {
-            if (slots[first + k].res.timedOut)
-                continue;
             measured[k] = std::move(slots[first + k].res);
             hashes[k] = slots[first + k].hash;
         }
@@ -590,13 +440,6 @@ resultRecordJson(const RunOutcome &o)
     // Every field below appears only when its mode was active, so
     // default-mode documents stay byte-identical to the checked-in
     // baselines.
-    if (o.timedOut || o.retried) {
-        std::snprintf(buf, sizeof(buf),
-                      ", \"timed_out\": %s, \"retried\": %s",
-                      o.timedOut ? "true" : "false",
-                      o.retried ? "true" : "false");
-        out += buf;
-    }
     if (o.res.core.quiesceEvents > 0) {
         // Transient-exposure report of the timing-channel
         // experiments (--quiesce-interval): speculative state

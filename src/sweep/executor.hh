@@ -8,11 +8,12 @@
  * function of the plan and options: serial and parallel execution
  * produce byte-identical JSON.
  *
- * Every mode runs through one pipeline: a serial capture pass per
- * workload (none for full runs, one warm image for --checkpoint, the
- * interval samples for --samples; reused from --checkpoint-dir when
- * present), one serial validate probe per distinct (workload, config),
- * a pool over (job, sample) units and a plan-ordered fold. See
+ * Every mode runs through one pipeline of four stages: the programs, a
+ * serial capture pass per workload (none for full runs, one warm image
+ * for --checkpoint, the interval samples for --samples; reused from
+ * --checkpoint-dir when present), a pool over (job, sample) units and
+ * a plan-ordered fold. A job forks from its workload's snapshots when
+ * Checkpoint::compatible says its configuration can take them. See
  * src/sweep/checkpoint.hh, src/sweep/sampling.hh and docs/sweep.md.
  */
 
@@ -20,6 +21,7 @@
 #define SDV_SWEEP_EXECUTOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +45,9 @@ struct ExecOptions
     bool trace = true;          ///< trace-compiled dispatch (--no-trace)
     bool checkpoint = false;    ///< fork configs from warmed snapshots
     std::uint64_t warmupInsts = 10'000; ///< checkpoint warm-up length
-    std::uint64_t maxCycles = 200'000'000; ///< per-job cycle budget
+    /** Cycle budget of every simulation (capture pass, run, sample
+     *  measurement): the executor's one bound. */
+    std::uint64_t maxCycles = 200'000'000;
     bool verify = false;        ///< functional verification per job
     /** Context-switch the transient vector state every N fetched
      *  instructions (0 = never). Full runs only — checkpointed and
@@ -57,11 +61,6 @@ struct ExecOptions
      *  parallel and serial sweeps stay byte-identical. Full runs only
      *  (checkpoint capture and sampling ignore it). */
     FaultPlan fault;
-    /** Wall-clock watchdog (--job-timeout, seconds; 0 = off): a pool
-     *  unit running longer than this is aborted, marked failed with
-     *  its context, and retried once serially after the pool drains
-     *  (the retry gets a fresh timer). */
-    std::uint64_t jobTimeout = 0;
     /** Interval sampling: when enabled (samples > 0), every job is
      *  estimated from per-sample forks instead of a full run, and the
      *  per-(job, sample) measurements are what the worker pool
@@ -154,12 +153,6 @@ struct RunOutcome
      *  sampled job, commitHash is the FNV fold of the per-sample
      *  commit-stream hashes in capture order. */
     unsigned samples = 0;
-    /** Job watchdog verdicts: timedOut mirrors the *final* attempt's
-     *  res.timedOut; retried marks a job whose first attempt was
-     *  aborted and which ran again serially. Both stay false (and out
-     *  of the JSON) without --job-timeout. */
-    bool timedOut = false;
-    bool retried = false;
     double wallSeconds = 0.0; ///< host timing; kept out of the
                               ///< deterministic JSON payload
 
@@ -175,7 +168,8 @@ struct RunOutcome
  * Run every job of @p plan and return outcomes in plan order.
  * Programs are built and pre-decoded up front (one per workload,
  * shared read-only); snapshot sets, when enabled, are captured (or
- * loaded) serially before the pool starts.
+ * loaded) serially before the pool starts. A Simulator is built only
+ * by the capture pass and by the work units.
  */
 std::vector<RunOutcome> runPlan(const SweepPlan &plan,
                                 const ExecOptions &opt,
@@ -212,6 +206,15 @@ bool writeJsonDoc(const std::string &path, const std::string &planName,
  * thread), never below 1.
  */
 unsigned resolveJobs(unsigned requested);
+
+/**
+ * Run @p unit(0) .. @p unit(units - 1) on min(jobs, units) pool
+ * threads, each pulling the next index in order (one thread: inline,
+ * in order). Callers write results into per-index slots, so the
+ * outcome never depends on which thread ran what.
+ */
+void runOnPool(unsigned jobs, std::size_t units,
+               const std::function<void(std::size_t)> &unit);
 
 /** Apply the option overlay every execution path puts on a job's
  *  machine config (clocking, dispatch mechanism, chaining mode). */

@@ -1,16 +1,16 @@
 #include "sweep/fuzz.hh"
 
-#include <atomic>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <thread>
+#include <optional>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "common/random.hh"
 #include "sim/simulator.hh"
+#include "sweep/executor.hh"
+#include "sweep/options.hh"
 
 namespace sdv {
 namespace sweep {
@@ -279,25 +279,10 @@ runFuzzCampaign(const FuzzOptions &opt)
 
     FuzzReport rep;
     rep.outcomes.resize(cases.size());
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&]() {
-        for (std::size_t i = next.fetch_add(1); i < cases.size();
-             i = next.fetch_add(1))
-            rep.outcomes[i] =
-                runFuzzCase(cases[i], opt.eventSkip, opt.maxCycles);
-    };
-    const unsigned nthreads = unsigned(std::min<std::size_t>(
-        std::max(1u, opt.jobs), cases.size()));
-    if (nthreads <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(nthreads);
-        for (unsigned t = 0; t < nthreads; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
-    }
+    runOnPool(opt.jobs, cases.size(), [&](std::size_t i) {
+        rep.outcomes[i] =
+            runFuzzCase(cases[i], opt.eventSkip, opt.maxCycles);
+    });
 
     const FuzzOutcome *first_failure = nullptr;
     for (const FuzzOutcome &o : rep.outcomes) {
@@ -355,7 +340,6 @@ writeFuzzRepro(const std::string &path, const FuzzCase &c,
         "  \"fault_seed\": %llu,\n"
         "  \"elem_flip_ppm\": %u,\n"
         "  \"vrmt_flip_ppm\": %u,\n"
-        "  \"image_flip_ppm\": %u,\n"
         "  \"tl_flip_ppm\": %u,\n"
         "  \"gmrbb_flip_ppm\": %u,\n"
         "  \"demote_threshold\": %u,\n"
@@ -369,8 +353,8 @@ writeFuzzRepro(const std::string &path, const FuzzCase &c,
         c.eagerChain ? "true" : "false", c.vlen, c.numVregs, c.ports,
         unsigned(c.tlConfidence), c.fault.enabled ? "true" : "false",
         static_cast<unsigned long long>(c.fault.seed),
-        c.fault.elemFlipPpm, c.fault.vrmtFlipPpm, c.fault.imageFlipPpm,
-        c.fault.tlFlipPpm, c.fault.gmrbbFlipPpm,
+        c.fault.elemFlipPpm, c.fault.vrmtFlipPpm, c.fault.tlFlipPpm,
+        c.fault.gmrbbFlipPpm,
         c.fault.demoteThreshold,
         static_cast<unsigned long long>(c.fault.reenableWindow));
     std::fclose(f);
@@ -416,12 +400,6 @@ jsonField(const std::string &text, const std::string &key,
     return !val.empty();
 }
 
-std::uint64_t
-parseU64(const std::string &s)
-{
-    return std::strtoull(s.c_str(), nullptr, 0);
-}
-
 } // namespace
 
 bool
@@ -451,61 +429,71 @@ loadFuzzRepro(const std::string &path, FuzzCase &c, std::string *err)
         return failed(path + ": missing or unknown \"workload\"");
     c.workload = v;
 
-    if (jsonField(text, "scale", v))
-        c.scale = unsigned(parseU64(v));
-    if (c.scale == 0)
-        return failed(path + ": invalid scale 0");
-    if (jsonField(text, "footprint", v)) {
-        if (v == "base")
-            c.footprint = Footprint::Base;
-        else if (v == "l2")
-            c.footprint = Footprint::L2;
-        else if (v == "mem")
-            c.footprint = Footprint::Mem;
-        else
-            return failed(path + ": unknown footprint '" + v + "'");
-    }
-    if (jsonField(text, "sample", v))
-        c.sample = unsigned(parseU64(v));
-    if (jsonField(text, "base_seed", v))
-        c.baseSeed = parseU64(v);
-    if (jsonField(text, "fuzz_seed", v))
-        c.fuzzSeed = parseU64(v);
-    if (jsonField(text, "quiesce_interval", v))
-        c.quiesceInterval = parseU64(v);
-    if (jsonField(text, "eager_chain", v))
-        c.eagerChain = v == "true";
-    if (jsonField(text, "vlen", v))
-        c.vlen = unsigned(parseU64(v));
-    if (jsonField(text, "num_vregs", v))
-        c.numVregs = unsigned(parseU64(v));
-    if (jsonField(text, "ports", v))
-        c.ports = unsigned(parseU64(v));
-    if (jsonField(text, "tl_confidence", v))
-        c.tlConfidence = std::uint8_t(parseU64(v));
-    if (jsonField(text, "fault_enabled", v))
-        c.fault.enabled = v == "true";
-    if (jsonField(text, "fault_seed", v))
-        c.fault.seed = parseU64(v);
-    if (jsonField(text, "elem_flip_ppm", v))
-        c.fault.elemFlipPpm = std::uint32_t(parseU64(v));
-    if (jsonField(text, "vrmt_flip_ppm", v))
-        c.fault.vrmtFlipPpm = std::uint32_t(parseU64(v));
-    if (jsonField(text, "image_flip_ppm", v))
-        c.fault.imageFlipPpm = std::uint32_t(parseU64(v));
-    if (jsonField(text, "tl_flip_ppm", v))
-        c.fault.tlFlipPpm = std::uint32_t(parseU64(v));
-    if (jsonField(text, "gmrbb_flip_ppm", v))
-        c.fault.gmrbbFlipPpm = std::uint32_t(parseU64(v));
-    if (jsonField(text, "demote_threshold", v))
-        c.fault.demoteThreshold = std::uint32_t(parseU64(v));
-    if (jsonField(text, "reenable_window", v))
-        c.fault.reenableWindow = parseU64(v);
-
-    if (c.vlen == 0 || c.vlen > 64)
-        return failed(path + ": vlen out of range");
-    if (c.numVregs == 0)
-        return failed(path + ": num_vregs out of range");
+    // Every other key is optional; a present one must hold a value of
+    // its field's kind and range. Each reader returns false, with the
+    // complaint set, on a malformed value.
+    std::string complaint;
+    const auto number = [&](const char *key, auto &field,
+                            std::uint64_t min, std::uint64_t max) {
+        if (!jsonField(text, key, v))
+            return true;
+        const std::optional<std::uint64_t> num = parseNumber(v, min, max);
+        if (!num) {
+            complaint = numberComplaint(std::string("\"") + key + "\"",
+                                        v, min, max);
+            return false;
+        }
+        field = std::remove_reference_t<decltype(field)>(*num);
+        return true;
+    };
+    const auto flag = [&](const char *key, bool &field) {
+        if (!jsonField(text, key, v))
+            return true;
+        if (v != "true" && v != "false") {
+            complaint = std::string("\"") + key + "\" '" + v +
+                        "': expected true or false";
+            return false;
+        }
+        field = v == "true";
+        return true;
+    };
+    const auto footprint = [&] {
+        if (!jsonField(text, "footprint", v))
+            return true;
+        const std::optional<Footprint> fp = findFootprint(v);
+        if (!fp) {
+            complaint = "\"footprint\" '" + v +
+                        "': expected base, l2 or mem";
+            return false;
+        }
+        c.footprint = *fp;
+        return true;
+    };
+    constexpr std::uint64_t u32Max = 0xffff'ffffu;
+    constexpr std::uint64_t u64Max = ~std::uint64_t(0);
+    constexpr std::uint64_t ppmMax = 1'000'000;
+    FaultPlan &fault = c.fault;
+    const bool ok =
+        number("scale", c.scale, 1, u32Max) && footprint() &&
+        number("sample", c.sample, 0, u32Max) &&
+        number("base_seed", c.baseSeed, 0, u64Max) &&
+        number("fuzz_seed", c.fuzzSeed, 0, u64Max) &&
+        number("quiesce_interval", c.quiesceInterval, 0, u64Max) &&
+        flag("eager_chain", c.eagerChain) &&
+        number("vlen", c.vlen, 2, 64) &&
+        number("num_vregs", c.numVregs, 1, 65'535) &&
+        number("ports", c.ports, 1, 4) &&
+        number("tl_confidence", c.tlConfidence, 0, 255) &&
+        flag("fault_enabled", fault.enabled) &&
+        number("fault_seed", fault.seed, 0, u64Max) &&
+        number("elem_flip_ppm", fault.elemFlipPpm, 0, ppmMax) &&
+        number("vrmt_flip_ppm", fault.vrmtFlipPpm, 0, ppmMax) &&
+        number("tl_flip_ppm", fault.tlFlipPpm, 0, ppmMax) &&
+        number("gmrbb_flip_ppm", fault.gmrbbFlipPpm, 0, ppmMax) &&
+        number("demote_threshold", fault.demoteThreshold, 0, u32Max) &&
+        number("reenable_window", fault.reenableWindow, 0, u64Max);
+    if (!ok)
+        return failed(path + ": " + complaint);
     if (c.ports != 1 && c.ports != 2 && c.ports != 4)
         return failed(path + ": ports must be 1, 2 or 4");
     return true;

@@ -55,9 +55,7 @@ numberFlag(const char *section, const char *name, const char *value,
                 const std::optional<std::uint64_t> v =
                     parseNumber(text, min, max);
                 if (!v)
-                    return std::string(name) + " '" + text +
-                           "': expected a whole number " +
-                           rangeText(min, max);
+                    return numberComplaint(name, text, min, max);
                 set(*v);
                 return std::string();
             }};
@@ -102,6 +100,14 @@ parseNumber(std::string_view text, std::uint64_t min, std::uint64_t max)
     return v;
 }
 
+std::string
+numberComplaint(std::string_view what, std::string_view text,
+                std::uint64_t min, std::uint64_t max)
+{
+    return std::string(what) + " '" + std::string(text) +
+           "': expected a whole number " + rangeText(min, max);
+}
+
 std::vector<Flag>
 runFlags(RunOptions &o, bool simulating)
 {
@@ -114,13 +120,11 @@ runFlags(RunOptions &o, bool simulating)
         textFlag(workloads, "--footprint", "M",
                  "working-set regime: base, l2 or mem (default base)",
                  [&p](const std::string &s) {
-                     for (Footprint fp :
-                          {Footprint::Base, Footprint::L2, Footprint::Mem})
-                         if (s == footprintName(fp)) {
-                             p.footprint = fp;
-                             return std::string();
-                         }
-                     return std::string("expected base, l2 or mem");
+                     const std::optional<Footprint> fp = findFootprint(s);
+                     if (!fp)
+                         return std::string("expected base, l2 or mem");
+                     p.footprint = *fp;
+                     return std::string();
                  }),
         switchFlag(workloads, "--quick",
                    "first two INT + first FP workloads only",
@@ -188,11 +192,6 @@ runFlags(RunOptions &o, bool simulating)
         switchFlag(execution, "--verify",
                    "verify every job against functional execution",
                    [&e] { e.verify = true; }),
-        numberFlag(execution, "--job-timeout", "S",
-                   "abort a job (or one of its samples) running longer "
-                   "than S seconds and retry it once serially",
-                   0, u32Max,
-                   [&e](std::uint64_t v) { e.jobTimeout = v; }),
         numberFlag(execution, "--fault-elem-ppm", "N",
                    "inject vector-element bit flips at N per million "
                    "landings",

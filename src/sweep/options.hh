@@ -77,6 +77,12 @@ std::optional<std::uint64_t> parseNumber(std::string_view text,
                                          std::uint64_t min,
                                          std::uint64_t max);
 
+/** @return the error for a @p text that parseNumber(@p text, @p min,
+ *  @p max) rejected, naming @p what and the text: "--scale '-1':
+ *  expected a whole number in [1, 4294967295]". */
+std::string numberComplaint(std::string_view what, std::string_view text,
+                            std::uint64_t min, std::uint64_t max);
+
 /**
  * @return the run flags, bound to @p o (applying one sets its field of
  * @p o, so @p o must outlive the list).

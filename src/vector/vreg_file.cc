@@ -157,6 +157,12 @@ VecRegFile::isUsed(VecRegRef ref, unsigned elem) const
     return (r.uMask >> elem) & 1;
 }
 
+bool
+VecRegFile::anyUsed(VecRegRef ref) const
+{
+    return regFor(ref).uMask != 0;
+}
+
 void
 VecRegFile::setValid(VecRegRef ref, unsigned elem)
 {

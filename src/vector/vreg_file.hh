@@ -190,6 +190,9 @@ class VecRegFile
     /** @return the U flag. */
     bool isUsed(VecRegRef ref, unsigned elem) const;
 
+    /** @return true when any element has its U flag set. */
+    bool anyUsed(VecRegRef ref) const;
+
     /** Mark the element validated (validation committed): V=1, U=0. */
     void setValid(VecRegRef ref, unsigned elem);
 

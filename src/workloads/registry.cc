@@ -23,15 +23,20 @@ footprintName(Footprint fp)
     return "?";
 }
 
+std::optional<Footprint>
+findFootprint(std::string_view name)
+{
+    for (Footprint fp : {Footprint::Base, Footprint::L2, Footprint::Mem})
+        if (name == footprintName(fp))
+            return fp;
+    return std::nullopt;
+}
+
 Footprint
 parseFootprint(const std::string &name)
 {
-    if (name == "base")
-        return Footprint::Base;
-    if (name == "l2")
-        return Footprint::L2;
-    if (name == "mem")
-        return Footprint::Mem;
+    if (const std::optional<Footprint> fp = findFootprint(name))
+        return *fp;
     fatal("unknown footprint mode '", name, "' (base, l2 or mem)");
 }
 

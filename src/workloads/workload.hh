@@ -25,7 +25,9 @@
 #define SDV_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,11 @@ enum class Footprint
 
 /** @return "base" / "l2" / "mem". */
 const char *footprintName(Footprint fp);
+
+/** @return the footprint named @p name ("base" / "l2" / "mem"), or
+ *  nothing. The one name lookup behind parseFootprint, the
+ *  --footprint flag and fuzz repro files. */
+std::optional<Footprint> findFootprint(std::string_view name);
 
 /** Parse a --footprint argument (fatal on anything unknown). */
 Footprint parseFootprint(const std::string &name);

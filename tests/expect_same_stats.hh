@@ -48,7 +48,6 @@ expectSameStats(const SimResult &a, const SimResult &b,
     SCOPED_TRACE(label);
     EXPECT_EQ(a.finished, b.finished);
     EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.timedOut, b.timedOut);
     EXPECT_EQ(a.sampled, b.sampled);
     EXPECT_EQ(a.samplesMeasured, b.samplesMeasured);
     EXPECT_EQ(a.cycles, b.cycles);

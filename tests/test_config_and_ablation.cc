@@ -7,6 +7,9 @@
  */
 
 #include <deque>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +117,31 @@ TEST(Config, Fig10WindowIsAblatable)
               10u * b.core.branchMispredicts);
 }
 
+TEST(Config, IdentityHashCoversEveryFaultPlanField)
+{
+    // The snapshot store keys on this hash: two fault plans that
+    // inject differently must never share a key.
+    const CoreConfig base = makeConfig(4, 1, BusMode::WideBusSdv);
+    const std::vector<std::pair<const char *, void (*)(FaultPlan &)>>
+        changes = {
+            {"enabled", [](FaultPlan &f) { f.enabled = true; }},
+            {"seed", [](FaultPlan &f) { f.seed = 1; }},
+            {"elemFlipPpm", [](FaultPlan &f) { f.elemFlipPpm = 1; }},
+            {"vrmtFlipPpm", [](FaultPlan &f) { f.vrmtFlipPpm = 1; }},
+            {"tlFlipPpm", [](FaultPlan &f) { f.tlFlipPpm = 1; }},
+            {"gmrbbFlipPpm", [](FaultPlan &f) { f.gmrbbFlipPpm = 1; }},
+            {"demoteThreshold",
+             [](FaultPlan &f) { f.demoteThreshold += 1; }},
+            {"reenableWindow", [](FaultPlan &f) { f.reenableWindow += 1; }},
+        };
+    for (const auto &[field, change] : changes) {
+        CoreConfig cfg = base;
+        change(cfg.engine.fault);
+        EXPECT_NE(configIdentityHash(cfg), configIdentityHash(base))
+            << field;
+    }
+}
+
 std::deque<Program> &
 keeper()
 {
@@ -178,6 +206,32 @@ TEST(Ablation, ConfidenceOneSpawnsMoreAggressively)
     };
     EXPECT_GT(issued(re), issued(rp));
     EXPECT_TRUE(re.finished && rp.finished);
+}
+
+TEST(Ablation, StoreSquashesValidationsOfKilledRegisters)
+{
+    // A committing store must squash every younger validation of an
+    // overlapping register, even one killed before the store: the
+    // validation was decoded against the pre-store value. At TL
+    // confidence 1, m88ksim's stride-0 counter load hits that case; a
+    // missed squash commits the stale element as a value mismatch.
+    keeper().push_back(buildWorkload("m88ksim", 1, Footprint::L2));
+    const Program &prog = keeper().back();
+    CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
+    cfg.engine.tlConfidence = 1;
+    for (const auto &[eventSkip, traceExec] :
+         {std::pair{true, true}, std::pair{false, true},
+          std::pair{true, false}}) {
+        SCOPED_TRACE(std::string(eventSkip ? "event skip" : "ticking") +
+                     (traceExec ? ", trace" : ", interpreter"));
+        cfg.eventSkip = eventSkip;
+        cfg.traceExec = traceExec;
+        const SimResult r = simulate(cfg, prog);
+        ASSERT_TRUE(r.finished);
+        EXPECT_TRUE(r.verified);
+        EXPECT_GT(r.engine.storeRangeConflicts, 0u);
+        EXPECT_EQ(r.engine.validationValueMismatches, 0u);
+    }
 }
 
 TEST(Ablation, DisabledEngineProducesNoVectorActivity)

@@ -7,14 +7,16 @@
  * committed), the graceful-degradation path (chains demoted to scalar
  * under sustained faults stay bit-identical to a no-SDV run and
  * re-enable after a clean window; TL and shadow-GMRBB flips stay
- * contained), the speculation fuzzer's determinism, repro round trip
- * and delta-debugging minimizer, and the simulator abort flag the job
- * watchdog drives.
+ * contained), and the speculation fuzzer's determinism, repro round
+ * trip and delta-debugging minimizer.
  */
 
-#include <atomic>
 #include <cstdio>
 #include <deque>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -252,14 +254,28 @@ TEST(Fuzz, QuickCampaignHasNoDivergences)
     }
 }
 
-/** Repro files round-trip every perturbed knob. */
+/** @return the text of the file at @p path. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Repro files round-trip every perturbed knob, and a malformed value
+ *  is rejected with its key and text named. */
 TEST(Fuzz, ReproFileRoundTrip)
 {
-    const sweep::FuzzCase c = sweep::drawFuzzCase(
+    sweep::FuzzCase c = sweep::drawFuzzCase(
         "ijpeg", 2, Footprint::Base, 5, 99, /*with_faults=*/true);
+    c.fault.tlFlipPpm = 900;
+    c.fault.gmrbbFlipPpm = 400;
     const std::string path =
         ::testing::TempDir() + "sdv_repro_roundtrip.json";
     ASSERT_TRUE(sweep::writeFuzzRepro(path, c, "unit-test"));
+    const std::string text = readFile(path);
 
     sweep::FuzzCase l;
     std::string err;
@@ -282,12 +298,55 @@ TEST(Fuzz, ReproFileRoundTrip)
     EXPECT_EQ(l.fault.seed, c.fault.seed);
     EXPECT_EQ(l.fault.elemFlipPpm, c.fault.elemFlipPpm);
     EXPECT_EQ(l.fault.vrmtFlipPpm, c.fault.vrmtFlipPpm);
+    EXPECT_EQ(l.fault.tlFlipPpm, 900u);
+    EXPECT_EQ(l.fault.gmrbbFlipPpm, 400u);
 
     // Malformed input is rejected with a reason, not a crash.
     sweep::FuzzCase bad;
     EXPECT_FALSE(
         sweep::loadFuzzRepro("/nonexistent/repro.json", bad, &err));
     EXPECT_FALSE(err.empty());
+
+    // One field spoiled at a time: a sign, hex, trailing text, a value
+    // beyond the field's range, an unknown footprint name.
+    struct Spoil
+    {
+        std::string line; ///< the written line, as replaced
+        std::string error;
+    };
+    const std::vector<Spoil> spoils = {
+        {"\"scale\": -1",
+         "\"scale\" '-1': expected a whole number in [1, 4294967295]"},
+        {"\"vlen\": \"0x4\"",
+         "\"vlen\" '0x4': expected a whole number in [2, 64]"},
+        {"\"num_vregs\": \"128abc\"",
+         "\"num_vregs\" '128abc': expected a whole number in [1, 65535]"},
+        {"\"tl_confidence\": 258",
+         "\"tl_confidence\" '258': expected a whole number in [0, 255]"},
+        {"\"tl_flip_ppm\": 1000001",
+         "\"tl_flip_ppm\" '1000001': expected a whole number in "
+         "[0, 1000000]"},
+        {"\"footprint\": \"huge\"",
+         "\"footprint\" 'huge': expected base, l2 or mem"},
+        {"\"eager_chain\": yes",
+         "\"eager_chain\" 'yes': expected true or false"},
+    };
+    for (const Spoil &sp : spoils) {
+        const std::string key = sp.line.substr(0, sp.line.find(':'));
+        const std::size_t at = text.find("  " + key + ":");
+        ASSERT_NE(at, std::string::npos) << key;
+        std::string spoiled = text;
+        spoiled.replace(at + 2, spoiled.find('\n', at) - at - 2,
+                        sp.line + ",");
+        const std::string bad_path =
+            ::testing::TempDir() + "sdv_repro_spoiled.json";
+        std::ofstream(bad_path) << spoiled;
+        sweep::FuzzCase l2;
+        err.clear();
+        EXPECT_FALSE(sweep::loadFuzzRepro(bad_path, l2, &err)) << key;
+        EXPECT_EQ(err, bad_path + ": " + sp.error);
+        std::remove(bad_path.c_str());
+    }
 }
 
 TEST(FuzzMinimizer, DeltaDebugEscapesCoupledKnobTrap)
@@ -325,39 +384,6 @@ TEST(FuzzMinimizer, DeltaDebugEscapesCoupledKnobTrap)
                int(t.tlConfidence != 2) + int(t.fuzzSeed != 0);
     };
     EXPECT_LE(perturbed(minimized), perturbed(greedy));
-}
-
-// --- watchdog abort flag ---------------------------------------------------
-
-/** The simulator-level mechanism the sweep job watchdog drives: a set
- *  abort flag stops run() promptly and marks the result timed out, not
- *  finished. */
-TEST(Watchdog, AbortFlagStopsRunAndMarksTimedOut)
-{
-    const Program &prog = keep(buildWorkload("compress", 1));
-    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
-
-    std::atomic<bool> abort{true};
-    Simulator sim(cfg, prog);
-    sim.setAbortFlag(&abort);
-    const SimResult res = sim.run(200'000'000);
-    EXPECT_TRUE(res.timedOut);
-    EXPECT_FALSE(res.finished);
-    // The poll is sampled every 256 calls; a pre-set flag must stop the
-    // run long before the program's natural length.
-    Simulator full(cfg, prog);
-    const SimResult fres = full.run(200'000'000);
-    ASSERT_TRUE(fres.finished);
-    EXPECT_LT(res.cycles, fres.cycles);
-
-    // Clearing the flag restores normal completion.
-    abort = false;
-    Simulator again(cfg, prog);
-    again.setAbortFlag(&abort);
-    const SimResult ares = again.run(200'000'000, /*verify=*/true);
-    EXPECT_TRUE(ares.finished);
-    EXPECT_TRUE(ares.verified);
-    EXPECT_FALSE(ares.timedOut);
 }
 
 // --- timing-channel pair / transient-exposure stats ------------------------

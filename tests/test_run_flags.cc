@@ -102,11 +102,11 @@ TEST(RunFlags, EachFlagSetsItsField)
                         "--samples", "3", "--sample-insts", "500",
                         "--sample-period", "9000", "--checkpoint-dir",
                         "snaps", "--quiesce-interval", "2000",
-                        "--eager-chain", "--verify", "--job-timeout", "60",
-                        "--fault-elem-ppm", "800", "--fault-vrmt-ppm",
-                        "300", "--json", "o.json", "--trace-events",
-                        "t.json", "--trace-filter", "sdv,mem",
-                        "--trace-last", "100", "--telemetry", "5000"}),
+                        "--eager-chain", "--verify", "--fault-elem-ppm",
+                        "800", "--fault-vrmt-ppm", "300", "--json",
+                        "o.json", "--trace-events", "t.json",
+                        "--trace-filter", "sdv,mem", "--trace-last", "100",
+                        "--telemetry", "5000"}),
               "");
     EXPECT_EQ(o.plan.scale, 4u);
     EXPECT_EQ(o.plan.footprint, Footprint::Mem);
@@ -125,7 +125,6 @@ TEST(RunFlags, EachFlagSetsItsField)
     EXPECT_EQ(o.exec.quiesceInterval, 2000u);
     EXPECT_TRUE(o.exec.eagerChain);
     EXPECT_TRUE(o.exec.verify);
-    EXPECT_EQ(o.exec.jobTimeout, 60u);
     EXPECT_TRUE(o.exec.fault.enabled);
     EXPECT_EQ(o.exec.fault.elemFlipPpm, 800u);
     EXPECT_EQ(o.exec.fault.vrmtFlipPpm, 300u);

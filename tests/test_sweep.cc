@@ -5,8 +5,10 @@
  * workload, statistics and commit hashes included), corrupted /
  * truncated snapshot rejection, cross-configuration restores, the plan
  * registry, executor determinism (parallel == serial, checkpointed or
- * not) and the snapshot store behind --checkpoint-dir (reuse, keying,
- * recapture of corrupt and foreign containers).
+ * not), the executor's fork decision (which configs take the
+ * snapshots, and that the rest run in full) and the snapshot store
+ * behind --checkpoint-dir (reuse, keying, recapture of corrupt and
+ * foreign containers).
  */
 
 #include <cstdio>
@@ -382,6 +384,112 @@ TEST(SweepExecutor, ResolveJobsAutoDetects)
     }
 }
 
+// --- fork decision ---------------------------------------------------------
+
+/** Sampling for small sweeps: 3 samples of 2,000 instructions. */
+sweep::ExecOptions
+sampledOptions()
+{
+    sweep::ExecOptions opt;
+    opt.jobs = 2;
+    opt.warmupInsts = warmupInsts;
+    opt.sample.samples = 3;
+    opt.sample.measureInsts = 2'000;
+    return opt;
+}
+
+sweep::SweepPlan
+quickPlan(const std::string &name)
+{
+    sweep::PlanOptions popt;
+    popt.quick = true;
+    return sweep::buildPlan(name, popt);
+}
+
+TEST(SweepForks, CompatibleAgreesWithValidateOnEveryGridConfig)
+{
+    // The executor forks a job when Checkpoint::compatible holds for
+    // the warm and the job configuration; validate() against a warm
+    // image on a simulator built with the job configuration is the
+    // reference it replaces.
+    const sweep::ExecOptions opt;
+    std::size_t forks = 0, fallbacks = 0;
+    for (const sweep::PlanInfo &info : sweep::allPlans()) {
+        if (info.name == "all")
+            continue;
+        SCOPED_TRACE(info.name);
+        const sweep::SweepPlan plan = quickPlan(info.name);
+        const std::string &w = plan.jobs.front().workload;
+        const Program &prog = keep(buildWorkload(w, plan.scale));
+        const CoreConfig warm = sweep::warmConfig(plan, opt, w);
+        Simulator warmed(warm, prog);
+        ASSERT_TRUE(warmed.warmup(warmupInsts));
+        const auto image = sweep::Checkpoint::capture(warmed);
+        for (const sweep::SweepJob &job : plan.jobs) {
+            if (job.workload != w)
+                continue;
+            CoreConfig cfg = job.cfg;
+            sweep::applyExecOverlay(cfg, opt);
+            Simulator sim(cfg, prog);
+            const bool compatible =
+                sweep::Checkpoint::compatible(warm, cfg);
+            EXPECT_EQ(compatible, sweep::Checkpoint::validate(sim, image))
+                << job.configKey;
+            ++(compatible ? forks : fallbacks);
+        }
+    }
+    EXPECT_GT(forks, 0u);
+    EXPECT_EQ(fallbacks, 2u); // ablation conf1 and conf3
+}
+
+TEST(SweepForks, ConfigsThatCannotTakeTheSnapshotsRunInFull)
+{
+    // The ablation's TL-confidence columns shape the warm Table of
+    // Loads differently from the warm configuration: a sampled run
+    // takes them in full, record for record like a plain full run, and
+    // samples every other column.
+    const sweep::SweepPlan plan = quickPlan("ablation");
+    const sweep::ExecOptions opt = sampledOptions();
+    ::testing::internal::CaptureStderr();
+    const std::vector<sweep::RunOutcome> sampled =
+        sweep::runPlan(plan, opt);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    const auto inFull = [](const sweep::SweepJob &job) {
+        return job.configKey == "conf1" || job.configKey == "conf3";
+    };
+    sweep::SweepPlan cold = plan;
+    std::erase_if(cold.jobs, [&](const sweep::SweepJob &job) {
+        return !inFull(job);
+    });
+    EXPECT_EQ(cold.jobs.size(), 6u);
+    sweep::ExecOptions plain = opt;
+    plain.sample = sweep::SamplePlan{};
+    const std::vector<sweep::RunOutcome> full = sweep::runPlan(cold, plain);
+
+    ASSERT_EQ(sampled.size(), plan.jobs.size());
+    for (std::size_t i = 0, k = 0; i < plan.jobs.size(); ++i) {
+        const sweep::RunOutcome &o = sampled[i];
+        const std::string job = o.workload + "/" + o.configKey;
+        SCOPED_TRACE(job);
+        if (!inFull(plan.jobs[i])) {
+            EXPECT_EQ(o.samples, opt.sample.samples + 1);
+            EXPECT_TRUE(o.fromCheckpoint);
+            continue;
+        }
+        EXPECT_EQ(o.samples, 0u);
+        EXPECT_FALSE(o.fromCheckpoint);
+        EXPECT_EQ(sweep::resultRecordJson(o),
+                  sweep::resultRecordJson(full[k++]));
+        const std::string warning =
+            "running " + job + " as a full run (snapshot geometry "
+            "mismatch)";
+        const std::size_t at = err.find(warning);
+        EXPECT_NE(at, std::string::npos) << err;
+        EXPECT_EQ(err.find(warning, at + 1), std::string::npos) << err;
+    }
+}
+
 // --- snapshot store (--checkpoint-dir) -------------------------------------
 
 /** What one sweep through a snapshot directory produced. */
@@ -403,26 +511,6 @@ runThrough(const sweep::SweepPlan &plan, sweep::ExecOptions opt,
     r.captures = m.checkpointCaptures;
     r.captureBytes = m.checkpointCaptureBytes;
     return r;
-}
-
-/** A small sampled sweep: 3 quick workloads x 2 configs x 3 samples. */
-sweep::ExecOptions
-sampledOptions()
-{
-    sweep::ExecOptions opt;
-    opt.jobs = 2;
-    opt.warmupInsts = warmupInsts;
-    opt.sample.samples = 3;
-    opt.sample.measureInsts = 2'000;
-    return opt;
-}
-
-sweep::SweepPlan
-quickPlan(const std::string &name)
-{
-    sweep::PlanOptions popt;
-    popt.quick = true;
-    return sweep::buildPlan(name, popt);
 }
 
 TEST(SweepStore, RerunOnPopulatedDirectoryCapturesNothing)

@@ -29,10 +29,10 @@ engine's validation value self-check): any non-zero value in the NEW
 results is an error regardless of the baseline — a mismatch means
 speculative values diverged from architectural ones.
 
-Observability fields are optional riders (like "timed_out"/"retried"):
-records produced under --telemetry carry a "telemetry" interval array,
-and sweep documents produced under --metrics-summary carry a top-level
-"exec_metrics" object. Both are tolerated on either side and excluded
+Observability fields are optional riders: records produced under
+--telemetry carry a "telemetry" interval array, and sweep documents
+produced under --metrics-summary carry a top-level "exec_metrics"
+object. Both are tolerated on either side and excluded
 from comparison (telemetry values still go through the non-finite
 scan). --forbid-obs turns their *presence in the new results* into an
 error — the CI guard that default-mode regenerations stay observability

@@ -41,8 +41,9 @@ reportFuzzOutcome(const sdv::sweep::FuzzOutcome &o)
     if (o.c.fault.armed())
         std::printf(" [faults: %llu injected, %llu detected, "
                     "%llu demotions]",
-                    static_cast<unsigned long long>(o.elemFlips +
-                                                    o.vrmtFlips),
+                    static_cast<unsigned long long>(
+                        o.elemFlips + o.vrmtFlips + o.tlFlips +
+                        o.gmrbbFlips),
                     static_cast<unsigned long long>(o.faultsDetected),
                     static_cast<unsigned long long>(o.chainDemotions));
     std::printf("\n");
@@ -171,7 +172,8 @@ main(int argc, char **argv)
                     "validation\n",
                     rep.outcomes.size(), wall, rep.divergences,
                     static_cast<unsigned long long>(
-                        rep.totalElemFlips + rep.totalVrmtFlips),
+                        rep.totalElemFlips + rep.totalVrmtFlips +
+                        rep.totalTlFlips + rep.totalGmrbbFlips),
                     static_cast<unsigned long long>(
                         rep.totalFaultsDetected));
         if (rep.divergences) {
