@@ -48,6 +48,9 @@ struct ExecRecord
 ExecRecord executeOne(const Program &prog, ArchState &state,
                       SparseMemory &mem);
 
+/** Load a program image (code + data) into @p mem; @return entry pc. */
+Addr loadProgram(const Program &prog, SparseMemory &mem);
+
 /**
  * A complete functional simulation context: program + state + memory,
  * loaded and ready to step.
@@ -110,18 +113,24 @@ class FunctionalCore
     /** @return the program being executed. */
     const Program &program() const { return prog_; }
 
-    /** Serialize execution progress + full architectural state. */
+    /** Serialize execution progress + full architectural state. The
+     *  memory goes as a delta: only the pages that differ from the
+     *  program's load image (loadProgram) or are missing from it. */
     void
     saveState(Serializer &ser) const
     {
         ser.b(halted_);
         ser.u64(instCount_);
         state_.saveState(ser);
-        mem_.saveState(ser);
+        SparseMemory loaded;
+        loadProgram(prog_, loaded);
+        mem_.saveState(ser, loaded);
     }
 
     /** Restore execution progress + architectural state from a
-     *  checkpoint (the program itself is identity-checked upstream). */
+     *  checkpoint (the program itself is identity-checked upstream).
+     *  The memory delta is written over the current image, so this
+     *  core must be fresh: still holding the load image. */
     void
     loadState(Deserializer &des)
     {
@@ -139,9 +148,6 @@ class FunctionalCore
     bool halted_ = false;
     std::uint64_t instCount_ = 0;
 };
-
-/** Load a program image (code + data) into @p mem; @return entry pc. */
-Addr loadProgram(const Program &prog, SparseMemory &mem);
 
 /** Build the reset-time architectural state for @p prog. */
 ArchState initialState(const Program &prog);

@@ -114,14 +114,32 @@ SparseMemory::writeBytes(Addr addr, const std::uint8_t *data, size_t len)
     }
 }
 
-void
-SparseMemory::saveState(Serializer &ser) const
+std::vector<Addr>
+SparseMemory::pageAddrs() const
 {
     std::vector<Addr> addrs;
     addrs.reserve(pages_.size());
     for (const auto &[page_addr, page] : pages_)
         addrs.push_back(page_addr);
     std::sort(addrs.begin(), addrs.end());
+    return addrs;
+}
+
+void
+SparseMemory::saveState(Serializer &ser, const SparseMemory &base) const
+{
+    std::vector<Addr> addrs = pageAddrs();
+    std::size_t shared = 0;
+    std::erase_if(addrs, [&](Addr a) {
+        auto it = base.pages_.find(a);
+        if (it == base.pages_.end())
+            return false;
+        ++shared;
+        return std::memcmp(pages_.at(a).data(), it->second.data(),
+                           pageBytes) == 0;
+    });
+    sdv_assert(shared == base.pages_.size(),
+               "memory image lost pages of its base");
 
     ser.u32(pageBytes);
     ser.u64(addrs.size());
@@ -134,7 +152,6 @@ SparseMemory::saveState(Serializer &ser) const
 void
 SparseMemory::loadState(Deserializer &des)
 {
-    clear();
     if (des.u32() != pageBytes) {
         des.fail();
         return;
@@ -142,10 +159,8 @@ SparseMemory::loadState(Deserializer &des)
     const std::uint64_t n = des.u64();
     for (std::uint64_t i = 0; i < n && des.ok(); ++i) {
         const Addr a = des.u64();
-        Page page(pageBytes, 0);
-        if (!des.bytes(page.data(), pageBytes))
+        if (!des.bytes(getPage(a).data(), pageBytes))
             return;
-        pages_.emplace(a, std::move(page));
     }
 }
 

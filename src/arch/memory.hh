@@ -94,11 +94,20 @@ class SparseMemory
     /** @return number of materialized pages. */
     size_t numPages() const { return pages_.size(); }
 
-    /** Serialize every materialized page (address-sorted, so the byte
-     *  image is independent of hash-map iteration order). */
-    void saveState(Serializer &ser) const;
+    /** @return the addresses of the materialized pages, ascending. */
+    std::vector<Addr> pageAddrs() const;
 
-    /** Replace the contents with a checkpointed image. */
+    /**
+     * Serialize the pages that differ from @p base or are missing from
+     * it, address-sorted so the byte image is independent of hash-map
+     * iteration order: a delta image over @p base (an empty base saves
+     * every page). Every page of @p base must be materialized here too,
+     * so base plus delta has exactly this memory's page set.
+     */
+    void saveState(Serializer &ser, const SparseMemory &base) const;
+
+    /** Write a saved image's pages over the current contents, which
+     *  must be the base the image was saved against. */
     void loadState(Deserializer &des);
 
     /**

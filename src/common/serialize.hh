@@ -1,9 +1,9 @@
 /**
  * @file
  * Minimal binary serialization used by the checkpoint layer: fixed
- * little-endian encodings into a growable byte buffer, with an FNV-1a
- * checksum trailer so truncated or corrupted snapshots are rejected
- * before any state is overwritten.
+ * little-endian encodings into a growable byte buffer, with a 64-bit
+ * checksum trailer (checksum64) so truncated or corrupted snapshots are
+ * rejected before any state is overwritten.
  *
  * Deserialization never throws: reads past the end (or after a failed
  * structural check) latch a sticky failure flag and return zeros, and
@@ -13,6 +13,7 @@
 #ifndef SDV_COMMON_SERIALIZE_HH
 #define SDV_COMMON_SERIALIZE_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -20,7 +21,7 @@
 
 namespace sdv {
 
-/** FNV-1a over a byte range (checksum + identity hashing). */
+/** FNV-1a over a byte range (identity hashing of short keys). */
 inline std::uint64_t
 fnv1a(const std::uint8_t *data, std::size_t len,
       std::uint64_t seed = 1469598103934665603ULL)
@@ -29,6 +30,52 @@ fnv1a(const std::uint8_t *data, std::size_t len,
     for (std::size_t i = 0; i < len; ++i)
         h = (h ^ data[i]) * 1099511628211ULL;
     return h;
+}
+
+/**
+ * Image checksum: a word-at-a-time 64-bit hash of a byte range. Four
+ * independent lanes each take every fourth little-endian 8-byte word
+ * through the xxHash64 round (multiply, rotate, multiply), so the
+ * multiplies of neighbouring words overlap instead of chaining byte by
+ * byte as in fnv1a. The lanes, the length and the zero-padded tail
+ * words are then folded into one value and avalanched. Every step is a
+ * bijection of the running state for a fixed input word, so changing
+ * any single bit of the range always changes the result.
+ */
+inline std::uint64_t
+checksum64(const std::uint8_t *data, std::size_t len)
+{
+    constexpr std::uint64_t p1 = 0x9E3779B185EBCA87ULL;
+    constexpr std::uint64_t p2 = 0xC2B2AE3D27D4EB4FULL;
+    constexpr std::uint64_t p3 = 0x165667B19E3779F9ULL;
+    constexpr std::uint64_t p4 = 0x85EBCA77C2B2AE63ULL;
+    auto round = [](std::uint64_t acc, std::uint64_t word) {
+        return std::rotl(acc + word * p2, 31) * p1;
+    };
+    auto word = [](const std::uint8_t *at, std::size_t n) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, at, n);
+        if constexpr (std::endian::native == std::endian::big)
+            w = __builtin_bswap64(w);
+        return w;
+    };
+    std::uint64_t lane[4] = {p1 + p2, p2, 0, 0 - p1};
+    std::size_t i = 0;
+    for (; i + 32 <= len; i += 32)
+        for (unsigned k = 0; k < 4; ++k)
+            lane[k] = round(lane[k], word(data + i + 8 * k, 8));
+    std::uint64_t h = len * p3;
+    for (std::uint64_t l : lane)
+        h = (h ^ round(0, l)) * p1 + p4;
+    for (; i < len; i += 8) {
+        const std::size_t n = len - i < 8 ? len - i : 8;
+        h = std::rotl(h ^ round(0, word(data + i, n)), 27) * p1 + p4;
+    }
+    h ^= h >> 33;
+    h *= p2;
+    h ^= h >> 29;
+    h *= p3;
+    return h ^ (h >> 32);
 }
 
 /** Append-only little-endian byte sink. */
@@ -82,13 +129,13 @@ class Serializer
     std::size_t size() const { return buf_.size(); }
 
     /**
-     * Seal the buffer: append the FNV-1a checksum of everything
-     * written so far and return the finished byte image.
+     * Seal the buffer: append the checksum64 of everything written so
+     * far and return the finished byte image.
      */
     std::vector<std::uint8_t>
     finish()
     {
-        const std::uint64_t sum = fnv1a(buf_.data(), buf_.size());
+        const std::uint64_t sum = checksum64(buf_.data(), buf_.size());
         u64(sum);
         return std::move(buf_);
     }
@@ -128,7 +175,7 @@ class Deserializer
         std::uint64_t stored = 0;
         for (unsigned i = 0; i < 8; ++i)
             stored |= std::uint64_t(data_[payload + i]) << (8 * i);
-        if (fnv1a(data_, payload) != stored) {
+        if (checksum64(data_, payload) != stored) {
             ok_ = false;
             return false;
         }

@@ -319,8 +319,11 @@ Core::saveWarmState(Serializer &ser) const
 bool
 Core::loadWarmState(Deserializer &des)
 {
-    sdv_assert(quiescent() && cycle_ == 0,
-               "checkpoint restore into a used core");
+    // The image's memory is a delta over the program's load image,
+    // which only a core that has not run yet still holds.
+    sdv_assert(quiescent() && cycle_ == 0 && committedTotal_ == 0 &&
+                   oracle_.instCount() == 0,
+               "checkpoint restore into a core that is not fresh");
     fetchPc_ = des.u64();
     nextSeq_ = des.u64();
     commitHash_ = des.u64();

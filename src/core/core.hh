@@ -235,7 +235,9 @@ class Core : private VecExecContext
     void saveWarmState(Serializer &ser) const;
 
     /**
-     * Restore warm state into a freshly-constructed core.
+     * Restore warm state into a freshly-constructed core (asserted:
+     * the memory in the image is a delta over the load image such a
+     * core holds).
      * @retval false when a component's geometry does not match
      */
     bool loadWarmState(Deserializer &des);

@@ -15,7 +15,8 @@ namespace sweep {
 namespace {
 
 constexpr char magic[8] = {'S', 'D', 'V', 'C', 'K', 'P', 'T', '1'};
-constexpr std::uint32_t version = 1;
+/** 2: the memory section is a delta over the program's load image. */
+constexpr std::uint32_t version = 2;
 
 /** Serialize the geometry the warm state depends on. Restoring into a
  *  machine whose warm structures are shaped differently is rejected
@@ -196,7 +197,7 @@ Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out)
     std::fclose(f);
     if (!ok)
         return LoadStatus::Corrupt;
-    // A short or bit-rotted image fails its trailing FNV-1a checksum;
+    // A short or bit-rotted image fails its trailing checksum;
     // report it as corruption here so callers can tell poisoning from
     // a plain cold cache (atomic save() makes torn files unreachable
     // through this API, so a Corrupt result is worth a warning).

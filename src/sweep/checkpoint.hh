@@ -5,8 +5,9 @@
  * fork any number of configurations from the snapshot instead of
  * re-simulating the warm-up per configuration.
  *
- * A checkpoint carries the architectural state (registers, PC, sparse
- * memory image, execution progress) and the configuration-independent
+ * A checkpoint carries the architectural state (registers, PC,
+ * execution progress, and the memory as a delta: the pages that differ
+ * from the program's load image) and the configuration-independent
  * warm micro-architectural state: cache tags/LRU, branch predictors
  * (gshare, BTB, RAS) and the engine's Table of Loads stride tables.
  * Transient vector state is released at the boundary (context-switch
@@ -14,8 +15,8 @@
  * which is what makes restore-then-run bit-identical to
  * warmup-then-continue — see tests/test_sweep.cc.
  *
- * The byte image is integrity-checked (magic, version, FNV-1a
- * checksum) and bound to the program identity and the component
+ * The byte image is integrity-checked (magic, version, checksum64
+ * trailer) and bound to the program identity and the component
  * geometry, so truncated, corrupted or mismatched snapshots are
  * rejected before any simulator state is touched.
  */
@@ -44,11 +45,12 @@ class Checkpoint
     static std::vector<std::uint8_t> capture(Simulator &sim);
 
     /**
-     * Restore @p bytes into a freshly-constructed simulator. The
-     * target may use a different CoreConfig as long as the warm
-     * components' geometry matches (cache shapes, predictor sizes, TL
-     * shape) — the Table 1 grid varies width/ports/bus/engine, all of
-     * which are compatible.
+     * Restore @p bytes into a freshly-constructed simulator (asserted:
+     * the image's memory pages are written over the load image its
+     * constructor wrote). The target may use a different CoreConfig as
+     * long as the warm components' geometry matches (cache shapes,
+     * predictor sizes, TL shape) — the Table 1 grid varies
+     * width/ports/bus/engine, all of which are compatible.
      *
      * @retval false (and sets @p error) on a corrupted or truncated
      * image, a program mismatch, or a geometry mismatch; the simulator

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <thread>
@@ -194,72 +196,58 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     };
     const std::map<std::string, Program> programs = buildPrograms(plan);
 
-    // Snapshot sets: one per workload, captured serially in plan order
-    // under the workload's deterministic warm configuration, or reused
-    // from --checkpoint-dir. Every captured image is counted here.
-    std::map<std::string, SampleSet> sets;
-    if (mode != Mode::Full) {
-        for (const SweepJob &job : plan.jobs) {
-            if (sets.count(job.workload))
-                continue;
-            const Program &prog = programs.at(job.workload);
-            auto capture = [&] {
-                SampleSet set =
-                    captureSet(mode, job.workload,
-                               warmConfig(plan, opt, job.workload),
-                               prog, opt);
-                if (metrics)
-                    for (const SampleCheckpoint &sc : set.samples)
-                        if (!sc.bytes.empty()) {
-                            ++metrics->checkpointCaptures;
-                            metrics->checkpointCaptureBytes +=
-                                sc.bytes.size();
-                        }
-                return set;
-            };
-            sets.emplace(job.workload,
-                         loadOrCapture(opt.checkpointDir,
-                                       snapshotKey(plan, opt, job.workload),
-                                       prog.identityHash(), capture));
-        }
-    }
+    // Snapshot sets: one capture per workload, in plan order, under the
+    // workload's deterministic warm configuration, or reused from
+    // --checkpoint-dir. Each is a pool task that publishes its set by
+    // setting `ready`; every captured image is counted here.
+    struct Capture
+    {
+        std::string workload;
+        SampleSet set;          ///< written once, before `ready`
+        bool ready = false;     ///< guarded by `published`
+        double seconds = 0.0;
+        std::uint64_t images = 0, bytes = 0;
+    };
+    std::vector<Capture> captures;
+    std::mutex published;
+    std::condition_variable publishedCv;
+    std::map<std::string, std::size_t> captureOf;
+    if (mode != Mode::Full)
+        for (const SweepJob &job : plan.jobs)
+            if (captureOf.emplace(job.workload, captures.size()).second)
+                captures.push_back({job.workload, {}});
 
-    // Forks: a job forks from its workload's snapshots when there are
-    // any and its machine shapes the warm structures like the warm
-    // configuration that captured them. A config that cannot (an
-    // ablation varying the TL confidence, say) runs in full from
-    // reset instead, with one warning per (workload, config).
+    // Forks: a job forks from its workload's snapshots when its machine
+    // shapes the warm structures like the warm configuration that
+    // captures them. A config that cannot (an ablation varying the TL
+    // confidence, say) runs in full from reset instead.
     std::vector<char> forks(plan.jobs.size(), 0);
-    std::set<std::pair<std::string, std::string>> warned;
     for (std::size_t i = 0; i < plan.jobs.size() && mode != Mode::Full;
-         ++i) {
-        const SweepJob &job = plan.jobs[i];
-        if (sets.at(job.workload).samples.empty())
-            continue;
+         ++i)
         forks[i] = Checkpoint::compatible(
-            warmConfig(plan, opt, job.workload), jobConfig(job));
-        if (!forks[i] &&
-            warned.emplace(job.workload, job.configKey).second)
-            warn("running ", job.workload, "/", job.configKey,
-                 " as a full run (snapshot geometry mismatch)");
-    }
+            warmConfig(plan, opt, plan.jobs[i].workload),
+            jobConfig(plan.jobs[i]));
 
-    // Work units: one (job, sample) pair per snapshot of a forking job,
-    // one full run (sample -1) per other job. Unit order is fixed and
-    // job-major; the pool only changes who runs what.
+    // Work units, planned before any set exists: a forking job gets
+    // one (job, sample) unit per snapshot it asks for (the cold region
+    // plus S boundaries for --samples, the warm image for
+    // --checkpoint), every other job one full run (sample -1). Unit
+    // order is fixed and job-major; the pool only changes who runs
+    // what.
     struct Unit
     {
         std::size_t job;
         int sample; ///< index into the workload's set; -1: from reset
     };
+    const unsigned forkUnits =
+        mode == Mode::Sampled ? opt.sample.samples + 1 : 1;
     std::vector<Unit> units;
     for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
         if (!forks[i]) {
             units.push_back({i, -1});
             continue;
         }
-        const SampleSet &set = sets.at(plan.jobs[i].workload);
-        for (std::size_t k = 0; k < set.samples.size(); ++k)
+        for (unsigned k = 0; k < forkUnits; ++k)
             units.push_back({i, int(k)});
     }
 
@@ -273,29 +261,70 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         std::shared_ptr<obs::TraceRecorder> trace;
         std::string telemetryJson;
         double queueWait = 0.0;
+        double captureWait = 0.0;
         double wall = 0.0;
     };
     std::vector<Slot> slots(units.size());
     std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
     const auto poolStart = std::chrono::steady_clock::now();
 
+    auto runCapture = [&](Capture &c) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const Program &prog = programs.at(c.workload);
+        auto capture = [&] {
+            SampleSet set =
+                captureSet(mode, c.workload,
+                           warmConfig(plan, opt, c.workload), prog, opt);
+            for (const SampleCheckpoint &sc : set.samples)
+                if (!sc.bytes.empty()) {
+                    ++c.images;
+                    c.bytes += sc.bytes.size();
+                }
+            return set;
+        };
+        c.set = loadOrCapture(opt.checkpointDir,
+                              snapshotKey(plan, opt, c.workload),
+                              prog.identityHash(), capture);
+        c.seconds = secondsSince(t0);
+        {
+            std::lock_guard<std::mutex> lock(published);
+            c.ready = true;
+        }
+        publishedCv.notify_all();
+    };
+
     auto runUnit = [&](std::size_t u) {
         const Unit unit = units[u];
         const SweepJob &job = plan.jobs[unit.job];
         Slot &slot = slots[u];
         slot.queueWait = secondsSince(poolStart);
+
+        // A forking unit waits until its workload's set is published.
+        // An empty set (no usable boundary) makes the job's first unit
+        // its full run; a unit whose sample the set lacks has nothing
+        // to do. Empty bytes: the exact cold-start region of a sampled
+        // run forks from reset instead of restoring a snapshot.
+        const SampleCheckpoint *sc = nullptr;
+        if (unit.sample >= 0) {
+            const auto w0 = std::chrono::steady_clock::now();
+            const Capture &c = captures[captureOf.at(job.workload)];
+            {
+                std::unique_lock<std::mutex> lock(published);
+                publishedCv.wait(lock, [&] { return c.ready; });
+            }
+            slot.captureWait = secondsSince(w0);
+            const std::size_t k = std::size_t(unit.sample);
+            if (k < c.set.samples.size())
+                sc = &c.set.samples[k];
+            else if (k > 0 || !c.set.samples.empty())
+                return;
+        }
         const auto t0 = std::chrono::steady_clock::now();
         const CoreConfig cfg = jobConfig(job);
         const Program &prog = programs.at(job.workload);
         std::optional<Simulator> sim;
         sim.emplace(cfg, prog);
 
-        // Empty bytes: the exact cold-start region of a sampled run
-        // forks from reset instead of restoring a snapshot.
-        const SampleCheckpoint *sc =
-            unit.sample < 0
-                ? nullptr
-                : &sets.at(job.workload).samples[std::size_t(unit.sample)];
         if (sc && !sc->bytes.empty()) {
             restoreCount.fetch_add(1, std::memory_order_relaxed);
             restoreBytes.fetch_add(sc->bytes.size(),
@@ -343,12 +372,34 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         slot.wall = secondsSince(t0);
     };
 
-    runOnPool(opt.jobs, units.size(), runUnit);
+    // One pool: it claims every capture before any unit, so a unit
+    // only ever waits on a capture that a thread is already running.
+    runOnPool(opt.jobs, captures.size() + units.size(),
+              [&](std::size_t t) {
+                  if (t < captures.size())
+                      runCapture(captures[t]);
+                  else
+                      runUnit(t - captures.size());
+              });
     const double poolWall = secondsSince(poolStart);
 
+    // A job that could not fork from a non-empty set ran in full: one
+    // warning per (workload, config), in plan order.
+    std::set<std::pair<std::string, std::string>> warned;
+    for (std::size_t i = 0; i < plan.jobs.size() && mode != Mode::Full;
+         ++i) {
+        const SweepJob &job = plan.jobs[i];
+        if (!forks[i] &&
+            !captures[captureOf.at(job.workload)].set.samples.empty() &&
+            warned.emplace(job.workload, job.configKey).second)
+            warn("running ", job.workload, "/", job.configKey,
+                 " as a full run (snapshot geometry mismatch)");
+    }
+
     // Plan-ordered fold, independent of which thread ran what: a job
-    // measured to completion takes its one unit's result; a sampled job
-    // is the pure integer aggregation of its per-sample measurements.
+    // measured to completion takes its first unit's result; a sampled
+    // job is the pure integer aggregation of its per-sample
+    // measurements.
     const auto collate0 = std::chrono::steady_clock::now();
     std::vector<RunOutcome> outcomes(plan.jobs.size());
     for (std::size_t u = 0, i = 0; i < plan.jobs.size(); ++i) {
@@ -360,7 +411,10 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         while (u < units.size() && units[u].job == i)
             out.wallSeconds += slots[u++].wall;
         Slot &s = slots[first];
-        if (wholeRuns || units[first].sample < 0) {
+        const SampleSet *set =
+            forks[i] ? &captures[captureOf.at(job.workload)].set
+                     : nullptr;
+        if (wholeRuns || !set || set->samples.empty()) {
             out.res = std::move(s.res);
             out.commitHash = s.hash;
             out.fromCheckpoint = s.restored;
@@ -368,24 +422,31 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
             out.telemetryJson = std::move(s.telemetryJson);
             continue;
         }
-        std::vector<SimResult> measured(u - first);
-        std::vector<std::uint64_t> hashes(u - first, 0);
+        sdv_assert(set->samples.size() <= u - first,
+                   "snapshot set of ", job.workload, " holds ",
+                   set->samples.size(), " samples, more than requested");
+        std::vector<SimResult> measured(set->samples.size());
+        std::vector<std::uint64_t> hashes(measured.size(), 0);
         for (std::size_t k = 0; k < measured.size(); ++k) {
             measured[k] = std::move(slots[first + k].res);
             hashes[k] = slots[first + k].hash;
         }
-        const SampleSet &set = sets.at(job.workload);
-        out.res = aggregateSamples(set, measured);
+        out.res = aggregateSamples(*set, measured);
         out.commitHash = foldSampleHashes(hashes);
         out.fromCheckpoint = true;
-        out.samples = unsigned(set.samples.size());
+        out.samples = unsigned(set->samples.size());
     }
 
     if (metrics) {
         metrics->collateSeconds = secondsSince(collate0);
         metrics->poolWallSeconds = poolWall;
         metrics->workers = unsigned(std::min<std::size_t>(
-            std::max(1u, opt.jobs), units.size()));
+            std::max(1u, opt.jobs), captures.size() + units.size()));
+        for (const Capture &c : captures) {
+            metrics->captureSeconds += c.seconds;
+            metrics->checkpointCaptures += c.images;
+            metrics->checkpointCaptureBytes += c.bytes;
+        }
         metrics->checkpointRestores =
             restoreCount.load(std::memory_order_relaxed);
         metrics->checkpointRestoreBytes =
@@ -400,6 +461,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
             metrics->busySeconds += jm.runSeconds;
         }
         for (std::size_t u = 0; u < units.size(); ++u) {
+            metrics->captureWaitSeconds += slots[u].captureWait;
             double &qw = metrics->jobs[units[u].job].queueWaitSeconds;
             if (qw < 0.0 || slots[u].queueWait < qw)
                 qw = slots[u].queueWait;
@@ -538,9 +600,11 @@ ExecMetrics::toJson() const
         "\"workers\": %u, \"jobs_auto\": %s, "
         "\"pool_wall_seconds\": %.6f, "
         "\"busy_seconds\": %.6f, \"utilization\": %.4f, "
-        "\"collate_seconds\": %.6f",
+        "\"collate_seconds\": %.6f, \"capture_seconds\": %.6f, "
+        "\"capture_wait_seconds\": %.6f",
         workers, jobsAuto ? "true" : "false", poolWallSeconds,
-        busySeconds, utilization(), collateSeconds);
+        busySeconds, utilization(), collateSeconds, captureSeconds,
+        captureWaitSeconds);
     out += buf;
     std::snprintf(
         buf, sizeof(buf),
@@ -581,6 +645,12 @@ ExecMetrics::summaryTable() const
                   jobsAuto ? " (auto)" : "", poolWallSeconds,
                   busySeconds, utilization() * 100.0, collateSeconds);
     out += buf;
+    if (captureSeconds > 0.0) {
+        std::snprintf(buf, sizeof(buf),
+                      "capture: %.2fs on the pool, units waited %.2fs\n",
+                      captureSeconds, captureWaitSeconds);
+        out += buf;
+    }
     if (checkpointCaptures || checkpointRestores) {
         std::snprintf(
             buf, sizeof(buf),

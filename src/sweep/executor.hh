@@ -3,18 +3,19 @@
  * Parallel sweep executor: runs a SweepPlan's jobs on a pool of worker
  * threads, one private Simulator per work unit (simulations share no
  * mutable state — the only shared objects are the pre-decoded
- * programs and the immutable snapshot sets), and collates results in
- * plan order. Results are a pure
- * function of the plan and options: serial and parallel execution
- * produce byte-identical JSON.
+ * programs and the snapshot sets, immutable once published), and
+ * collates results in plan order. Results are a pure function of the
+ * plan and options: serial and parallel execution produce
+ * byte-identical JSON.
  *
- * Every mode runs through one pipeline of four stages: the programs, a
- * serial capture pass per workload (none for full runs, one warm image
- * for --checkpoint, the interval samples for --samples; reused from
- * --checkpoint-dir when present), a pool over (job, sample) units and
- * a plan-ordered fold. A job forks from its workload's snapshots when
- * Checkpoint::compatible says its configuration can take them. See
- * src/sweep/checkpoint.hh, src/sweep/sampling.hh and docs/sweep.md.
+ * Every mode runs through one pipeline: the programs, then one pool
+ * that runs a capture task per workload (none for full runs, one warm
+ * image for --checkpoint, the interval samples for --samples; reused
+ * from --checkpoint-dir when present) ahead of the (job, sample) units
+ * that wait on them, then a plan-ordered fold. A job forks from its
+ * workload's snapshots when Checkpoint::compatible says its
+ * configuration can take them. See src/sweep/checkpoint.hh,
+ * src/sweep/sampling.hh and docs/sweep.md.
  */
 
 #ifndef SDV_SWEEP_EXECUTOR_HH
@@ -102,6 +103,10 @@ struct ExecMetrics
     bool jobsAuto = false;      ///< workers came from --jobs 0 auto-detect
     double poolWallSeconds = 0.0; ///< pool start to join
     double busySeconds = 0.0;   ///< sum of unit run times
+    double captureSeconds = 0.0; ///< sum of capture task times
+    /** Sum of the time units spent blocked until their workload's
+     *  snapshot set was published (in neither busy nor capture). */
+    double captureWaitSeconds = 0.0;
     double collateSeconds = 0.0; ///< plan-ordered aggregation/serialization
     std::uint64_t checkpointCaptures = 0;    ///< snapshot images captured
     std::uint64_t checkpointCaptureBytes = 0;
@@ -118,12 +123,13 @@ struct ExecMetrics
     };
     std::vector<JobMetrics> jobs;
 
-    /** @return busySeconds / (workers * poolWallSeconds), in [0, 1]. */
+    /** @return (busySeconds + captureSeconds) / (workers *
+     *  poolWallSeconds), in [0, 1]: captures are pool work too. */
     double
     utilization() const
     {
         const double cap = double(workers) * poolWallSeconds;
-        return cap <= 0.0 ? 0.0 : busySeconds / cap;
+        return cap <= 0.0 ? 0.0 : (busySeconds + captureSeconds) / cap;
     }
 
     /** @return the "exec_metrics" JSON object. */
@@ -168,8 +174,8 @@ struct RunOutcome
  * Run every job of @p plan and return outcomes in plan order.
  * Programs are built and pre-decoded up front (one per workload,
  * shared read-only); snapshot sets, when enabled, are captured (or
- * loaded) serially before the pool starts. A Simulator is built only
- * by the capture pass and by the work units.
+ * loaded) by pool tasks that the pool claims before any unit. A
+ * Simulator is built only by the capture passes and by the work units.
  */
 std::vector<RunOutcome> runPlan(const SweepPlan &plan,
                                 const ExecOptions &opt,

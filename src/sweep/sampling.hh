@@ -4,8 +4,9 @@
  * generalization of the one-boundary Simulator::warmup + Checkpoint
  * fast-forward layer to many boundaries per run.
  *
- * A SamplePlan asks for S samples of M instructions each. One serial
- * *capture pass* per workload walks the program boundary to boundary
+ * A SamplePlan asks for S samples of M instructions each. One *capture
+ * pass* per workload (a task on the executor's pool, side by side with
+ * the other workloads' passes) walks the program boundary to boundary
  * (Simulator::advanceTo), serializing a checkpoint at each; the sample
  * positions are spread evenly over the program's dynamic length
  * (counted with one cheap functional execution). Every configuration
@@ -81,7 +82,7 @@ struct SampleSet
 };
 
 /**
- * Serial capture pass: walk @p prog under @p cfg and checkpoint every
+ * Capture pass: walk @p prog under @p cfg and checkpoint every
  * boundary @p plan asks for. Returns an empty set (fall back to full
  * runs) when the program is too short for even one warmed sample or a
  * boundary was unreachable within @p max_cycles.

@@ -16,7 +16,8 @@ namespace sweep {
 namespace {
 
 constexpr char magic[8] = {'S', 'D', 'V', 'S', 'N', 'A', 'P', '1'};
-constexpr std::uint32_t version = 2;
+/** 3: checksum64 trailer and delta memory images. */
+constexpr std::uint32_t version = 3;
 
 enum class Load { Ok, Missing, Corrupt, Stale };
 
@@ -25,17 +26,25 @@ loadSnapshotSet(const std::string &path, std::uint64_t programHash,
                 SampleSet &out)
 {
     std::vector<std::uint8_t> bytes;
-    switch (Checkpoint::load(path, bytes)) {
-    case Checkpoint::LoadStatus::Ok: break;
-    case Checkpoint::LoadStatus::Missing: return Load::Missing;
-    case Checkpoint::LoadStatus::Corrupt: return Load::Corrupt;
-    }
-    // load() verified the trailer; read the payload in front of it.
-    Deserializer des(bytes.data(), bytes.size() - 8);
+    const Checkpoint::LoadStatus status = Checkpoint::load(path, bytes);
+    if (status == Checkpoint::LoadStatus::Missing)
+        return Load::Missing;
+    // Magic and version come before the trailer: a container in
+    // another build's format (its checksum included) is stale, not
+    // damaged. load() verified the trailer of an intact one; the
+    // payload is read in front of it.
+    const bool intact = status == Checkpoint::LoadStatus::Ok;
+    Deserializer des(bytes.data(), bytes.size() - (intact ? 8 : 0));
     char m[sizeof(magic)];
     if (!des.bytes(m, sizeof(m)) ||
-        std::memcmp(m, magic, sizeof(magic)) != 0 ||
-        des.u32() != version)
+        std::memcmp(m, magic, sizeof(magic)) != 0)
+        return Load::Corrupt;
+    const std::uint32_t v = des.u32();
+    if (!des.ok())
+        return Load::Corrupt;
+    if (v != version)
+        return Load::Stale;
+    if (!intact)
         return Load::Corrupt;
     const std::uint64_t fingerprint = des.u64();
     if (des.u64() != programHash || fingerprint != binaryFingerprint())
@@ -133,7 +142,7 @@ saveSnapshotSet(const std::string &path, const SampleSet &set,
         ser.bytes(sc.bytes.data(), sc.bytes.size());
     }
     // The container rides the same torn-write guarantees as the images
-    // it holds: Serializer seals it with the FNV-1a trailer that
+    // it holds: Serializer seals it with the checksum64 trailer that
     // Checkpoint::load verifies, and save() publishes by rename.
     return Checkpoint::save(path, ser.finish());
 }

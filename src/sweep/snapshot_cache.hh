@@ -11,9 +11,10 @@
  * memory, never copied or serialized. With --checkpoint-dir D every set
  * is persisted as one container file `D/<key>.snap`, published
  * atomically (Checkpoint::save's temp + rename) and reused by later
- * runs. A container is trusted only when its FNV-1a trailer, the
- * fingerprint of the binary that wrote it and the program identity all
- * match; anything else is recaptured and overwritten in place.
+ * runs. A container is trusted only when its format version, its
+ * checksum64 trailer, the fingerprint of the binary that wrote it and
+ * the program identity all match; anything else is recaptured and
+ * overwritten in place.
  */
 
 #ifndef SDV_SWEEP_SNAPSHOT_CACHE_HH
@@ -52,7 +53,8 @@ bool saveSnapshotSet(const std::string &path, const SampleSet &set,
  * @return the snapshot set of @p key. With an empty @p dir this is
  * just capture(). Otherwise a valid container for @p key is loaded from
  * @p dir; a missing, corrupt or stale one is replaced by capture()'s
- * result, saved in its place.
+ * result, saved in its place. Calls for distinct keys may run
+ * concurrently: the executor runs one per workload on its pool.
  */
 SampleSet loadOrCapture(const std::string &dir, const std::string &key,
                         std::uint64_t programHash,

@@ -3,23 +3,31 @@
  * Tests of the sweep subsystem: checkpoint capture/restore bit-identity
  * (restore-then-run equals warmup-then-continue on every tier-1
  * workload, statistics and commit hashes included), corrupted /
- * truncated snapshot rejection, cross-configuration restores, the plan
+ * truncated snapshot rejection, cross-configuration restores, direct
+ * audits of the delta memory images and the image checksum, the plan
  * registry, executor determinism (parallel == serial, checkpointed or
  * not), the executor's fork decision (which configs take the
- * snapshots, and that the rest run in full) and the snapshot store
- * behind --checkpoint-dir (reuse, keying, recapture of corrupt and
- * foreign containers).
+ * snapshots, and that the rest run in full), the snapshot store
+ * behind --checkpoint-dir (reuse, keying, recapture of corrupt,
+ * foreign and older-format containers) and the capture passes sharing
+ * the pool with the units (same records and warnings at 1, 2 and 4
+ * jobs).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
+#include "arch/executor.hh"
 #include "common/random.hh"
 #include "common/serialize.hh"
 #include "sweep/checkpoint.hh"
@@ -241,6 +249,144 @@ TEST(Checkpoint, ForksAcrossTheTable1Grid)
     std::string err;
     EXPECT_FALSE(sweep::Checkpoint::restore(sim, bytes, &err));
     EXPECT_NE(err.find("geometry"), std::string::npos);
+}
+
+// --- delta images and the image checksum ---------------------------------
+
+/** The memory pages of an oracle image (FunctionalCore::saveState),
+ *  in the order it lists them. */
+std::vector<Addr>
+imagePages(const FunctionalCore &oracle)
+{
+    Serializer ser;
+    oracle.saveState(ser);
+    const std::vector<std::uint8_t> bytes = ser.finish();
+    Deserializer des(bytes);
+    EXPECT_TRUE(des.verifyChecksum());
+    des.b();   // halted
+    des.u64(); // instCount
+    ArchState regs;
+    regs.loadState(des);
+    EXPECT_EQ(des.u32(), SparseMemory::pageBytes);
+    std::vector<Addr> pages(des.u64());
+    std::vector<std::uint8_t> skip(SparseMemory::pageBytes);
+    for (Addr &a : pages) {
+        a = des.u64();
+        des.bytes(skip.data(), skip.size());
+    }
+    EXPECT_TRUE(des.atEnd());
+    return pages;
+}
+
+/** Capture @p warm, restore the image into a fresh simulator and hold
+ *  the restored oracle memory against the captured one. */
+void
+expectRestoredMemoryEqualsCaptured(Simulator &warm, const CoreConfig &cfg,
+                                   const Program &prog)
+{
+    const auto bytes = sweep::Checkpoint::capture(warm);
+    Simulator restored(cfg, prog);
+    ASSERT_TRUE(sweep::Checkpoint::restore(restored, bytes));
+    const SparseMemory &a = warm.core().oracle().memory();
+    const SparseMemory &b = restored.core().oracle().memory();
+    EXPECT_TRUE(b.equals(a));
+    EXPECT_EQ(b.pageAddrs(), a.pageAddrs());
+}
+
+TEST(CheckpointAudit, RestoredOracleMemoryEqualsTheCapturedOne)
+{
+    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
+    for (const Workload &w : allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        const Program &prog = keep(w.instantiate(1));
+        Simulator warm(cfg, prog);
+        ASSERT_TRUE(warm.warmup(warmupInsts));
+        expectRestoredMemoryEqualsCaptured(warm, cfg, prog);
+    }
+    // A memory-resident footprint, at boundaries spread over its run:
+    // the delta grows as the program writes its working set.
+    const Program &prog = keep(buildWorkload("swim", 1, Footprint::Mem));
+    Simulator warm(cfg, prog);
+    for (std::uint64_t boundary : {10'000u, 200'000u, 1'000'000u}) {
+        SCOPED_TRACE(boundary);
+        ASSERT_TRUE(warm.advanceTo(boundary, 200'000'000));
+        expectRestoredMemoryEqualsCaptured(warm, cfg, prog);
+    }
+}
+
+TEST(CheckpointAudit, ImageListsExactlyThePagesThatDifferFromTheLoadImage)
+{
+    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
+    for (const Workload &w : allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        const Program &prog = keep(w.instantiate(1));
+        Simulator warm(cfg, prog);
+        ASSERT_TRUE(warm.warmup(warmupInsts));
+        const SparseMemory &mem = warm.core().oracle().memory();
+        SparseMemory loaded;
+        loadProgram(prog, loaded);
+
+        // From scratch: every page of the warm memory that the load
+        // image lacks, or holds with other bytes.
+        const std::vector<Addr> base = loaded.pageAddrs();
+        std::vector<Addr> expected;
+        std::vector<std::uint8_t> x(SparseMemory::pageBytes),
+            y(SparseMemory::pageBytes);
+        for (Addr a : mem.pageAddrs()) {
+            mem.readBytes(a, x.data(), x.size());
+            loaded.readBytes(a, y.data(), y.size());
+            if (!std::binary_search(base.begin(), base.end(), a) || x != y)
+                expected.push_back(a);
+        }
+        EXPECT_FALSE(expected.empty());
+        EXPECT_LT(expected.size(), mem.numPages());
+        EXPECT_EQ(imagePages(warm.core().oracle()), expected);
+    }
+}
+
+TEST(CheckpointAuditDeathTest, RestoreIntoAWarmedSimulatorHitsTheFreshCoreAssert)
+{
+    const Program &prog = keep(buildWorkload("go", 1));
+    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
+    Simulator warm(cfg, prog);
+    ASSERT_TRUE(warm.warmup(warmupInsts));
+    const auto bytes = sweep::Checkpoint::capture(warm);
+    // The image's memory is a delta over the load image; a warmed core
+    // no longer holds it.
+    EXPECT_DEATH(sweep::Checkpoint::restore(warm, bytes),
+                 "restore into a core that is not fresh");
+}
+
+TEST(ImageChecksum, EverySingleBitFlipChangesIt)
+{
+    Random rng(deriveSeed("checksum", "bits", 0));
+    std::vector<std::uint8_t> buf(4096 + 7);
+    for (std::uint8_t &b : buf)
+        b = std::uint8_t(rng.next());
+    const std::uint64_t sum = checksum64(buf.data(), buf.size());
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            buf[i] ^= std::uint8_t(1u << bit);
+            EXPECT_NE(checksum64(buf.data(), buf.size()), sum)
+                << "byte " << i << " bit " << bit;
+            buf[i] ^= std::uint8_t(1u << bit);
+        }
+}
+
+TEST(ImageChecksum, EveryTailLengthGivesADistinctValue)
+{
+    // Tails of 0..31 bytes past the last 32-byte stripe, of random and
+    // of zero bytes: zero padding must not make lengths collide.
+    Random rng(deriveSeed("checksum", "tails", 0));
+    for (bool zeros : {false, true}) {
+        std::vector<std::uint8_t> buf(4096 + 31);
+        for (std::size_t i = 0; i < buf.size(); ++i)
+            buf[i] = zeros && i >= 4096 ? 0 : std::uint8_t(rng.next());
+        std::set<std::uint64_t> sums;
+        for (std::size_t tail = 0; tail < 32; ++tail)
+            sums.insert(checksum64(buf.data(), 4096 + tail));
+        EXPECT_EQ(sums.size(), 32u) << (zeros ? "zero" : "random");
+    }
 }
 
 // --- plan registry ---------------------------------------------------------
@@ -615,6 +761,255 @@ TEST(SweepStore, ContainerFromAnotherBuildIsRecapturedNeverRestored)
     EXPECT_EQ(3u, r.captures);
     EXPECT_EQ(cold, r.json);
     EXPECT_EQ(0u, runThrough(plan, opt, dir.path).captures);
+}
+
+TEST(SweepStoreDeathTest, OlderVersionContainerIsAnotherBuildsNotCorrupt)
+{
+    // A container in the previous format (version 2, sealed with an
+    // FNV-1a trailer) fails this build's checksum, but it is another
+    // build's file, not a damaged one. The store warns once per process
+    // and kind, so the run is checked in a fresh process.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const sweep::SweepPlan plan = quickPlan("fig07");
+    const sweep::ExecOptions opt = sampledOptions();
+    ScratchDir dir;
+    const StoreRun cold = runThrough(plan, opt, dir.path);
+    const std::string path =
+        dir.path + "/" +
+        sweep::snapshotKey(plan, opt, plan.jobs.front().workload) + ".snap";
+    {
+        Serializer ser;
+        ser.bytes("SDVSNAP1", 8);
+        ser.u32(2);
+        ser.u64(sweep::binaryFingerprint());
+        std::vector<std::uint8_t> bytes = ser.finish();
+        bytes.resize(bytes.size() - 8); // drop this build's trailer
+        const std::uint64_t fnv = fnv1a(bytes.data(), bytes.size());
+        for (unsigned i = 0; i < 8; ++i)
+            bytes.push_back(std::uint8_t(fnv >> (8 * i)));
+        ASSERT_TRUE(sweep::Checkpoint::save(path, bytes));
+    }
+    EXPECT_EXIT(
+        {
+            ::testing::internal::CaptureStderr();
+            const StoreRun r = runThrough(plan, opt, dir.path);
+            const std::string err =
+                ::testing::internal::GetCapturedStderr();
+            std::filesystem::remove_all(dir.path);
+            std::fputs(err.c_str(), stderr);
+            std::exit(err.find("corrupt") == std::string::npos &&
+                              r.captures == 3 && r.json == cold.json
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "was captured by another build; recapturing");
+}
+
+// --- captures on the pool --------------------------------------------------
+
+/** What one runPlan printed and returned. */
+struct Observed
+{
+    std::vector<sweep::RunOutcome> outcomes;
+    std::string json;
+    std::vector<std::string> stderrLines; ///< in print order
+    sweep::ExecMetrics metrics;
+
+    /** @return the printed lines sorted: captures running side by side
+     *  may print their warnings in either order. */
+    std::vector<std::string>
+    warnings() const
+    {
+        std::vector<std::string> w = stderrLines;
+        std::sort(w.begin(), w.end());
+        return w;
+    }
+};
+
+Observed
+observe(const sweep::SweepPlan &plan, sweep::ExecOptions opt, unsigned jobs)
+{
+    opt.jobs = jobs;
+    Observed o;
+    ::testing::internal::CaptureStderr();
+    o.outcomes = sweep::runPlan(plan, opt, &o.metrics);
+    std::istringstream err(::testing::internal::GetCapturedStderr());
+    for (std::string line; std::getline(err, line);)
+        o.stderrLines.push_back(line);
+    o.json = sweep::resultsJson(o.outcomes);
+    return o;
+}
+
+/** The quick ablation grid (go, m88ksim, swim) cut to two columns that
+ *  fork and the two TL-confidence columns that cannot. */
+sweep::SweepPlan
+mixedPlan()
+{
+    sweep::SweepPlan plan = quickPlan("ablation");
+    std::erase_if(plan.jobs, [](const sweep::SweepJob &job) {
+        return job.configKey != "base" && job.configKey != "vlen2" &&
+               job.configKey != "conf1" && job.configKey != "conf3";
+    });
+    return plan;
+}
+
+/** A 90,000-inst warm-up and a 20,000-inst sample period. At scale 1,
+ *  go (82,315 insts) is too short to warm up or sample, m88ksim
+ *  (111,716) ends before the third boundary (130,000), and swim
+ *  (184,362) takes all three. */
+sweep::ExecOptions
+mixedOptions()
+{
+    sweep::ExecOptions opt;
+    opt.warmupInsts = 90'000;
+    opt.sample.samples = 3;
+    opt.sample.measureInsts = 2'000;
+    opt.sample.periodInsts = 20'000;
+    return opt;
+}
+
+/** The geometry-fallback warnings of mixedPlan(), in plan order. */
+const std::vector<std::string> fallbackWarnings = {
+    "warn: running m88ksim/conf1 as a full run (snapshot geometry mismatch)",
+    "warn: running m88ksim/conf3 as a full run (snapshot geometry mismatch)",
+    "warn: running swim/conf1 as a full run (snapshot geometry mismatch)",
+    "warn: running swim/conf3 as a full run (snapshot geometry mismatch)",
+};
+
+/** Expects every job of @p o that did not fork to hold, record for
+ *  record, what a plain full run of @p plan under @p opt gives. */
+void
+expectUnforkedJobsMatchFullRuns(const sweep::SweepPlan &plan,
+                                sweep::ExecOptions opt, const Observed &o)
+{
+    opt.checkpoint = false;
+    opt.sample = sweep::SamplePlan{};
+    const std::vector<sweep::RunOutcome> full = sweep::runPlan(plan, opt);
+    ASSERT_EQ(full.size(), o.outcomes.size());
+    std::size_t unforked = 0;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+        if (o.outcomes[i].fromCheckpoint)
+            continue;
+        ++unforked;
+        EXPECT_EQ(sweep::resultRecordJson(o.outcomes[i]),
+                  sweep::resultRecordJson(full[i]));
+    }
+    EXPECT_EQ(unforked, 8u); // go's four jobs and four fallbacks
+}
+
+/** Runs @p plan at 1, 2 and 4 jobs and expects byte-identical records,
+ *  the same warnings, and the fallback warnings printed last, in plan
+ *  order; @return the one-job run. */
+Observed
+expectSameAtOneTwoAndFourJobs(const sweep::SweepPlan &plan,
+                              const sweep::ExecOptions &opt)
+{
+    std::optional<Observed> serial;
+    for (unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE(jobs);
+        Observed o = observe(plan, opt, jobs);
+        const std::vector<std::string> &lines = o.stderrLines;
+        EXPECT_TRUE(lines.size() >= fallbackWarnings.size() &&
+                    std::equal(fallbackWarnings.begin(),
+                               fallbackWarnings.end(),
+                               lines.end() - std::ptrdiff_t(
+                                                 fallbackWarnings.size())))
+            << ::testing::PrintToString(lines);
+        if (!serial) {
+            serial = std::move(o);
+            continue;
+        }
+        EXPECT_EQ(serial->json, o.json);
+        EXPECT_EQ(serial->warnings(), o.warnings());
+        EXPECT_EQ(serial->metrics.checkpointCaptures,
+                  o.metrics.checkpointCaptures);
+        EXPECT_EQ(serial->metrics.checkpointRestores,
+                  o.metrics.checkpointRestores);
+    }
+    return *serial;
+}
+
+TEST(SweepPipeline, EmptyPartialAndFallbackSetsMatchAtEveryJobCount)
+{
+    const Observed o =
+        expectSameAtOneTwoAndFourJobs(mixedPlan(), mixedOptions());
+    // Each kind of job is in the plan: go's empty set runs every job
+    // in full, m88ksim's partial set forks 1 cold + 2 warm samples,
+    // swim's full set 1 + 3, and conf1/conf3 fall back.
+    for (const sweep::RunOutcome &out : o.outcomes) {
+        SCOPED_TRACE(out.workload + "/" + out.configKey);
+        const bool fallback =
+            out.configKey == "conf1" || out.configKey == "conf3";
+        const unsigned want = out.workload == "go" || fallback ? 0
+                              : out.workload == "m88ksim"      ? 3
+                                                               : 4;
+        EXPECT_EQ(out.samples, want);
+        EXPECT_EQ(out.fromCheckpoint, want > 0);
+    }
+    expectUnforkedJobsMatchFullRuns(mixedPlan(), mixedOptions(), o);
+    EXPECT_EQ(o.metrics.checkpointCaptures, 2u + 3u);
+    EXPECT_EQ(o.metrics.checkpointRestores, 2u * (2 + 3));
+    EXPECT_EQ(std::count(o.stderrLines.begin(), o.stderrLines.end(),
+                         "warn: program too short for 3 samples after a "
+                         "90000-inst warm-up; falling back to full runs"),
+              1);
+}
+
+TEST(SweepPipeline, PopulatedDirectoryMatchesAtEveryJobCount)
+{
+    ScratchDir dir;
+    sweep::ExecOptions opt = mixedOptions();
+    opt.checkpointDir = dir.path;
+    const std::string first = observe(mixedPlan(), opt, 1).json;
+
+    const Observed o = expectSameAtOneTwoAndFourJobs(mixedPlan(), opt);
+    EXPECT_EQ(first, o.json);
+    EXPECT_EQ(0u, o.metrics.checkpointCaptures);
+    EXPECT_EQ(o.stderrLines, fallbackWarnings); // nothing to capture
+}
+
+TEST(SweepPipeline, CheckpointPlanMatchesAtEveryJobCount)
+{
+    sweep::ExecOptions opt;
+    opt.checkpoint = true;
+    opt.warmupInsts = 90'000; // go finishes first: it runs in full
+    opt.verify = true;
+    const Observed o = expectSameAtOneTwoAndFourJobs(mixedPlan(), opt);
+    expectUnforkedJobsMatchFullRuns(mixedPlan(), opt, o);
+    EXPECT_EQ(o.metrics.checkpointCaptures, 2u);
+    EXPECT_EQ(o.metrics.checkpointRestores, 4u);
+    for (const sweep::RunOutcome &out : o.outcomes)
+        EXPECT_TRUE(out.res.verified) << out.workload << "/"
+                                      << out.configKey;
+}
+
+TEST(SweepPipeline, MetricsCountTheCapturesOnThePool)
+{
+    const sweep::SweepPlan plan = quickPlan("fig07");
+    const Observed o = observe(plan, sampledOptions(), 4);
+    const sweep::ExecMetrics &m = o.metrics;
+    EXPECT_EQ(m.workers, 4u);
+    EXPECT_GT(m.captureSeconds, 0.0);
+    EXPECT_GE(m.captureWaitSeconds, 0.0);
+    EXPECT_NEAR(m.utilization(),
+                (m.busySeconds + m.captureSeconds) /
+                    (m.workers * m.poolWallSeconds),
+                1e-12);
+    const std::string json = m.toJson();
+    for (const char *key :
+         {"\"workers\"", "\"jobs_auto\"", "\"pool_wall_seconds\"",
+          "\"busy_seconds\"", "\"utilization\"", "\"collate_seconds\"",
+          "\"capture_seconds\"", "\"capture_wait_seconds\"",
+          "\"checkpoint_captures\"", "\"checkpoint_restores\"",
+          "\"jobs\""})
+        EXPECT_NE(json.find(key), std::string::npos) << key;
+    EXPECT_NE(m.summaryTable().find("capture: "), std::string::npos);
+
+    // A full-run plan has no capture task.
+    const Observed full = observe(plan, sweep::ExecOptions{}, 4);
+    EXPECT_EQ(full.metrics.captureSeconds, 0.0);
+    EXPECT_EQ(full.metrics.captureWaitSeconds, 0.0);
 }
 
 // --- program sharing -------------------------------------------------------
