@@ -132,27 +132,6 @@ BM_ValidationWakeup(benchmark::State &state)
 BENCHMARK(BM_ValidationWakeup);
 
 void
-BM_VrmtQuiesceInvalidate(benchmark::State &state)
-{
-    // Context-switch invalidation (quiesce / --quiesce-interval): the
-    // epoch bump is O(1) regardless of occupancy.
-    Vrmt vrmt;
-    VrmtEntry e;
-    e.valid = true;
-    for (auto _ : state) {
-        state.PauseTiming();
-        for (Addr pc = 0x10000; pc < 0x10000 + 64 * 8; pc += 8) {
-            e.pc = pc;
-            vrmt.install(e);
-        }
-        state.ResumeTiming();
-        vrmt.invalidateAll();
-        benchmark::DoNotOptimize(vrmt.occupancy());
-    }
-}
-BENCHMARK(BM_VrmtQuiesceInvalidate);
-
-void
 BM_SparseMemoryRead64(benchmark::State &state)
 {
     SparseMemory mem;

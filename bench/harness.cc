@@ -4,32 +4,24 @@
 #include <cstdio>
 
 #include "common/log.hh"
+#include "common/text_file.hh"
 
 namespace sdv {
 namespace bench {
 
-namespace {
-
-/** Write @p outcomes as the --json record array of @p bench_name. Runs
- *  overlap under --jobs, so each is charged an equal share of the
- *  grid's @p wall clock: the sum (what compare_bench.py warns on)
- *  stays the true elapsed time. */
-void
+bool
 writeRecords(const std::string &path, const std::string &bench_name,
              const std::vector<sweep::RunOutcome> &outcomes, double wall)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open --json path ", path);
     const double share =
         outcomes.empty() ? 0.0 : wall / double(outcomes.size());
-    std::fprintf(f, "[\n");
+    std::string doc = "[\n";
     for (size_t i = 0; i < outcomes.size(); ++i) {
         const sweep::RunOutcome &o = outcomes[i];
         const double mips =
             share > 0.0 ? double(o.res.insts) / share / 1e6 : 0.0;
-        std::fprintf(
-            f,
+        appendf(
+            doc,
             "  {\"bench\": \"%s\", \"workload\": \"%s\", "
             "\"config\": \"%s\", \"cycles\": %llu, \"insts\": %llu, "
             "\"ipc\": %.4f, \"wall_seconds\": %.6f, "
@@ -43,15 +35,12 @@ writeRecords(const std::string &path, const std::string &bench_name,
         // Telemetry rides along only under --telemetry: the default
         // record layout stays byte-identical to the baselines.
         if (!o.telemetryJson.empty() && o.telemetryJson != "[]")
-            std::fprintf(f, ", \"telemetry\": %s",
-                         o.telemetryJson.c_str());
-        std::fprintf(f, "}%s\n", i + 1 < outcomes.size() ? "," : "");
+            doc += ", \"telemetry\": " + o.telemetryJson;
+        doc += i + 1 < outcomes.size() ? "},\n" : "}\n";
     }
-    std::fprintf(f, "]\n");
-    std::fclose(f);
+    doc += "]\n";
+    return writeTextFile(path, doc);
 }
-
-} // namespace
 
 sweep::RunOptions
 parseArgs(int argc, char **argv, bool simulating)
@@ -188,8 +177,9 @@ runGrid(const sweep::RunOptions &opt, const std::string &plan_name,
 
     if (!opt.traceEventsPath.empty())
         sweep::writeTraceEvents(opt.traceEventsPath, outcomes);
-    if (!opt.jsonPath.empty())
-        writeRecords(opt.jsonPath, bench_name, outcomes, wall);
+    if (!opt.jsonPath.empty() &&
+        !writeRecords(opt.jsonPath, bench_name, outcomes, wall))
+        fatal("cannot write --json path ", opt.jsonPath);
     return outcomes;
 }
 

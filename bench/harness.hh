@@ -32,6 +32,17 @@ namespace bench {
 sweep::RunOptions parseArgs(int argc, char **argv,
                             bool simulating = true);
 
+/**
+ * Write @p outcomes as the --json record array of @p bench_name. Runs
+ * overlap under --jobs, so each is charged an equal share of the
+ * grid's @p wall clock: the sum (what compare_bench.py warns on) stays
+ * the true elapsed time.
+ * @return false when the file could not be written in full
+ */
+bool writeRecords(const std::string &path, const std::string &bench_name,
+                  const std::vector<sweep::RunOutcome> &outcomes,
+                  double wall);
+
 /** Print the figure banner. */
 void banner(const std::string &title, const std::string &paper_line);
 

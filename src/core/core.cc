@@ -160,14 +160,10 @@ Core::trySkipIdle()
         horizon = std::min(horizon, completionHeap_.front()->readyCycle);
 
     // Issue: an instruction with completed producers may issue (or
-    // charge an LSQ-conflict stall) this cycle. When the last issue
-    // walk proved every entry dep-blocked (and nothing has completed
-    // or entered the queue since), the scan is skipped: it would find
-    // exactly what the walk found.
-    if (!iqAllDepBlocked_)
-        for (const DynInst *d : iq_)
-            if (producerCompleted(d->dep1) && producerCompleted(d->dep2))
-                return false;
+    // charge an LSQ-conflict stall) this cycle.
+    for (const DynInst *d : iq_)
+        if (producerCompleted(d->dep1) && producerCompleted(d->dep2))
+            return false;
 
     // Vector engine: in-flight instances arbitrate every cycle; only
     // scheduled element completions (and nothing else) may remain.
@@ -253,7 +249,6 @@ Core::beginMeasurement()
     cycle_ = 0;
     icacheReadyAt_ = 0;
     quietLastTick_ = false;
-    iqAllDepBlocked_ = false;
     fig10Remaining_ = 0;
     stallBranchSeq_ = 0;
 
@@ -481,7 +476,6 @@ Core::squashAllInFlight()
     stallBranchSeq_ = 0;
     icacheReadyAt_ = 0;
     quietLastTick_ = false;
-    iqAllDepBlocked_ = false;
     if (!replayQueue_.empty())
         fetchPc_ = replayQueue_.front().pc;
 }
@@ -610,12 +604,8 @@ Core::completionStage()
         valWakeNow_.clear();
     }
 
-    if (progress) {
+    if (progress)
         quietLastTick_ = false;
-        // A completion may have unblocked a queued consumer (and a
-        // dead validation re-enters the queue): re-walk it.
-        iqAllDepBlocked_ = false;
-    }
 }
 
 // --- issue ------------------------------------------------------------------
@@ -623,15 +613,7 @@ Core::completionStage()
 void
 Core::issueStage()
 {
-    // Every queued instruction was dep-blocked by the last walk and no
-    // producer has completed (nor the queue changed) since: skipping
-    // the walk is invisible — a fully-blocked walk touches nothing,
-    // charges nothing, and issues nothing.
-    if (iqAllDepBlocked_)
-        return;
-
     unsigned issued = 0;
-    bool any_ready = false;
     auto it = iq_.begin();
     while (it != iq_.end() && issued < cfg_.issueWidth) {
         DynInst *d = *it;
@@ -640,7 +622,6 @@ Core::issueStage()
         const bool deps_ready =
             producerCompleted(d->dep1) && producerCompleted(d->dep2);
         if (deps_ready) {
-            any_ready = true;
             if (d->isLoad()) {
                 const LoadCheck chk = lsq_.checkLoad(d);
                 if (chk == LoadCheck::Forward) {
@@ -708,9 +689,6 @@ Core::issueStage()
             ++it;
         }
     }
-    // any_ready false implies the walk visited every entry (the width
-    // cap only stops a walk that issued something).
-    iqAllDepBlocked_ = !any_ready;
     if (issued)
         quietLastTick_ = false;
 }
@@ -782,7 +760,6 @@ Core::decodeStage()
         } else {
             d.inIq = true;
             iq_.push_back(&d);
-            iqAllDepBlocked_ = false; // fresh entry: re-walk the queue
         }
 
         fetchQueue_.pop_front();

@@ -466,13 +466,6 @@ class Core : private VecExecContext
      *  committed, completed, issued, decoded or fetched): the only
      *  state in which attempting an event-skip jump can pay off. */
     bool quietLastTick_ = false;
-    /** True when the last issueStage walk found every queued
-     *  instruction dep-blocked. A blocked walk has no side effects
-     *  (the LSQ/port/FU probes are only reached once producers have
-     *  completed), so until a producer completes or the queue changes
-     *  — completion stage, validation resolution, decode dispatch and
-     *  squash all clear this — the walk can be skipped outright. */
-    bool iqAllDepBlocked_ = false;
     bool haltCommitted_ = false;
     std::uint64_t commitHash_ = 1469598103934665603ULL;
 

@@ -125,7 +125,7 @@ SdvEngine::decodeLoad(DynInst &d, RenameTable &rt)
             if (next_ok &&
                 d.rec.addr == ve->nextBase + Addr(ve->stride)) {
                 saveVrmtPrev(d); // pre-swap entry for squash undo
-                vrmt_.rebindVreg(*ve, ve->nextVreg);
+                ve->vreg = ve->nextVreg;
                 ve->baseAddr = ve->nextBase;
                 ve->offset = 0;
                 ve->hasNext = false;

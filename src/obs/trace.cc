@@ -1,10 +1,9 @@
 #include "obs/trace.hh"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 
 #include "common/log.hh"
+#include "common/text_file.hh"
 
 namespace sdv {
 namespace obs {
@@ -36,19 +35,6 @@ static_assert(sizeof(kKinds) / sizeof(kKinds[0]) ==
 const char *kCauseNames[] = {"cond1", "cond2", "killed", "bulk", "squash"};
 const char *kMissNames[] = {"mismatch", "fallback", "addr_misspec",
                             "operand_misspec"};
-
-void
-appendf(std::string &out, const char *fmt, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, fmt);
-    const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    if (n > 0)
-        out.append(buf, std::size_t(n) < sizeof(buf) ? std::size_t(n)
-                                                     : sizeof(buf) - 1);
-}
 
 /** Emit the per-kind args object for one event. */
 void
@@ -299,15 +285,7 @@ traceFileJson(const std::vector<TraceSource> &sources)
 bool
 writeTraceFile(const std::string &path, const std::vector<TraceSource> &sources)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        warn("cannot open trace file ", path);
-        return false;
-    }
-    const std::string doc = traceFileJson(sources);
-    const bool ok = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
-    std::fclose(f);
-    return ok;
+    return writeTextFile(path, traceFileJson(sources));
 }
 
 } // namespace obs

@@ -175,7 +175,8 @@ struct TraceSource
  */
 std::string traceFileJson(const std::vector<TraceSource> &sources);
 
-/** Write traceFileJson() to @p path. @retval false on I/O error. */
+/** Write traceFileJson() to @p path. @return false when the file
+ *  could not be written in full. */
 bool writeTraceFile(const std::string &path,
                     const std::vector<TraceSource> &sources);
 

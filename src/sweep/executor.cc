@@ -14,6 +14,7 @@
 #include "common/histogram.hh"
 #include "common/log.hh"
 #include "common/random.hh"
+#include "common/text_file.hh"
 #include "obs/telemetry.hh"
 #include "sweep/checkpoint.hh"
 #include "sweep/snapshot_cache.hh"
@@ -678,9 +679,6 @@ writeJsonDoc(const std::string &path, const std::string &planName,
              const ExecOptions &opt, const std::string &resultsArray,
              double wall_seconds, const std::string &execMetricsJson)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
     // Footprint and sampling metadata appear only when used, so the
     // default-mode document stays byte-identical to pre-sampling runs.
     std::string extra;
@@ -702,8 +700,9 @@ writeJsonDoc(const std::string &path, const std::string &planName,
     std::string exec_metrics;
     if (!execMetricsJson.empty())
         exec_metrics = "\"exec_metrics\": " + execMetricsJson + ",\n";
-    std::fprintf(
-        f,
+    std::string doc;
+    appendf(
+        doc,
         "{\n\"sweep\": {\"plan\": \"%s\", \"scale\": %u, "
         "\"event_skip\": %s, \"trace\": %s, \"checkpoint\": %s, "
         "\"warmup_insts\": %llu%s, \"wall_seconds\": %.6f},\n"
@@ -713,8 +712,7 @@ writeJsonDoc(const std::string &path, const std::string &planName,
         opt.checkpoint ? "true" : "false",
         static_cast<unsigned long long>(opt.warmupInsts), extra.c_str(),
         wall_seconds, exec_metrics.c_str(), resultsArray.c_str());
-    std::fclose(f);
-    return true;
+    return writeTextFile(path, doc);
 }
 
 } // namespace sweep

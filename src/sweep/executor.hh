@@ -199,6 +199,7 @@ std::string resultRecordJson(const RunOutcome &o);
  * scale, options, total wall time), the optional "exec_metrics" object
  * (ExecMetrics::toJson) and the serialized results array (resultsJson)
  * under "results". tools/compare_bench.py understands this schema.
+ * @return false when the file could not be written in full
  */
 bool writeJsonDoc(const std::string &path, const std::string &planName,
                   unsigned scale, Footprint footprint,

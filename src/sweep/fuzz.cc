@@ -8,6 +8,7 @@
 
 #include "common/log.hh"
 #include "common/random.hh"
+#include "common/text_file.hh"
 #include "sim/simulator.hh"
 #include "sweep/executor.hh"
 #include "sweep/options.hh"
@@ -316,11 +317,9 @@ bool
 writeFuzzRepro(const std::string &path, const FuzzCase &c,
                const std::string &reason)
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(
-        f,
+    std::string doc;
+    appendf(
+        doc,
         "{\n"
         "  \"fuzz_repro\": 1,\n"
         "  \"reason\": \"%s\",\n"
@@ -357,8 +356,7 @@ writeFuzzRepro(const std::string &path, const FuzzCase &c,
         c.fault.gmrbbFlipPpm,
         c.fault.demoteThreshold,
         static_cast<unsigned long long>(c.fault.reenableWindow));
-    std::fclose(f);
-    return true;
+    return writeTextFile(path, doc);
 }
 
 namespace {

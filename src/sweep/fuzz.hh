@@ -145,7 +145,8 @@ FuzzOutcome runFuzzCase(const FuzzCase &c, bool event_skip,
  */
 FuzzReport runFuzzCampaign(const FuzzOptions &opt);
 
-/** Serialize @p c (plus @p reason) as a replayable JSON repro file. */
+/** Serialize @p c (plus @p reason) as a replayable JSON repro file.
+ *  @return false when the file could not be written in full */
 bool writeFuzzRepro(const std::string &path, const FuzzCase &c,
                     const std::string &reason);
 

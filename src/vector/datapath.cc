@@ -31,7 +31,6 @@ VectorDatapath::spawnLoad(Addr pc, VecRegRef dest, Addr base,
     inst.stride = stride;
     inst.elemBytes = elem_bytes;
     active_.push_back(inst);
-    stallValid_ = false;
     ++stats_.instancesSpawned;
     ++stats_.loadInstances;
 }
@@ -60,7 +59,6 @@ VectorDatapath::spawnArith(Addr pc, Opcode op, std::int32_t imm,
         if (s->isScalar() && s->depSeq > inst.scalarDep)
             inst.scalarDep = s->depSeq;
     active_.push_back(inst);
-    stallValid_ = false;
     ++stats_.instancesSpawned;
     ++stats_.arithInstances;
     if ((src1.isVector() && src1.srcOffset != 0) ||
@@ -74,23 +72,35 @@ VectorDatapath::abortByDest(VecRegRef dest)
     for (auto &inst : active_) {
         if (inst.dest == dest && !inst.aborted) {
             inst.aborted = true;
-            stallValid_ = false;
             ++stats_.instancesAborted;
         }
     }
 }
 
-bool
-VectorDatapath::srcsReady(const VecInstance &inst, unsigned k) const
+VectorDatapath::InstStep
+VectorDatapath::step(const VecInstance &inst) const
 {
-    // Uniform sources: all elements identical, element 0 (computed
-    // first) serves every consumer element; elemReady folds that in.
+    if (inst.done() || !vrf_.isLive(inst.dest))
+        return InstStep::Retire;
+    if (inst.isLoad)
+        return InstStep::Act; // loads arbitrate for ports every cycle
+    bool ready = true;
     for (const SrcSpec *src : {&inst.src1, &inst.src2}) {
-        if (src->isVector() &&
-            !vrf_.elemReady(src->vreg, src->srcOffset + k))
-            return false;
+        if (!src->isVector())
+            continue;
+        const VecRegFile::SrcElem e =
+            vrf_.srcElem(src->vreg, src->srcOffset + inst.nextElem);
+        if (e == VecRegFile::SrcElem::Dead)
+            return InstStep::CascadeAbort;
+        ready = ready && e == VecRegFile::SrcElem::Ready;
     }
-    return true;
+    // A captured-scalar operand parks the instance until its producer
+    // completes; that completion is the core's scheduled event.
+    if (inst.scalarDep != 0 &&
+        (!ctx_ || !ctx_->seqCompleted(inst.scalarDep)))
+        return InstStep::Wait;
+    // Otherwise it waits for a source element's scheduled completion.
+    return ready ? InstStep::Act : InstStep::Wait;
 }
 
 std::uint64_t
@@ -129,36 +139,12 @@ VectorDatapath::fuBandwidth(OpClass cls) const
 Cycle
 VectorDatapath::nextEventCycle(Cycle now) const
 {
-    // Cached stall: the last tick proved every instance blocked on
-    // source elements whose completions are all scheduled, and the
-    // register file has not changed since — exactly the state in
-    // which the walk below returns completionsMin_.
-    if (stallValid_ && vrf_.version() == stallVrfVersion_)
-        return completionsMin_;
-    Cycle e = completionsMin_;
-    for (const VecInstance &inst : active_) {
-        // tick() erases finished/dead instances and cascade-aborts
-        // consumers of dead sources; those bookkeeping transitions
-        // must happen at their exact cycle, so they pin the horizon.
-        if (inst.done() || !vrf_.isLive(inst.dest))
+    for (const VecInstance &inst : active_)
+        if (step(inst) != InstStep::Wait)
             return now;
-        if (inst.isLoad)
-            return now; // loads initiate/retry ports every cycle
-        bool blocked = false;
-        for (const SrcSpec *src : {&inst.src1, &inst.src2}) {
-            if (src->isVector() &&
-                vrf_.elemUncomputable(src->vreg,
-                                      src->srcOffset + inst.nextElem))
-                return now; // cascade abort fires this cycle
-        }
-        if (inst.scalarDep != 0 &&
-            (!ctx_ || !ctx_->seqCompleted(inst.scalarDep)))
-            blocked = true; // parked; wakes on the producer's event
-        else if (!srcsReady(inst, inst.nextElem))
-            blocked = true; // wakes on a source element completion
-        if (!blocked)
-            return now; // an element can be initiated this cycle
-    }
+    Cycle e = neverCycle;
+    for (const Completion &c : completions_)
+        e = std::min(e, c.ready);
     return e;
 }
 
@@ -168,21 +154,7 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
     if (active_.empty() && completions_.empty())
         return; // nothing in flight this cycle
 
-    // Cached stall window: every instance is provably blocked until a
-    // scheduled completion lands, and the register file is untouched
-    // since the cache was armed. A tick here would walk the phases
-    // below and mutate nothing (a fully-blocked tick charges no stat
-    // either), so skip it.
-    if (stallValid_) {
-        if (now < completionsMin_ && vrf_.version() == stallVrfVersion_)
-            return;
-        stallValid_ = false;
-    }
-
-    // 1. Land completions due this cycle (skipped entirely until the
-    //    earliest scheduled one matures).
-    if (completionsMin_ <= now) {
-    Cycle new_min = neverCycle;
+    // 1. Land completions due this cycle.
     for (auto it = completions_.begin(); it != completions_.end();) {
         if (it->ready <= now) {
             if (vrf_.isLive(it->dest)) {
@@ -210,45 +182,39 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
             *it = completions_.back();
             completions_.pop_back();
         } else {
-            new_min = it->ready < new_min ? it->ready : new_min;
             ++it;
         }
     }
-    completionsMin_ = new_min;
-    }
 
-    // 2. Cascade-abort instances whose sources died (killed, freed or
-    //    stolen registers): their remaining elements can never be
-    //    computed, so kill the destination too, letting in-flight
-    //    validations fall back to scalar execution instead of waiting
-    //    forever.
-    for (auto &inst : active_) {
-        if (inst.aborted || inst.isLoad || inst.done() ||
-            !vrf_.isLive(inst.dest))
-            continue;
-        for (const SrcSpec *src : {&inst.src1, &inst.src2}) {
-            if (src->isVector() &&
-                vrf_.elemUncomputable(src->vreg,
-                                      src->srcOffset + inst.nextElem)) {
-                inst.aborted = true;
-                vrf_.kill(inst.dest);
-                ++stats_.instancesAborted;
-                break;
-            }
+    // 2. Retire finished or aborted instances and those whose
+    //    destination died. Cascade-abort instances whose sources died
+    //    (killed, freed or stolen registers): their remaining elements
+    //    can never be computed, so kill the destination too, letting
+    //    in-flight validations fall back to scalar execution instead of
+    //    waiting forever. Consumers follow their producers in active_,
+    //    so one pass carries a kill down a whole chain.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+        VecInstance &inst = active_[i];
+        const InstStep s = step(inst);
+        if (s == InstStep::CascadeAbort) {
+            inst.aborted = true;
+            vrf_.kill(inst.dest);
+            ++stats_.instancesAborted;
+        } else if (s != InstStep::Retire) {
+            if (kept != i)
+                active_[kept] = inst;
+            ++kept;
         }
     }
-
-    // Drop finished/aborted instances whose dest is gone.
-    std::erase_if(active_, [&](const VecInstance &inst) {
-        return inst.done() || !vrf_.isLive(inst.dest);
-    });
+    active_.resize(kept);
 
     // 3. Initiate element loads (after scalar demand issue; the port
     //    object tracks per-cycle capacity).
     accessDone_.clear();
     unsigned load_slots = cfg_.loadPorts;
     for (auto &inst : active_) {
-        if (!inst.isLoad || inst.done())
+        if (!inst.isLoad || step(inst) != InstStep::Act)
             continue;
         while (!inst.done() && load_slots > 0) {
             const Addr addr = inst.elemAddr(inst.nextElem);
@@ -298,7 +264,6 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
             c.value = ctx_ ? ctx_->specLoadValue(addr, inst.elemBytes) : 0;
             c.loadId = lid;
             completions_.push_back(c);
-            completionsMin_ = std::min(completionsMin_, done_at);
             ++inst.nextElem;
             --load_slots;
         }
@@ -314,19 +279,13 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
               std::begin(slots));
 
     for (auto &inst : active_) {
-        if (inst.isLoad || inst.done())
+        if (inst.isLoad || step(inst) != InstStep::Act)
             continue;
-        if (inst.scalarDep != 0) {
-            if (!ctx_ || !ctx_->seqCompleted(inst.scalarDep))
-                continue; // waiting on the scalar operand's producer
-            inst.scalarDep = 0;
-        }
+        inst.scalarDep = 0; // its producer completed: stop asking
         unsigned &slot = slots[unsigned(inst.cls)];
         if (slot == 0)
             continue;
         const unsigned k = inst.nextElem;
-        if (!srcsReady(inst, k))
-            continue;
 
         Completion c;
         c.ready = now + opClassLatency(inst.cls);
@@ -350,42 +309,9 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
                 vrf_.srcFaultMarked(src->vreg, src->srcOffset + k))
                 c.tainted = true;
         completions_.push_back(c);
-        completionsMin_ = std::min(completionsMin_, c.ready);
         ++inst.nextElem;
         --slot;
     }
-
-    refreshStallCache();
-}
-
-void
-VectorDatapath::refreshStallCache()
-{
-    // Arm the stall cache when this tick left every active instance in
-    // a state only a scheduled completion or a register-file mutation
-    // can change: non-load (loads re-arbitrate ports every cycle),
-    // live and unfinished (else next tick erases it), no captured-
-    // scalar dependence (its wake-up is a core-side completion the
-    // cache cannot see), no dead source (else next tick cascade-
-    // aborts), and sources not ready (else next tick initiates — FU
-    // slots replenish every cycle, so readiness alone is progress).
-    // Every one of these predicates reads only instance fields frozen
-    // between ticks and register-file state guarded by version().
-    stallValid_ = false;
-    for (const VecInstance &inst : active_) {
-        if (inst.isLoad || inst.done() || inst.scalarDep != 0 ||
-            !vrf_.isLive(inst.dest))
-            return;
-        for (const SrcSpec *src : {&inst.src1, &inst.src2})
-            if (src->isVector() &&
-                vrf_.elemUncomputable(src->vreg,
-                                      src->srcOffset + inst.nextElem))
-                return;
-        if (srcsReady(inst, inst.nextElem))
-            return;
-    }
-    stallValid_ = true;
-    stallVrfVersion_ = vrf_.version();
 }
 
 void
@@ -393,8 +319,6 @@ VectorDatapath::clear()
 {
     active_.clear();
     completions_.clear();
-    completionsMin_ = neverCycle;
-    stallValid_ = false;
 }
 
 } // namespace sdv

@@ -149,19 +149,14 @@ class VectorDatapath
 
     /**
      * Event-horizon query for the event-skipping clock: the earliest
-     * cycle at which tick() could change any state.
-     *
-     * PR 5 made the horizon exact for parked instances: an arithmetic
-     * instance waiting on a captured-scalar producer or on source
-     * elements that are not yet computed cannot make progress until a
-     * scheduled completion lands (its own sources' completions are in
-     * completions_; a scalar producer's completion is the core's
-     * scheduled event), so such instances no longer pin the horizon to
-     * "now". Instances that could initiate an element, retry port/FU
-     * arbitration (loads), cascade-abort, or be erased this cycle
-     * still do. In steady-state stall windows — every instance stuck
-     * behind an L2 miss — the clock now jumps straight to the miss
-     * completion instead of ticking through the wait.
+     * cycle at which tick() could change any state. It is @p now
+     * while any instance would retire, cascade-abort or act this cycle
+     * (see step()). Otherwise every instance waits, either on a source
+     * element, whose completion is scheduled here, or on a captured-
+     * scalar producer, whose completion is the core's scheduled event,
+     * and the horizon is the earliest scheduled element completion.
+     * In stall windows where every instance sits behind an L2 miss,
+     * the clock jumps straight to the miss completion.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -198,11 +193,20 @@ class VectorDatapath
         bool tainted = false; ///< computed from a fault-marked source
     };
 
-    /** @return true when element @p k's sources are ready. */
-    bool srcsReady(const VecInstance &inst, unsigned k) const;
+    /** What one instance does at the current cycle: the one
+     *  per-instance test that each phase of tick() and the horizon in
+     *  nextEventCycle() read. */
+    enum class InstStep : std::uint8_t
+    {
+        Retire,       ///< finished, or its destination died: erase it
+        CascadeAbort, ///< a source element can never compute
+        Act,          ///< initiates an element (a load: arbitrates for
+                      ///< ports) this cycle
+        Wait,         ///< parked until a scheduled completion lands
+    };
 
-    /** Re-arm the stall cache after a full tick (see stallValid_). */
-    void refreshStallCache();
+    /** @return @p inst's step in the current register-file state. */
+    InstStep step(const VecInstance &inst) const;
 
     /** @return source operand value for element @p k. */
     std::uint64_t srcValue(const SrcSpec &src, unsigned k) const;
@@ -216,24 +220,6 @@ class VectorDatapath
     unsigned fuSlots_[unsigned(OpClass::None) + 1] = {};
     std::vector<VecInstance> active_;
     std::vector<Completion> completions_;
-    /** Earliest ready cycle across completions_ (neverCycle when
-     *  empty): tick() skips the landing scan until it matures, and
-     *  nextEventCycle() reads it instead of rescanning the list. */
-    Cycle completionsMin_ = neverCycle;
-    /**
-     * Stall cache: true when the last tick proved every active
-     * instance is a non-load, alive, un-parked (no captured-scalar
-     * dependence) arithmetic instance whose next element's sources are
-     * not yet computed. In that state a tick can change nothing until
-     * a scheduled completion matures (completionsMin_) or the register
-     * file mutates (version mismatch), so tick() returns immediately
-     * and nextEventCycle() skips the instance walk. Instances parked
-     * on a scalar producer are deliberately excluded — their wake-up
-     * (the producer completing) is core-side state this cache cannot
-     * observe.
-     */
-    bool stallValid_ = false;
-    std::uint64_t stallVrfVersion_ = 0; ///< VecRegFile::version() at cache
     const VecExecContext *ctx_ = nullptr;
     FaultInjector *finj_ = nullptr;
     /** Per-tick scratch: completion cycle of each new access this

@@ -95,7 +95,6 @@ VecRegFile::allocate(Addr mrbb)
         e = Elem{};
     --freeCount_;
     ++allocations_;
-    ++version_;
     const VecRegId id = VecRegId(unsigned(&r - regs_.data()));
     setMaskBit(freeMask_, id, false);
     setMaskBit(liveMask_, id, true);
@@ -113,7 +112,6 @@ VecRegFile::setData(VecRegRef ref, unsigned elem, std::uint64_t value)
     const std::uint64_t bit = std::uint64_t(1) << elem;
     r.elems[elem].data = value;
     r.rMask |= bit;
-    ++version_;
     if (r.wMask & bit) {
         r.wMask &= ~bit;
         wakeEvents_.push_back({ref, std::uint16_t(elem)});
@@ -145,7 +143,6 @@ VecRegFile::setUsed(VecRegRef ref, unsigned elem, bool used)
     sdv_assert(elem < vlen_, "element out of range");
     const std::uint64_t bit = std::uint64_t(1) << elem;
     r.uMask = used ? (r.uMask | bit) : (r.uMask & ~bit);
-    ++version_;
     markSweepCandidate(ref.reg);
 }
 
@@ -171,7 +168,6 @@ VecRegFile::setValid(VecRegRef ref, unsigned elem)
     const std::uint64_t bit = std::uint64_t(1) << elem;
     r.vMask |= bit;
     r.uMask &= ~bit;
-    ++version_;
     markSweepCandidate(ref.reg);
 }
 
@@ -189,7 +185,6 @@ VecRegFile::setFree(VecRegRef ref, unsigned elem)
     Reg &r = regFor(ref);
     sdv_assert(elem < vlen_, "element out of range");
     r.fMask |= std::uint64_t(1) << elem;
-    ++version_;
     markSweepCandidate(ref.reg);
 }
 
@@ -198,7 +193,6 @@ VecRegFile::setAllFree(VecRegRef ref)
 {
     Reg &r = regFor(ref);
     r.fMask = lowMask(vlen_);
-    ++version_;
     markSweepCandidate(ref.reg);
 }
 
@@ -208,7 +202,6 @@ VecRegFile::setElemCount(VecRegRef ref, unsigned count)
     Reg &r = regFor(ref);
     sdv_assert(count >= 1 && count <= vlen_, "bad element count");
     r.elemCount = count;
-    ++version_;
     markSweepCandidate(ref.reg);
 }
 
@@ -263,7 +256,6 @@ void
 VecRegFile::setUniform(VecRegRef ref, bool uniform)
 {
     regFor(ref).uniform = uniform;
-    ++version_;
 }
 
 bool
@@ -278,7 +270,6 @@ VecRegFile::kill(VecRegRef ref)
     if (isLive(ref)) {
         Reg &r = regFor(ref);
         r.killed = true;
-        ++version_;
         wakeAll(r);
         markSweepCandidate(ref.reg);
     }
@@ -333,7 +324,6 @@ VecRegFile::release(Reg &reg, ReleaseCause cause)
     wakeAll(reg);
     reg.allocated = false;
     ++freeCount_;
-    ++version_;
     const VecRegId id = VecRegId(unsigned(&reg - regs_.data()));
     setMaskBit(freeMask_, id, true);
     setMaskBit(liveMask_, id, false);
@@ -424,7 +414,6 @@ VecRegFile::releaseSquashed(VecRegRef ref)
     wakeAll(r);
     r.allocated = false;
     ++freeCount_;
-    ++version_;
     setMaskBit(freeMask_, ref.reg, true);
     setMaskBit(liveMask_, ref.reg, false);
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,

@@ -252,39 +252,34 @@ class VecRegFile
     // the liveness + uniformity + range + flag checks into one register
     // lookup each instead of four assert-guarded accessor calls.
 
-    /**
-     * @return true when element @p elem of @p ref can never be
-     * computed: the incarnation is dead, killed, or (for non-uniform
-     * registers) the element lies beyond its computable count.
-     */
-    bool
-    elemUncomputable(VecRegRef ref, unsigned elem) const
+    /** The state of a source element, as a consumer sees it. */
+    enum class SrcElem : std::uint8_t
     {
-        if (!isLive(ref))
-            return true;
-        const Reg &r = regs_[ref.reg];
-        if (r.killed)
-            return true;
-        return !r.uniform && elem >= r.elemCount;
-    }
+        Dead,    ///< can never be computed
+        Pending, ///< not computed yet
+        Ready,   ///< computed and readable
+    };
 
     /**
-     * @return true when the source element is computed and readable:
-     * element 0 for uniform registers, else @p elem (false when the
-     * incarnation is dead or the element is out of range).
+     * @return the state of source element @p elem of @p ref (element 0
+     * for uniform registers, which hold one value). Dead when the
+     * incarnation is dead or killed, or when a non-uniform element lies
+     * beyond the register's computable count.
      */
-    bool
-    elemReady(VecRegRef ref, unsigned elem) const
+    SrcElem
+    srcElem(VecRegRef ref, unsigned elem) const
     {
         if (!isLive(ref))
-            return false;
+            return SrcElem::Dead;
         const Reg &r = regs_[ref.reg];
+        if (r.killed || (!r.uniform && elem >= r.elemCount))
+            return SrcElem::Dead;
         const unsigned e = r.uniform ? 0 : elem;
-        return e < vlen_ && ((r.rMask >> e) & 1);
+        return (r.rMask >> e) & 1 ? SrcElem::Ready : SrcElem::Pending;
     }
 
     /** @return the source element's value (element 0 when uniform);
-     *  the element must satisfy elemReady(). */
+     *  srcElem() must report it Ready. */
     std::uint64_t
     elemValue(VecRegRef ref, unsigned elem) const
     {
@@ -303,7 +298,6 @@ class VecRegFile
     markFaultInjected(VecRegRef ref, unsigned elem)
     {
         regFor(ref).fiMask |= std::uint64_t(1) << elem;
-        ++version_;
     }
 
     /** Mark element @p elem as computed from a fault-marked source. */
@@ -311,7 +305,6 @@ class VecRegFile
     markFaultTaint(VecRegRef ref, unsigned elem)
     {
         regFor(ref).ftMask |= std::uint64_t(1) << elem;
-        ++version_;
     }
 
     /** @return true when the exact element carries any fault mark
@@ -333,7 +326,7 @@ class VecRegFile
 
     /** @return the fault mark of a *source* element, folded exactly
      *  like elemValue (element 0 when uniform; no liveness asserts —
-     *  the datapath checks srcsReady first). */
+     *  the datapath checks srcElem first). */
     bool
     srcFaultMarked(VecRegRef ref, unsigned elem) const
     {
@@ -349,7 +342,6 @@ class VecRegFile
         const std::uint64_t bit = std::uint64_t(1) << elem;
         r.fiMask &= ~bit;
         r.ftMask &= ~bit;
-        ++version_;
     }
 
     /**
@@ -367,7 +359,6 @@ class VecRegFile
         const std::uint64_t bit = std::uint64_t(1) << elem;
         r.fiMask &= ~bit;
         r.ftMask &= ~bit;
-        ++version_;
     }
 
     /** Associate the port-ledger id of a speculative element load. */
@@ -493,15 +484,6 @@ class VecRegFile
      *  can attribute lifetimes). */
     void setClock(Cycle now) { clock_ = now; }
 
-    /**
-     * Monotonic mutation counter: every state change that could alter
-     * a liveness / flag / value query bumps it. The datapath's stall
-     * cache compares versions to prove "nothing I read last tick has
-     * changed", so it may skip re-polling blocked instances. Pure
-     * observation (setClock, noteWaiter, stat resets) does not bump.
-     */
-    std::uint64_t version() const { return version_; }
-
     /** @return the Figure 15 ledger. */
     const VecRegFateStats &fateStats() const { return fates_; }
 
@@ -611,7 +593,6 @@ class VecRegFile
     std::vector<VecWakeEvent> wakeScratch_; ///< drain double buffer
     VecRegFateStats fates_;
     Cycle clock_ = 0;
-    std::uint64_t version_ = 0; ///< see version()
     std::uint64_t allocations_ = 0;
     std::uint64_t allocFailures_ = 0;
     DCachePorts *ports_ = nullptr;

@@ -24,7 +24,7 @@ Vrmt::lookup(Addr pc)
 {
     VrmtEntry *set = &entries_[size_t(setIndex(pc)) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (live(set[w]) && set[w].pc == pc) {
+        if (set[w].valid && set[w].pc == pc) {
             set[w].lastUse = ++useClock_;
             return &set[w];
         }
@@ -43,7 +43,7 @@ Vrmt::peek(Addr pc) const
 {
     const VrmtEntry *set = &entries_[size_t(setIndex(pc)) * ways_];
     for (unsigned w = 0; w < ways_; ++w)
-        if (live(set[w]) && set[w].pc == pc)
+        if (set[w].valid && set[w].pc == pc)
             return &set[w];
     return nullptr;
 }
@@ -55,7 +55,7 @@ Vrmt::touch(Addr pc, std::uint64_t n)
         return;
     VrmtEntry *set = &entries_[size_t(setIndex(pc)) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (live(set[w]) && set[w].pc == pc) {
+        if (set[w].valid && set[w].pc == pc) {
             useClock_ += n;
             set[w].lastUse = useClock_;
             return;
@@ -70,17 +70,13 @@ Vrmt::install(const VrmtEntry &entry)
     if (VrmtEntry *existing = lookup(entry.pc)) {
         const std::uint64_t use = existing->lastUse;
         *existing = entry;
-        // The caller's entry is epoch-agnostic (spawn code builds it
-        // from scratch): stamp the current epoch, as for new installs.
-        existing->epoch = epoch_;
         existing->lastUse = use;
-        bindVreg(std::size_t(existing - entries_.data()), entry.vreg);
         return *existing;
     }
     VrmtEntry *set = &entries_[size_t(setIndex(entry.pc)) * ways_];
     VrmtEntry *victim = nullptr;
     for (unsigned w = 0; w < ways_ && !victim; ++w)
-        if (!live(set[w]))
+        if (!set[w].valid)
             victim = &set[w];
     if (!victim) {
         victim = &set[0];
@@ -89,9 +85,7 @@ Vrmt::install(const VrmtEntry &entry)
                 victim = &set[w];
     }
     *victim = entry;
-    victim->epoch = epoch_;
     victim->lastUse = ++useClock_;
-    bindVreg(std::size_t(victim - entries_.data()), entry.vreg);
     return *victim;
 }
 
@@ -106,42 +100,32 @@ unsigned
 Vrmt::invalidateByVreg(VecRegRef ref, std::vector<Addr> *load_pcs,
                        std::vector<VecRegRef> *successors)
 {
-    // O(1) via the reverse index: each vector register incarnation is
-    // the freshly-allocated destination of exactly one entry, so the
-    // latest binding of ref's register id is the only candidate. A
-    // stale binding (entry replaced, incarnation dead, old epoch)
-    // fails the validity check, which is exactly the no-match case of
-    // the scan this replaces.
-    if (std::size_t(ref.reg) >= byReg_.size())
-        return 0;
-    const std::int32_t idx = byReg_[ref.reg];
-    if (idx < 0)
-        return 0;
-    VrmtEntry &e = entries_[std::size_t(idx)];
-    if (!live(e) || !(e.vreg == ref))
-        return 0;
-    e.valid = false;
-    if (load_pcs && e.isLoad)
-        load_pcs->push_back(e.pc);
-    if (successors && e.hasNext)
-        successors->push_back(e.nextVreg);
-    return 1;
+    unsigned n = 0;
+    for (VrmtEntry &e : entries_) {
+        if (!e.valid || !(e.vreg == ref))
+            continue;
+        e.valid = false;
+        if (load_pcs && e.isLoad)
+            load_pcs->push_back(e.pc);
+        if (successors && e.hasNext)
+            successors->push_back(e.nextVreg);
+        ++n;
+    }
+    return n;
 }
 
 void
 Vrmt::invalidateAll()
 {
-    // O(1) epoch bump: every existing entry's epoch now mismatches, so
-    // it reads as invalid everywhere and is recycled as a free way on
-    // the next install into its set.
-    ++epoch_;
+    for (VrmtEntry &e : entries_)
+        e.valid = false;
 }
 
 void
 Vrmt::forEach(const std::function<void(VrmtEntry &)> &fn)
 {
     for (auto &e : entries_)
-        if (live(e))
+        if (e.valid)
             fn(e);
 }
 
@@ -150,7 +134,7 @@ Vrmt::occupancy() const
 {
     unsigned n = 0;
     for (const auto &e : entries_)
-        if (live(e))
+        if (e.valid)
             ++n;
     return n;
 }

@@ -31,7 +31,6 @@ struct VrmtEntry
     std::int64_t stride = 0;  ///< load: predicted stride
     Addr baseAddr = 0;        ///< load: address of the spawning instance
     std::uint64_t lastUse = 0;
-    std::uint64_t epoch = 0;  ///< validity epoch (see Vrmt::invalidateAll)
 
     // Eager load chaining (EngineConfig::eagerChainLoads): the
     // successor incarnation spawned ahead of the current one's
@@ -109,22 +108,7 @@ class Vrmt
                               std::vector<VecRegRef> *successors =
                                   nullptr);
 
-    /**
-     * Swap entry @p e's destination to @p v (the eager-chain successor
-     * takeover), keeping the vreg reverse index in sync. @p e must be
-     * an entry of this table.
-     */
-    void
-    rebindVreg(VrmtEntry &e, VecRegRef v)
-    {
-        e.vreg = v;
-        bindVreg(std::size_t(&e - entries_.data()), v);
-    }
-
-    /** Invalidate everything (context switch semantics, Section 3.2).
-     *  O(1): bumps the validity epoch instead of sweeping the table —
-     *  entries from older epochs read as invalid and are recycled as
-     *  free ways by install(). */
+    /** Invalidate everything (context switch semantics, Section 3.2). */
     void invalidateAll();
 
     /** Run @p fn over each valid entry. */
@@ -146,44 +130,10 @@ class Vrmt
   private:
     unsigned setIndex(Addr pc) const;
 
-    /** @return true when @p e is valid in the current epoch. */
-    bool
-    live(const VrmtEntry &e) const
-    {
-        return e.valid && e.epoch == epoch_;
-    }
-
-    /** Record entry @p idx as the latest holder of @p v's register in
-     *  the reverse index (see byReg_). */
-    void
-    bindVreg(std::size_t idx, VecRegRef v)
-    {
-        if (!v.valid())
-            return;
-        if (byReg_.size() <= std::size_t(v.reg))
-            byReg_.resize(std::size_t(v.reg) + 1, -1);
-        byReg_[v.reg] = std::int32_t(idx);
-    }
-
     unsigned sets_;
     unsigned ways_;
     std::vector<VrmtEntry> entries_;
-    /**
-     * Reverse index for the store-conflict path: register id -> index
-     * of the entry that most recently bound an incarnation of it (-1:
-     * never bound). Mappings are never eagerly unbound; a consumer
-     * validates with live(e) && e.vreg == ref, which rejects stale
-     * bindings (replaced entries, dead incarnations, old epochs). A
-     * live entry holding a live incarnation is always the latest
-     * binding of its register id — re-allocating the id requires the
-     * previous incarnation dead first — so the index can never miss
-     * one, and invalidateByVreg stays O(1) instead of scanning all
-     * sets x ways entries per committed store overlapping a vector
-     * register's address range.
-     */
-    std::vector<std::int32_t> byReg_;
     std::uint64_t useClock_ = 0;
-    std::uint64_t epoch_ = 0;
 };
 
 } // namespace sdv

@@ -576,9 +576,9 @@ TEST(VecRegFateAttribution, LifetimesAndReleaseCauses)
     EXPECT_EQ(vrf.fateStats().regsReleased, 3u);
 }
 
-// --- VRMT epoch invalidation (PR 5) ---------------------------------------
+// --- VRMT context-switch invalidation --------------------------------------
 
-TEST(VrmtEpoch, InvalidateAllIsAnEpochBumpNotASweep)
+TEST(Vrmt, InvalidateAllEmptiesTheTableAndWaysRefill)
 {
     Vrmt vrmt(16, 2);
     VrmtEntry e;
@@ -594,9 +594,8 @@ TEST(VrmtEpoch, InvalidateAllIsAnEpochBumpNotASweep)
     EXPECT_EQ(vrmt.lookup(Addr(0x1000)), nullptr);
     EXPECT_EQ(vrmt.peek(Addr(0x1008)), nullptr);
 
-    // Stale-epoch entries are recycled as free ways, and the same-pc
-    // replace path stamps the current epoch (a replaced entry must not
-    // read as stale).
+    // Invalidated ways are reused by install(), and replacing the
+    // same pc keeps exactly one valid entry for it.
     e.pc = 0x1000;
     e.offset = 3;
     vrmt.install(e);
@@ -607,7 +606,7 @@ TEST(VrmtEpoch, InvalidateAllIsAnEpochBumpNotASweep)
     EXPECT_EQ(vrmt.lookup(Addr(0x1000))->offset, 4u);
     EXPECT_EQ(vrmt.occupancy(), 1u);
 
-    // Repeated quiesces keep working (epochs are monotonic).
+    // Repeated quiesces keep working.
     vrmt.invalidateAll();
     EXPECT_EQ(vrmt.occupancy(), 0u);
     vrmt.install(e);

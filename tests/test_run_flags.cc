@@ -5,16 +5,24 @@
  * malformed and out-of-range values with an error naming the flag and
  * the text given, each flag sets the field it documents, a front end
  * that simulates nothing rejects the flags it would ignore, and the
- * cross-flag checks stop the combinations that cannot work.
+ * cross-flag checks stop the combinations that cannot work. Also the
+ * writers behind the output flags (--json, --trace-events,
+ * --fuzz-repro): each reports a write that fails part way.
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/text_file.hh"
+#include "harness.hh"
+#include "obs/trace.hh"
+#include "sweep/executor.hh"
+#include "sweep/fuzz.hh"
 #include "sweep/options.hh"
 
 namespace sdv {
@@ -181,6 +189,47 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
     ASSERT_EQ(parse(telemetry, {"--telemetry", "100"}), "");
     EXPECT_EXIT(sweep::checkRunOptions(telemetry),
                 ::testing::ExitedWithCode(1), "--telemetry needs --json");
+}
+
+// --- result writers --------------------------------------------------------
+
+/** Opens like any file, and every write to it fails with ENOSPC. */
+const std::string fullDevice = "/dev/full";
+
+TEST(ResultWriters, EachWriterFailsOnAFullDevice)
+{
+    // One byte stays in the stdio buffer, so only fclose can see it
+    // fail.
+    EXPECT_FALSE(writeTextFile(fullDevice, "x"));
+    EXPECT_FALSE(sweep::writeJsonDoc(fullDevice, "fig09", 1,
+                                     Footprint::Base, sweep::ExecOptions{},
+                                     "[]", 0.0));
+    EXPECT_FALSE(obs::writeTraceFile(fullDevice, {}));
+    EXPECT_FALSE(
+        sweep::writeFuzzRepro(fullDevice, sweep::FuzzCase{}, "unit-test"));
+    EXPECT_FALSE(bench::writeRecords(fullDevice, "bench", {}, 0.0));
+}
+
+TEST(ResultWriters, EachWriterSucceedsOnAWritablePath)
+{
+    const std::string path = ::testing::TempDir() + "result_writer.json";
+    EXPECT_TRUE(writeTextFile(path, "x"));
+    EXPECT_TRUE(sweep::writeJsonDoc(path, "fig09", 1, Footprint::Base,
+                                    sweep::ExecOptions{}, "[]", 0.0));
+    EXPECT_TRUE(obs::writeTraceFile(path, {}));
+    EXPECT_TRUE(sweep::writeFuzzRepro(path, sweep::FuzzCase{}, "unit-test"));
+    EXPECT_TRUE(bench::writeRecords(path, "bench", {}, 0.0));
+    std::remove(path.c_str());
+}
+
+TEST(ResultWriters, AppendfHasNoLengthLimit)
+{
+    const std::string long_arg(10000, 'a');
+    std::string out = "x";
+    appendf(out, "<%s>%d", long_arg.c_str(), 7);
+    EXPECT_EQ(out, "x<" + long_arg + ">7");
+    appendf(out, "%s", "");
+    EXPECT_EQ(out, "x<" + long_arg + ">7");
 }
 
 } // namespace

@@ -5,6 +5,11 @@
  * the vector datapath.
  */
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "vector/datapath.hh"
@@ -147,9 +152,6 @@ TEST(Vrmt, LruEvictionWithinSet)
 
 TEST(Vrmt, InvalidateByVregCollectsLoadPcs)
 {
-    // Every live incarnation is the destination of at most one entry
-    // (allocate() hands out fresh incarnations), which is what lets
-    // the reverse index answer invalidateByVreg in O(1).
     Vrmt vrmt;
     VrmtEntry load = entryFor(0x1000, VecRegRef{7, 1});
     load.isLoad = true;
@@ -162,7 +164,7 @@ TEST(Vrmt, InvalidateByVregCollectsLoadPcs)
     ASSERT_EQ(pcs.size(), 1u); // the load entry's pc
     EXPECT_EQ(pcs[0], 0x1000u);
     EXPECT_EQ(vrmt.lookup(0x1000), nullptr);
-    // Repeat hits the now-stale binding: no match, no pc.
+    // Repeat finds no valid entry: no match, no pc.
     EXPECT_EQ(vrmt.invalidateByVreg(VecRegRef{7, 1}, &pcs), 0u);
     EXPECT_EQ(pcs.size(), 1u);
     // Non-load entries invalidate without reporting a pc.
@@ -185,20 +187,36 @@ TEST(Vrmt, InvalidateByVregReportsEagerSuccessor)
     EXPECT_TRUE(succ[0] == (VecRegRef{12, 3}));
 }
 
-TEST(Vrmt, ReverseIndexSurvivesReplacementAndRebind)
+TEST(Vrmt, InvalidateByVregFollowsReplacementAndTakeover)
 {
     Vrmt vrmt;
     vrmt.install(entryFor(0x1000, VecRegRef{7, 1}));
-    // Replacing the same pc re-binds the index to the new register.
+    // Replacing the same pc moves the entry to the new register.
     vrmt.install(entryFor(0x1000, VecRegRef{7, 2}));
     EXPECT_EQ(vrmt.invalidateByVreg(VecRegRef{7, 1}), 0u);
     EXPECT_EQ(vrmt.invalidateByVreg(VecRegRef{7, 2}), 1u);
 
-    // rebindVreg (eager-chain takeover) keeps the index in sync.
+    // The eager-chain takeover assigns the successor in place.
     VrmtEntry &live = vrmt.install(entryFor(0x2000, VecRegRef{5, 1}));
-    vrmt.rebindVreg(live, VecRegRef{6, 4});
+    live.vreg = VecRegRef{6, 4};
     EXPECT_EQ(vrmt.invalidateByVreg(VecRegRef{5, 1}), 0u);
     EXPECT_EQ(vrmt.invalidateByVreg(VecRegRef{6, 4}), 1u);
+}
+
+TEST(Vrmt, InvalidateByVregFindsEntryAfterSquashReinstall)
+{
+    // A squash re-installs a decode's saved entry (undoDecode). The
+    // store-conflict path must still find every other entry that
+    // holds the conflicting register: here Y, which holds a newer
+    // incarnation of the same register id as X's saved entry.
+    Vrmt vrmt;
+    const VrmtEntry x = entryFor(0x1000, VecRegRef{2, 113});
+    vrmt.install(x);
+    vrmt.install(entryFor(0x2000, VecRegRef{2, 114}));
+    vrmt.install(x);
+    EXPECT_EQ(vrmt.invalidateByVreg(VecRegRef{2, 114}), 1u);
+    EXPECT_EQ(vrmt.lookup(0x2000), nullptr);
+    EXPECT_NE(vrmt.lookup(0x1000), nullptr);
 }
 
 TEST(Vrmt, StorageMatchesPaper)
@@ -402,15 +420,52 @@ struct DatapathFixture : public ::testing::Test, public VecExecContext
 
     bool producer_done = false;
 
+    using StatWords = std::array<std::uint64_t, sizeof(DatapathStats) /
+                                                    sizeof(std::uint64_t)>;
+
+    /** The register-file state a tick can change: each live
+     *  incarnation with its killed flag and R flags. */
+    std::vector<std::uint64_t>
+    regState() const
+    {
+        std::vector<std::uint64_t> state;
+        vrf.forEachLive([&](VecRegRef r) {
+            std::uint64_t ready = 0;
+            for (unsigned e = 0; e < vrf.vlen(); ++e)
+                ready |= std::uint64_t(vrf.isReady(r, e)) << e;
+            state.insert(state.end(),
+                         {r.reg, r.gen, vrf.isKilled(r), ready});
+        });
+        return state;
+    }
+
+    /** Tick @p n cycles. At every cycle the horizon puts in the future
+     *  (nextEventCycle(now) > now), the tick must change nothing:
+     *  not the instance count, the statistics, any register, or the
+     *  horizon itself (an element initiated this cycle would move it). */
     void
     tickN(unsigned n, Cycle &now)
     {
-        for (unsigned i = 0; i < n; ++i) {
+        for (unsigned i = 0; i < n; ++i, ++now) {
             ports.beginCycle();
+            const Cycle horizon = dp.nextEventCycle(now);
+            const bool quiet = horizon > now;
+            const std::size_t active = dp.numActive();
+            const auto stats = std::bit_cast<StatWords>(dp.stats());
+            const auto regs = regState();
             dp.tick(now, ports, mem);
-            ++now;
+            if (!quiet)
+                continue;
+            ++quietTicks;
+            EXPECT_EQ(dp.numActive(), active) << "cycle " << now;
+            EXPECT_EQ(std::bit_cast<StatWords>(dp.stats()), stats)
+                << "cycle " << now;
+            EXPECT_EQ(regState(), regs) << "cycle " << now;
+            EXPECT_EQ(dp.nextEventCycle(now), horizon) << "cycle " << now;
         }
     }
+
+    unsigned quietTicks = 0; ///< cycles tickN checked as quiet
 
     VecRegFile vrf;
     VectorDatapath dp;
@@ -430,6 +485,21 @@ TEST_F(DatapathFixture, LoadInstanceFillsElements)
         EXPECT_EQ(vrf.data(v, e), (800 + 8 * (e + 1)) * 10);
     }
     EXPECT_EQ(dp.numActive(), 0u);
+}
+
+TEST_F(DatapathFixture, LoadFeedsArithInstance)
+{
+    const VecRegRef v = vrf.allocate(0);
+    const VecRegRef dst = vrf.allocate(0);
+    dp.spawnLoad(0x1000, v, /*base=*/800, /*stride=*/8, 8, 4);
+    dp.spawnArith(0x2000, Opcode::ADDI, /*imm=*/5, dst,
+                  SrcSpec::vector(v, 0), SrcSpec::none(), 4);
+    Cycle now = 0;
+    tickN(60, now); // the arith instance waits out the cold miss
+    for (unsigned e = 0; e < 4; ++e)
+        EXPECT_EQ(vrf.data(dst, e), (800 + 8 * (e + 1)) * 10 + 5);
+    EXPECT_EQ(dp.numActive(), 0u);
+    EXPECT_GT(quietTicks, 20u);
 }
 
 TEST_F(DatapathFixture, ArithInstanceComputesFromSources)
@@ -477,6 +547,7 @@ TEST_F(DatapathFixture, ScalarDependenceParksInstance)
     Cycle now = 0;
     tickN(10, now);
     EXPECT_FALSE(vrf.isReady(dst, 0)); // still parked
+    EXPECT_EQ(quietTicks, 10u);        // every parked cycle is quiet
     producer_done = true;
     tickN(10, now);
     EXPECT_TRUE(vrf.isReady(dst, 3));
@@ -521,6 +592,7 @@ TEST_F(DatapathFixture, DeadSourceCascadesKillToDest)
     tickN(5, now);
     EXPECT_TRUE(vrf.isKilled(dst));
     EXPECT_EQ(dp.numActive(), 0u);
+    EXPECT_EQ(quietTicks, 4u); // all but the cascade's own cycle
 }
 
 TEST_F(DatapathFixture, UniformSourceServesAnyElementFromElem0)
@@ -535,6 +607,7 @@ TEST_F(DatapathFixture, UniformSourceServesAnyElementFromElem0)
     tickN(10, now);
     for (unsigned e = 0; e < 4; ++e)
         EXPECT_EQ(vrf.data(dst, e), 56u);
+    EXPECT_GT(quietTicks, 0u);
 }
 
 } // namespace
