@@ -73,7 +73,7 @@ popCount(std::uint64_t v)
 
 /** @return a mask of the low @p n bits (n <= 64). */
 constexpr std::uint64_t
-lowMask(unsigned n)
+lowBits(unsigned n)
 {
     return n >= 64 ? ~0ULL : (1ULL << n) - 1;
 }

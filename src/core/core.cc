@@ -18,8 +18,6 @@ Core::Core(const CoreConfig &cfg, const Program &prog)
       lsq_(cfg.lsqEntries), fuPool_(cfg.fu), engine_(cfg.engine),
       fetchPc_(prog.entry()), rob_(cfg.robEntries)
 {
-    valWaiters_.resize(std::size_t(cfg.engine.numVregs) *
-                       cfg.engine.vlen);
     // Speculative vector-element loads read their values from the
     // oracle memory image (sequentially correct state); conflicts with
     // later stores are caught by the Section 3.6 range check.
@@ -149,13 +147,13 @@ Core::trySkipIdle()
             return false; // fetch would run this cycle
     }
 
-    // Completion: pending wake events mean a woken validation acts
-    // this cycle; otherwise every parked validation is strictly
-    // waiting (its element's computation is a scheduled event already
-    // covered by the engine horizon below), and the earliest scalar
-    // completion is simply the heap top.
-    if (!valWakeNow_.empty() || engine_.vrf().hasWakeEvents())
-        return false;
+    // Completion: a parked validation whose element computed or whose
+    // register died acts this cycle; a waiting one's element is a
+    // scheduled event already covered by the engine horizon below, and
+    // the earliest scalar completion is simply the heap top.
+    for (const DynInst *d : parkedVals_)
+        if (engine_.validationStatus(*d) != ValStatus::Waiting)
+            return false;
     if (!completionHeap_.empty())
         horizon = std::min(horizon, completionHeap_.front()->readyCycle);
 
@@ -225,11 +223,9 @@ bool
 Core::quiescent() const
 {
     return rob_.empty() && iq_.empty() && completionHeap_.empty() &&
-           parkedValidations_ == 0 && valWakeNow_.empty() &&
-           !engine_.vrf().hasWakeEvents() &&
-           fetchQueue_.empty() && replayQueue_.empty() &&
-           lsq_.size() == 0 && pendingStores_.empty() &&
-           !fetchStalled_ && engine_.idle() &&
+           parkedVals_.empty() && fetchQueue_.empty() &&
+           replayQueue_.empty() && lsq_.size() == 0 &&
+           pendingStores_.empty() && !fetchStalled_ && engine_.idle() &&
            mem_.mshrs().busyCount(cycle_) == 0;
 }
 
@@ -438,19 +434,9 @@ Core::squashAllInFlight()
     SDV_OBS_EVENT(recorder_, obs::EventKind::Squash, fetchPc_,
                   rob_.size(), fetchQueue_.size());
 
-    // Undo decode effects youngest-first, unparking any waiting
-    // validations (their register-file interest bits may fire stale
-    // wake events later; empty waiter slots ignore them).
+    // Undo decode effects youngest-first.
     for (size_t i = rob_.size(); i-- > 0;) {
-        DynInst &d = rob_[i];
-        if (d.isValidation() && !d.completed) {
-            ValWaiter &w = valWaiters_[waiterSlot(d)];
-            if (w.d == &d) {
-                w = ValWaiter{};
-                --parkedValidations_;
-            }
-        }
-        engine_.undoDecode(d, rt_);
+        engine_.undoDecode(rob_[i], rt_);
         ++stats_.squashedInsts;
     }
 
@@ -468,7 +454,7 @@ Core::squashAllInFlight()
     rob_.clear();
     iq_.clear();
     completionHeap_.clear();
-    valWakeNow_.clear();
+    parkedVals_.clear();
     fetchQueue_.clear();
     lsq_.squashAfter(0);
 
@@ -505,62 +491,6 @@ Core::scheduleCompletion(DynInst *d)
 }
 
 void
-Core::parkValidation(DynInst &d)
-{
-    ValWaiter &w = valWaiters_[waiterSlot(d)];
-    sdv_assert(w.d == nullptr, "validation waiter slot occupied");
-    w.d = &d;
-    w.seq = d.seq;
-    ++parkedValidations_;
-    if (engine_.validationStatus(d) == ValStatus::Waiting) {
-        // Strictly waiting: the register file will push a wake event
-        // when the element computes or the incarnation dies.
-        engine_.vrf().noteWaiter(d.valVreg, d.valElem);
-    } else {
-        // Already resolved (or dead) at decode: the next completion
-        // stage acts on it, exactly when the old poll would have.
-        valWakeNow_.push_back(&d);
-    }
-}
-
-void
-Core::processValidation(DynInst *d, bool &progress)
-{
-    ValWaiter &w = valWaiters_[waiterSlot(*d)];
-    if (w.d != d || w.seq != d->seq)
-        return; // stale wake (squashed or already processed)
-
-    switch (engine_.validationStatus(*d)) {
-      case ValStatus::Ready:
-        d->completed = true;
-        d->readyCycle = cycle_;
-        maybeUnstall(d);
-        w = ValWaiter{};
-        --parkedValidations_;
-        progress = true;
-        break;
-      case ValStatus::Dead: {
-        // The element will never be computed: re-execute this
-        // instance in scalar mode.
-        engine_.fallbackValidation(*d);
-        auto pos = std::lower_bound(
-            iq_.begin(), iq_.end(), d->seq,
-            [](const DynInst *a, InstSeqNum s) { return a->seq < s; });
-        iq_.insert(pos, d);
-        d->inIq = true;
-        w = ValWaiter{};
-        --parkedValidations_;
-        progress = true;
-        break;
-      }
-      case ValStatus::Waiting:
-        // Spurious wake: stay parked and re-arm the element event.
-        engine_.vrf().noteWaiter(d->valVreg, d->valElem);
-        break;
-    }
-}
-
-void
 Core::completionStage()
 {
     bool progress = false;
@@ -578,31 +508,34 @@ Core::completionStage()
         progress = true;
     }
 
-    // Validation wake-ups: element-ready / incarnation-death events
-    // pushed by the register file since the last stage, plus the
-    // decode-time-resolved arrivals. Processing order within a cycle
-    // is immaterial — each wake completes, falls back, or re-parks its
-    // own instruction — and the woken set is exactly the set the old
-    // per-cycle poll would have found non-Waiting.
-    engine_.vrf().drainWakeEvents([&](const VecWakeEvent &e) {
-        const unsigned vlen = cfg_.engine.vlen;
-        const unsigned first =
-            e.elem == VecWakeEvent::allElems ? 0 : e.elem;
-        const unsigned last =
-            e.elem == VecWakeEvent::allElems ? vlen - 1 : e.elem;
-        for (unsigned el = first; el <= last; ++el) {
-            const std::size_t slot =
-                std::size_t(e.ref.reg) * vlen + el;
-            DynInst *d = valWaiters_[slot].d;
-            if (d && d->valVreg == e.ref)
-                processValidation(d, progress);
+    // Parked validations, in decode order: complete those whose
+    // element computed, re-execute in scalar mode those whose register
+    // died (the element will never be computed), keep the rest.
+    std::size_t kept = 0;
+    for (DynInst *d : parkedVals_) {
+        switch (engine_.validationStatus(*d)) {
+          case ValStatus::Ready:
+            d->completed = true;
+            d->readyCycle = cycle_;
+            maybeUnstall(d);
+            progress = true;
+            break;
+          case ValStatus::Dead: {
+            engine_.fallbackValidation(*d);
+            auto pos = std::lower_bound(
+                iq_.begin(), iq_.end(), d->seq,
+                [](const DynInst *a, InstSeqNum s) { return a->seq < s; });
+            iq_.insert(pos, d);
+            d->inIq = true;
+            progress = true;
+            break;
+          }
+          case ValStatus::Waiting:
+            parkedVals_[kept++] = d;
+            break;
         }
-    });
-    if (!valWakeNow_.empty()) {
-        for (DynInst *d : valWakeNow_)
-            processValidation(d, progress);
-        valWakeNow_.clear();
     }
+    parkedVals_.resize(kept);
 
     if (progress)
         quietLastTick_ = false;
@@ -751,9 +684,9 @@ Core::decodeStage()
             lsq_.insert(&d);
 
         if (d.isValidation()) {
-            // Parked on its target element; woken by the register
-            // file's event queue. No FU, no issue slot.
-            parkValidation(d);
+            // Parked until its target element resolves; polled by the
+            // completion stage. No FU, no issue slot.
+            parkedVals_.push_back(&d);
         } else if (info.opClass == OpClass::None) {
             d.completed = true;
             d.readyCycle = cycle_;

@@ -317,16 +317,6 @@ class Core : private VecExecContext
      *  and the event-skipping clock reads the top as its horizon). */
     void scheduleCompletion(DynInst *d);
 
-    /** Park a just-decoded validation on its target element: the
-     *  register file pushes a wake event when the element computes or
-     *  the incarnation dies; already-resolved targets queue for the
-     *  next completion stage directly. */
-    void parkValidation(DynInst &d);
-
-    /** Re-examine a woken validation (the old per-cycle poll body):
-     *  complete it, fall it back to scalar re-execution, or re-park. */
-    void processValidation(DynInst *d, bool &progress);
-
     /** Shared unstall hook: a completing instruction that is the
      *  stalled-on branch resumes fetch at its resolved target. */
     void
@@ -344,15 +334,6 @@ class Core : private VecExecContext
      *  an event-skip window, so the jump charges it per skipped
      *  cycle exactly as ticking would). */
     bool fetchStallOnValidation() const;
-
-    /** @return the validation-waiter slot of @p d (one per (vector
-     *  register, element) pair; at most one validation is in flight
-     *  per element). */
-    std::size_t
-    waiterSlot(const DynInst &d) const
-    {
-        return std::size_t(d.valVreg.reg) * cfg_.engine.vlen + d.valElem;
-    }
 
     /** Squash every in-flight instruction (store conflict path). */
     void squashAllInFlight();
@@ -434,20 +415,9 @@ class Core : private VecExecContext
      *  clock reads the top as an exact horizon. */
     std::vector<DynInst *> completionHeap_;
 
-    /** One waiter slot per (vector register, element): the in-flight
-     *  validation parked on that element, woken by the register file's
-     *  event queue instead of polled every cycle. */
-    struct ValWaiter
-    {
-        DynInst *d = nullptr;
-        InstSeqNum seq = 0;
-    };
-    std::vector<ValWaiter> valWaiters_;
-    unsigned parkedValidations_ = 0;
-    /** Validations whose target was already resolved (or dead) at
-     *  decode: examined by the next completion stage, exactly when the
-     *  old per-cycle poll would have seen them. */
-    std::vector<DynInst *> valWakeNow_;
+    /** Decoded validations whose target element has not resolved yet,
+     *  in decode order: each completion stage polls their status. */
+    std::vector<DynInst *> parkedVals_;
 
     InstSeqNum nextSeq_ = 1;
 

@@ -69,7 +69,6 @@ struct DynInst
     // --- bookkeeping -----------------------------------------------------------------
     Cycle fetchCycle = 0;
     Cycle commitCycle = 0;
-    bool counted100 = false;  ///< inside a Figure 10 window
 
     /**
      * Return the entry to its decode-ready state when its ROB slot is
@@ -108,7 +107,6 @@ struct DynInst
         mispredicted = false;
         fetchCycle = 0;
         commitCycle = 0;
-        counted100 = false;
     }
 
     /** @return the static instruction. */

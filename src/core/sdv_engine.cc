@@ -278,8 +278,7 @@ SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
  * free (the caller's retry paths handle it)
  */
 VecRegRef
-SdvEngine::spawnSuccessorLoad(DynInst &d, Addr base,
-                              std::int64_t stride, VecRegRef pred)
+SdvEngine::spawnSuccessorLoad(DynInst &d, Addr base, std::int64_t stride)
 {
     const VecRegRef v2 = vrf_.allocate(gmrbb_);
     if (!v2.valid())
@@ -287,7 +286,6 @@ SdvEngine::spawnSuccessorLoad(DynInst &d, Addr base,
     const unsigned vl = cfg_.vlen;
     vrf_.setElemCount(v2, vl);
     vrf_.setUniform(v2, stride == 0);
-    vrf_.setPredecessor(v2, pred);
     vrf_.setAddrRange(v2, base + Addr(stride),
                       base + Addr(stride * std::int64_t(vl)),
                       d.rec.size);
@@ -308,8 +306,7 @@ SdvEngine::tryChainLoad(DynInst &d, RenameTable &rt)
     VrmtEntry *ve = vrmt_.lookup(d.pc());
     sdv_assert(ve, "chain with no entry");
     const Addr base = d.rec.addr;
-    const VecRegRef v2 = spawnSuccessorLoad(d, base, ve->stride,
-                                            ve->vreg);
+    const VecRegRef v2 = spawnSuccessorLoad(d, base, ve->stride);
     if (!v2.valid())
         return; // the offset==count decode path retries later
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
@@ -338,8 +335,7 @@ SdvEngine::eagerSpawnNext(DynInst &d, VrmtEntry &ve)
     const Addr base =
         ve.baseAddr +
         Addr(ve.stride * std::int64_t(vrf_.elemCount(ve.vreg)));
-    const VecRegRef v2 = spawnSuccessorLoad(d, base, ve.stride,
-                                            ve.vreg);
+    const VecRegRef v2 = spawnSuccessorLoad(d, base, ve.stride);
     if (!v2.valid())
         return; // last-element validation falls back to tryChainLoad
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
@@ -651,7 +647,6 @@ SdvEngine::tryChainArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
         return;
     vrf_.setElemCount(v2, count);
     vrf_.setUniform(v2, uniform);
-    vrf_.setPredecessor(v2, d.valVreg);
 
     saveVrmtPrev(d);
     VrmtEntry e;

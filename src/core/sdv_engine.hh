@@ -327,8 +327,7 @@ class SdvEngine
     bool trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride);
 
     /** Shared successor construction for both chain flavours. */
-    VecRegRef spawnSuccessorLoad(DynInst &d, Addr base,
-                                 std::int64_t stride, VecRegRef pred);
+    VecRegRef spawnSuccessorLoad(DynInst &d, Addr base, std::int64_t stride);
 
     /** Chain-spawn the successor load incarnation (Section 3.2). */
     void tryChainLoad(DynInst &d, RenameTable &rt);

@@ -85,8 +85,8 @@ class Program
      * @return the decoded instruction at @p pc.
      *
      * Decoding is cached per slot: the first access decodes the 64-bit
-     * word into a side-table and later accesses (every fetch and every
-     * oracle step of a simulation) return the cached form. patch()
+     * word into a side-table and later accesses (the interpreter path;
+     * the compiled trace serves fetch otherwise) return it. patch()
      * invalidates the slot. The reference is invalidated by patch(),
      * append() (the side-table may reallocate) and destruction/move —
      * copy the Instruction if the program may still grow.

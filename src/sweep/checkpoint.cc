@@ -181,9 +181,11 @@ Checkpoint::LoadStatus
 Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out)
 {
     FILE *f = std::fopen(path.c_str(), "rb");
+    // ENOTDIR: a path component is a regular file, so no image can
+    // exist at the path either.
     if (!f)
-        return errno == ENOENT ? LoadStatus::Missing
-                               : LoadStatus::Corrupt;
+        return errno == ENOENT || errno == ENOTDIR ? LoadStatus::Missing
+                                                   : LoadStatus::Corrupt;
     std::fseek(f, 0, SEEK_END);
     const long size = std::ftell(f);
     std::fseek(f, 0, SEEK_SET);

@@ -95,7 +95,8 @@ class Checkpoint
     enum class LoadStatus { Ok, Missing, Corrupt };
 
     /** Read a checkpoint image from @p path and verify its trailing
-     *  checksum. @retval Missing when the file does not exist,
+     *  checksum. @retval Missing when the file does not exist (nor
+     *  can: a path component that is a regular file counts too),
      *  Corrupt when it exists but cannot be read back as an intact
      *  image (header/program/geometry checks still happen later, in
      *  restore()/validate()). */

@@ -88,13 +88,11 @@ VecRegFile::allocate(Addr mrbb)
     r.uniform = false;
     r.hasRange = false;
     r.vMask = r.rMask = r.uMask = r.fMask = 0;
-    r.wMask = r.fiMask = r.ftMask = 0;
+    r.fiMask = r.ftMask = 0;
     r.allocCycle = clock_;
-    r.pred = VecRegRef{};
     for (auto &e : r.elems)
         e = Elem{};
     --freeCount_;
-    ++allocations_;
     const VecRegId id = VecRegId(unsigned(&r - regs_.data()));
     setMaskBit(freeMask_, id, false);
     setMaskBit(liveMask_, id, true);
@@ -109,13 +107,8 @@ VecRegFile::setData(VecRegRef ref, unsigned elem, std::uint64_t value)
 {
     Reg &r = regFor(ref);
     sdv_assert(elem < r.elemCount, "element out of range");
-    const std::uint64_t bit = std::uint64_t(1) << elem;
     r.elems[elem].data = value;
-    r.rMask |= bit;
-    if (r.wMask & bit) {
-        r.wMask &= ~bit;
-        wakeEvents_.push_back({ref, std::uint16_t(elem)});
-    }
+    r.rMask |= std::uint64_t(1) << elem;
     markSweepCandidate(ref.reg);
 }
 
@@ -144,14 +137,6 @@ VecRegFile::setUsed(VecRegRef ref, unsigned elem, bool used)
     const std::uint64_t bit = std::uint64_t(1) << elem;
     r.uMask = used ? (r.uMask | bit) : (r.uMask & ~bit);
     markSweepCandidate(ref.reg);
-}
-
-bool
-VecRegFile::isUsed(VecRegRef ref, unsigned elem) const
-{
-    const Reg &r = regFor(ref);
-    sdv_assert(elem < vlen_, "element out of range");
-    return (r.uMask >> elem) & 1;
 }
 
 bool
@@ -185,14 +170,6 @@ VecRegFile::setFree(VecRegRef ref, unsigned elem)
     Reg &r = regFor(ref);
     sdv_assert(elem < vlen_, "element out of range");
     r.fMask |= std::uint64_t(1) << elem;
-    markSweepCandidate(ref.reg);
-}
-
-void
-VecRegFile::setAllFree(VecRegRef ref)
-{
-    Reg &r = regFor(ref);
-    r.fMask = lowMask(vlen_);
     markSweepCandidate(ref.reg);
 }
 
@@ -241,18 +218,6 @@ VecRegFile::setElemLoadId(VecRegRef ref, unsigned elem, ElemLoadId id)
 }
 
 void
-VecRegFile::setPredecessor(VecRegRef ref, VecRegRef pred)
-{
-    regFor(ref).pred = pred;
-}
-
-VecRegRef
-VecRegFile::predecessor(VecRegRef ref) const
-{
-    return regFor(ref).pred;
-}
-
-void
 VecRegFile::setUniform(VecRegRef ref, bool uniform)
 {
     regFor(ref).uniform = uniform;
@@ -270,7 +235,6 @@ VecRegFile::kill(VecRegRef ref)
     if (isLive(ref)) {
         Reg &r = regFor(ref);
         r.killed = true;
-        wakeAll(r);
         markSweepCandidate(ref.reg);
     }
 }
@@ -284,7 +248,7 @@ VecRegFile::isKilled(VecRegRef ref) const
 void
 VecRegFile::release(Reg &reg, ReleaseCause cause)
 {
-    const std::uint64_t all = lowMask(vlen_);
+    const std::uint64_t all = lowBits(vlen_);
     const unsigned computed = popCount(reg.rMask & all);
     fates_.elemsComputedUsed += popCount(reg.rMask & reg.vMask & all);
     fates_.elemsComputedNotUsed +=
@@ -321,7 +285,6 @@ VecRegFile::release(Reg &reg, ReleaseCause cause)
         ++fates_.releasedBulk;
         break;
     }
-    wakeAll(reg);
     reg.allocated = false;
     ++freeCount_;
     const VecRegId id = VecRegId(unsigned(&reg - regs_.data()));
@@ -340,7 +303,7 @@ VecRegFile::tryRelease(VecRegRef ref, Addr gmrbb, bool allow_cond2)
 
     // All four Section 3.3 predicates over the computable elements are
     // single-word mask tests.
-    const std::uint64_t cnt = lowMask(r.elemCount);
+    const std::uint64_t cnt = lowBits(r.elemCount);
     const bool any_u = (r.uMask & cnt) != 0;
     const bool all_rf = (r.rMask & r.fMask & cnt) == cnt;
     const bool all_r = (r.rMask & cnt) == cnt;
@@ -404,14 +367,13 @@ VecRegFile::releaseSquashed(VecRegRef ref)
     // No Figure 15 fates (the incarnation never existed
     // architecturally), but the fault ledger must still account for
     // every mark exactly once.
-    const std::uint64_t all = lowMask(vlen_);
+    const std::uint64_t all = lowBits(vlen_);
     fates_.faultInjectedVanished += popCount(r.fiMask & all);
     fates_.faultTaintVanished += popCount(r.ftMask & ~r.fiMask & all);
     if (ports_)
         for (auto &e : r.elems)
             if (e.loadId != 0)
                 ports_->resolveElem(e.loadId, false);
-    wakeAll(r);
     r.allocated = false;
     ++freeCount_;
     setMaskBit(freeMask_, ref.reg, true);

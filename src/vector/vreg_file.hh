@@ -18,14 +18,10 @@
  * holds; the file records the Figure 15 computed/validated ledger at
  * that moment.
  *
- * Steady-state hot paths are event-driven (PR 5):
- *  - allocation and the live-register walk run off free/live bitmasks
- *    (lowest-index-first, exactly the order the old linear scans used);
- *  - element-readiness transitions push *wake events* that the core
- *    drains once per cycle, so waiting validations are notified instead
- *    of polled. Events are only emitted for elements a waiter
- *    registered interest in (noteWaiter), so standalone use of the
- *    file costs nothing.
+ * Allocation and the live-register walk run off free/live bitmasks
+ * (lowest-index-first, exactly the order the old linear scans used).
+ * Consumers poll element state: the datapath through srcElem(), the
+ * core's parked validations through the engine's validation status.
  */
 
 #ifndef SDV_VECTOR_VREG_FILE_HH
@@ -111,16 +107,6 @@ struct VecRegFateStats
     }
 };
 
-/** One register-file wake event: element @p elem of @p ref became
- *  ready, or (elem == allElems) the incarnation died (killed or
- *  released) and every waiter must re-evaluate. */
-struct VecWakeEvent
-{
-    static constexpr std::uint16_t allElems = 0xffff;
-    VecRegRef ref;
-    std::uint16_t elem = 0;
-};
-
 /** The vector register file. */
 class VecRegFile
 {
@@ -175,7 +161,7 @@ class VecRegFile
 
     // --- element data / flags ------------------------------------------
 
-    /** Record a computed element value (sets R; wakes waiters). */
+    /** Record a computed element value (sets R). */
     void setData(VecRegRef ref, unsigned elem, std::uint64_t value);
 
     /** @return element data (element must be R). */
@@ -186,9 +172,6 @@ class VecRegFile
 
     /** Set/clear the U (validation in flight) flag. */
     void setUsed(VecRegRef ref, unsigned elem, bool used);
-
-    /** @return the U flag. */
-    bool isUsed(VecRegRef ref, unsigned elem) const;
 
     /** @return true when any element has its U flag set. */
     bool anyUsed(VecRegRef ref) const;
@@ -201,10 +184,6 @@ class VecRegFile
 
     /** Mark the element dead (F=1). */
     void setFree(VecRegRef ref, unsigned elem);
-
-    /** Mark every element dead (logical register redefined by another
-     *  instruction). */
-    void setAllFree(VecRegRef ref);
 
     // --- instance metadata ----------------------------------------------
 
@@ -347,9 +326,9 @@ class VecRegFile
     /**
      * Overwrite a corrupted element with the architectural value the
      * validation compared against, clearing its marks. Unlike
-     * setData this fires no wake events and flips no flags — the
-     * element was already R; only its payload is repaired, so
-     * consumers that read it after the validation see clean data.
+     * setData this flips no flags — the element was already R; only
+     * its payload is repaired, so consumers that read it after the
+     * validation see clean data.
      */
     void
     repairData(VecRegRef ref, unsigned elem, std::uint64_t value)
@@ -363,13 +342,6 @@ class VecRegFile
 
     /** Associate the port-ledger id of a speculative element load. */
     void setElemLoadId(VecRegRef ref, unsigned elem, ElemLoadId id);
-
-    /** Link to the predecessor incarnation in a chain (for the F flag
-     *  of the predecessor's last element). */
-    void setPredecessor(VecRegRef ref, VecRegRef pred);
-
-    /** @return the predecessor link (may be stale/invalid). */
-    VecRegRef predecessor(VecRegRef ref) const;
 
     /**
      * Mark the incarnation uniform: all its elements are known to hold
@@ -391,44 +363,6 @@ class VecRegFile
 
     /** @return true when the incarnation was killed. */
     bool isKilled(VecRegRef ref) const;
-
-    // --- event-driven validation wake-up ---------------------------------
-
-    /**
-     * Register interest in element @p elem of @p ref: the next R
-     * transition of that element — or any death of the incarnation —
-     * will push a VecWakeEvent. The caller (the core's validation
-     * scheduler) maps events back to the waiting instructions; the
-     * interest bit is consumed by the event, re-register to keep
-     * waiting.
-     */
-    void
-    noteWaiter(VecRegRef ref, unsigned elem)
-    {
-        if (!isLive(ref) || elem >= vlen_)
-            return;
-        regs_[ref.reg].wMask |= std::uint64_t(1) << elem;
-    }
-
-    /** @return true when undrained wake events exist (the validation
-     *  scheduler acts this cycle; the event-skipping clock must not
-     *  jump). */
-    bool hasWakeEvents() const { return !wakeEvents_.empty(); }
-
-    /** Drain the wake-event queue into @p fn (called once per cycle by
-     *  the core's completion stage). The queue is swapped out before
-     *  iterating, so a callback that itself triggers flag mutations
-     *  may safely push new events — they survive into the next drain
-     *  instead of invalidating the live iteration. */
-    template <typename Fn>
-    void
-    drainWakeEvents(Fn &&fn)
-    {
-        wakeScratch_.clear();
-        wakeScratch_.swap(wakeEvents_);
-        for (const VecWakeEvent &e : wakeScratch_)
-            fn(e);
-    }
 
     // --- freeing -----------------------------------------------------------
 
@@ -487,18 +421,14 @@ class VecRegFile
     /** @return the Figure 15 ledger. */
     const VecRegFateStats &fateStats() const { return fates_; }
 
-    /** @return lifetime allocation count. */
-    std::uint64_t allocations() const { return allocations_; }
-
     /** @return allocation failures (no free register). */
     std::uint64_t allocFailures() const { return allocFailures_; }
 
-    /** Zero the Figure-15 ledger and allocation counters. */
+    /** Zero the Figure-15 ledger and the allocation-failure count. */
     void
     resetStats()
     {
         fates_ = VecRegFateStats{};
-        allocations_ = 0;
         allocFailures_ = 0;
     }
 
@@ -528,12 +458,10 @@ class VecRegFile
         std::uint64_t rMask = 0;  ///< R: value computed / loaded
         std::uint64_t uMask = 0;  ///< U: validation in flight
         std::uint64_t fMask = 0;  ///< F: element dead
-        std::uint64_t wMask = 0;  ///< waiter wants the R transition
         std::uint64_t fiMask = 0; ///< fault injected (bit flip)
         std::uint64_t ftMask = 0; ///< fault taint (marked source)
         Addr rangeLo = 0, rangeHi = 0; ///< inclusive byte range
         Cycle allocCycle = 0;
-        VecRegRef pred;
         std::vector<Elem> elems;
     };
 
@@ -549,18 +477,6 @@ class VecRegFile
     const Reg &regFor(VecRegRef ref) const;
     Reg &regFor(VecRegRef ref);
     void release(Reg &reg, ReleaseCause cause);
-
-    /** Push a death event when any waiter is registered. */
-    void
-    wakeAll(Reg &r)
-    {
-        if (r.wMask == 0)
-            return;
-        const VecRegId id = VecRegId(unsigned(&r - regs_.data()));
-        wakeEvents_.push_back(
-            {VecRegRef{id, r.gen}, VecWakeEvent::allElems});
-        r.wMask = 0;
-    }
 
     /** Mark @p id for the next incremental sweepReleases() pass. */
     void
@@ -589,11 +505,8 @@ class VecRegFile
     std::vector<std::uint64_t> liveMask_; ///< bit set = register live
     std::vector<VecRegId> sweepCandidates_;
     std::vector<bool> sweepMarked_;     ///< dedup for the candidate list
-    std::vector<VecWakeEvent> wakeEvents_;
-    std::vector<VecWakeEvent> wakeScratch_; ///< drain double buffer
     VecRegFateStats fates_;
     Cycle clock_ = 0;
-    std::uint64_t allocations_ = 0;
     std::uint64_t allocFailures_ = 0;
     DCachePorts *ports_ = nullptr;
     obs::TraceRecorder *recorder_ = nullptr;

@@ -38,6 +38,17 @@ inline const std::vector<StatsCounter> eventSkipCounters = {
      offsetof(CoreStats, eventSkippedCycles) / sizeof(std::uint64_t)},
 };
 
+/** @return true when @p counters lists word @p word of @p block. */
+inline bool
+listsCounter(const std::vector<StatsCounter> &counters,
+             std::string_view block, std::size_t word)
+{
+    return std::any_of(counters.begin(), counters.end(),
+                       [&](const StatsCounter &c) {
+                           return c.block == block && c.word == word;
+                       });
+}
+
 /** Expect @p a and @p b to agree on every statistic but @p exempt; a
  *  mismatch is reported as its block and word offset. */
 inline void
@@ -59,11 +70,7 @@ expectSameStats(const SimResult &a, const SimResult &b,
     for (std::size_t k = 0; k < sa.size(); ++k) {
         for (std::size_t i = 0; i < sa[k].words.size(); ++i) {
             if (sa[k].words[i] == sb[k].words[i] ||
-                std::any_of(exempt.begin(), exempt.end(),
-                            [&](const StatsCounter &c) {
-                                return c.block == sa[k].name &&
-                                       c.word == i;
-                            }))
+                listsCounter(exempt, sa[k].name, i))
                 continue;
             ADD_FAILURE() << sa[k].name << " word " << i << ": "
                           << sa[k].words[i] << " vs " << sb[k].words[i];

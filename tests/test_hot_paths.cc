@@ -500,53 +500,6 @@ TEST(VecRegFreeList, LazyCond2ReclaimsUnderPressureOnly)
     EXPECT_EQ(vrf.fateStats().releasedCond2, 1u);
 }
 
-TEST(VecRegWakeEvents, FireOnlyForRegisteredWaiters)
-{
-    VecRegFile vrf(4, 4);
-    const VecRegRef r = vrf.allocate(0);
-
-    // No waiter: computing elements pushes no events.
-    vrf.setData(r, 0, 11);
-    EXPECT_FALSE(vrf.hasWakeEvents());
-
-    // A waiter on element 1 wakes exactly once, on its R transition.
-    vrf.noteWaiter(r, 1);
-    EXPECT_FALSE(vrf.hasWakeEvents());
-    vrf.setData(r, 1, 22);
-    ASSERT_TRUE(vrf.hasWakeEvents());
-    unsigned events = 0;
-    vrf.drainWakeEvents([&](const VecWakeEvent &e) {
-        ++events;
-        EXPECT_EQ(e.ref, r);
-        EXPECT_EQ(e.elem, 1u);
-    });
-    EXPECT_EQ(events, 1u);
-    EXPECT_FALSE(vrf.hasWakeEvents());
-
-    // Interest is consumed: a second write on the same element (e.g.
-    // a re-computed value) stays silent until re-registered.
-    vrf.setData(r, 1, 33);
-    EXPECT_FALSE(vrf.hasWakeEvents());
-
-    // Death wakes every registered waiter with an all-elements event.
-    vrf.noteWaiter(r, 2);
-    vrf.noteWaiter(r, 3);
-    vrf.kill(r);
-    ASSERT_TRUE(vrf.hasWakeEvents());
-    events = 0;
-    vrf.drainWakeEvents([&](const VecWakeEvent &e) {
-        ++events;
-        EXPECT_EQ(e.ref, r);
-        EXPECT_EQ(e.elem, VecWakeEvent::allElems);
-    });
-    EXPECT_EQ(events, 1u);
-
-    // A killed register with no waiters releases silently.
-    vrf.sweepReleases(0);
-    EXPECT_FALSE(vrf.hasWakeEvents());
-    EXPECT_FALSE(vrf.isLive(r));
-}
-
 TEST(VecRegFateAttribution, LifetimesAndReleaseCauses)
 {
     VecRegFile vrf(4, 4);

@@ -150,6 +150,11 @@ TEST(SweepCheckpoint, LoadDistinguishesMissingFromCorrupt)
     EXPECT_EQ(sweep::Checkpoint::LoadStatus::Corrupt,
               sweep::Checkpoint::load(corrupt, bytes));
 
+    // A path under a regular file (fopen fails with ENOTDIR) cannot
+    // hold an image either: missing, not corrupt.
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Missing,
+              sweep::Checkpoint::load(corrupt + "/absent.ckpt", bytes));
+
     // Round-trip through the atomic save path: the payload comes back
     // verbatim and no temp file is left beside it.
     const std::string saved = dir.path + "/saved.ckpt";
