@@ -70,15 +70,6 @@ Core::robFind(InstSeqNum seq) const
 void
 Core::tick()
 {
-    // Attempt a jump only after a tick that made no forward progress:
-    // a busy pipeline never skips, so gating on last tick's activity
-    // avoids paying the quiescence scan on every cycle. Suppressing an
-    // attempt is always sound — it just means ticking normally — and
-    // costs at most one idle tick at the head of each idle window.
-    if (cfg_.eventSkip && quietLastTick_ && trySkipIdle())
-        return; // jump hit the cycle budget: nothing left to simulate
-    quietLastTick_ = true; // stages clear it when they do work
-
     SDV_OBS_SET_CYCLE(recorder_, cycle_);
 
     ports_.beginCycle();
@@ -94,127 +85,6 @@ Core::tick()
 
     ++cycle_;
     stats_.cycles = cycle_;
-}
-
-// --- event-skipping clock --------------------------------------------------
-
-bool
-Core::trySkipIdle()
-{
-    // A quiescent cycle is one where every stage provably does nothing
-    // but bump per-cycle statistics. Each check below mirrors one
-    // stage; any possible progress this cycle vetoes the jump.
-
-    // Commit: the ROB head would retire.
-    if (!rob_.empty() && rob_.front().completed)
-        return false;
-
-    // Decode: with instructions waiting, decode makes progress unless
-    // it is blocked by a structural hazard that only a completion
-    // event can clear — a full ROB/LSQ, or a Figure-7 block on an
-    // in-flight captured-scalar producer. Those blocked cycles charge
-    // one stall count each, which the jump reproduces below; the
-    // producer's completion is a scheduled event already covered by
-    // the horizon scan.
-    bool rob_full_stall = false;
-    bool lsq_full_stall = false;
-    bool decode_block_stall = false;
-    Addr decode_block_pc = 0;
-    if (!fetchQueue_.empty()) {
-        const FetchedInst &front = fetchQueue_.front();
-        if (rob_.full())
-            rob_full_stall = true;
-        else if (front.rec.inst.isMem() && lsq_.full())
-            lsq_full_stall = true;
-        else if (engine_.decodeWouldBlock(front.rec, rt_, *this)) {
-            decode_block_stall = true;
-            decode_block_pc = front.rec.pc;
-        } else
-            return false;
-    }
-
-    // Fetch: idle only when stalled on an unresolved branch, out of
-    // instructions (or past the warm-up fetch limit), waiting on an
-    // I-cache miss, or backed up into a full fetch queue.
-    Cycle horizon = neverCycle;
-    const bool fetch_idle =
-        fetchStalled_ || fetchExhausted() ||
-        fetchQueue_.size() >= cfg_.fetchQueueEntries;
-    if (!fetch_idle) {
-        if (cycle_ < icacheReadyAt_)
-            horizon = std::min(horizon, icacheReadyAt_);
-        else
-            return false; // fetch would run this cycle
-    }
-
-    // Completion: a parked validation whose element computed or whose
-    // register died acts this cycle; a waiting one's element is a
-    // scheduled event already covered by the engine horizon below, and
-    // the earliest scalar completion is simply the heap top.
-    for (const DynInst *d : parkedVals_)
-        if (engine_.validationStatus(*d) != ValStatus::Waiting)
-            return false;
-    if (!completionHeap_.empty())
-        horizon = std::min(horizon, completionHeap_.front()->readyCycle);
-
-    // Issue: an instruction with completed producers may issue (or
-    // charge an LSQ-conflict stall) this cycle.
-    for (const DynInst *d : iq_)
-        if (producerCompleted(d->dep1) && producerCompleted(d->dep2))
-            return false;
-
-    // Vector engine: in-flight instances arbitrate every cycle; only
-    // scheduled element completions (and nothing else) may remain.
-    const Cycle engine_event = engine_.nextEventCycle(cycle_);
-    if (engine_event <= cycle_)
-        return false;
-    horizon = std::min(horizon, engine_event);
-
-    // The per-cycle resources never schedule future events; their
-    // horizons are infinite by construction.
-    horizon = std::min(horizon, fuPool_.nextEventCycle());
-    horizon = std::min(horizon, ports_.nextEventCycle());
-
-    if (horizon == neverCycle)
-        return false; // no scheduled event: tick normally (budget run)
-    if (horizon <= cycle_)
-        return false; // an event lands this very cycle: tick normally
-
-    // Jump to the event (bounded by the cycle budget), charging the
-    // skipped cycles exactly as the skipped ticks would have.
-    const bool clipped = horizon >= cycleLimit_;
-    const Cycle target = clipped ? cycleLimit_ : horizon;
-    const Cycle skipped = target - cycle_;
-    if (skipped == 0)
-        return false;
-
-    ports_.noteIdleCycles(skipped);
-    ++stats_.eventSkipJumps;
-    stats_.eventSkippedCycles += skipped;
-    if (fetchStalled_) {
-        stats_.fetchStallCycles += skipped;
-        // The classification is constant across the skip window: the
-        // jump lands on the first cycle anything completes.
-        if (fetchStallOnValidation())
-            stats_.fetchStallValWaitCycles += skipped;
-    }
-    if (rob_full_stall)
-        stats_.robFullStalls += skipped;
-    if (lsq_full_stall)
-        stats_.lsqFullStalls += skipped;
-    if (decode_block_stall) {
-        stats_.decodeBlockCycles += skipped;
-        engine_.chargeBlockedCycles(decode_block_pc, skipped);
-    }
-
-    cycle_ = target;
-    stats_.cycles = cycle_;
-    SDV_OBS_SET_CYCLE(recorder_, cycle_);
-
-    // When the event lies at or beyond the budget, every remaining
-    // cycle was idle: the jump itself finishes the run and the cycle
-    // at the limit must not execute.
-    return clipped;
 }
 
 // --- checkpoint / measurement boundary -------------------------------------
@@ -244,7 +114,6 @@ Core::beginMeasurement()
 
     cycle_ = 0;
     icacheReadyAt_ = 0;
-    quietLastTick_ = false;
     fig10Remaining_ = 0;
     stallBranchSeq_ = 0;
 
@@ -286,7 +155,6 @@ Core::quiesceVectorState()
     rt_.reset();
     sdv_assert(ports_.ledgerLiveRecords() == 0,
                "unresolved port ledger records at the quiesce point");
-    quietLastTick_ = false;
 }
 
 void
@@ -424,8 +292,6 @@ Core::commitStage()
         rob_.popFront();
         ++committed;
     }
-    if (committed)
-        quietLastTick_ = false;
 }
 
 void
@@ -461,7 +327,6 @@ Core::squashAllInFlight()
     fetchStalled_ = false;
     stallBranchSeq_ = 0;
     icacheReadyAt_ = 0;
-    quietLastTick_ = false;
     if (!replayQueue_.empty())
         fetchPc_ = replayQueue_.front().pc;
 }
@@ -493,8 +358,6 @@ Core::scheduleCompletion(DynInst *d)
 void
 Core::completionStage()
 {
-    bool progress = false;
-
     // Scalar completions that matured: pop the heap instead of
     // rescanning every in-flight instruction.
     while (!completionHeap_.empty() &&
@@ -505,7 +368,6 @@ Core::completionStage()
         completionHeap_.pop_back();
         d->completed = true;
         maybeUnstall(d);
-        progress = true;
     }
 
     // Parked validations, in decode order: complete those whose
@@ -518,7 +380,6 @@ Core::completionStage()
             d->completed = true;
             d->readyCycle = cycle_;
             maybeUnstall(d);
-            progress = true;
             break;
           case ValStatus::Dead: {
             engine_.fallbackValidation(*d);
@@ -527,7 +388,6 @@ Core::completionStage()
                 [](const DynInst *a, InstSeqNum s) { return a->seq < s; });
             iq_.insert(pos, d);
             d->inIq = true;
-            progress = true;
             break;
           }
           case ValStatus::Waiting:
@@ -536,9 +396,6 @@ Core::completionStage()
         }
     }
     parkedVals_.resize(kept);
-
-    if (progress)
-        quietLastTick_ = false;
 }
 
 // --- issue ------------------------------------------------------------------
@@ -622,8 +479,6 @@ Core::issueStage()
             ++it;
         }
     }
-    if (issued)
-        quietLastTick_ = false;
 }
 
 // --- decode / rename / dispatch --------------------------------------------
@@ -698,8 +553,6 @@ Core::decodeStage()
         fetchQueue_.pop_front();
         ++decoded;
     }
-    if (decoded)
-        quietLastTick_ = false;
 }
 
 // --- fetch ---------------------------------------------------------------------
@@ -841,8 +694,6 @@ Core::fetchStage()
         if (f.rec.inst.isControl() && f.rec.taken)
             break; // at most one taken branch per fetch group
     }
-    if (fetched)
-        quietLastTick_ = false;
 }
 
 } // namespace sdv

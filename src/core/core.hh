@@ -67,13 +67,6 @@ struct CoreConfig
      *  mispredicted branch (the paper measures the next 100). */
     unsigned fig10WindowInsts = 100;
 
-    /** Event-skipping clock: when the pipeline is quiescent and only
-     *  scheduled completions remain, jump the cycle counter to the
-     *  next event instead of ticking idle cycles. Cycle-for-cycle
-     *  equivalent to ticking (see tests/test_event_skip.cc); disable
-     *  to cross-check. */
-    bool eventSkip = true;
-
     /** Trace-compiled dispatch: fetch and the oracle consume the
      *  program's compiled trace (pre-resolved handlers, pre-folded
      *  immediates, pre-computed branch targets) instead of re-decoding
@@ -131,12 +124,10 @@ struct CoreStats
      *  probes, dropped by the boundary. */
     std::uint64_t quiesceTransientElems = 0;
 
-    // Event-skipping clock meta-statistics: how the cycles were
-    // simulated, never what they contained. These are the only
-    // CoreStats fields allowed to differ between an event-skipping run
-    // and a ticking one.
-    std::uint64_t eventSkipJumps = 0;   ///< quiescent jumps taken
-    std::uint64_t eventSkippedCycles = 0; ///< cycles jumped over
+    // Always 0: the core ticks every cycle. Kept because the
+    // benchmark's replay driver still reads them.
+    std::uint64_t eventSkipJumps = 0;
+    std::uint64_t eventSkippedCycles = 0;
 
     /** @return instructions per cycle. */
     double
@@ -158,17 +149,8 @@ class Core : private VecExecContext
      */
     Core(const CoreConfig &cfg, const Program &prog);
 
-    /** Advance one cycle (or, with event skipping, jump a quiescent
-     *  pipeline forward to the next scheduled event first). */
+    /** Advance one cycle. */
     void tick();
-
-    /**
-     * Bound the cycle counter for event skipping: the clock never
-     * jumps past @p max_cycles, so a budget-limited run observes the
-     * exact same final cycle and statistics as a ticking one.
-     * Simulator::run sets this from its own budget.
-     */
-    void setCycleLimit(Cycle max_cycles) { cycleLimit_ = max_cycles; }
 
     /** @return true once HALT has committed. */
     bool done() const { return haltCommitted_; }
@@ -298,23 +280,11 @@ class Core : private VecExecContext
     void decodeStage();
     void fetchStage();
 
-    /**
-     * Event-skipping clock (see CoreConfig::eventSkip): when no stage
-     * can change state this cycle, jump cycle_ to the earliest
-     * scheduled event, charging the skipped cycles to the same
-     * per-cycle statistics ticking would have charged.
-     * @retval true when the jump consumed the whole cycle budget set
-     * by setCycleLimit() — the caller must skip the stage work, since
-     * a ticking run would never have executed a cycle at the limit
-     */
-    bool trySkipIdle();
-
     /** Commit bookkeeping shared by all instruction kinds. */
     void commitCommon(DynInst &d);
 
     /** Schedule an issued instruction's completion (min-heap keyed by
-     *  readyCycle; the completion stage pops entries as they mature,
-     *  and the event-skipping clock reads the top as its horizon). */
+     *  readyCycle; the completion stage pops entries as they mature). */
     void scheduleCompletion(DynInst *d);
 
     /** Shared unstall hook: a completing instruction that is the
@@ -330,9 +300,7 @@ class Core : private VecExecContext
     }
 
     /** @return true when the stalled-on branch is dep-blocked on an
-     *  in-flight validation (fetch-stall attribution; constant across
-     *  an event-skip window, so the jump charges it per skipped
-     *  cycle exactly as ticking would). */
+     *  in-flight validation (fetch-stall attribution). */
     bool fetchStallOnValidation() const;
 
     /** Squash every in-flight instruction (store conflict path). */
@@ -411,8 +379,7 @@ class Core : private VecExecContext
 
     /** Issued-but-incomplete instructions as a min-heap on readyCycle:
      *  the completion stage pops matured entries instead of rescanning
-     *  every in-flight instruction each cycle, and the event-skipping
-     *  clock reads the top as an exact horizon. */
+     *  every in-flight instruction each cycle. */
     std::vector<DynInst *> completionHeap_;
 
     /** Decoded validations whose target element has not resolved yet,
@@ -429,13 +396,8 @@ class Core : private VecExecContext
     PendingStoreOverlay pendingStores_;
 
     Cycle cycle_ = 0;
-    Cycle cycleLimit_ = neverCycle; ///< event-skip jump bound
     std::uint64_t fetchLimit_ = 0;  ///< oracle fetch cap (0 = none)
     std::uint64_t committedTotal_ = 0; ///< commits incl. warm-up
-    /** True when the previous tick made no forward progress (nothing
-     *  committed, completed, issued, decoded or fetched): the only
-     *  state in which attempting an event-skip jump can pay off. */
-    bool quietLastTick_ = false;
     bool haltCommitted_ = false;
     std::uint64_t commitHash_ = 1469598103934665603ULL;
 

@@ -38,14 +38,6 @@ class FuPool
     }
 
     /**
-     * Event-horizon query for the event-skipping clock. The pool is
-     * purely per-cycle issue bandwidth (beginCycle restores every
-     * slot; completions are scheduled on the instructions themselves),
-     * so the pool never initiates a future state change on its own.
-     */
-    Cycle nextEventCycle() const { return neverCycle; }
-
-    /**
      * Try to claim a unit for @p cls this cycle. Control operations and
      * memory address generation use simple-integer slots; memory-port
      * arbitration is handled separately by DCachePorts.

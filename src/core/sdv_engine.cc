@@ -431,38 +431,6 @@ SdvEngine::scalarOperandBlocked(const SrcSpec &spec, unsigned slot,
     return w != 0 && !ctx.seqCompleted(w);
 }
 
-bool
-SdvEngine::decodeWouldBlock(const ExecRecord &rec, const RenameTable &rt,
-                            const VecExecContext &ctx) const
-{
-    // Mirror of the decodeArith() Blocked path over a peeked (LRU- and
-    // stats-neutral) VRMT entry. Loads never block; neither does a
-    // disabled engine or the Figure-7 "ideal" configuration.
-    if (!cfg_.enabled || !cfg_.blockOnScalarOperand)
-        return false;
-    if (chainDemoted(rec.pc))
-        return false; // demoted chains decode as plain scalar
-    const OpInfo &info = rec.inst.info();
-    if (!info.vectorizable || !info.writesRd ||
-        rec.inst.rd == zeroReg || rec.inst.isLoad())
-        return false;
-
-    const VrmtEntry *ve = vrmt_.peek(rec.pc);
-    if (!ve || !vrf_.isLive(ve->vreg) || vrf_.isKilled(ve->vreg) ||
-        ve->isLoad)
-        return false;
-    if (ve->offset >= vrf_.elemCount(ve->vreg))
-        return false;
-    if (!operandsMatch(*ve, rec, rt))
-        return false;
-    const bool mixed = (ve->src1.isScalar() || ve->src2.isScalar()) &&
-                       (ve->src1.isVector() || ve->src2.isVector());
-    if (!mixed)
-        return false;
-    return scalarOperandBlocked(ve->src1, 1, rec, rt, ctx) ||
-           scalarOperandBlocked(ve->src2, 2, rec, rt, ctx);
-}
-
 DecodeAction
 SdvEngine::decodeArith(DynInst &d, RenameTable &rt,
                        const VecExecContext &ctx)

@@ -134,30 +134,6 @@ class SdvEngine
     DecodeAction decode(DynInst &d, RenameTable &rt,
                         const VecExecContext &ctx);
 
-    /**
-     * Side-effect-free probe: would decode(@p rec) return Blocked
-     * right now (Figure 7: mixed-operand validation whose captured
-     * scalar's producer is in flight)? Used by the event-skipping
-     * clock to treat a blocked decode as an idle stage whose wake-up
-     * is the producer's scheduled completion, instead of vetoing the
-     * jump. Mirrors the decodeArith() Blocked path exactly; no LRU,
-     * TL or statistics updates.
-     */
-    bool decodeWouldBlock(const ExecRecord &rec, const RenameTable &rt,
-                          const VecExecContext &ctx) const;
-
-    /**
-     * Account @p n skipped cycles of a decode blocked at @p pc: the
-     * Figure-7 stall counter and the VRMT LRU touch each blocked
-     * cycle's decode() call would have made.
-     */
-    void
-    chargeBlockedCycles(Addr pc, std::uint64_t n)
-    {
-        stats_.decodeBlockEvents += n;
-        vrmt_.touch(pc, n);
-    }
-
     /** @return the target element's status for an in-flight validation. */
     ValStatus validationStatus(const DynInst &d) const;
 
@@ -191,25 +167,9 @@ class SdvEngine
     /** Advance the vector datapath and the register reclamation. */
     void tick(Cycle now, DCachePorts &ports, MemHierarchy &mem);
 
-    /**
-     * Event-horizon query for the event-skipping clock: the earliest
-     * cycle at which tick() could change engine state. A pending
-     * register-release sweep means "this very cycle"; otherwise the
-     * horizon is the datapath's.
-     */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        if (vrf_.sweepPending())
-            return now;
-        return datapath_.nextEventCycle(now);
-    }
-
     /** @return true when no transient vector state is in flight: no
      *  datapath instances or scheduled completions and no pending
-     *  release sweep. This is the engine half of Core::quiescent();
-     *  deliberately not derived from nextEventCycle(), whose exact
-     *  horizon can be finite (or never) while instances are parked. */
+     *  release sweep. This is the engine half of Core::quiescent(). */
     bool
     idle() const
     {
@@ -341,9 +301,7 @@ class SdvEngine
     SrcSpec currentSpec(const DynInst &d, unsigned slot,
                         const RenameTable &rt) const;
 
-    /** @return true when the stored operands still match (Section 3.2).
-     *  Takes the bare ExecRecord so the side-effect-free
-     *  decodeWouldBlock() probe can run it pre-dispatch. */
+    /** @return true when the stored operands still match (Section 3.2). */
     bool operandsMatch(const VrmtEntry &ve, const ExecRecord &rec,
                        const RenameTable &rt) const;
 

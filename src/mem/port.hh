@@ -122,19 +122,6 @@ class DCachePorts
      */
     void resolveElem(ElemLoadId id, bool used);
 
-    /** Account @p n cycles during which no port activity was possible
-     *  (the event-skipping clock jumped over them). Equivalent to @p n
-     *  beginCycle() calls with no requests. */
-    void noteIdleCycles(std::uint64_t n) { stats_.cycles += n; }
-
-    /**
-     * @return the cycle at which port state next changes on its own:
-     * arbitration is purely per-cycle (beginCycle resets everything),
-     * so the network never schedules future work — always neverCycle.
-     * Part of the event-horizon API used by the event-skipping clock.
-     */
-    Cycle nextEventCycle() const { return neverCycle; }
-
     /** @return accumulated port statistics. */
     const PortStats &stats() const { return stats_; }
 

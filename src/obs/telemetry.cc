@@ -57,11 +57,8 @@ IntervalTelemetry::capture(Core &core, Cycle now)
 void
 IntervalTelemetry::sample(Core &core)
 {
-    const Cycle now = core.cycle();
-    capture(core, now);
-    // One sample spans an event-skip jump across several boundaries;
-    // re-arm on the interval grid so later samples stay aligned.
-    next_ = (now / interval_ + 1) * interval_;
+    capture(core, core.cycle());
+    next_ += interval_;
 }
 
 void

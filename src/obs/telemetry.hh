@@ -5,11 +5,11 @@
  * fetch-stall breakdown, live-vreg occupancy, validation activity)
  * emitted as a "telemetry" array next to the end-of-run aggregates.
  *
- * Samples are taken on interval boundaries of the simulated clock; an
- * event-skip jump that crosses several boundaries yields one sample
- * spanning the jump. A final flush captures the partial last interval
- * so that the per-field sums equal the end-of-run aggregate counters
- * exactly.
+ * Samples are taken on interval boundaries of the simulated clock,
+ * which ticks one cycle at a time, so every sample but the last spans
+ * exactly one interval. A final flush captures the partial last
+ * interval so that the per-field sums equal the end-of-run aggregate
+ * counters exactly.
  */
 
 #ifndef SDV_OBS_TELEMETRY_HH

@@ -134,7 +134,6 @@ configIdentityHash(const CoreConfig &cfg)
     ser.u32(cfg.btbWays);
     ser.u32(cfg.rasDepth);
     ser.u32(cfg.fig10WindowInsts);
-    ser.b(cfg.eventSkip);
     ser.b(cfg.traceExec);
 
     const MemHierarchyConfig &m = cfg.mem;

@@ -15,8 +15,7 @@
  *
  * Every draw comes from one sdv::Random stream owned by the injector
  * and advanced only at discrete microarchitectural events (element
- * completions landing, VRMT installs). Those event sequences are
- * identical under the ticking and event-skipping clocks and do not
+ * completions landing, VRMT installs). Those event sequences do not
  * depend on sweep worker scheduling, so a fault run is bit-reproducible
  * — the same determinism contract common/random.hh reserves the stream
  * for.

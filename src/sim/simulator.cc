@@ -25,7 +25,6 @@ Simulator::advanceTo(std::uint64_t target_insts,
                "advanceTo target is behind the current position");
     const ScopedLogContext log_ctx("sim", core_.cyclePtr());
     core_.setFetchLimit(target_insts);
-    core_.setCycleLimit(max_cycles);
     // Run until the capped fetch stream has fully drained through the
     // pipeline *and* the vector engine (even when HALT committed
     // inside the warm-up, in-flight vector elements must land before
@@ -36,7 +35,6 @@ Simulator::advanceTo(std::uint64_t target_insts,
            !(core_.fetchExhausted() && core_.quiescent()))
         core_.tick();
     core_.setFetchLimit(0);
-    core_.setCycleLimit(neverCycle);
     if (core_.done() || !core_.quiescent()) {
         // Program over, or the budget elapsed before the pipeline
         // quiesced: no measurement boundary exists. The simulator is
@@ -71,7 +69,6 @@ Simulator::runInsts(std::uint64_t insts, std::uint64_t max_cycles)
     sdv_assert(insts > 0, "runInsts needs at least one instruction");
     const ScopedLogContext log_ctx("sim", core_.cyclePtr());
     core_.setFetchLimit(core_.oracle().instCount() + insts);
-    core_.setCycleLimit(max_cycles);
     // As in advanceTo(): run until the capped fetch stream has fully
     // drained, so the measured region's statistics are complete.
     while (core_.cycle() < max_cycles && !core_.done() &&
@@ -82,7 +79,6 @@ Simulator::runInsts(std::uint64_t insts, std::uint64_t max_cycles)
     const bool drained =
         core_.done() || (core_.fetchExhausted() && core_.quiescent());
     core_.setFetchLimit(0);
-    core_.setCycleLimit(neverCycle);
     core_.finalize();
 
     SimResult res;
@@ -99,7 +95,6 @@ Simulator::run(std::uint64_t max_cycles, bool verify,
 {
     SimResult res;
     const ScopedLogContext log_ctx("sim", core_.cyclePtr());
-    core_.setCycleLimit(max_cycles);
     if (telemetry_)
         telemetry_->begin(core_);
     if (quiesce_interval == 0) {

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/log.hh"
@@ -186,14 +187,14 @@ Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out)
     if (!f)
         return errno == ENOENT || errno == ENOTDIR ? LoadStatus::Missing
                                                    : LoadStatus::Corrupt;
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, 0, SEEK_SET);
-    if (size < 0) {
+    // fopen also opens a directory: only a regular file holds an
+    // image, and its size comes from fstat, not from seeking.
+    struct stat st;
+    if (fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
         std::fclose(f);
         return LoadStatus::Corrupt;
     }
-    out.resize(size_t(size));
+    out.resize(size_t(st.st_size));
     const bool ok =
         std::fread(out.data(), 1, out.size(), f) == out.size();
     std::fclose(f);

@@ -42,7 +42,6 @@ struct ExecOptions
     /** True when jobs was resolved by --jobs 0 auto-detection
      *  (resolveJobs); reported in exec_metrics as "jobs_auto". */
     bool jobsAutoDetected = false;
-    bool eventSkip = true;      ///< event-skipping clock
     bool trace = true;          ///< trace-compiled dispatch (--no-trace)
     bool checkpoint = false;    ///< fork configs from warmed snapshots
     std::uint64_t warmupInsts = 10'000; ///< checkpoint warm-up length

@@ -83,10 +83,9 @@ namespace {
 /** The fuzzed machine: the paper's 4-way wide-bus SDV core with the
  *  case's drawn geometry. */
 CoreConfig
-fuzzedConfig(const FuzzCase &c, bool event_skip)
+fuzzedConfig(const FuzzCase &c)
 {
     CoreConfig cfg = makeConfig(4, c.ports, BusMode::WideBusSdv);
-    cfg.eventSkip = event_skip;
     cfg.engine.vlen = c.vlen;
     cfg.engine.numVregs = c.numVregs;
     cfg.engine.tlConfidence = c.tlConfidence;
@@ -98,11 +97,9 @@ fuzzedConfig(const FuzzCase &c, bool event_skip)
 /** The divergence oracle: the same machine with no SDV engine (and
  *  therefore nothing speculative to corrupt or misalign). */
 CoreConfig
-oracleConfig(const FuzzCase &c, bool event_skip)
+oracleConfig(const FuzzCase &c)
 {
-    CoreConfig cfg = makeConfig(4, c.ports, BusMode::WideBus);
-    cfg.eventSkip = event_skip;
-    return cfg;
+    return makeConfig(4, c.ports, BusMode::WideBus);
 }
 
 bool
@@ -124,8 +121,7 @@ sameCase(const FuzzCase &a, const FuzzCase &b)
 } // namespace
 
 FuzzOutcome
-runFuzzCase(const FuzzCase &c, bool event_skip,
-            std::uint64_t max_cycles)
+runFuzzCase(const FuzzCase &c, std::uint64_t max_cycles)
 {
     FuzzOutcome out;
     out.c = c;
@@ -134,13 +130,13 @@ runFuzzCase(const FuzzCase &c, bool event_skip,
         buildWorkload(c.workload, c.scale, c.footprint, c.fuzzSeed);
     prog.predecodeAll();
 
-    Simulator sdv(fuzzedConfig(c, event_skip), prog);
+    Simulator sdv(fuzzedConfig(c), prog);
     const SimResult sres =
         sdv.run(max_cycles, /*verify=*/true, c.quiesceInterval);
     out.sdvHash = sdv.core().commitPcHash();
     out.sdvInsts = sres.insts;
 
-    Simulator ref(oracleConfig(c, event_skip), prog);
+    Simulator ref(oracleConfig(c), prog);
     const SimResult rres = ref.run(max_cycles, /*verify=*/true, 0);
     out.refHash = ref.core().commitPcHash();
     out.refInsts = rres.insts;
@@ -259,11 +255,10 @@ minimizeFuzzCase(const FuzzCase &c, const FuzzPredicate &diverges)
 }
 
 FuzzCase
-minimizeFuzzCase(const FuzzCase &c, bool event_skip,
-                 std::uint64_t max_cycles)
+minimizeFuzzCase(const FuzzCase &c, std::uint64_t max_cycles)
 {
     return minimizeFuzzCase(c, [&](const FuzzCase &t) {
-        return runFuzzCase(t, event_skip, max_cycles).diverged;
+        return runFuzzCase(t, max_cycles).diverged;
     });
 }
 
@@ -281,8 +276,7 @@ runFuzzCampaign(const FuzzOptions &opt)
     FuzzReport rep;
     rep.outcomes.resize(cases.size());
     runOnPool(opt.jobs, cases.size(), [&](std::size_t i) {
-        rep.outcomes[i] =
-            runFuzzCase(cases[i], opt.eventSkip, opt.maxCycles);
+        rep.outcomes[i] = runFuzzCase(cases[i], opt.maxCycles);
     });
 
     const FuzzOutcome *first_failure = nullptr;
@@ -302,8 +296,8 @@ runFuzzCampaign(const FuzzOptions &opt)
     }
 
     if (first_failure && !opt.reproPath.empty()) {
-        const FuzzCase minimized = minimizeFuzzCase(
-            first_failure->c, opt.eventSkip, opt.maxCycles);
+        const FuzzCase minimized =
+            minimizeFuzzCase(first_failure->c, opt.maxCycles);
         if (writeFuzzRepro(opt.reproPath, minimized,
                            first_failure->reason))
             rep.reproPath = opt.reproPath;

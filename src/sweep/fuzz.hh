@@ -97,7 +97,6 @@ struct FuzzOptions
     unsigned scale = 1;
     Footprint footprint = Footprint::Base;
     bool quick = false;    ///< first two INT + first FP workloads only
-    bool eventSkip = true;
     bool withFaults = true; ///< arm fault injection on half the samples
     std::uint64_t maxCycles = 200'000'000;
     /** Where a minimized divergence repro is written. */
@@ -134,8 +133,7 @@ FuzzCase drawFuzzCase(const std::string &workload, unsigned scale,
  * with functional verification on; the outcome reports the first
  * failed check as its reason.
  */
-FuzzOutcome runFuzzCase(const FuzzCase &c, bool event_skip,
-                        std::uint64_t max_cycles);
+FuzzOutcome runFuzzCase(const FuzzCase &c, std::uint64_t max_cycles);
 
 /**
  * Run the full campaign (every registered workload, honouring quick,
@@ -183,8 +181,7 @@ FuzzCase minimizeFuzzCase(const FuzzCase &c,
 
 /** minimizeFuzzCase against the real divergence oracle (the campaign
  *  entry point: predicate = runFuzzCase(...).diverged). */
-FuzzCase minimizeFuzzCase(const FuzzCase &c, bool event_skip,
-                          std::uint64_t max_cycles);
+FuzzCase minimizeFuzzCase(const FuzzCase &c, std::uint64_t max_cycles);
 
 } // namespace sweep
 } // namespace sdv

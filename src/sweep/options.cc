@@ -143,9 +143,6 @@ runFlags(RunOptions &o, bool simulating)
                    "do not change)",
                    0, u64Max,
                    [&p](std::uint64_t v) { p.baseSeed = v; }),
-        switchFlag(execution, "--no-event-skip",
-                   "tick every cycle (cross-check mode)",
-                   [&e] { e.eventSkip = false; }),
         switchFlag(execution, "--no-trace",
                    "interpreter dispatch instead of the compiled trace "
                    "(cross-check mode)",

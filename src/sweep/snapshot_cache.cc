@@ -95,7 +95,7 @@ snapshotKey(const SweepPlan &plan, const ExecOptions &opt,
     // The cycle budget shapes capture *failure* (a boundary unreachable
     // within the budget is a stored negative), so a bigger budget must
     // not reuse a smaller budget's verdict. The warm-config hash covers
-    // the machine the capture pass ran, chaining mode and clocking
+    // the machine the capture pass ran, chaining mode and dispatch
     // included.
     std::snprintf(buf, sizeof(buf), ".mc%llu.c%016llx",
                   static_cast<unsigned long long>(opt.maxCycles),

@@ -136,18 +136,6 @@ VectorDatapath::fuBandwidth(OpClass cls) const
     }
 }
 
-Cycle
-VectorDatapath::nextEventCycle(Cycle now) const
-{
-    for (const VecInstance &inst : active_)
-        if (step(inst) != InstStep::Wait)
-            return now;
-    Cycle e = neverCycle;
-    for (const Completion &c : completions_)
-        e = std::min(e, c.ready);
-    return e;
-}
-
 void
 VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
 {
@@ -162,8 +150,7 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
                 std::uint64_t flip = 0;
                 // Fault site: the value lands in the register file
                 // possibly with one bit flipped. The draw happens at
-                // this discrete event, so the stream position is
-                // identical under ticking and event-skipping clocks.
+                // this discrete event.
                 if (finj_ && finj_->armed())
                     flip = finj_->drawElemFlip();
                 vrf_.setData(it->dest, it->elem, value ^ flip);

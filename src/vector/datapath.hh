@@ -147,22 +147,8 @@ class VectorDatapath
     /** Advance one cycle: land completions, initiate new elements. */
     void tick(Cycle now, DCachePorts &ports, MemHierarchy &mem);
 
-    /**
-     * Event-horizon query for the event-skipping clock: the earliest
-     * cycle at which tick() could change any state. It is @p now
-     * while any instance would retire, cascade-abort or act this cycle
-     * (see step()). Otherwise every instance waits, either on a source
-     * element, whose completion is scheduled here, or on a captured-
-     * scalar producer, whose completion is the core's scheduled event,
-     * and the horizon is the earliest scheduled element completion.
-     * In stall windows where every instance sits behind an L2 miss,
-     * the clock jumps straight to the miss completion.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
     /** @return true when no instance is in flight and no element
-     *  completion is scheduled (the quiescence condition; independent
-     *  of the horizon above, which may be finite-but-idle). */
+     *  completion is scheduled (the quiescence condition). */
     bool
     idle() const
     {
@@ -194,8 +180,7 @@ class VectorDatapath
     };
 
     /** What one instance does at the current cycle: the one
-     *  per-instance test that each phase of tick() and the horizon in
-     *  nextEventCycle() read. */
+     *  per-instance test that each phase of tick() reads. */
     enum class InstStep : std::uint8_t
     {
         Retire,       ///< finished, or its destination died: erase it

@@ -390,8 +390,7 @@ class VecRegFile
     unsigned sweepReleases(Addr gmrbb);
 
     /** @return true while flag changes await the next sweepReleases()
-     *  pass — the event-skipping clock must not jump over a cycle in
-     *  which the sweep could still release a register. */
+     *  pass (a pending sweep keeps the engine from being idle). */
     bool sweepPending() const { return !sweepCandidates_.empty(); }
 
     /** Release everything (end of simulation), recording fates. */

@@ -38,31 +38,6 @@ Vrmt::lookup(Addr pc) const
     return const_cast<Vrmt *>(this)->lookup(pc);
 }
 
-const VrmtEntry *
-Vrmt::peek(Addr pc) const
-{
-    const VrmtEntry *set = &entries_[size_t(setIndex(pc)) * ways_];
-    for (unsigned w = 0; w < ways_; ++w)
-        if (set[w].valid && set[w].pc == pc)
-            return &set[w];
-    return nullptr;
-}
-
-void
-Vrmt::touch(Addr pc, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    VrmtEntry *set = &entries_[size_t(setIndex(pc)) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].pc == pc) {
-            useClock_ += n;
-            set[w].lastUse = useClock_;
-            return;
-        }
-    }
-}
-
 VrmtEntry &
 Vrmt::install(const VrmtEntry &entry)
 {

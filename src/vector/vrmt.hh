@@ -65,21 +65,6 @@ class Vrmt
     const VrmtEntry *lookup(Addr pc) const;
 
     /**
-     * @return the entry for @p pc without touching LRU state. The
-     * event-skipping clock probes "would decode block?" ahead of any
-     * real decode, so the probe must be side-effect free.
-     */
-    const VrmtEntry *peek(Addr pc) const;
-
-    /**
-     * Replay @p n lookup() LRU touches of @p pc in one step: exactly
-     * what n consecutive blocked-decode cycles would have done to the
-     * use clock (nothing else touches the VRMT while decode is
-     * blocked and the pipeline is otherwise quiescent).
-     */
-    void touch(Addr pc, std::uint64_t n);
-
-    /**
      * Install (or replace) the entry for @p pc; the LRU entry of the
      * set is evicted when full.
      * @return reference to the installed entry

@@ -219,12 +219,8 @@ TEST(Ablation, StoreSquashesValidationsOfKilledRegisters)
     const Program &prog = keeper().back();
     CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
     cfg.engine.tlConfidence = 1;
-    for (const auto &[eventSkip, traceExec] :
-         {std::pair{true, true}, std::pair{false, true},
-          std::pair{true, false}}) {
-        SCOPED_TRACE(std::string(eventSkip ? "event skip" : "ticking") +
-                     (traceExec ? ", trace" : ", interpreter"));
-        cfg.eventSkip = eventSkip;
+    for (const bool traceExec : {true, false}) {
+        SCOPED_TRACE(traceExec ? "trace" : "interpreter");
         cfg.traceExec = traceExec;
         const SimResult r = simulate(cfg, prog);
         ASSERT_TRUE(r.finished);

@@ -13,6 +13,7 @@
 
 #include "isa/builder.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace sdv {
 namespace {
@@ -291,6 +292,34 @@ TEST(Pipeline, CallsAndReturnsPredictViaRas)
     // saturate before the steady-state entry trains).
     EXPECT_LT(res.core.branchMispredicts, 25u);
     EXPECT_GT(res.core.committedBranches, 200u);
+}
+
+TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
+{
+    // A budget shorter than the program stops each run loop exactly
+    // at the budget, unfinished.
+    const Program &prog = keep(buildWorkload("compress", 1));
+    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
+    for (std::uint64_t budget : {500ULL, 5'000ULL, 20'000ULL}) {
+        SCOPED_TRACE(budget);
+        {
+            Simulator sim(cfg, prog);
+            const SimResult res = sim.run(budget, /*verify=*/false);
+            EXPECT_FALSE(res.finished);
+            EXPECT_EQ(res.cycles, budget);
+        }
+        {
+            Simulator sim(cfg, prog);
+            EXPECT_FALSE(sim.advanceTo(1'000'000, budget));
+            EXPECT_EQ(sim.core().cycle(), budget);
+        }
+        {
+            Simulator sim(cfg, prog);
+            const SimResult res = sim.runInsts(1'000'000, budget);
+            EXPECT_FALSE(res.finished);
+            EXPECT_EQ(res.cycles, budget);
+        }
+    }
 }
 
 /** Every machine shape must run every mini-program correctly. */

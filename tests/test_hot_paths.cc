@@ -545,7 +545,7 @@ TEST(Vrmt, InvalidateAllEmptiesTheTableAndWaysRefill)
     vrmt.invalidateAll();
     EXPECT_EQ(vrmt.occupancy(), 0u);
     EXPECT_EQ(vrmt.lookup(Addr(0x1000)), nullptr);
-    EXPECT_EQ(vrmt.peek(Addr(0x1008)), nullptr);
+    EXPECT_EQ(vrmt.lookup(Addr(0x1008)), nullptr);
 
     // Invalidated ways are reused by install(), and replacing the
     // same pc keeps exactly one valid entry for it.

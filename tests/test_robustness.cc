@@ -200,8 +200,7 @@ TEST(FaultInjection, TlAndGmrbbFlipsAreInjectedAndContained)
     c.fault.tlFlipPpm = 50'000;
     c.fault.gmrbbFlipPpm = 50'000;
 
-    const sweep::FuzzOutcome o =
-        sweep::runFuzzCase(c, /*event_skip=*/true, 50'000'000);
+    const sweep::FuzzOutcome o = sweep::runFuzzCase(c, 50'000'000);
     EXPECT_GT(o.tlFlips, 0u);
     EXPECT_GT(o.gmrbbFlips, 0u);
     EXPECT_FALSE(o.diverged) << o.reason;

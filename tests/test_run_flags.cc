@@ -105,8 +105,8 @@ TEST(RunFlags, EachFlagSetsItsField)
 {
     sweep::RunOptions o;
     ASSERT_EQ(parse(o, {"--scale", "4", "--footprint", "mem", "--quick",
-                        "--jobs", "3", "--seed", "7", "--no-event-skip",
-                        "--no-trace", "--checkpoint", "--warmup", "0",
+                        "--jobs", "3", "--seed", "7", "--no-trace",
+                        "--checkpoint", "--warmup", "0",
                         "--samples", "3", "--sample-insts", "500",
                         "--sample-period", "9000", "--checkpoint-dir",
                         "snaps", "--quiesce-interval", "2000",
@@ -122,7 +122,6 @@ TEST(RunFlags, EachFlagSetsItsField)
     EXPECT_EQ(o.plan.baseSeed, 7u);
     EXPECT_EQ(o.exec.jobs, 3u);
     EXPECT_FALSE(o.exec.jobsAutoDetected);
-    EXPECT_FALSE(o.exec.eventSkip);
     EXPECT_FALSE(o.exec.trace);
     EXPECT_TRUE(o.exec.checkpoint);
     EXPECT_EQ(o.exec.warmupInsts, 1u); // 0 counts as 1

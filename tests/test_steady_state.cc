@@ -17,9 +17,8 @@
  *
  * These tests pin (a) the documented bound on the default
  * (paper-faithful) configuration's gap, (b) that --eager-chain
- * (EngineConfig::eagerChainLoads) eliminates it (<= 2%), (c) the
- * fetch-stall attribution counter that identifies the mechanism, and
- * (d) bit-identity of the event-skipping clock under the new modes.
+ * (EngineConfig::eagerChainLoads) eliminates it (<= 2%), and (c) the
+ * fetch-stall attribution counter that identifies the mechanism.
  */
 
 #include <deque>
@@ -28,7 +27,6 @@
 
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
-#include "expect_same_stats.hh"
 
 namespace sdv {
 namespace {
@@ -135,39 +133,6 @@ TEST(SteadyState, FetchStallAttributionIdentifiesValidationWaits)
               def.cont.core.fetchStallValWaitCycles / 4);
     EXPECT_LT(eager.cont.core.fetchStallCycles,
               def.cont.core.fetchStallCycles);
-}
-
-TEST(SteadyState, NewModesStayBitIdenticalUnderEventSkipping)
-{
-    // The event-skipping clock must reproduce ticking exactly through
-    // the new paths: eager chains, periodic vector quiesces, and the
-    // parked-validation scheduler on a memory-bound footprint.
-    for (const std::string w : {"m88ksim", "perl"}) {
-        const Program &prog = keep(buildWorkload(w, 1, Footprint::L2));
-        for (const bool eager : {false, true}) {
-            for (const std::uint64_t qi : {0ULL, 10'000ULL}) {
-                CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
-                cfg.engine.eagerChainLoads = eager;
-
-                cfg.eventSkip = true;
-                Simulator a(cfg, prog);
-                const SimResult ra = a.run(200'000'000, false, qi);
-
-                cfg.eventSkip = false;
-                Simulator b(cfg, prog);
-                const SimResult rb = b.run(200'000'000, false, qi);
-
-                const std::string label =
-                    w + (eager ? "/eager" : "/default") +
-                    (qi ? "/quiesced" : "/continuous");
-                expectSameStats(ra, rb, label, eventSkipCounters);
-                EXPECT_EQ(a.core().commitPcHash(),
-                          b.core().commitPcHash())
-                    << label;
-                EXPECT_EQ(rb.core.eventSkippedCycles, 0u) << label;
-            }
-        }
-    }
 }
 
 TEST(SteadyState, QuiesceIntervalPreservesArchitecturalResults)

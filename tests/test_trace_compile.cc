@@ -7,7 +7,9 @@
  * adversarial modes (eager chaining, periodic quiesce, fault
  * injection). Also covers the compiled trace itself: slot contents,
  * patch() recompilation and append() extension, and the functional
- * fast path against the interpreter.
+ * fast path against the interpreter; the decoded-program cache
+ * (invalidation on patch); and the Figure-13 ledger folding memory
+ * bound.
  */
 
 #include <deque>
@@ -56,8 +58,7 @@ runOnce(CoreConfig cfg, const Program &prog, bool trace, bool verify,
     return d;
 }
 
-/** Assert equality of every statistic. Unlike the event-skip
- *  equivalence suite, nothing is exempt: dispatch mode must not be
+/** Assert equality of every statistic: dispatch mode must not be
  *  observable in any counter. */
 void
 expectIdentical(const RunDigest &tr, const RunDigest &ref,
@@ -197,6 +198,73 @@ TEST(CompiledTrace, FunctionalFastPathMatchesInterpreter)
         EXPECT_TRUE(a.state() == b.state());
         EXPECT_TRUE(a.memory().equals(b.memory()));
     }
+}
+
+// --- decoded-program cache -------------------------------------------------
+
+TEST(DecodedCache, InstAtReflectsPatch)
+{
+    Program p;
+    const Addr pc0 =
+        p.append(Instruction(Opcode::ADD, 1, 2, 3, 0));
+    const Addr pc1 =
+        p.append(Instruction(Opcode::LDQ, 4, 5, 0, 16));
+    p.append(Instruction(Opcode::HALT, 0, 0, 0, 0));
+
+    // Prime the decode cache.
+    EXPECT_EQ(p.instAt(pc0).op, Opcode::ADD);
+    EXPECT_EQ(p.instAt(pc1).op, Opcode::LDQ);
+    EXPECT_EQ(p.instAt(pc1).imm, 16);
+
+    // Patch slot 1 (the builder's label-fixup path) and re-read: the
+    // cached decode must be invalidated, not returned stale.
+    p.patch(1, Instruction(Opcode::LDQ, 4, 5, 0, 64));
+    EXPECT_EQ(p.instAt(pc1).imm, 64);
+    p.patch(1, Instruction(Opcode::SUB, 7, 8, 9, 0));
+    EXPECT_EQ(p.instAt(pc1).op, Opcode::SUB);
+    EXPECT_EQ(p.instAt(pc1).rd, 7);
+
+    // Unpatched slots keep their cached decode.
+    EXPECT_EQ(p.instAt(pc0).op, Opcode::ADD);
+    EXPECT_EQ(p.instAt(pc0).rs2, 3);
+}
+
+TEST(DecodedCache, RepeatedAccessIsStable)
+{
+    Program p;
+    const Addr pc = p.append(Instruction(Opcode::ADDI, 3, 3, 0, -7));
+    p.append(Instruction(Opcode::HALT, 0, 0, 0, 0));
+    const Instruction &first = p.instAt(pc);
+    const Instruction &second = p.instAt(pc);
+    // Same cached slot, same contents.
+    EXPECT_EQ(&first, &second);
+    EXPECT_EQ(first.imm, -7);
+    EXPECT_EQ(p.encodedAt(pc), first.encode());
+}
+
+// --- Figure-13 ledger folding ---------------------------------------------
+
+TEST(LedgerFolding, MemoryBoundedByInFlightAccesses)
+{
+    // A full workload makes tens of thousands of port accesses; after
+    // folding, the ledger slot pool must stay bounded by what can be
+    // simultaneously unresolved, not grow with traffic.
+    const Program &prog = keep(buildWorkload("swim", 1));
+    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
+    Simulator sim(cfg, prog);
+    const SimResult res = sim.run(50'000'000, /*verify=*/false);
+    ASSERT_TRUE(res.finished);
+
+    DCachePorts &ports = sim.core().ports();
+    EXPECT_GT(res.ports.readAccesses, 5'000u);
+    EXPECT_EQ(res.wideBus.totalReads, res.ports.readAccesses);
+    // Unresolved records are bounded by in-flight speculative elements
+    // (vector registers * vlen), far below total traffic.
+    EXPECT_LT(ports.ledgerSlotHighWater(),
+              std::size_t(cfg.engine.numVregs * cfg.engine.vlen * 2));
+    // After finalize() (run() calls it), every element is resolved and
+    // only the final cycle's accesses may still be live.
+    EXPECT_LE(ports.ledgerLiveRecords(), std::size_t(cfg.dcachePorts));
 }
 
 } // namespace

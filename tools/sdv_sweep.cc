@@ -135,8 +135,7 @@ main(int argc, char **argv)
                     unsigned(c.tlConfidence),
                     c.eagerChain ? ", eager" : "",
                     describeFaultPlan(c.fault).c_str());
-        const sweep::FuzzOutcome o =
-            sweep::runFuzzCase(c, eopt.eventSkip, eopt.maxCycles);
+        const sweep::FuzzOutcome o = sweep::runFuzzCase(c, eopt.maxCycles);
         reportFuzzOutcome(o);
         return o.diverged ? 1 : 0;
     }
@@ -149,7 +148,6 @@ main(int argc, char **argv)
         fopt.scale = popt.scale;
         fopt.footprint = popt.footprint;
         fopt.quick = popt.quick;
-        fopt.eventSkip = eopt.eventSkip;
         fopt.withFaults = fuzz_faults;
         fopt.maxCycles = eopt.maxCycles;
         fopt.reproPath = fuzz_repro;

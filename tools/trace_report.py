@@ -17,9 +17,10 @@ Modes:
   --intervals N         append N-bucket event-rate plot data (TSV)
   --check-telemetry F   independent mode: F is a bench/sweep --json
                         file; verify each record's "telemetry" interval
-                        series is contiguous and, for runs starting at
-                        cycle 0, that interval sums equal the record's
-                        end-of-run aggregates exactly
+                        series is contiguous, that every sample but the
+                        last spans one interval and, for runs starting
+                        at cycle 0, that interval sums equal the
+                        record's end-of-run aggregates exactly
 """
 
 import argparse
@@ -196,10 +197,12 @@ def check_telemetry(doc):
     """Validate every "telemetry" series in a bench/sweep JSON file.
 
     Intervals must tile the sampled cycle range with no gaps or
-    overlaps. When the series starts at cycle 0 the run had no warmup
-    or checkpoint prefix, so the per-interval sums must reproduce the
-    end-of-run aggregates exactly — the property the interval sampler
-    guarantees by flushing the partial final interval.
+    overlaps, and every sample but the last must span the same number
+    of cycles: the clock ticks one cycle at a time, so each sample ends
+    on the interval grid. When the series starts at cycle 0 the run had
+    no warmup or checkpoint prefix, so the per-interval sums must
+    reproduce the end-of-run aggregates exactly — the property the
+    interval sampler guarantees by flushing the partial final interval.
     """
     errors = []
     checked = 0
@@ -219,6 +222,10 @@ def check_telemetry(doc):
                     f"{ident}: gap between samples {i - 1} and {i} "
                     f"({samples[i - 1]['end_cycle']} -> "
                     f"{s['start_cycle']})")
+        spans = {s["cycles"] for s in samples[:-1]}
+        if len(spans) > 1:
+            errors.append(f"{ident}: samples before the last span "
+                          f"{sorted(spans)} cycles, not one interval")
         if samples[0]["start_cycle"] == 0:
             for field, agg in (("cycles", r.get("cycles")),
                                ("insts", r.get("insts"))):
