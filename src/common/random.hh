@@ -17,10 +17,10 @@ namespace sdv {
  * Derive a deterministic per-job seed from (workload, config, base
  * seed): a pure function of the job's identity, never of scheduling
  * order or thread count. The sweep executor derives and records one
- * per job; the simulator currently draws no randomness at run time,
- * so the stream is reserved — the determinism contract is that any
- * future stochastic component (randomized replacement, fault
- * injection, ...) must draw only from this stream, keeping parallel
+ * per job, and the speculation fuzzer draws each case from one; the
+ * simulator itself draws no randomness at run time. The determinism
+ * contract is that any future stochastic component (randomized
+ * replacement, say) must draw only from this stream, keeping parallel
  * and serial sweeps byte-identical.
  */
 inline std::uint64_t

@@ -228,20 +228,9 @@ Core::commitCommon(DynInst &d)
         ++stats_.committedValidations;
         if (d.isLoad())
             ++stats_.committedLoadValidations;
-        const ValCommitResult vres = engine_.onValidationCommit(d);
-        if (vres.faultDetected)
-            ++stats_.specFaultsDetected;
-        if (vres.chainDemoted)
-            ++stats_.specChainDemotions;
+        engine_.onValidationCommit(d);
     } else {
-        if (engine_.onScalarWriterCommit(d))
-            ++stats_.specChainReenables;
-        // Decode-time VRMT-corruption detections ride the instruction
-        // to commit so squashed wrong-path detections don't count.
-        if (d.fiDetected)
-            ++stats_.specFaultsDetected;
-        if (d.fiDemoted)
-            ++stats_.specChainDemotions;
+        engine_.onScalarWriterCommit(d);
     }
     if (d.inst().writesReg() || d.isValidation())
         rt_.onWriterCommit(d.inst().rd, d.seq);

@@ -109,14 +109,8 @@ struct CoreStats
     std::uint64_t postMispredictWindowInsts = 0;
     std::uint64_t postMispredictReused = 0;
 
-    // Adversarial robustness (PR 6): the committed-path view of the
-    // fault-injection ledger (EngineStats has the decode/validation
-    // view including squashed work) and the transient-exposure probe
-    // of the quiesce boundary (timing-channel experiments). All stay
-    // zero in default runs.
-    std::uint64_t specFaultsDetected = 0; ///< injected faults flagged
-    std::uint64_t specChainDemotions = 0; ///< chains demoted to scalar
-    std::uint64_t specChainReenables = 0; ///< demoted chains re-enabled
+    // The transient-exposure probe of the quiesce boundary
+    // (timing-channel experiments). All stay zero in default runs.
     std::uint64_t quiesceEvents = 0;       ///< mid-run vector quiesces
     std::uint64_t quiesceLiveVregs = 0;    ///< live vregs at those events
     /** Speculative (computed but not yet validated) elements alive

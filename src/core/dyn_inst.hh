@@ -35,11 +35,6 @@ struct DynInst
     VecRegRef valVreg;          ///< validation target register
     std::uint8_t valElem = 0;   ///< validation target element
     bool valElemFellBack = false; ///< validation reverted to scalar
-    /** Fault injection: decode attributed a misspeculation on this
-     *  instruction's chain to a corrupted VRMT entry (counted into
-     *  CoreStats at commit so squashed detections don't inflate it). */
-    bool fiDetected = false;
-    bool fiDemoted = false;     ///< ... and the detection demoted the chain
 
     // --- dependences ----------------------------------------------------------
     InstSeqNum dep1 = 0; ///< producer of rs1 still in flight (0 = ready)
@@ -89,8 +84,6 @@ struct DynInst
         valVreg = VecRegRef{};
         valElem = 0;
         valElemFellBack = false;
-        fiDetected = false;
-        fiDemoted = false;
         dep1 = 0;
         dep2 = 0;
         wroteRename = false;

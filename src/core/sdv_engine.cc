@@ -24,8 +24,6 @@ SdvEngine::SdvEngine(const EngineConfig &cfg)
       vrmt_(cfg.vrmtSets, cfg.vrmtWays), vrf_(cfg.numVregs, cfg.vlen),
       datapath_(cfg.fu, vrf_)
 {
-    finj_.configure(cfg.fault);
-    datapath_.setFaultInjector(&finj_);
 }
 
 void
@@ -68,13 +66,6 @@ SdvEngine::decode(DynInst &d, RenameTable &rt,
         plainRenameWrite(d, rt);
         return DecodeAction::Normal;
     }
-    // Graceful degradation: a chain demoted after repeated injected
-    // faults executes purely scalar — no TL observation, no VRMT, no
-    // validations — until its clean-commit window re-enables it.
-    if (chainDemoted(d.pc())) {
-        plainRenameWrite(d, rt);
-        return DecodeAction::Normal;
-    }
     const OpInfo &info = d.inst().info();
     if (d.isLoad() && info.vectorizable && d.inst().rd != zeroReg)
         return decodeLoad(d, rt);
@@ -96,16 +87,6 @@ SdvEngine::decodeLoad(DynInst &d, RenameTable &rt)
         d.tlSnap = tl_.snapshot(pc);
     }
     const TlObservation obs = tl_.observe(pc, d.rec.addr);
-    if (finj_.armed()) {
-        // TL fault site: corrupt the just-trained entry's stride or
-        // last address. d.tlSnap predates the flip, so squash undo
-        // reverses it along with the training — faults stay committed-
-        // path deterministic. The corruption mistrains future spawns
-        // only; wrong spawns die on the expected-address check.
-        const TlFault f = finj_.drawTlFault();
-        if (f.fire)
-            tl_.applyFault(pc, f.strideField, f.mask);
-    }
 
     VrmtEntry *ve = vrmt_.lookup(pc);
 
@@ -172,23 +153,9 @@ SdvEngine::decodeLoad(DynInst &d, RenameTable &rt)
                 return DecodeAction::Normal;
             }
             // Address misspeculation: scalar until the TL re-detects.
-            if (ve->faultInjected) {
-                // The expected-address check caught an entry whose
-                // stride/base was corrupted at install: that is the
-                // VRMT fault site *detecting*, so it feeds the
-                // injection ledger, not the genuine misspec stat.
-                ++stats_.faultVrmtDetects;
-                SDV_OBS_EVENT(recorder_,
-                              ::sdv::obs::EventKind::FaultDetect, pc,
-                              packRef(ve->vreg));
-                d.fiDetected = true;
-                if (noteChainFault(pc))
-                    d.fiDemoted = true;
-            } else {
-                ++stats_.loadAddrMisspecs;
-                SDV_OBS_EVENT(recorder_, ::sdv::obs::EventKind::ValMiss,
-                              pc, packRef(ve->vreg), /*addr_misspec=*/2);
-            }
+            ++stats_.loadAddrMisspecs;
+            SDV_OBS_EVENT(recorder_, ::sdv::obs::EventKind::ValMiss, pc,
+                          packRef(ve->vreg), /*addr_misspec=*/2);
             killEntry(*ve);
             tl_.resetConfidence(pc);
             plainRenameWrite(d, rt);
@@ -242,7 +209,7 @@ SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
     e.isLoad = true;
     e.stride = stride;
     e.baseAddr = d.rec.addr;
-    corruptInstall(vrmt_.install(e));
+    vrmt_.install(e);
 
     datapath_.spawnLoad(d.pc(), v, d.rec.addr, stride, d.rec.size, vl);
 
@@ -317,7 +284,7 @@ SdvEngine::tryChainLoad(DynInst &d, RenameTable &rt)
     e.vreg = v2;
     e.offset = 0;
     e.baseAddr = base;
-    corruptInstall(vrmt_.install(e));
+    vrmt_.install(e);
 
     // Keep lastWriter/curElem from the validation; repoint the vector
     // mapping at the new incarnation.
@@ -670,58 +637,6 @@ SdvEngine::makeValidation(DynInst &d, RenameTable &rt, VrmtEntry &ve)
 }
 
 void
-SdvEngine::corruptInstall(VrmtEntry &ie)
-{
-    if (!finj_.armed())
-        return;
-    const VrmtFault f = finj_.drawVrmtFault();
-    if (!f.fire)
-        return;
-    if (f.strideField)
-        ie.stride ^= std::int64_t(f.mask);
-    else
-        ie.baseAddr ^= f.mask;
-    ie.faultInjected = true;
-    SDV_OBS_EVENT(recorder_, obs::EventKind::FaultInject, ie.pc,
-                  packRef(ie.vreg));
-}
-
-bool
-SdvEngine::noteChainFault(Addr pc)
-{
-    if (!finj_.armed())
-        return false;
-    Demotion &dm = demotions_[pc];
-    if (dm.demoted)
-        return false; // draining validations of an already-demoted chain
-    if (++dm.consecutiveFaults < cfg_.fault.demoteThreshold)
-        return false;
-    dm.demoted = true;
-    dm.consecutiveFaults = 0;
-    dm.cleanRemaining =
-        cfg_.fault.reenableWindow ? cfg_.fault.reenableWindow : 1;
-    ++stats_.faultChainDemotions;
-    SDV_OBS_EVENT(recorder_, obs::EventKind::ChainDemote, pc);
-    // Cut the chain immediately: kill its entry (and datapath
-    // instance) so no further validation consumes the faulted stream;
-    // in-flight validations of the killed register fall back to scalar
-    // instead of wedging the register file.
-    if (VrmtEntry *ve = vrmt_.lookup(pc))
-        killEntry(*ve);
-    return true;
-}
-
-void
-SdvEngine::noteChainClean(Addr pc)
-{
-    if (demotions_.empty())
-        return;
-    auto it = demotions_.find(pc);
-    if (it != demotions_.end() && !it->second.demoted)
-        it->second.consecutiveFaults = 0;
-}
-
-void
 SdvEngine::killEntry(VrmtEntry &ve)
 {
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainKill, ve.pc,
@@ -763,53 +678,16 @@ SdvEngine::fallbackValidation(DynInst &d)
                   packRef(d.valVreg), /*fallback=*/1);
 }
 
-ValCommitResult
+void
 SdvEngine::onValidationCommit(const DynInst &d)
 {
-    ValCommitResult res;
     if (vrf_.isLive(d.valVreg)) {
         if (vrf_.isReady(d.valVreg, d.valElem)) {
-            const bool mismatch =
-                vrf_.data(d.valVreg, d.valElem) != d.rec.value;
-            if (vrf_.elemFaultMarked(d.valVreg, d.valElem)) {
-                // Injection ledger: a marked element never passes
-                // silently — it is detected here (mismatch), examined
-                // and found benign (the flip reverted a value that was
-                // already misspeculated by exactly that bit, or a
-                // tainted recomputation landed on the right value), or
-                // its register releases unconsumed (the vanished
-                // fates). Either way the mark is consumed now, so the
-                // genuine self-check below stays a genuine self-check.
-                const bool injected =
-                    vrf_.elemFaultInjected(d.valVreg, d.valElem);
-                if (mismatch) {
-                    if (injected)
-                        ++stats_.faultValidationDetects;
-                    else
-                        ++stats_.faultTaintDetects;
-                    SDV_OBS_EVENT(recorder_, obs::EventKind::FaultDetect,
-                                  d.pc(), packRef(d.valVreg));
-                    res.faultDetected = true;
-                    res.chainDemoted = noteChainFault(d.pc());
-                    // Repair the payload with the architectural value
-                    // the oracle just committed: later consumers of
-                    // this element read clean data, so one flip is
-                    // accounted exactly once.
-                    vrf_.repairData(d.valVreg, d.valElem, d.rec.value);
-                } else {
-                    if (injected)
-                        ++stats_.faultValidationBenign;
-                    vrf_.clearFaultMarks(d.valVreg, d.valElem);
-                    noteChainClean(d.pc());
-                    SDV_OBS_EVENT(recorder_, obs::EventKind::ValHit,
-                                  d.pc(), packRef(d.valVreg), d.valElem);
-                }
-            } else if (mismatch) {
+            if (vrf_.data(d.valVreg, d.valElem) != d.rec.value) {
                 ++stats_.validationValueMismatches;
                 SDV_OBS_EVENT(recorder_, obs::EventKind::ValMiss, d.pc(),
                               packRef(d.valVreg), /*mismatch=*/0);
             } else {
-                noteChainClean(d.pc());
                 SDV_OBS_EVENT(recorder_, obs::EventKind::ValHit, d.pc(),
                               packRef(d.valVreg), d.valElem);
             }
@@ -821,30 +699,13 @@ SdvEngine::onValidationCommit(const DynInst &d)
     next.vreg = d.valVreg;
     next.elem = d.valElem;
     applyShadowWrite(d.inst().rd, next);
-    return res;
 }
 
-bool
+void
 SdvEngine::onScalarWriterCommit(const DynInst &d)
 {
     if (d.inst().writesReg())
         applyShadowWrite(d.inst().rd, Shadow{});
-    // Clean-commit countdown of a demoted chain: after reenableWindow
-    // scalar commits of the demoted PC without further incident, give
-    // speculation another chance.
-    if (demotions_.empty())
-        return false;
-    auto it = demotions_.find(d.pc());
-    if (it == demotions_.end() || !it->second.demoted)
-        return false;
-    if (it->second.cleanRemaining > 1) {
-        --it->second.cleanRemaining;
-        return false;
-    }
-    demotions_.erase(it);
-    ++stats_.faultChainReenables;
-    SDV_OBS_EVENT(recorder_, obs::EventKind::ChainReenable, d.pc());
-    return true;
 }
 
 void
@@ -908,16 +769,8 @@ SdvEngine::onStoreCommit(const DynInst &d)
 void
 SdvEngine::onControlCommit(const DynInst &d)
 {
-    if (d.rec.taken && d.rec.nextPc < d.pc()) {
+    if (d.rec.taken && d.rec.nextPc < d.pc())
         gmrbb_ = d.pc();
-        if (finj_.armed()) {
-            // GMRBB fault site: flip a low bit of the recorded region
-            // tag. Control commits are never squashed, so the draw is
-            // deterministic; the tag only labels release regions, so a
-            // wrong tag delays sweeps but cannot corrupt values.
-            gmrbb_ ^= finj_.drawGmrbbFlip();
-        }
-    }
 }
 
 // --- squash undo ----------------------------------------------------------------
@@ -962,14 +815,6 @@ SdvEngine::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
     datapath_.tick(now, ports, mem);
     if (vrf_.sweepPending())
         vrf_.sweepReleases(gmrbb_);
-    if (finj_.armed()) {
-        // Mirror the injector's applied-fault counters into the stats
-        // block every tick so interval samples see current values.
-        stats_.faultElemFlips = finj_.elemFlips();
-        stats_.faultVrmtFlips = finj_.vrmtFlips();
-        stats_.faultTlFlips = finj_.tlFlips();
-        stats_.faultGmrbbFlips = finj_.gmrbbFlips();
-    }
 }
 
 void
@@ -977,10 +822,6 @@ SdvEngine::finalize()
 {
     datapath_.clear();
     vrf_.releaseAll();
-    stats_.faultElemFlips = finj_.elemFlips();
-    stats_.faultVrmtFlips = finj_.vrmtFlips();
-    stats_.faultTlFlips = finj_.tlFlips();
-    stats_.faultGmrbbFlips = finj_.gmrbbFlips();
 }
 
 void

@@ -12,17 +12,22 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 
 #include "core/dyn_inst.hh"
 #include "core/rename.hh"
-#include "sim/fault_injection.hh"
 #include "vector/datapath.hh"
 #include "vector/table_of_loads.hh"
 #include "vector/vreg_file.hh"
 #include "vector/vrmt.hh"
 
 namespace sdv {
+
+/** Empty vestige of the deleted fault-injection layer, kept because
+ *  the benchmark's replay driver (perfbench/replay.cc) still assigns
+ *  EngineConfig::fault. */
+struct FaultPlan
+{
+};
 
 /** Configuration of the vectorization engine (Table 1 defaults). */
 struct EngineConfig
@@ -52,8 +57,7 @@ struct EngineConfig
      */
     bool eagerChainLoads = false;
     VectorFuConfig fu;            ///< vector FU bandwidth
-    /** Adversarial fault-injection plan (sim/fault_injection.hh);
-     *  disabled by default, so baseline runs draw nothing. */
+    /** Always empty; the benchmark's replay driver still assigns it. */
     FaultPlan fault;
 };
 
@@ -89,27 +93,6 @@ struct EngineStats
     std::uint64_t decodeBlockEvents = 0;   ///< Figure 7 stall cycles
     std::uint64_t lateValidationFallbacks = 0;
     std::uint64_t validationValueMismatches = 0; ///< self-check (== 0)
-
-    // --- fault injection (PR 6). The detect/benign counters examine
-    // only *marked* elements, so validationValueMismatches above stays
-    // a genuine-bug detector (and stays zero) even under injection. --
-    std::uint64_t faultElemFlips = 0;     ///< element bit flips applied
-    std::uint64_t faultVrmtFlips = 0;     ///< VRMT corruptions applied
-    std::uint64_t faultValidationDetects = 0; ///< injected-mark mismatch
-    std::uint64_t faultTaintDetects = 0;      ///< taint-mark mismatch
-    std::uint64_t faultValidationBenign = 0;  ///< marked but matched
-    std::uint64_t faultVrmtDetects = 0;   ///< address check caught entry
-    std::uint64_t faultChainDemotions = 0; ///< chains demoted to scalar
-    std::uint64_t faultChainReenables = 0; ///< chains re-enabled
-    std::uint64_t faultTlFlips = 0;    ///< TL entry corruptions applied
-    std::uint64_t faultGmrbbFlips = 0; ///< shadow-GMRBB tag corruptions
-};
-
-/** What a validation commit reported back to the core (fault ledger). */
-struct ValCommitResult
-{
-    bool faultDetected = false; ///< a marked element mismatched
-    bool chainDemoted = false;  ///< the detection tripped the K-threshold
 };
 
 /** The engine. */
@@ -141,15 +124,12 @@ class SdvEngine
      *  the pipeline re-execute the instance in scalar mode. */
     void fallbackValidation(DynInst &d);
 
-    /** Commit of a validation: V flag, value self-check (split into
-     *  the genuine self-check and the injected-fault ledger), F shadow.
-     *  @return what the fault ledger saw, for CoreStats mirroring. */
-    ValCommitResult onValidationCommit(const DynInst &d);
+    /** Commit of a validation: V flag, value self-check, F shadow. */
+    void onValidationCommit(const DynInst &d);
 
-    /** Commit of a register-writing scalar instruction: F shadow, and
-     *  the clean-commit countdown of a demoted chain.
-     *  @retval true when this commit re-enabled a demoted chain */
-    bool onScalarWriterCommit(const DynInst &d);
+    /** Commit of a non-validation instruction: F shadow of its
+     *  destination register. */
+    void onScalarWriterCommit(const DynInst &d);
 
     /**
      * Commit of a store: Section 3.6 range check.
@@ -195,7 +175,6 @@ class SdvEngine
         tl_.resetStats();
         vrf_.resetStats();
         datapath_.resetStats();
-        finj_.resetCounters();
     }
 
     /** Serialize the checkpointable warm state (TL + GMRBB). Only
@@ -232,20 +211,6 @@ class SdvEngine
 
     /** @return the vector datapath. */
     VectorDatapath &datapath() { return datapath_; }
-
-    /** @return the fault injector (applied-fault counters). */
-    const FaultInjector &faultInjector() const { return finj_; }
-
-    /** @return true when chain @p pc is currently demoted to scalar
-     *  execution (graceful degradation after repeated faults). */
-    bool
-    chainDemoted(Addr pc) const
-    {
-        if (demotions_.empty())
-            return false; // hot-path guard: empty unless faults fired
-        auto it = demotions_.find(pc);
-        return it != demotions_.end() && it->second.demoted;
-    }
 
     /** @return engine statistics. */
     const EngineStats &stats() const { return stats_; }
@@ -333,20 +298,6 @@ class SdvEngine
     /** Update the F-flag shadow for a committed writer of @p rd. */
     void applyShadowWrite(RegId rd, const Shadow &next);
 
-    /** VRMT fault site: maybe flip one bit of a just-installed load
-     *  entry's stride or base address (draws once per install event,
-     *  keeping the stream position schedule-independent). */
-    void corruptInstall(VrmtEntry &ie);
-
-    /** One detected fault on chain @p pc: bump the consecutive count
-     *  and demote the chain to scalar once it reaches the plan's
-     *  threshold. @retval true when this fault demoted the chain */
-    bool noteChainFault(Addr pc);
-
-    /** A clean validation commit of chain @p pc: reset its consecutive
-     *  fault count (the demotion trigger wants *consecutive* faults). */
-    void noteChainClean(Addr pc);
-
     EngineConfig cfg_;
     TableOfLoads tl_;
     Vrmt vrmt_;
@@ -358,21 +309,6 @@ class SdvEngine
     std::vector<Addr> storeCheckPcs_;
     std::vector<VecRegRef> storeCheckSuccessors_;
 
-    /** Graceful degradation under fault injection: per-chain fault
-     *  tracking. A chain (static PC) accumulating demoteThreshold
-     *  consecutive detected faults is demoted to scalar execution —
-     *  decode treats it as ineligible — and re-enabled after
-     *  reenableWindow clean scalar commits. Empty unless faults fire,
-     *  so baseline runs pay one empty() branch per relevant commit. */
-    struct Demotion
-    {
-        std::uint32_t consecutiveFaults = 0;
-        bool demoted = false;
-        std::uint64_t cleanRemaining = 0;
-    };
-    std::unordered_map<Addr, Demotion> demotions_;
-
-    FaultInjector finj_;
     EngineStats stats_;
     obs::TraceRecorder *recorder_ = nullptr;
 };

@@ -22,8 +22,6 @@ const KindInfo kKinds[] = {
     {"val_issue", CatSdv},       {"val_hit", CatSdv},
     {"val_miss", CatSdv},        {"vreg_alloc", CatSdv},
     {"vreg_release", CatSdv},    {"quiesce", CatSdv},
-    {"fault_inject", CatSdv},    {"fault_detect", CatSdv},
-    {"chain_demote", CatSdv},    {"chain_reenable", CatSdv},
     {"squash", CatCore},         {"icache_refill", CatMem},
     {"mshr_alloc", CatMem},      {"mshr_retry", CatMem},
 };
@@ -54,8 +52,6 @@ appendArgs(std::string &out, const TraceEvent &ev)
                 ev.kind == EventKind::ChainSpawn ? "arith" : "eager", a1);
         break;
       case EventKind::ChainKill:
-      case EventKind::FaultInject:
-      case EventKind::FaultDetect:
         appendf(out, "{\"pc\":\"0x%llx\",\"vreg\":%llu}", pc, a0);
         break;
       case EventKind::ValIssue:
@@ -81,10 +77,6 @@ appendArgs(std::string &out, const TraceEvent &ev)
       }
       case EventKind::Quiesce:
         appendf(out, "{\"live_vregs\":%llu,\"transient_elems\":%llu}", a0, a1);
-        break;
-      case EventKind::ChainDemote:
-      case EventKind::ChainReenable:
-        appendf(out, "{\"pc\":\"0x%llx\"}", pc);
         break;
       case EventKind::Squash:
         appendf(out, "{\"squashed_insts\":%llu}", a0);

@@ -2,10 +2,10 @@
  * @file
  * Flight recorder: a per-simulator buffer of typed binary events
  * covering the SDV chain lifecycle (TL promotion, chain spawn/extend,
- * validation issue/hit/miss, vreg alloc/release with fate, quiesce,
- * fault inject/detect, demote/re-enable) plus core events (squash,
- * I-cache refill, MSHR alloc/retry). Events are recorded as compact
- * PODs and serialized on demand to Chrome/Perfetto trace-event JSON.
+ * validation issue/hit/miss, vreg alloc/release with fate, quiesce)
+ * plus core events (squash, I-cache refill, MSHR alloc/retry). Events
+ * are recorded as compact PODs and serialized on demand to
+ * Chrome/Perfetto trace-event JSON.
  *
  * Each simulator owns at most one recorder and records from its own
  * thread, so recording needs no locks; sweep workers each attach a
@@ -38,10 +38,6 @@ enum class EventKind : std::uint8_t {
     VregAlloc,      ///< physical vector register allocated
     VregRelease,    ///< vector register released (fate in args)
     Quiesce,        ///< speculative vector state flushed at a boundary
-    FaultInject,    ///< fault campaign corrupted a VRMT install
-    FaultDetect,    ///< injected fault caught by validation/VRMT check
-    ChainDemote,    ///< faulting chain demoted to scalar issue
-    ChainReenable,  ///< demoted chain re-enabled after writer commit
     Squash,         ///< full pipeline squash
     IcacheRefill,   ///< instruction fetch missed L1I
     MshrAlloc,      ///< fresh L1D MSHR allocated for a miss

@@ -90,21 +90,6 @@ defaultSdvConfig()
     return makeConfig(4, 1, BusMode::WideBusSdv);
 }
 
-std::string
-describeFaultPlan(const FaultPlan &plan)
-{
-    if (!plan.enabled)
-        return "off";
-    std::string s = "seed=" + std::to_string(plan.seed);
-    s += " elem_ppm=" + std::to_string(plan.elemFlipPpm);
-    s += " vrmt_ppm=" + std::to_string(plan.vrmtFlipPpm);
-    s += " tl_ppm=" + std::to_string(plan.tlFlipPpm);
-    s += " gmrbb_ppm=" + std::to_string(plan.gmrbbFlipPpm);
-    s += " demote_k=" + std::to_string(plan.demoteThreshold);
-    s += " reenable=" + std::to_string(plan.reenableWindow);
-    return s;
-}
-
 std::uint64_t
 configIdentityHash(const CoreConfig &cfg)
 {
@@ -168,14 +153,6 @@ configIdentityHash(const CoreConfig &cfg)
     ser.u32(e.fu.fpAdd);
     ser.u32(e.fu.fpMulDiv);
     ser.u32(e.fu.loadPorts);
-    ser.b(e.fault.enabled);
-    ser.u64(e.fault.seed);
-    ser.u32(e.fault.elemFlipPpm);
-    ser.u32(e.fault.vrmtFlipPpm);
-    ser.u32(e.fault.tlFlipPpm);
-    ser.u32(e.fault.gmrbbFlipPpm);
-    ser.u32(e.fault.demoteThreshold);
-    ser.u64(e.fault.reenableWindow);
 
     const std::vector<std::uint8_t> buf = ser.finish();
     return fnv1a(buf.data(), buf.size());

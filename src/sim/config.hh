@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/core.hh"
-#include "sim/fault_injection.hh"
 
 namespace sdv {
 
@@ -56,18 +55,14 @@ struct StorageCost
 /** @return the storage accounting of Section 4.1 for @p cfg. */
 StorageCost storageCost(const CoreConfig &cfg);
 
-/** @return a one-line description of @p plan ("off" when disabled),
- *  used by logs and fuzz repro files. */
-std::string describeFaultPlan(const FaultPlan &plan);
-
 /**
  * Canonical identity hash of a full machine configuration: FNV-1a over
  * a field-by-field serialization of every CoreConfig member (widths,
  * FUs, ports, predictors, memory hierarchy, engine geometry and policy
- * flags, fault plan). Two configs hash equal iff they describe the
- * same machine — the hash never reads raw struct bytes, so padding
- * can't leak in. The sweep's snapshot store keys on the hash of each
- * workload's warm configuration (docs/sweep.md, "Snapshot store").
+ * flags). Two configs hash equal iff they describe the same machine —
+ * the hash never reads raw struct bytes, so padding can't leak in. The
+ * sweep's snapshot store keys on the hash of each workload's warm
+ * configuration (docs/sweep.md, "Snapshot store").
  */
 std::uint64_t configIdentityHash(const CoreConfig &cfg);
 

@@ -99,16 +99,6 @@ captureSet(Mode mode, const std::string &workload, const CoreConfig &cfg,
 
 } // namespace
 
-FaultPlan
-jobFaultPlan(const FaultPlan &base, const SweepJob &job)
-{
-    FaultPlan plan = base;
-    if (plan.enabled)
-        plan.seed = deriveSeed(job.workload, "fault:" + job.configKey,
-                               base.seed);
-    return plan;
-}
-
 unsigned
 resolveJobs(unsigned requested)
 {
@@ -146,7 +136,9 @@ void
 applyExecOverlay(CoreConfig &cfg, const ExecOptions &opt)
 {
     cfg.traceExec = opt.trace;
-    cfg.engine.eagerChainLoads = opt.eagerChain;
+    // Only turns eager chaining on: a plan column that chains eagerly
+    // (attackGrid's `eager`) keeps its setting without --eager-chain.
+    cfg.engine.eagerChainLoads = cfg.engine.eagerChainLoads || opt.eagerChain;
 }
 
 CoreConfig
@@ -184,14 +176,15 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     sdv_assert(mode != Mode::Sampled || !opt.verify,
                "interval sampling produces estimates that cannot be "
                "functionally verified; drop --verify");
-    // Fault injection and observability apply to runs measured to
-    // completion; sample measurements carry neither.
+    sdv_assert(mode == Mode::Full || opt.quiesceInterval == 0,
+               "--quiesce-interval applies to full runs only; drop "
+               "--samples or --checkpoint");
+    // Observability applies to runs measured to completion; sample
+    // measurements carry none.
     const bool wholeRuns = mode != Mode::Sampled;
     auto jobConfig = [&](const SweepJob &job) {
         CoreConfig cfg = job.cfg;
         applyExecOverlay(cfg, opt);
-        if (wholeRuns)
-            cfg.engine.fault = jobFaultPlan(opt.fault, job);
         return cfg;
     };
     const std::map<std::string, Program> programs = buildPrograms(plan);
@@ -361,9 +354,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
 
         if (wholeRuns || !sc)
             slot.res = sim->run(opt.maxCycles, opt.verify,
-                                mode == Mode::Checkpoint
-                                    ? 0
-                                    : opt.quiesceInterval);
+                                opt.quiesceInterval);
         else
             slot.res = sim->runInsts(sc->measureInsts, opt.maxCycles);
         slot.hash = sim->core().commitPcHash();
@@ -406,7 +397,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         const SweepJob &job = plan.jobs[i];
         RunOutcome &out = outcomes[i];
         stampOutcome(out, job);
-        out.cfg = jobConfig(job); // resolved: overlay and fault plan
+        out.cfg = jobConfig(job); // resolved: with the exec overlay
         const std::size_t first = u;
         while (u < units.size() && units[u].job == i)
             out.wallSeconds += slots[u++].wall;
@@ -521,41 +512,6 @@ resultRecordJson(const RunOutcome &o)
         out += buf;
         out += ", \"vreg_lifetime_hist\": ";
         out += bucketArrayJson(o.res.fates.lifetimeHist, 8);
-    }
-    if (o.cfg.engine.fault.armed()) {
-        std::snprintf(
-            buf, sizeof(buf),
-            ", \"fault_elem_flips\": %llu, "
-            "\"fault_vrmt_flips\": %llu, "
-            "\"faults_detected\": %llu, "
-            "\"faults_benign\": %llu, "
-            "\"faults_vanished\": %llu, "
-            "\"chain_demotions\": %llu, "
-            "\"chain_reenables\": %llu, "
-            "\"fault_tl_flips\": %llu, "
-            "\"fault_gmrbb_flips\": %llu",
-            static_cast<unsigned long long>(
-                o.res.engine.faultElemFlips),
-            static_cast<unsigned long long>(
-                o.res.engine.faultVrmtFlips),
-            static_cast<unsigned long long>(
-                o.res.engine.faultValidationDetects +
-                o.res.engine.faultTaintDetects +
-                o.res.engine.faultVrmtDetects),
-            static_cast<unsigned long long>(
-                o.res.engine.faultValidationBenign),
-            static_cast<unsigned long long>(
-                o.res.fates.faultInjectedVanished +
-                o.res.fates.faultTaintVanished),
-            static_cast<unsigned long long>(
-                o.res.engine.faultChainDemotions),
-            static_cast<unsigned long long>(
-                o.res.engine.faultChainReenables),
-            static_cast<unsigned long long>(
-                o.res.engine.faultTlFlips),
-            static_cast<unsigned long long>(
-                o.res.engine.faultGmrbbFlips));
-        out += buf;
     }
     // Interval telemetry rides along only when it was sampled
     // (--telemetry): default-mode records stay byte-identical.

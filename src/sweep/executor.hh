@@ -50,16 +50,14 @@ struct ExecOptions
     std::uint64_t maxCycles = 200'000'000;
     bool verify = false;        ///< functional verification per job
     /** Context-switch the transient vector state every N fetched
-     *  instructions (0 = never). Full runs only — checkpointed and
-     *  sampled jobs already quiesce at their own boundaries. */
+     *  instructions (0 = never). Full runs only: runPlan rejects it
+     *  with checkpoint or sampled modes, whose jobs quiesce at their
+     *  own boundaries. */
     std::uint64_t quiesceInterval = 0;
-    /** EngineConfig::eagerChainLoads on every job's machine. */
+    /** EngineConfig::eagerChainLoads on every job's machine (a job
+     *  whose config already chains eagerly keeps doing so). */
     bool eagerChain = false;
-    /** Speculative-state fault injection (--fault-elem-ppm /
-     *  --fault-vrmt-ppm) on every job's machine. The per-job injector
-     *  seed is derived from the job identity and this plan's seed, so
-     *  parallel and serial sweeps stay byte-identical. Full runs only
-     *  (checkpoint capture and sampling ignore it). */
+    /** Always empty; the benchmark's replay driver still reads it. */
     FaultPlan fault;
     /** Interval sampling: when enabled (samples > 0), every job is
      *  estimated from per-sample forks instead of a full run, and the
@@ -235,9 +233,13 @@ void applyExecOverlay(CoreConfig &cfg, const ExecOptions &opt);
 CoreConfig warmConfig(const SweepPlan &plan, const ExecOptions &opt,
                       const std::string &workload);
 
-/** Per-job fault-injection plan: @p base with the injector seed
- *  specialized to the job identity (scheduling-independent). */
-FaultPlan jobFaultPlan(const FaultPlan &base, const SweepJob &job);
+/** @return an empty plan. Kept because the benchmark's replay driver
+ *  still calls it. */
+inline FaultPlan
+jobFaultPlan(const FaultPlan &, const SweepJob &)
+{
+    return {};
+}
 
 /** Fill the identity fields of @p out from @p job (figure, workload,
  *  group/column, config, seed). */

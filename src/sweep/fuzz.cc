@@ -18,7 +18,7 @@ namespace sweep {
 
 FuzzCase
 drawFuzzCase(const std::string &workload, unsigned scale, Footprint fp,
-             unsigned sample, std::uint64_t base_seed, bool with_faults)
+             unsigned sample, std::uint64_t base_seed)
 {
     FuzzCase c;
     c.workload = workload;
@@ -49,32 +49,6 @@ drawFuzzCase(const std::string &workload, unsigned scale, Footprint fp,
     static const unsigned ports[] = {1, 2, 4};
     c.ports = ports[rng.below(3)];
     c.tlConfidence = std::uint8_t(rng.range(1, 3));
-
-    // Every second sample additionally runs under fault injection, so
-    // the detection machinery is stressed at fuzzed geometry too. The
-    // draws happen unconditionally to keep the stream layout fixed.
-    const bool arm = rng.below(2) == 1;
-    const std::uint64_t fault_seed = rng.next();
-    const std::uint32_t elem_ppm = 200 + std::uint32_t(rng.below(1800));
-    const std::uint32_t vrmt_ppm = 100 + std::uint32_t(rng.below(900));
-    if (with_faults && arm) {
-        c.fault.enabled = true;
-        c.fault.seed = fault_seed;
-        c.fault.elemFlipPpm = elem_ppm;
-        c.fault.vrmtFlipPpm = vrmt_ppm;
-    }
-
-    // Speculative-metadata faults (TL stride table, shadow GMRBB) on
-    // half of the armed samples. Drawn unconditionally and *appended*
-    // after every pre-existing draw: earlier campaigns replay
-    // bit-identically from the same seeds.
-    const std::uint32_t tl_ppm = 100 + std::uint32_t(rng.below(900));
-    const std::uint32_t gmrbb_ppm = 50 + std::uint32_t(rng.below(450));
-    const bool arm_meta = rng.below(2) == 1;
-    if (with_faults && arm && arm_meta) {
-        c.fault.tlFlipPpm = tl_ppm;
-        c.fault.gmrbbFlipPpm = gmrbb_ppm;
-    }
     return c;
 }
 
@@ -90,12 +64,11 @@ fuzzedConfig(const FuzzCase &c)
     cfg.engine.numVregs = c.numVregs;
     cfg.engine.tlConfidence = c.tlConfidence;
     cfg.engine.eagerChainLoads = c.eagerChain;
-    cfg.engine.fault = c.fault;
     return cfg;
 }
 
 /** The divergence oracle: the same machine with no SDV engine (and
- *  therefore nothing speculative to corrupt or misalign). */
+ *  therefore nothing speculative to misalign). */
 CoreConfig
 oracleConfig(const FuzzCase &c)
 {
@@ -109,13 +82,7 @@ sameCase(const FuzzCase &a, const FuzzCase &b)
            a.quiesceInterval == b.quiesceInterval &&
            a.eagerChain == b.eagerChain && a.vlen == b.vlen &&
            a.numVregs == b.numVregs && a.ports == b.ports &&
-           a.tlConfidence == b.tlConfidence &&
-           a.fault.enabled == b.fault.enabled &&
-           a.fault.seed == b.fault.seed &&
-           a.fault.elemFlipPpm == b.fault.elemFlipPpm &&
-           a.fault.vrmtFlipPpm == b.fault.vrmtFlipPpm &&
-           a.fault.tlFlipPpm == b.fault.tlFlipPpm &&
-           a.fault.gmrbbFlipPpm == b.fault.gmrbbFlipPpm;
+           a.tlConfidence == b.tlConfidence;
 }
 
 } // namespace
@@ -141,15 +108,6 @@ runFuzzCase(const FuzzCase &c, std::uint64_t max_cycles)
     out.refHash = ref.core().commitPcHash();
     out.refInsts = rres.insts;
 
-    out.elemFlips = sres.engine.faultElemFlips;
-    out.vrmtFlips = sres.engine.faultVrmtFlips;
-    out.tlFlips = sres.engine.faultTlFlips;
-    out.gmrbbFlips = sres.engine.faultGmrbbFlips;
-    out.faultsDetected = sres.engine.faultValidationDetects +
-                         sres.engine.faultTaintDetects +
-                         sres.engine.faultVrmtDetects;
-    out.chainDemotions = sres.engine.faultChainDemotions;
-
     // Record the *first* failed check: later checks compare values a
     // failed earlier check already invalidates.
     const auto fail = [&out](const char *why) {
@@ -169,20 +127,6 @@ runFuzzCase(const FuzzCase &c, std::uint64_t max_cycles)
         fail("committed instruction counts differ");
     if (!out.diverged && out.sdvHash != out.refHash)
         fail("committed-PC streams differ");
-
-    // Injected-fault escape check: every injected element fault must
-    // be accounted for — detected by its validation, examined benign
-    // (the flip never changed the compared word), or released
-    // unconsumed. Anything else would mean a corrupted element was
-    // silently absorbed (e.g. counted as a genuine value mismatch).
-    if (c.fault.armed()) {
-        const std::uint64_t accounted =
-            sres.engine.faultValidationDetects +
-            sres.engine.faultValidationBenign +
-            sres.fates.faultInjectedVanished;
-        if (sres.engine.faultElemFlips != accounted)
-            fail("injected element faults escaped accounting");
-    }
     return out;
 }
 
@@ -192,9 +136,6 @@ namespace {
  *  surviving repro names the smallest set of perturbations that still
  *  fails. */
 const std::function<void(FuzzCase &)> kKnobResets[] = {
-    [](FuzzCase &t) { t.fault = FaultPlan{}; },
-    [](FuzzCase &t) { t.fault.tlFlipPpm = 0; },
-    [](FuzzCase &t) { t.fault.gmrbbFlipPpm = 0; },
     [](FuzzCase &t) { t.quiesceInterval = 0; },
     [](FuzzCase &t) { t.eagerChain = false; },
     [](FuzzCase &t) { t.vlen = 4; },
@@ -270,8 +211,7 @@ runFuzzCampaign(const FuzzOptions &opt)
         for (unsigned k = 0; k < opt.samples; ++k)
             cases.push_back(drawFuzzCase(w->name, opt.scale,
                                          opt.footprint, k,
-                                         opt.baseSeed,
-                                         opt.withFaults));
+                                         opt.baseSeed));
 
     FuzzReport rep;
     rep.outcomes.resize(cases.size());
@@ -281,11 +221,6 @@ runFuzzCampaign(const FuzzOptions &opt)
 
     const FuzzOutcome *first_failure = nullptr;
     for (const FuzzOutcome &o : rep.outcomes) {
-        rep.totalElemFlips += o.elemFlips;
-        rep.totalVrmtFlips += o.vrmtFlips;
-        rep.totalTlFlips += o.tlFlips;
-        rep.totalGmrbbFlips += o.gmrbbFlips;
-        rep.totalFaultsDetected += o.faultsDetected;
         if (o.diverged) {
             ++rep.divergences;
             if (!first_failure)
@@ -328,15 +263,7 @@ writeFuzzRepro(const std::string &path, const FuzzCase &c,
         "  \"vlen\": %u,\n"
         "  \"num_vregs\": %u,\n"
         "  \"ports\": %u,\n"
-        "  \"tl_confidence\": %u,\n"
-        "  \"fault_enabled\": %s,\n"
-        "  \"fault_seed\": %llu,\n"
-        "  \"elem_flip_ppm\": %u,\n"
-        "  \"vrmt_flip_ppm\": %u,\n"
-        "  \"tl_flip_ppm\": %u,\n"
-        "  \"gmrbb_flip_ppm\": %u,\n"
-        "  \"demote_threshold\": %u,\n"
-        "  \"reenable_window\": %llu\n"
+        "  \"tl_confidence\": %u\n"
         "}\n",
         reason.c_str(), c.workload.c_str(), c.scale,
         footprintName(c.footprint), c.sample,
@@ -344,12 +271,7 @@ writeFuzzRepro(const std::string &path, const FuzzCase &c,
         static_cast<unsigned long long>(c.fuzzSeed),
         static_cast<unsigned long long>(c.quiesceInterval),
         c.eagerChain ? "true" : "false", c.vlen, c.numVregs, c.ports,
-        unsigned(c.tlConfidence), c.fault.enabled ? "true" : "false",
-        static_cast<unsigned long long>(c.fault.seed),
-        c.fault.elemFlipPpm, c.fault.vrmtFlipPpm, c.fault.tlFlipPpm,
-        c.fault.gmrbbFlipPpm,
-        c.fault.demoteThreshold,
-        static_cast<unsigned long long>(c.fault.reenableWindow));
+        unsigned(c.tlConfidence));
     return writeTextFile(path, doc);
 }
 
@@ -463,8 +385,6 @@ loadFuzzRepro(const std::string &path, FuzzCase &c, std::string *err)
     };
     constexpr std::uint64_t u32Max = 0xffff'ffffu;
     constexpr std::uint64_t u64Max = ~std::uint64_t(0);
-    constexpr std::uint64_t ppmMax = 1'000'000;
-    FaultPlan &fault = c.fault;
     const bool ok =
         number("scale", c.scale, 1, u32Max) && footprint() &&
         number("sample", c.sample, 0, u32Max) &&
@@ -475,15 +395,7 @@ loadFuzzRepro(const std::string &path, FuzzCase &c, std::string *err)
         number("vlen", c.vlen, 2, 64) &&
         number("num_vregs", c.numVregs, 1, 65'535) &&
         number("ports", c.ports, 1, 4) &&
-        number("tl_confidence", c.tlConfidence, 0, 255) &&
-        flag("fault_enabled", fault.enabled) &&
-        number("fault_seed", fault.seed, 0, u64Max) &&
-        number("elem_flip_ppm", fault.elemFlipPpm, 0, ppmMax) &&
-        number("vrmt_flip_ppm", fault.vrmtFlipPpm, 0, ppmMax) &&
-        number("tl_flip_ppm", fault.tlFlipPpm, 0, ppmMax) &&
-        number("gmrbb_flip_ppm", fault.gmrbbFlipPpm, 0, ppmMax) &&
-        number("demote_threshold", fault.demoteThreshold, 0, u32Max) &&
-        number("reenable_window", fault.reenableWindow, 0, u64Max);
+        number("tl_confidence", c.tlConfidence, 0, 255);
     if (!ok)
         return failed(path + ": " + complaint);
     if (c.ports != 1 && c.ports != 2 && c.ports != 4)

@@ -17,18 +17,15 @@
  *  - workload inputs: a fuzz seed is XORed into the kernels' data RNGs
  *    so every sample executes the same code over different data
  *    (different secret-dependent trip counts, probe sequences, FP
- *    fills);
- *  - optionally, speculative-state fault injection (sim/
- *    fault_injection.hh) runs *under* the fuzzer, stressing the
- *    detection machinery at the same time.
+ *    fills).
  *
  * Every sample then faces a divergence oracle: the identical program is
  * run on the same machine with the SDV engine disabled, and the sample
- * hard-fails when either run fails functional verification, when the
- * committed-PC streams differ (hash or instruction count), or when any
- * injected fault escaped detection. The first divergence is minimized
- * (knobs reset one at a time while the failure reproduces) and dumped
- * as a replayable JSON file consumed by --fuzz-replay.
+ * hard-fails when either run fails functional verification or when the
+ * committed-PC streams differ (hash or instruction count). The first
+ * divergence is minimized (knobs reset one at a time while the failure
+ * reproduces) and dumped as a replayable JSON file consumed by
+ * --fuzz-replay.
  */
 
 #ifndef SDV_SWEEP_FUZZ_HH
@@ -64,7 +61,6 @@ struct FuzzCase
     unsigned numVregs = 128;
     unsigned ports = 1;
     std::uint8_t tlConfidence = 2;
-    FaultPlan fault; ///< optional concurrent fault injection
 };
 
 /** Outcome of one fuzzed sample against its oracle. */
@@ -78,14 +74,6 @@ struct FuzzOutcome
     std::uint64_t refHash = 0;
     std::uint64_t sdvInsts = 0;
     std::uint64_t refInsts = 0;
-
-    // Fault-injection accounting (zero when the case injects none).
-    std::uint64_t elemFlips = 0;
-    std::uint64_t vrmtFlips = 0;
-    std::uint64_t tlFlips = 0;    ///< TL stride-table metadata flips
-    std::uint64_t gmrbbFlips = 0; ///< shadow-GMRBB label flips
-    std::uint64_t faultsDetected = 0; ///< validation + VRMT detects
-    std::uint64_t chainDemotions = 0;
 };
 
 /** Campaign options. */
@@ -97,7 +85,6 @@ struct FuzzOptions
     unsigned scale = 1;
     Footprint footprint = Footprint::Base;
     bool quick = false;    ///< first two INT + first FP workloads only
-    bool withFaults = true; ///< arm fault injection on half the samples
     std::uint64_t maxCycles = 200'000'000;
     /** Where a minimized divergence repro is written. */
     std::string reproPath = "fuzz_repro.json";
@@ -109,11 +96,6 @@ struct FuzzReport
 {
     std::vector<FuzzOutcome> outcomes;
     unsigned divergences = 0;
-    std::uint64_t totalElemFlips = 0;
-    std::uint64_t totalVrmtFlips = 0;
-    std::uint64_t totalTlFlips = 0;
-    std::uint64_t totalGmrbbFlips = 0;
-    std::uint64_t totalFaultsDetected = 0;
     std::string reproPath; ///< non-empty when a repro file was written
 };
 
@@ -121,12 +103,10 @@ struct FuzzReport
  * Draw sample @p sample of @p workload: a pure function of
  * (workload, sample, base seed) via deriveSeed, independent of worker
  * scheduling and of every other sample.
- * @param with_faults allow the draw to arm fault injection (it does on
- *        every second sample)
  */
 FuzzCase drawFuzzCase(const std::string &workload, unsigned scale,
                       Footprint fp, unsigned sample,
-                      std::uint64_t base_seed, bool with_faults);
+                      std::uint64_t base_seed);
 
 /**
  * Run one fuzzed sample and its divergence oracle. Both runs execute
@@ -149,7 +129,8 @@ bool writeFuzzRepro(const std::string &path, const FuzzCase &c,
                     const std::string &reason);
 
 /** Parse a repro file written by writeFuzzRepro. @return false (with
- *  @p err set) on malformed input; unknown keys are ignored. */
+ *  @p err set) on malformed input; unknown keys (such as the fault
+ *  keys older repro files carry) are ignored. */
 bool loadFuzzRepro(const std::string &path, FuzzCase &c,
                    std::string *err);
 
@@ -160,8 +141,8 @@ using FuzzPredicate = std::function<bool(const FuzzCase &)>;
 
 /**
  * Greedy one-pass minimization: try resetting each perturbed knob to
- * its default (faults off, no quiesce, default geometry, seed inputs)
- * and keep every reset under which @p diverges still holds. @return
+ * its default (no quiesce, default geometry, seed inputs) and keep
+ * every reset under which @p diverges still holds. @return
  * the simplified case (equal to @p c when nothing could be removed).
  * Runs the predicate at most once per knob.
  */

@@ -189,21 +189,6 @@ runFlags(RunOptions &o, bool simulating)
         switchFlag(execution, "--verify",
                    "verify every job against functional execution",
                    [&e] { e.verify = true; }),
-        numberFlag(execution, "--fault-elem-ppm", "N",
-                   "inject vector-element bit flips at N per million "
-                   "landings",
-                   0, 1'000'000,
-                   [&e](std::uint64_t v) {
-                       e.fault.elemFlipPpm = unsigned(v);
-                       e.fault.enabled = true;
-                   }),
-        numberFlag(execution, "--fault-vrmt-ppm", "N",
-                   "corrupt VRMT installs at N per million",
-                   0, 1'000'000,
-                   [&e](std::uint64_t v) {
-                       e.fault.vrmtFlipPpm = unsigned(v);
-                       e.fault.enabled = true;
-                   }),
         stringFlag(output, "--json", "PATH",
                    "write machine-readable results to PATH", o.jsonPath),
         textFlag(output, "--trace-events", "F",
@@ -326,6 +311,9 @@ checkRunOptions(const RunOptions &o)
     if (e.sample.enabled() && e.verify)
         fatal("--verify is incompatible with --samples: sampled "
               "results are estimates, not verifiable runs");
+    if (e.quiesceInterval && (e.sample.enabled() || e.checkpoint))
+        fatal("--quiesce-interval is incompatible with --samples and "
+              "--checkpoint: it applies to full runs only");
     if (e.telemetryInterval && o.jsonPath.empty())
         fatal("--telemetry needs --json: the telemetry is written into "
               "the JSON records");

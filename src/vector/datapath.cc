@@ -4,7 +4,6 @@
 
 #include "common/log.hh"
 #include "isa/alu.hh"
-#include "sim/fault_injection.hh"
 
 namespace sdv {
 
@@ -146,18 +145,7 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
     for (auto it = completions_.begin(); it != completions_.end();) {
         if (it->ready <= now) {
             if (vrf_.isLive(it->dest)) {
-                std::uint64_t value = it->value;
-                std::uint64_t flip = 0;
-                // Fault site: the value lands in the register file
-                // possibly with one bit flipped. The draw happens at
-                // this discrete event.
-                if (finj_ && finj_->armed())
-                    flip = finj_->drawElemFlip();
-                vrf_.setData(it->dest, it->elem, value ^ flip);
-                if (flip != 0)
-                    vrf_.markFaultInjected(it->dest, it->elem);
-                if (it->tainted)
-                    vrf_.markFaultTaint(it->dest, it->elem);
+                vrf_.setData(it->dest, it->elem, it->value);
                 if (it->loadId != 0)
                     vrf_.setElemLoadId(it->dest, it->elem, it->loadId);
                 ++stats_.elemsComputed;
@@ -287,14 +275,6 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
         std::uint64_t value;
         inst.kern(&value, &a, &b, inst.imm, 1);
         c.value = value;
-        // Taint propagation: a value computed from a fault-marked
-        // source carries the mark forward, so its own validation is
-        // attributed to the injection instead of the genuine
-        // value-mismatch self-check.
-        for (const SrcSpec *src : {&inst.src1, &inst.src2})
-            if (src->isVector() &&
-                vrf_.srcFaultMarked(src->vreg, src->srcOffset + k))
-                c.tainted = true;
         completions_.push_back(c);
         ++inst.nextElem;
         --slot;

@@ -22,8 +22,6 @@
 
 namespace sdv {
 
-class FaultInjector;
-
 /**
  * What the vector machinery needs from the surrounding core, as a
  * plain interface: speculative load element values (the committed
@@ -126,12 +124,6 @@ class VectorDatapath
      *  instances stay parked. */
     void setContext(const VecExecContext *ctx) { ctx_ = ctx; }
 
-    /** Wire the fault injector (owned by the SDV engine). When armed,
-     *  every element value landing in the register file may take a bit
-     *  flip, and elements computed from marked sources are
-     *  taint-marked so the validation-side accounting stays exact. */
-    void setFaultInjector(FaultInjector *finj) { finj_ = finj; }
-
     /** Spawn a vectorized load instance. */
     void spawnLoad(Addr pc, VecRegRef dest, Addr base, std::int64_t stride,
                    unsigned elem_bytes, unsigned elem_count);
@@ -176,7 +168,6 @@ class VectorDatapath
         unsigned elem = 0;
         std::uint64_t value = 0;
         ElemLoadId loadId = 0;
-        bool tainted = false; ///< computed from a fault-marked source
     };
 
     /** What one instance does at the current cycle: the one
@@ -206,7 +197,6 @@ class VectorDatapath
     std::vector<VecInstance> active_;
     std::vector<Completion> completions_;
     const VecExecContext *ctx_ = nullptr;
-    FaultInjector *finj_ = nullptr;
     /** Per-tick scratch: completion cycle of each new access this
      *  cycle, by access id (kept allocated across ticks). */
     std::vector<std::pair<std::int32_t, Cycle>> accessDone_;

@@ -91,19 +91,6 @@ TableOfLoads::observe(Addr pc, Addr addr)
     return obs;
 }
 
-bool
-TableOfLoads::applyFault(Addr pc, bool stride_field, std::uint64_t mask)
-{
-    Entry *e = find(pc);
-    if (!e)
-        return false;
-    if (stride_field)
-        e->stride ^= std::int64_t(mask);
-    else
-        e->lastAddr ^= mask;
-    return true;
-}
-
 void
 TableOfLoads::resetConfidence(Addr pc)
 {

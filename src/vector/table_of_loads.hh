@@ -63,15 +63,6 @@ class TableOfLoads
     /** Restore an entry to a snapshot taken before a squashed decode. */
     void restore(Addr pc, const TlSnapshot &snap);
 
-    /**
-     * Fault-injection hook: XOR @p mask into the stride
-     * (@p stride_field) or last-address field of the entry for @p pc.
-     * @retval true when an entry existed and was corrupted. Only the
-     * injector calls this; a corrupted entry can only mistrain future
-     * spawns, which the expected-address check catches.
-     */
-    bool applyFault(Addr pc, bool stride_field, std::uint64_t mask);
-
     /** @return entry count (sets * ways). */
     unsigned capacity() const { return sets_ * ways_; }
 

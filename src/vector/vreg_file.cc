@@ -88,7 +88,6 @@ VecRegFile::allocate(Addr mrbb)
     r.uniform = false;
     r.hasRange = false;
     r.vMask = r.rMask = r.uMask = r.fMask = 0;
-    r.fiMask = r.ftMask = 0;
     r.allocCycle = clock_;
     for (auto &e : r.elems)
         e = Elem{};
@@ -254,10 +253,6 @@ VecRegFile::release(Reg &reg, ReleaseCause cause)
     fates_.elemsComputedNotUsed +=
         popCount(reg.rMask & ~reg.vMask & all);
     fates_.elemsNotComputed += vlen_ - computed;
-    // Fault marks still set here were never examined by a validation:
-    // the corrupted value vanished unconsumed.
-    fates_.faultInjectedVanished += popCount(reg.fiMask & all);
-    fates_.faultTaintVanished += popCount(reg.ftMask & ~reg.fiMask & all);
     if (ports_)
         for (unsigned e = 0; e < vlen_; ++e) {
             const ElemLoadId lid = reg.elems[e].loadId;
@@ -363,13 +358,9 @@ VecRegFile::releaseSquashed(VecRegRef ref)
 {
     if (!isLive(ref))
         return;
+    // No Figure 15 fates: the incarnation never existed
+    // architecturally.
     Reg &r = regFor(ref);
-    // No Figure 15 fates (the incarnation never existed
-    // architecturally), but the fault ledger must still account for
-    // every mark exactly once.
-    const std::uint64_t all = lowBits(vlen_);
-    fates_.faultInjectedVanished += popCount(r.fiMask & all);
-    fates_.faultTaintVanished += popCount(r.ftMask & ~r.fiMask & all);
     if (ports_)
         for (auto &e : r.elems)
             if (e.loadId != 0)

@@ -69,15 +69,6 @@ struct VecRegFateStats
     std::uint64_t releasedKilled = 0;   ///< killed, validations drained
     std::uint64_t releasedBulk = 0;     ///< releaseAll (quiesce/finalize)
 
-    // --- adversarial accounting (PR 6) -----------------------------------
-    /** Fault-marked elements whose register released before a
-     *  validation examined them: the corrupted value died unconsumed.
-     *  Injected = direct bit flips; taint = values computed from a
-     *  marked source. Together with the engine's detect/benign
-     *  counters these account for every mark exactly once. */
-    std::uint64_t faultInjectedVanished = 0;
-    std::uint64_t faultTaintVanished = 0;
-
     /** Register lifetime histogram (alloc->release cycles), log-ish
      *  buckets: <8, <32, <128, <512, <2K, <8K, <32K, rest. Feeds the
      *  per-config transient-exposure report of the timing-channel
@@ -266,80 +257,6 @@ class VecRegFile
         return r.elems[r.uniform ? 0 : elem].data;
     }
 
-    // --- fault-injection marks (PR 6) -----------------------------------
-    // A mark travels with the element until a validation examines it
-    // (the engine then counts detect/benign and repairs/clears) or the
-    // register releases (counted as vanished above). Marks are pure
-    // accounting: they never influence timing or release decisions.
-
-    /** Mark element @p elem as carrying an injected bit flip. */
-    void
-    markFaultInjected(VecRegRef ref, unsigned elem)
-    {
-        regFor(ref).fiMask |= std::uint64_t(1) << elem;
-    }
-
-    /** Mark element @p elem as computed from a fault-marked source. */
-    void
-    markFaultTaint(VecRegRef ref, unsigned elem)
-    {
-        regFor(ref).ftMask |= std::uint64_t(1) << elem;
-    }
-
-    /** @return true when the exact element carries any fault mark
-     *  (engine-side check at validation commit; caller guarantees
-     *  liveness). */
-    bool
-    elemFaultMarked(VecRegRef ref, unsigned elem) const
-    {
-        const Reg &r = regFor(ref);
-        return ((r.fiMask | r.ftMask) >> elem) & 1;
-    }
-
-    /** @return true when the element had an injected (direct) flip. */
-    bool
-    elemFaultInjected(VecRegRef ref, unsigned elem) const
-    {
-        return (regFor(ref).fiMask >> elem) & 1;
-    }
-
-    /** @return the fault mark of a *source* element, folded exactly
-     *  like elemValue (element 0 when uniform; no liveness asserts —
-     *  the datapath checks srcElem first). */
-    bool
-    srcFaultMarked(VecRegRef ref, unsigned elem) const
-    {
-        const Reg &r = regs_[ref.reg];
-        return ((r.fiMask | r.ftMask) >> (r.uniform ? 0 : elem)) & 1;
-    }
-
-    /** Clear the element's fault marks (validation examined it). */
-    void
-    clearFaultMarks(VecRegRef ref, unsigned elem)
-    {
-        Reg &r = regFor(ref);
-        const std::uint64_t bit = std::uint64_t(1) << elem;
-        r.fiMask &= ~bit;
-        r.ftMask &= ~bit;
-    }
-
-    /**
-     * Overwrite a corrupted element with the architectural value the
-     * validation compared against, clearing its marks. Unlike
-     * setData this flips no flags — the element was already R; only
-     * its payload is repaired, so consumers that read it after the
-     * validation see clean data.
-     */
-    void
-    repairData(VecRegRef ref, unsigned elem, std::uint64_t value)
-    {
-        Reg &r = regFor(ref);
-        r.elems[elem].data = value;
-        const std::uint64_t bit = std::uint64_t(1) << elem;
-        r.fiMask &= ~bit;
-        r.ftMask &= ~bit;
-    }
-
     /** Associate the port-ledger id of a speculative element load. */
     void setElemLoadId(VecRegRef ref, unsigned elem, ElemLoadId id);
 
@@ -457,8 +374,6 @@ class VecRegFile
         std::uint64_t rMask = 0;  ///< R: value computed / loaded
         std::uint64_t uMask = 0;  ///< U: validation in flight
         std::uint64_t fMask = 0;  ///< F: element dead
-        std::uint64_t fiMask = 0; ///< fault injected (bit flip)
-        std::uint64_t ftMask = 0; ///< fault taint (marked source)
         Addr rangeLo = 0, rangeHi = 0; ///< inclusive byte range
         Cycle allocCycle = 0;
         std::vector<Elem> elems;

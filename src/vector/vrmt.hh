@@ -39,13 +39,6 @@ struct VrmtEntry
     VecRegRef nextVreg;
     Addr nextBase = 0;        ///< address of the current incarnation's
                               ///< last element (successor spawn base)
-
-    /** Fault injection (PR 6): the stride/base fields of this entry
-     *  were corrupted at install, so the address-misspeculation it
-     *  provokes is attributed to the injection, not to a genuine
-     *  stride misprediction. Inherited by chained successors spawned
-     *  from the corrupted fields. */
-    bool faultInjected = false;
 };
 
 /** The VRMT. */

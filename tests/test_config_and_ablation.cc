@@ -117,31 +117,6 @@ TEST(Config, Fig10WindowIsAblatable)
               10u * b.core.branchMispredicts);
 }
 
-TEST(Config, IdentityHashCoversEveryFaultPlanField)
-{
-    // The snapshot store keys on this hash: two fault plans that
-    // inject differently must never share a key.
-    const CoreConfig base = makeConfig(4, 1, BusMode::WideBusSdv);
-    const std::vector<std::pair<const char *, void (*)(FaultPlan &)>>
-        changes = {
-            {"enabled", [](FaultPlan &f) { f.enabled = true; }},
-            {"seed", [](FaultPlan &f) { f.seed = 1; }},
-            {"elemFlipPpm", [](FaultPlan &f) { f.elemFlipPpm = 1; }},
-            {"vrmtFlipPpm", [](FaultPlan &f) { f.vrmtFlipPpm = 1; }},
-            {"tlFlipPpm", [](FaultPlan &f) { f.tlFlipPpm = 1; }},
-            {"gmrbbFlipPpm", [](FaultPlan &f) { f.gmrbbFlipPpm = 1; }},
-            {"demoteThreshold",
-             [](FaultPlan &f) { f.demoteThreshold += 1; }},
-            {"reenableWindow", [](FaultPlan &f) { f.reenableWindow += 1; }},
-        };
-    for (const auto &[field, change] : changes) {
-        CoreConfig cfg = base;
-        change(cfg.engine.fault);
-        EXPECT_NE(configIdentityHash(cfg), configIdentityHash(base))
-            << field;
-    }
-}
-
 std::deque<Program> &
 keeper()
 {

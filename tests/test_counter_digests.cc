@@ -95,12 +95,12 @@ expectPinnedDigests(sweep::ExecOptions opt, const PinnedDigests &pinned)
 TEST(CounterDigests, PlanAllQuickMatchesPinnedDigests)
 {
     constexpr PinnedDigests pinned = {{
-        {"core", 0x47e6c0f32f70f1fdULL},
-        {"engine", 0xf6be3f7229303059ULL},
+        {"core", 0x2ebdd4bed984307dULL},
+        {"engine", 0x9a740078e2c82e59ULL},
         {"datapath", 0xe8a8ebbec8aa63dcULL},
         {"ports", 0xa095810b14c560a8ULL},
         {"wideBus", 0x4a8edce25ef47487ULL},
-        {"fates", 0x13a0a5288b097b37ULL},
+        {"fates", 0xcfb803d77568acb7ULL},
         {"l1d", 0x59a2fd6dc653eb39ULL},
         {"l1i", 0x0b8ea78388a0d541ULL},
         {"l2", 0x45367f8b0a2cad6fULL},
@@ -111,12 +111,12 @@ TEST(CounterDigests, PlanAllQuickMatchesPinnedDigests)
 TEST(CounterDigests, PlanAllQuickSampledMatchesPinnedDigests)
 {
     constexpr PinnedDigests pinned = {{
-        {"core", 0x5a163167023c3197ULL},
-        {"engine", 0xc3113ab567abee5eULL},
+        {"core", 0xdec57e323e270d77ULL},
+        {"engine", 0x977d208bdf84931eULL},
         {"datapath", 0x5273c98b1f570fa0ULL},
         {"ports", 0xa955c8d29826f799ULL},
         {"wideBus", 0x9e2e75d768d491fdULL},
-        {"fates", 0xee2a6fe91c15a55aULL},
+        {"fates", 0x8469d54bdeeed05aULL},
         {"l1d", 0x6f84af951ff96a49ULL},
         {"l1i", 0x47c519b05a3199e5ULL},
         {"l2", 0x92de0203a228f567ULL},

@@ -1,14 +1,11 @@
 /**
  * @file
- * Adversarial robustness tests (PR 6): checkpoint-loader fuzzing
- * (mutated / truncated / torn images rejected cleanly on every
- * workload), the fault-injection accounting invariant (every injected
- * speculative fault is detected or provably vanished — never silently
- * committed), the graceful-degradation path (chains demoted to scalar
- * under sustained faults stay bit-identical to a no-SDV run and
- * re-enable after a clean window; TL and shadow-GMRBB flips stay
- * contained), and the speculation fuzzer's determinism, repro round
- * trip and delta-debugging minimizer.
+ * Adversarial robustness tests: checkpoint-loader fuzzing (mutated /
+ * truncated / torn images rejected cleanly on every workload), the
+ * validation mutation test (a corrupted speculative element is caught
+ * by the validation that consumes it and never reaches committed
+ * state), and the speculation fuzzer's determinism, repro round trip
+ * and delta-debugging minimizer.
  */
 
 #include <cstdio>
@@ -21,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
-#include "sim/fault_injection.hh"
 #include "sweep/checkpoint.hh"
 #include "sweep/fuzz.hh"
 #include "workloads/workload.hh"
@@ -44,6 +40,22 @@ keep(Program &&p)
 }
 
 // --- checkpoint-loader fuzzing ---------------------------------------------
+
+/** Flip one bit of each byte of @p bytes with probability
+ *  @p flip_ppm / 1e6. @return the number of bytes corrupted. */
+std::size_t
+applyImageFaults(std::vector<std::uint8_t> &bytes, Random &rng,
+                 std::uint32_t flip_ppm)
+{
+    std::size_t corrupted = 0;
+    for (auto &b : bytes) {
+        if (rng.below(1'000'000) < flip_ppm) {
+            b ^= std::uint8_t(1) << rng.below(8);
+            ++corrupted;
+        }
+    }
+    return corrupted;
+}
 
 /** Every mutated, truncated or torn image must be rejected by both the
  *  header-only validate() and the full restore() without touching the
@@ -107,103 +119,56 @@ TEST(CheckpointFuzz, CorruptedImagesRejectedOnEveryWorkload)
     }
 }
 
-// --- fault-injection accounting --------------------------------------------
+// --- validation mutation test ----------------------------------------------
 
-/** The silent-commit exactness invariant: every injected element flip
- *  is either detected by a validation, examined-and-benign, or
- *  provably vanished with its register — and the run still verifies
- *  against the functional oracle (faults can never reach architectural
- *  state). */
-TEST(FaultInjection, EveryInjectedElementFaultIsAccounted)
+/** The property SDV rests on: a speculative element is compared with
+ *  the value its own scalar instruction produces before anything
+ *  commits. Corrupt one computed, not yet validated element of a
+ *  register with a validation in flight; the validation that consumes
+ *  it must report the mismatch, and the committed stream (which comes
+ *  from the functional oracle) must not change. */
+TEST(Validation, CatchesACorruptedLandedElement)
 {
+    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
     for (const char *name : {"compress", "go", "swim"}) {
         SCOPED_TRACE(name);
         const Program &prog = keep(buildWorkload(name, 1));
 
-        CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
-        cfg.engine.fault.enabled = true;
-        cfg.engine.fault.seed = deriveSeed(name, "fault-test", 7);
-        cfg.engine.fault.elemFlipPpm = 20'000;
-        cfg.engine.fault.vrmtFlipPpm = 5'000;
+        Simulator clean(cfg, prog);
+        const SimResult cres = clean.run(200'000'000, /*verify=*/true);
+        ASSERT_TRUE(cres.finished);
+        ASSERT_TRUE(cres.verified);
+        EXPECT_EQ(cres.engine.validationValueMismatches, 0u);
 
         Simulator sim(cfg, prog);
+        Core &core = sim.core();
+        VecRegFile &vrf = core.engine().vrf();
+        bool flipped = false;
+        while (!flipped && !core.done()) {
+            core.tick();
+            if (core.cycle() <= 2'000)
+                continue;
+            vrf.forEachLive([&](VecRegRef ref) {
+                if (flipped || !vrf.anyUsed(ref))
+                    return;
+                for (unsigned e = 0; e < vrf.elemCount(ref); ++e) {
+                    if (vrf.isReady(ref, e) && !vrf.isValid(ref, e)) {
+                        vrf.setData(ref, e, vrf.data(ref, e) ^ 1);
+                        flipped = true;
+                        return;
+                    }
+                }
+            });
+        }
+        ASSERT_TRUE(flipped) << "no element in flight to corrupt";
+
         const SimResult res = sim.run(200'000'000, /*verify=*/true);
         ASSERT_TRUE(res.finished);
         EXPECT_TRUE(res.verified);
-
-        // The rates are high enough that a rate-zero run would be a
-        // plumbing regression, not luck.
-        EXPECT_GT(res.engine.faultElemFlips, 0u);
-        EXPECT_EQ(res.engine.faultElemFlips,
-                  res.engine.faultValidationDetects +
-                      res.engine.faultValidationBenign +
-                      res.fates.faultInjectedVanished);
-
-        // Architectural equivalence with a clean run of the same
-        // machine: fault injection attacks the detection machinery,
-        // never the committed stream.
-        Simulator clean(makeConfig(4, 1, BusMode::WideBusSdv), prog);
-        const SimResult cres = clean.run(200'000'000, /*verify=*/true);
-        ASSERT_TRUE(cres.finished);
-        EXPECT_EQ(sim.core().commitPcHash(), clean.core().commitPcHash());
+        EXPECT_GE(res.engine.validationValueMismatches, 1u);
+        EXPECT_EQ(core.commitPcHash(), clean.core().commitPcHash());
         EXPECT_EQ(res.insts, cres.insts);
     }
-}
-
-/** Graceful degradation: sustained faults on a chain demote it to
- *  scalar execution (bit-identical to a no-SDV machine), and the chain
- *  re-speculates after a clean window. */
-TEST(FaultInjection, DegradedChainsFallBackToScalarAndReenable)
-{
-    const Program &prog = keep(buildWorkload("compress", 1));
-
-    CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
-    cfg.engine.fault.enabled = true;
-    cfg.engine.fault.seed = deriveSeed("compress", "degrade-test", 3);
-    cfg.engine.fault.elemFlipPpm = 200'000; // hammer the chains
-    cfg.engine.fault.demoteThreshold = 2;
-    cfg.engine.fault.reenableWindow = 16;
-
-    Simulator sim(cfg, prog);
-    const SimResult res = sim.run(200'000'000, /*verify=*/true);
-    ASSERT_TRUE(res.finished);
-    EXPECT_TRUE(res.verified);
-    EXPECT_GT(res.engine.faultChainDemotions, 0u);
-    EXPECT_GT(res.engine.faultChainReenables, 0u);
-    EXPECT_EQ(res.core.specChainDemotions,
-              res.engine.faultChainDemotions);
-
-    // The degraded run's architectural results match a machine with the
-    // SDV engine off entirely (the scalar-fallback oracle).
-    Simulator novec(makeConfig(4, 1, BusMode::WideBus), prog);
-    const SimResult nres = novec.run(200'000'000, /*verify=*/true);
-    ASSERT_TRUE(nres.finished);
-    EXPECT_TRUE(nres.verified);
-    EXPECT_EQ(sim.core().commitPcHash(), novec.core().commitPcHash());
-    EXPECT_EQ(res.insts, nres.insts);
-}
-
-TEST(FaultInjection, TlAndGmrbbFlipsAreInjectedAndContained)
-{
-    // High ppm so both new fault sites demonstrably fire; the
-    // divergence oracle plus the escape accounting then prove the
-    // corruption is contained: TL faults can only mislead *future*
-    // spawns (caught by the expected-address check) and shadow-GMRBB
-    // flips only mislabel release regions — neither may ever corrupt
-    // architectural state.
-    const auto &workloads = allWorkloads();
-    ASSERT_FALSE(workloads.empty());
-    sweep::FuzzCase c;
-    c.workload = workloads.front().name;
-    c.fault.enabled = true;
-    c.fault.seed = 0x7ab;
-    c.fault.tlFlipPpm = 50'000;
-    c.fault.gmrbbFlipPpm = 50'000;
-
-    const sweep::FuzzOutcome o = sweep::runFuzzCase(c, 50'000'000);
-    EXPECT_GT(o.tlFlips, 0u);
-    EXPECT_GT(o.gmrbbFlips, 0u);
-    EXPECT_FALSE(o.diverged) << o.reason;
 }
 
 // --- speculation fuzzing ---------------------------------------------------
@@ -211,10 +176,10 @@ TEST(FaultInjection, TlAndGmrbbFlipsAreInjectedAndContained)
 /** Case drawing is a pure function of (workload, sample, base seed). */
 TEST(Fuzz, DrawIsDeterministic)
 {
-    const sweep::FuzzCase a = sweep::drawFuzzCase(
-        "compress", 1, Footprint::Base, 3, 42, /*with_faults=*/true);
-    const sweep::FuzzCase b = sweep::drawFuzzCase(
-        "compress", 1, Footprint::Base, 3, 42, /*with_faults=*/true);
+    const sweep::FuzzCase a =
+        sweep::drawFuzzCase("compress", 1, Footprint::Base, 3, 42);
+    const sweep::FuzzCase b =
+        sweep::drawFuzzCase("compress", 1, Footprint::Base, 3, 42);
     EXPECT_EQ(a.fuzzSeed, b.fuzzSeed);
     EXPECT_EQ(a.quiesceInterval, b.quiesceInterval);
     EXPECT_EQ(a.eagerChain, b.eagerChain);
@@ -222,12 +187,10 @@ TEST(Fuzz, DrawIsDeterministic)
     EXPECT_EQ(a.numVregs, b.numVregs);
     EXPECT_EQ(a.ports, b.ports);
     EXPECT_EQ(a.tlConfidence, b.tlConfidence);
-    EXPECT_EQ(a.fault.enabled, b.fault.enabled);
-    EXPECT_EQ(a.fault.seed, b.fault.seed);
 
     // Different sample / seed -> different perturbations (somewhere).
-    const sweep::FuzzCase c = sweep::drawFuzzCase(
-        "compress", 1, Footprint::Base, 4, 42, /*with_faults=*/true);
+    const sweep::FuzzCase c =
+        sweep::drawFuzzCase("compress", 1, Footprint::Base, 4, 42);
     EXPECT_NE(a.fuzzSeed, c.fuzzSeed);
 }
 
@@ -263,42 +226,61 @@ readFile(const std::string &path)
     return text.str();
 }
 
-/** Repro files round-trip every perturbed knob, and a malformed value
- *  is rejected with its key and text named. */
+/** Repro files round-trip every perturbed knob, older files with the
+ *  fault-injection keys still load, and a malformed value is rejected
+ *  with its key and text named. */
 TEST(Fuzz, ReproFileRoundTrip)
 {
-    sweep::FuzzCase c = sweep::drawFuzzCase(
-        "ijpeg", 2, Footprint::Base, 5, 99, /*with_faults=*/true);
-    c.fault.tlFlipPpm = 900;
-    c.fault.gmrbbFlipPpm = 400;
+    const sweep::FuzzCase c =
+        sweep::drawFuzzCase("ijpeg", 2, Footprint::Base, 5, 99);
     const std::string path =
         ::testing::TempDir() + "sdv_repro_roundtrip.json";
     ASSERT_TRUE(sweep::writeFuzzRepro(path, c, "unit-test"));
     const std::string text = readFile(path);
 
+    const auto expectKnobs = [&c](const sweep::FuzzCase &l) {
+        EXPECT_EQ(l.workload, c.workload);
+        EXPECT_EQ(l.scale, c.scale);
+        EXPECT_EQ(l.footprint, c.footprint);
+        EXPECT_EQ(l.sample, c.sample);
+        EXPECT_EQ(l.baseSeed, c.baseSeed);
+        EXPECT_EQ(l.fuzzSeed, c.fuzzSeed);
+        EXPECT_EQ(l.quiesceInterval, c.quiesceInterval);
+        EXPECT_EQ(l.eagerChain, c.eagerChain);
+        EXPECT_EQ(l.vlen, c.vlen);
+        EXPECT_EQ(l.numVregs, c.numVregs);
+        EXPECT_EQ(l.ports, c.ports);
+        EXPECT_EQ(l.tlConfidence, c.tlConfidence);
+    };
     sweep::FuzzCase l;
     std::string err;
     ASSERT_TRUE(sweep::loadFuzzRepro(path, l, &err)) << err;
     std::remove(path.c_str());
+    expectKnobs(l);
 
-    EXPECT_EQ(l.workload, c.workload);
-    EXPECT_EQ(l.scale, c.scale);
-    EXPECT_EQ(l.footprint, c.footprint);
-    EXPECT_EQ(l.sample, c.sample);
-    EXPECT_EQ(l.baseSeed, c.baseSeed);
-    EXPECT_EQ(l.fuzzSeed, c.fuzzSeed);
-    EXPECT_EQ(l.quiesceInterval, c.quiesceInterval);
-    EXPECT_EQ(l.eagerChain, c.eagerChain);
-    EXPECT_EQ(l.vlen, c.vlen);
-    EXPECT_EQ(l.numVregs, c.numVregs);
-    EXPECT_EQ(l.ports, c.ports);
-    EXPECT_EQ(l.tlConfidence, c.tlConfidence);
-    EXPECT_EQ(l.fault.enabled, c.fault.enabled);
-    EXPECT_EQ(l.fault.seed, c.fault.seed);
-    EXPECT_EQ(l.fault.elemFlipPpm, c.fault.elemFlipPpm);
-    EXPECT_EQ(l.fault.vrmtFlipPpm, c.fault.vrmtFlipPpm);
-    EXPECT_EQ(l.fault.tlFlipPpm, 900u);
-    EXPECT_EQ(l.fault.gmrbbFlipPpm, 400u);
+    // A repro written while the fuzzer also injected faults carries
+    // eight more keys; they are ignored and every other knob loads.
+    {
+        std::string old_text = text;
+        const std::size_t end = old_text.rfind("\n}");
+        ASSERT_NE(end, std::string::npos);
+        old_text.insert(end, ",\n"
+                             "  \"fault_enabled\": true,\n"
+                             "  \"fault_seed\": 12345,\n"
+                             "  \"elem_flip_ppm\": 800,\n"
+                             "  \"vrmt_flip_ppm\": 300,\n"
+                             "  \"tl_flip_ppm\": 900,\n"
+                             "  \"gmrbb_flip_ppm\": 400,\n"
+                             "  \"demote_threshold\": 4,\n"
+                             "  \"reenable_window\": 64");
+        const std::string old_path =
+            ::testing::TempDir() + "sdv_repro_with_faults.json";
+        std::ofstream(old_path) << old_text;
+        sweep::FuzzCase lo;
+        ASSERT_TRUE(sweep::loadFuzzRepro(old_path, lo, &err)) << err;
+        std::remove(old_path.c_str());
+        expectKnobs(lo);
+    }
 
     // Malformed input is rejected with a reason, not a crash.
     sweep::FuzzCase bad;
@@ -322,9 +304,8 @@ TEST(Fuzz, ReproFileRoundTrip)
          "\"num_vregs\" '128abc': expected a whole number in [1, 65535]"},
         {"\"tl_confidence\": 258",
          "\"tl_confidence\" '258': expected a whole number in [0, 255]"},
-        {"\"tl_flip_ppm\": 1000001",
-         "\"tl_flip_ppm\" '1000001': expected a whole number in "
-         "[0, 1000000]"},
+        {"\"ports\": 5",
+         "\"ports\" '5': expected a whole number in [1, 4]"},
         {"\"footprint\": \"huge\"",
          "\"footprint\" 'huge': expected base, l2 or mem"},
         {"\"eager_chain\": yes",
@@ -378,9 +359,9 @@ TEST(FuzzMinimizer, DeltaDebugEscapesCoupledKnobTrap)
     // Never larger than greedy: count perturbed knobs.
     const auto perturbed = [](const sweep::FuzzCase &t) {
         return int(t.quiesceInterval != 0) + int(t.eagerChain) +
-               int(t.fault.enabled) + int(t.vlen != 4) +
-               int(t.numVregs != 128) + int(t.ports != 1) +
-               int(t.tlConfidence != 2) + int(t.fuzzSeed != 0);
+               int(t.vlen != 4) + int(t.numVregs != 128) +
+               int(t.ports != 1) + int(t.tlConfidence != 2) +
+               int(t.fuzzSeed != 0);
     };
     EXPECT_LE(perturbed(minimized), perturbed(greedy));
 }

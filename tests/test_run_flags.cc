@@ -85,8 +85,7 @@ TEST(RunFlags, MalformedValuesFailNamingTheFlagAndText)
         {{"--telemetry", "0"},
          "--telemetry '0': expected a whole number >= 1"},
         {{"--fault-elem-ppm", "1000001"},
-         "--fault-elem-ppm '1000001': expected a whole number in "
-         "[0, 1000000]"},
+         "unknown flag '--fault-elem-ppm'"},
         {{"--footprint", "huge"},
          "--footprint 'huge': expected base, l2 or mem"},
         {{"--trace-filter", "sdv,gpu"},
@@ -110,8 +109,7 @@ TEST(RunFlags, EachFlagSetsItsField)
                         "--samples", "3", "--sample-insts", "500",
                         "--sample-period", "9000", "--checkpoint-dir",
                         "snaps", "--quiesce-interval", "2000",
-                        "--eager-chain", "--verify", "--fault-elem-ppm",
-                        "800", "--fault-vrmt-ppm", "300", "--json",
+                        "--eager-chain", "--verify", "--json",
                         "o.json", "--trace-events", "t.json",
                         "--trace-filter", "sdv,mem", "--trace-last", "100",
                         "--telemetry", "5000"}),
@@ -132,9 +130,6 @@ TEST(RunFlags, EachFlagSetsItsField)
     EXPECT_EQ(o.exec.quiesceInterval, 2000u);
     EXPECT_TRUE(o.exec.eagerChain);
     EXPECT_TRUE(o.exec.verify);
-    EXPECT_TRUE(o.exec.fault.enabled);
-    EXPECT_EQ(o.exec.fault.elemFlipPpm, 800u);
-    EXPECT_EQ(o.exec.fault.vrmtFlipPpm, 300u);
     EXPECT_EQ(o.jsonPath, "o.json");
     EXPECT_EQ(o.traceEventsPath, "t.json");
     EXPECT_TRUE(o.exec.traceEvents);
@@ -188,6 +183,21 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
     ASSERT_EQ(parse(telemetry, {"--telemetry", "100"}), "");
     EXPECT_EXIT(sweep::checkRunOptions(telemetry),
                 ::testing::ExitedWithCode(1), "--telemetry needs --json");
+
+    // --quiesce-interval applies to full runs only.
+    const std::vector<std::vector<const char *>> forked = {
+        {"--samples", "3", "--quiesce-interval", "2000"},
+        {"--checkpoint", "--quiesce-interval", "2000"},
+    };
+    for (const std::vector<const char *> &args : forked) {
+        SCOPED_TRACE(args.front());
+        sweep::RunOptions quiesced;
+        ASSERT_EQ(parse(quiesced, args), "");
+        EXPECT_EXIT(sweep::checkRunOptions(quiesced),
+                    ::testing::ExitedWithCode(1),
+                    "--quiesce-interval is incompatible with --samples "
+                    "and --checkpoint");
+    }
 }
 
 // --- result writers --------------------------------------------------------

@@ -528,6 +528,49 @@ TEST(SweepExecutor, CheckpointedSweepIsDeterministicAndVerified)
     EXPECT_EQ(sweep::resultsJson(serial), sweep::resultsJson(parallel));
 }
 
+/** The attack plan's `eager` column chains eagerly without
+ *  --eager-chain: the exec overlay only turns eager chaining on, so it
+ *  keeps the grid's setting. */
+TEST(SweepExecutor, AttackPlanEagerColumnChainsEagerly)
+{
+    sweep::PlanOptions popt;
+    popt.quick = true;
+    const sweep::SweepPlan plan = sweep::buildPlan("attack", popt);
+    const sweep::ExecOptions opt;
+    const std::vector<sweep::RunOutcome> outcomes =
+        sweep::runPlan(plan, opt);
+
+    std::optional<CoreConfig> eager_cfg;
+    for (const sweep::GridConfig &g : sweep::figureGrid("attack"))
+        if (g.column == "eager")
+            eager_cfg = g.cfg;
+    ASSERT_TRUE(eager_cfg && eager_cfg->engine.eagerChainLoads);
+
+    unsigned checked = 0;
+    for (const sweep::RunOutcome &eager : outcomes) {
+        if (eager.column != "eager")
+            continue;
+        SCOPED_TRACE(eager.workload);
+        const auto base = std::find_if(
+            outcomes.begin(), outcomes.end(),
+            [&](const sweep::RunOutcome &o) {
+                return o.workload == eager.workload && o.column == "base";
+            });
+        ASSERT_NE(base, outcomes.end());
+        EXPECT_TRUE(eager.cfg.engine.eagerChainLoads);
+
+        const Program &prog = keep(
+            buildWorkload(eager.workload, plan.scale, plan.footprint));
+        Simulator direct(*eager_cfg, prog);
+        const SimResult res = direct.run(opt.maxCycles, /*verify=*/false);
+        EXPECT_EQ(eager.res.cycles, res.cycles);
+        EXPECT_EQ(eager.commitHash, direct.core().commitPcHash());
+        EXPECT_NE(eager.res.cycles, base->res.cycles);
+        ++checked;
+    }
+    EXPECT_EQ(checked, attackWorkloads().size());
+}
+
 TEST(SweepExecutor, ResolveJobsAutoDetects)
 {
     EXPECT_EQ(5u, sweep::resolveJobs(5));

@@ -4,12 +4,11 @@
  * workload the compiled-trace run and the interpreter reference run
  * (--no-trace) must produce bit-identical statistics and committed-
  * stream hashes — in the default configuration and under the
- * adversarial modes (eager chaining, periodic quiesce, fault
- * injection). Also covers the compiled trace itself: slot contents,
- * patch() recompilation and append() extension, and the functional
- * fast path against the interpreter; the decoded-program cache
- * (invalidation on patch); and the Figure-13 ledger folding memory
- * bound.
+ * adversarial modes (eager chaining, periodic quiesce). Also covers
+ * the compiled trace itself: slot contents, patch() recompilation and
+ * append() extension, and the functional fast path against the
+ * interpreter; the decoded-program cache (invalidation on patch); and
+ * the Figure-13 ledger folding memory bound.
  */
 
 #include <deque>
@@ -95,9 +94,8 @@ TEST(TraceCompile, BitIdenticalOnEveryTier1Workload)
 TEST(TraceCompile, AdversarialModesStayBitIdentical)
 {
     // The modes that stress speculative-state bookkeeping hardest:
-    // eager chain spawning, periodic pipeline quiesce, and in-engine
-    // fault injection (whose recovery path replays through the
-    // oracle). The dispatch mechanism must be invisible in all three.
+    // eager chain spawning and periodic pipeline quiesce. The dispatch
+    // mechanism must be invisible in both.
     for (const Workload &w : allWorkloads()) {
         const Program &prog = keep(w.instantiate(1));
         const CoreConfig base = makeConfig(4, 1, BusMode::WideBusSdv);
@@ -113,16 +111,6 @@ TEST(TraceCompile, AdversarialModesStayBitIdentical)
             expectIdentical(runOnce(base, prog, true, false, 3'000),
                             runOnce(base, prog, false, false, 3'000),
                             w.name + "/quiesce-interval");
-        }
-        {
-            CoreConfig cfg = base;
-            cfg.engine.fault.enabled = true;
-            cfg.engine.fault.seed = 0x7ace5eedULL;
-            cfg.engine.fault.elemFlipPpm = 500;
-            cfg.engine.fault.vrmtFlipPpm = 500;
-            expectIdentical(runOnce(cfg, prog, true, false),
-                            runOnce(cfg, prog, false, false),
-                            w.name + "/fault-injection");
         }
     }
 }

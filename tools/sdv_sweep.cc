@@ -38,14 +38,6 @@ reportFuzzOutcome(const sdv::sweep::FuzzOutcome &o)
                 o.c.sample, o.diverged ? "DIVERGED" : "ok");
     if (o.diverged)
         std::printf(" (%s)", o.reason.c_str());
-    if (o.c.fault.armed())
-        std::printf(" [faults: %llu injected, %llu detected, "
-                    "%llu demotions]",
-                    static_cast<unsigned long long>(
-                        o.elemFlips + o.vrmtFlips + o.tlFlips +
-                        o.gmrbbFlips),
-                    static_cast<unsigned long long>(o.faultsDetected),
-                    static_cast<unsigned long long>(o.chainDemotions));
     std::printf("\n");
     return o.diverged;
 }
@@ -63,7 +55,6 @@ main(int argc, char **argv)
     bool list = false;
     bool fuzz = false;
     unsigned fuzz_samples = 8;
-    bool fuzz_faults = true;
     std::string fuzz_repro = "fuzz_repro.json";
     std::string fuzz_replay;
 
@@ -101,9 +92,6 @@ main(int argc, char **argv)
                            [&](std::uint64_t v) {
                                fuzz_samples = unsigned(v);
                            }),
-         sweep::switchFlag(fuzzing, "--fuzz-no-faults",
-                           "fuzz without concurrent fault injection",
-                           [&] { fuzz_faults = false; }),
          sweep::stringFlag(fuzzing, "--fuzz-repro", "PATH",
                            "where to write a divergence repro (default "
                            "fuzz_repro.json)",
@@ -127,14 +115,13 @@ main(int argc, char **argv)
             fatal("--fuzz-replay: ", err);
         std::printf("replaying %s: workload %s sample %u "
                     "(fuzz_seed %llu, quiesce %llu, vlen %u, "
-                    "vregs %u, %up, conf %u%s, faults: %s)\n",
+                    "vregs %u, %up, conf %u%s)\n",
                     fuzz_replay.c_str(), c.workload.c_str(), c.sample,
                     static_cast<unsigned long long>(c.fuzzSeed),
                     static_cast<unsigned long long>(c.quiesceInterval),
                     c.vlen, c.numVregs, c.ports,
                     unsigned(c.tlConfidence),
-                    c.eagerChain ? ", eager" : "",
-                    describeFaultPlan(c.fault).c_str());
+                    c.eagerChain ? ", eager" : "");
         const sweep::FuzzOutcome o = sweep::runFuzzCase(c, eopt.maxCycles);
         reportFuzzOutcome(o);
         return o.diverged ? 1 : 0;
@@ -148,16 +135,14 @@ main(int argc, char **argv)
         fopt.scale = popt.scale;
         fopt.footprint = popt.footprint;
         fopt.quick = popt.quick;
-        fopt.withFaults = fuzz_faults;
         fopt.maxCycles = eopt.maxCycles;
         fopt.reproPath = fuzz_repro;
 
         std::printf("speculation fuzz campaign: %u samples per "
-                    "workload, seed %llu, %u thread(s)%s\n",
+                    "workload, seed %llu, %u thread(s)\n",
                     fopt.samples,
                     static_cast<unsigned long long>(fopt.baseSeed),
-                    fopt.jobs,
-                    fopt.withFaults ? ", with fault injection" : "");
+                    fopt.jobs);
         const auto t0 = std::chrono::steady_clock::now();
         const sweep::FuzzReport rep = sweep::runFuzzCampaign(fopt);
         const double wall = std::chrono::duration<double>(
@@ -165,15 +150,8 @@ main(int argc, char **argv)
                                 .count();
         for (const sweep::FuzzOutcome &o : rep.outcomes)
             reportFuzzOutcome(o);
-        std::printf("fuzzed %zu samples in %.2fs: %u divergence(s); "
-                    "%llu faults injected, %llu detected by "
-                    "validation\n",
-                    rep.outcomes.size(), wall, rep.divergences,
-                    static_cast<unsigned long long>(
-                        rep.totalElemFlips + rep.totalVrmtFlips +
-                        rep.totalTlFlips + rep.totalGmrbbFlips),
-                    static_cast<unsigned long long>(
-                        rep.totalFaultsDetected));
+        std::printf("fuzzed %zu samples in %.2fs: %u divergence(s)\n",
+                    rep.outcomes.size(), wall, rep.divergences);
         if (rep.divergences) {
             if (!rep.reproPath.empty())
                 std::printf("minimized repro written to %s "
