@@ -8,18 +8,23 @@
 
 #include <cstdio>
 
+#include "common/table.hh"
 #include "harness.hh"
 #include "sim/stride_profiler.hh"
+#include "sweep/report.hh"
 
 using namespace sdv;
 
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv, /*simulating=*/false);
-    bench::banner("Figure 1 - stride distribution",
-                  "stride 0 most frequent for both suites; <4-element "
-                  "strides are 97.9% (INT) / 81.3% (FP) of strided loads");
+    const auto opt = bench::parseArgs(argc, argv);
+    std::fputs(sweep::banner("Figure 1 - stride distribution",
+                             "stride 0 most frequent for both suites; "
+                             "<4-element strides are 97.9% (INT) / "
+                             "81.3% (FP) of strided loads")
+                   .c_str(),
+               stdout);
 
     // Benchmarks are weighted equally (each SPEC program contributed
     // the same 100M-instruction sample in the paper).

@@ -8,18 +8,22 @@
 
 #include "harness.hh"
 #include "sim/vect_analyzer.hh"
+#include "sweep/report.hh"
 
 using namespace sdv;
 
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv, /*simulating=*/false);
-    bench::banner("Figure 3 - percentage of vectorizable instructions",
-                  "unbounded resources: 47% of SpecInt95, 51% of "
-                  "SpecFP95 instructions can be vectorized");
+    const auto opt = bench::parseArgs(argc, argv);
+    std::fputs(sweep::banner("Figure 3 - percentage of vectorizable "
+                             "instructions",
+                             "unbounded resources: 47% of SpecInt95, 51% "
+                             "of SpecFP95 instructions can be vectorized")
+                   .c_str(),
+               stdout);
 
-    bench::SuiteTable table({"vectorizable", "loads", "arith"});
+    sweep::SuiteTable table({"vectorizable", "loads", "arith"});
     bench::forEachWorkload(opt.plan, [&](const Workload &w,
                                          const Program &p) {
         const VectAnalysis a = analyzeVectorizability(p);

@@ -15,6 +15,7 @@
 
 #include "common/log.hh"
 #include "harness.hh"
+#include "sweep/report.hh"
 
 using namespace sdv;
 
@@ -82,9 +83,13 @@ printConfig(unsigned width)
 int
 main(int argc, char **argv)
 {
-    const auto opt = bench::parseArgs(argc, argv, /*simulating=*/false);
-    bench::banner("Table 1 - processor microarchitectural parameters",
-                  "4-way and 8-way machines; extra storage totals ~56KB");
+    const auto opt = bench::parseArgs(argc, argv);
+    std::fputs(sweep::banner("Table 1 - processor microarchitectural "
+                             "parameters",
+                             "4-way and 8-way machines; extra storage "
+                             "totals ~56KB")
+                   .c_str(),
+               stdout);
 
     printConfig(4);
     printConfig(8);

@@ -1,6 +1,6 @@
 /**
  * @file
- * ASCII table formatter used by the benchmark harness to print
+ * ASCII table formatter used by the figure reports and benches to print
  * paper-style rows (one row per benchmark, one column per configuration).
  */
 

@@ -109,7 +109,7 @@ numberComplaint(std::string_view what, std::string_view text,
 }
 
 std::vector<Flag>
-runFlags(RunOptions &o, bool simulating)
+runFlags(RunOptions &o)
 {
     PlanOptions &p = o.plan;
     ExecOptions &e = o.exec;
@@ -218,10 +218,18 @@ runFlags(RunOptions &o, bool simulating)
                    1, u64Max,
                    [&e](std::uint64_t v) { e.telemetryInterval = v; }),
     };
-    if (!simulating)
-        std::erase_if(flags, [](const Flag &f) {
-            return std::string_view(f.section) != workloads;
-        });
+    return flags;
+}
+
+std::vector<Flag>
+onlyFlags(std::vector<Flag> flags,
+          const std::vector<std::string_view> &names)
+{
+    std::erase_if(flags, [&](const Flag &f) {
+        return std::find(names.begin(), names.end(), f.name) == names.end();
+    });
+    sdv_assert(flags.size() == names.size(),
+               "onlyFlags: a name names no flag of the table");
     return flags;
 }
 

@@ -7,7 +7,9 @@
  * number parser and the cross-flag checks come from here too, so a
  * flag means the same thing, and fails the same way, in every binary.
  * Front-end-only flags (sdv_sweep's --plan, --list, fuzzing) are Flags
- * of the same shape, declared next to the code that reads them.
+ * of the same shape, declared next to the code that reads them. A
+ * front end or mode that reads only some flags parses onlyFlags() of
+ * its table, so the rest fail instead of being ignored.
  */
 
 #ifndef SDV_SWEEP_OPTIONS_HH
@@ -83,15 +85,14 @@ std::optional<std::uint64_t> parseNumber(std::string_view text,
 std::string numberComplaint(std::string_view what, std::string_view text,
                             std::uint64_t min, std::uint64_t max);
 
-/**
- * @return the run flags, bound to @p o (applying one sets its field of
- * @p o, so @p o must outlive the list).
- * @param simulating false for a front end that runs no simulation: it
- *        gets only the flags that pick the workloads (--scale,
- *        --footprint, --quick), so the others fail loudly instead of
- *        being ignored
- */
-std::vector<Flag> runFlags(RunOptions &o, bool simulating = true);
+/** @return the run flags, bound to @p o (applying one sets its field
+ *  of @p o, so @p o must outlive the list). */
+std::vector<Flag> runFlags(RunOptions &o);
+
+/** @return the flags of @p flags named in @p names, in table order;
+ *  every name must name one of them. */
+std::vector<Flag> onlyFlags(std::vector<Flag> flags,
+                            const std::vector<std::string_view> &names);
 
 /** Apply @p argv[1..] through @p flags in order. @return an error
  *  message naming the offending flag, empty on success. */

@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "common/random.hh"
+#include "sweep/report.hh"
 #include "workloads/workload.hh"
 
 namespace sdv {
@@ -28,12 +29,14 @@ machineMatrix()
     return grid;
 }
 
-/** Single-configuration figures: one machine, one column. */
+/** Single-configuration figures: one @p Width-way machine with one
+ *  wide port and SDV, one column. */
+template <unsigned Width>
 std::vector<GridConfig>
-singleConfig(unsigned width, const std::string &label)
+singleConfig()
 {
-    return {{"", std::to_string(width) + "w-" + label,
-             makeConfig(width, 1, BusMode::WideBusSdv)}};
+    return {{"", std::to_string(Width) + "w-1pV",
+             makeConfig(Width, 1, BusMode::WideBusSdv)}};
 }
 
 std::vector<GridConfig>
@@ -77,6 +80,9 @@ struct PlanDef
 {
     PlanInfo info;
     std::vector<GridConfig> (*grid)();
+    /** Renders the plan's outcomes, which arrive in the order of
+     *  grid; null for a plan that is no paper figure. */
+    FigureReport report;
     /** Included in --plan all. The adversarial "attack" plan is not:
      *  "all" regenerates the paper-figure baselines, and its job list
      *  (and JSON) must not change when robustness plans are added. */
@@ -105,8 +111,9 @@ attackGrid()
 }
 
 /** The four machines behind the paper's headline prose claims. The
- *  columns keep the legacy bench labels ("4w-1pV") so delegating
- *  bench_headline_claims to this grid leaves its JSON unchanged. */
+ *  columns carry the width ("4w-1pV") because the machines differ in
+ *  it; they are the config keys of the headline JSON records
+ *  (BENCH_headline.json). */
 std::vector<GridConfig>
 headlineGrid()
 {
@@ -122,63 +129,47 @@ headlineGrid()
     };
 }
 
-std::vector<GridConfig>
-fig09Grid()
-{
-    return singleConfig(8, "1pV");
-}
-
-std::vector<GridConfig>
-fig10Grid()
-{
-    return singleConfig(4, "1pV");
-}
-
-std::vector<GridConfig>
-fig13Grid()
-{
-    return singleConfig(4, "1pV");
-}
-
-std::vector<GridConfig>
-fig14Grid()
-{
-    return singleConfig(8, "1pV");
-}
-
-std::vector<GridConfig>
-fig15Grid()
-{
-    return singleConfig(8, "1pV");
-}
-
 const std::vector<PlanDef> &
 planDefs()
 {
     static const std::vector<PlanDef> defs = {
         {{"fig07", "IPC: decode blocking on scalar operands "
                    "(real vs ideal)"},
-         fig07Grid},
+         fig07Grid, fig07Report},
         {{"fig09", "vector instances with non-zero source offset"},
-         fig09Grid},
-        {{"fig10", "control-flow independence reuse"}, fig10Grid},
+         singleConfig<8>, fig09Report},
+        {{"fig10", "control-flow independence reuse"}, singleConfig<4>,
+         fig10Report},
         {{"fig11", "IPC by port count, bus width and vectorization"},
-         machineMatrix},
+         machineMatrix, fig11Report},
         {{"fig12", "L1D port occupancy across the machine matrix"},
-         machineMatrix},
-        {{"fig13", "useful words per wide-bus line read"}, fig13Grid},
-        {{"fig14", "fraction of committed validations"}, fig14Grid},
+         machineMatrix, fig12Report},
+        {{"fig13", "useful words per wide-bus line read"}, singleConfig<4>,
+         fig13Report},
+        {{"fig14", "fraction of committed validations"}, singleConfig<8>,
+         fig14Report},
         {{"fig15", "vector element fates at register release"},
-         fig15Grid},
+         singleConfig<8>, fig15Report},
         {{"ablation", "sizing knobs: vregs / vlen / confidence / bus"},
-         ablationGrid},
+         ablationGrid, ablationReport},
         {{"headline", "the four machines behind the headline claims"},
-         headlineGrid},
+         headlineGrid, headlineReport},
         {{"attack", "timing-channel pair: transient exposure across "
                     "quiesce boundaries"},
-         attackGrid, /*inAll=*/false},
+         attackGrid, nullptr, /*inAll=*/false},
     };
     return defs;
+}
+
+/** @return the registry entry of plan @p name; fatal when there is
+ *  none. */
+const PlanDef &
+planDef(const std::string &name)
+{
+    for (const PlanDef &d : planDefs())
+        if (d.info.name == name)
+            return d;
+    fatal("no single-figure plan '", name, "'");
 }
 
 } // namespace
@@ -208,10 +199,13 @@ havePlan(const std::string &name)
 std::vector<GridConfig>
 figureGrid(const std::string &name)
 {
-    for (const PlanDef &d : planDefs())
-        if (d.info.name == name)
-            return d.grid();
-    fatal("no configuration grid for plan '", name, "'");
+    return planDef(name).grid();
+}
+
+FigureReport
+figureReport(const std::string &name)
+{
+    return planDef(name).report;
 }
 
 namespace {

@@ -95,6 +95,16 @@ bool havePlan(const std::string &name);
  */
 std::vector<GridConfig> figureGrid(const std::string &name);
 
+struct RunOutcome;
+
+/** A figure's text report (sweep/report.hh): renders the outcomes of
+ *  its plan, in plan order. */
+using FigureReport = std::string (*)(const std::vector<RunOutcome> &);
+
+/** @return the report of plan @p name, null for a plan that is no
+ *  paper figure ("attack"). Fatal on unknown names, like figureGrid. */
+FigureReport figureReport(const std::string &name);
+
 /**
  * Instantiate plan @p name over the (quick-filtered) workload suite.
  * Job order is workload-major with the figure's grid order within

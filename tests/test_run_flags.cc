@@ -4,22 +4,24 @@
  * the bench harness parse through: the one number parser rejects
  * malformed and out-of-range values with an error naming the flag and
  * the text given, each flag sets the field it documents, a front end
- * that simulates nothing rejects the flags it would ignore, and the
- * cross-flag checks stop the combinations that cannot work. Also the
- * writers behind the output flags (--json, --trace-events,
- * --fuzz-repro): each reports a write that fails part way.
+ * or mode that reads a subset of the table rejects every flag outside
+ * it, and the cross-flag checks stop the combinations that cannot
+ * work. Also the writers behind the output flags (--json,
+ * --trace-events, --fuzz-repro): each reports a write that fails part
+ * way.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/text_file.hh"
-#include "harness.hh"
 #include "obs/trace.hh"
 #include "sweep/executor.hh"
 #include "sweep/fuzz.hh"
@@ -28,14 +30,17 @@
 namespace sdv {
 namespace {
 
-/** Parse @p args (program name prepended) through the run flags. */
+/** Parse @p args (program name prepended) through the run flags, or
+ *  through the subset @p only names. */
 std::string
 parse(sweep::RunOptions &o, std::vector<const char *> args,
-      bool simulating = true)
+      const std::vector<std::string_view> &only = {})
 {
     args.insert(args.begin(), "prog");
-    return sweep::parseFlags(int(args.size()), args.data(),
-                             sweep::runFlags(o, simulating));
+    return sweep::parseFlags(
+        int(args.size()), args.data(),
+        only.empty() ? sweep::runFlags(o)
+                     : sweep::onlyFlags(sweep::runFlags(o), only));
 }
 
 TEST(RunFlags, NumberParserTakesOnlyPlainDecimalsInRange)
@@ -143,18 +148,35 @@ TEST(RunFlags, EachFlagSetsItsField)
     EXPECT_TRUE(autodetect.exec.jobsAutoDetected);
 }
 
-TEST(RunFlags, FrontEndThatSimulatesNothingTakesOnlyWorkloadFlags)
+TEST(RunFlags, SubsetTakesOnlyItsFlags)
 {
     sweep::RunOptions o;
     EXPECT_EQ(parse(o, {"--scale", "2", "--footprint", "l2", "--quick"},
-                    /*simulating=*/false),
+                    {"--scale", "--footprint", "--quick"}),
               "");
     EXPECT_EQ(o.plan.scale, 2u);
-    for (const char *flag : {"--json", "--trace-events", "--telemetry",
-                             "--jobs", "--samples", "--verify"}) {
+
+    // The inspection benches, sdv_sweep --list and sdv_sweep
+    // --fuzz-speculation: every run flag outside the subset is unknown.
+    const std::vector<std::vector<std::string_view>> subsets = {
+        {"--scale", "--footprint", "--quick"},
+        {"--scale"},
+        {"--scale", "--footprint", "--quick", "--jobs", "--seed"},
+    };
+    sweep::RunOptions all;
+    for (const std::vector<std::string_view> &only : subsets) {
         sweep::RunOptions p;
-        EXPECT_EQ(parse(p, {flag, "1"}, /*simulating=*/false),
-                  "unknown flag '" + std::string(flag) + "'");
+        EXPECT_EQ(sweep::onlyFlags(sweep::runFlags(p), only).size(),
+                  only.size());
+        for (const sweep::Flag &f : sweep::runFlags(all)) {
+            const bool taken =
+                std::find(only.begin(), only.end(), f.name) != only.end();
+            sweep::RunOptions q;
+            EXPECT_EQ(parse(q, {f.name, "1"}, only) ==
+                          "unknown flag '" + std::string(f.name) + "'",
+                      !taken)
+                << f.name << " in a subset of " << only.size();
+        }
     }
 }
 
@@ -216,7 +238,6 @@ TEST(ResultWriters, EachWriterFailsOnAFullDevice)
     EXPECT_FALSE(obs::writeTraceFile(fullDevice, {}));
     EXPECT_FALSE(
         sweep::writeFuzzRepro(fullDevice, sweep::FuzzCase{}, "unit-test"));
-    EXPECT_FALSE(bench::writeRecords(fullDevice, "bench", {}, 0.0));
 }
 
 TEST(ResultWriters, EachWriterSucceedsOnAWritablePath)
@@ -227,7 +248,6 @@ TEST(ResultWriters, EachWriterSucceedsOnAWritablePath)
                                     sweep::ExecOptions{}, "[]", 0.0));
     EXPECT_TRUE(obs::writeTraceFile(path, {}));
     EXPECT_TRUE(sweep::writeFuzzRepro(path, sweep::FuzzCase{}, "unit-test"));
-    EXPECT_TRUE(bench::writeRecords(path, "bench", {}, 0.0));
     std::remove(path.c_str());
 }
 

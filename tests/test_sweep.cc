@@ -9,9 +9,10 @@
  * not), the executor's fork decision (which configs take the
  * snapshots, and that the rest run in full), the snapshot store
  * behind --checkpoint-dir (reuse, keying, recapture of corrupt,
- * foreign and older-format containers) and the capture passes sharing
+ * foreign and older-format containers), the capture passes sharing
  * the pool with the units (same records and warnings at 1, 2 and 4
- * jobs).
+ * jobs) and the figure reports (headline formulas, one report per
+ * figure of --plan all).
  */
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include <cstdlib>
 #include <deque>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -33,6 +35,7 @@
 #include "sweep/checkpoint.hh"
 #include "sweep/executor.hh"
 #include "sweep/plan.hh"
+#include "sweep/report.hh"
 #include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
 #include "expect_same_stats.hh"
@@ -481,6 +484,123 @@ TEST(SweepPlan, SeedsAreStreamAndOrderIndependent)
     Random f1 = base.fork(1);
     Random f2 = base.fork(2);
     EXPECT_NE(f1.next(), f2.next());
+}
+
+// --- figure reports --------------------------------------------------------
+
+/** @return the outcomes of plan @p name (--quick) without simulating:
+ *  each job's identity stamped into a RunOutcome whose counters @p fill
+ *  sets. */
+std::vector<sweep::RunOutcome>
+stampedOutcomes(const std::string &name,
+                const std::function<void(sweep::RunOutcome &)> &fill)
+{
+    sweep::PlanOptions opt;
+    opt.quick = true;
+    std::vector<sweep::RunOutcome> outcomes;
+    for (const sweep::SweepJob &job : sweep::buildPlan(name, opt).jobs) {
+        sweep::RunOutcome o;
+        o.figure = job.figure;
+        o.workload = job.workload;
+        o.isFp = job.isFp;
+        o.group = job.group;
+        o.column = job.column;
+        o.configKey = job.configKey;
+        o.cfg = job.cfg;
+        o.seed = job.seed;
+        fill(o);
+        outcomes.push_back(o);
+    }
+    return outcomes;
+}
+
+TEST(Reports, HeadlineOfAPaperMachinePrintsThePaperClaims)
+{
+    // Counters under which every headline formula reads the paper's
+    // value, the same for each workload of a suite. perfbench/gate.py
+    // copies the cycle-sum formulas for paper_err_pp.
+    const std::vector<sweep::RunOutcome> outcomes =
+        stampedOutcomes("headline", [](sweep::RunOutcome &o) {
+            SimResult &r = o.res;
+            if (o.column == "4w-1pV") {
+                r.cycles = 1000;
+                r.ports.readAccesses = o.isFp ? 800 : 850;
+                r.engine.storesChecked = 1000;
+                r.engine.storeRangeConflicts = o.isFp ? 25 : 45;
+            } else if (o.column == "4w-1pIM") {
+                r.cycles = o.isFp ? 1081 : 1212;
+                r.ports.readAccesses = 1000;
+            } else if (o.column == "4w-4pnoIM") {
+                r.cycles = 1190;
+            } else {
+                ASSERT_EQ(o.column, "8w-4pnoIM");
+                r.cycles = 1030;
+            }
+        });
+    ASSERT_EQ(outcomes.size(), 12u);
+    const std::string report = sweep::planReport(outcomes);
+    for (const char *line : {"  speedup: +19.0%   (paper: +19%)\n",
+                             "  SpecInt: -15.0%   (paper: -15%)\n",
+                             "  SpecFP:  -20.0%   (paper: -20%)\n",
+                             "  SpecInt: +21.2%   (paper: +21.2%)\n",
+                             "  SpecFP:  +8.1%   (paper: +8.1%)\n",
+                             "  speedup: +3.0%   (paper: +3%)\n",
+                             "  SpecInt:  4.50%   (paper: 4.5%)\n",
+                             "  SpecFP:   2.50%   (paper: 2.5%)\n"})
+        EXPECT_NE(report.find(line), std::string::npos)
+            << line << "in:\n" << report;
+}
+
+TEST(Reports, PlanAllPrintsEachFigureOnceInPlanOrder)
+{
+    const std::string report = sweep::planReport(
+        stampedOutcomes("all", [](sweep::RunOutcome &o) {
+            o.res.cycles = 1000;
+            o.res.insts = 1500;
+            o.res.ipc = 1.5;
+        }));
+    std::vector<std::string> lines;
+    std::istringstream in(report);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+
+    // A banner is a rule, the title and the paper line; the title up
+    // to its " - " or " (" names the figure.
+    std::vector<std::string> figures;
+    for (std::size_t i = 0; i + 2 < lines.size(); ++i)
+        if (lines[i].starts_with("=====") &&
+            lines[i + 2].starts_with("paper: "))
+            figures.push_back(lines[i + 1].substr(
+                0, lines[i + 1].find_first_of("-(") - 1));
+    EXPECT_EQ(figures,
+              (std::vector<std::string>{
+                  "Figure 7", "Figure 9", "Figure 10", "Figure 11",
+                  "Figure 12", "Figure 13", "Figure 14", "Figure 15",
+                  "Ablation", "Headline claims"}));
+
+    // Every suite table (header "benchmark ...", rows up to the blank
+    // line, separators skipped): one table for each single-section
+    // figure, one per width for Figures 11 and 12.
+    unsigned tables = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        if (!lines[i].starts_with("benchmark "))
+            continue;
+        ++tables;
+        std::vector<std::string> rows;
+        for (std::size_t j = i + 1; j < lines.size() && !lines[j].empty();
+             ++j)
+            if (!lines[j].starts_with("-"))
+                rows.push_back(lines[j].substr(0, lines[j].find(' ')));
+        EXPECT_EQ(rows, (std::vector<std::string>{"go", "m88ksim", "INT",
+                                                  "swim", "FP", "Spec95"}))
+            << lines[i - 1];
+    }
+    EXPECT_EQ(tables, 10u);
+
+    // The attack plan is no paper figure.
+    EXPECT_EQ(sweep::planReport(
+                  stampedOutcomes("attack", [](sweep::RunOutcome &) {})),
+              "");
 }
 
 // --- executor determinism --------------------------------------------------

@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
 """Compare a fresh bench --json output against the checked-in baseline.
 
-Three schemas are understood:
-
-* harness schema (bench_headline_claims and friends): a JSON array of
-  records {bench, workload, config, cycles, insts, ipc, wall_seconds,
-  sim_mips}. Simulated statistics (cycles, insts, ipc) are exact model
-  outputs, so any drift is an error; wall_seconds is host-dependent, so
-  a >10% regression only warns.
+Two schemas are understood:
 
 * sweep-driver schema (sdv_sweep --json): an object {"sweep": {...},
-  "results": [...]}; the results records carry the same simulated
-  statistics plus a commit_hash (compared exactly) and no per-record
-  wall time — the total lives in the "sweep" metadata (warn-only).
+  "results": [...]}; one record per (workload, config) run. Simulated
+  statistics (cycles, insts, ipc) and the commit_hash are exact model
+  outputs, so any drift is an error. There is no per-record wall time:
+  the total lives in the "sweep" metadata, and as it is host-dependent
+  a >10% regression only warns.
   Interval-sampled sweeps (sdv_sweep --samples) add "footprint",
   "samples" and "measure_insts" to the metadata and a per-record
   "samples" count: the sampled estimates are deterministic, so they
@@ -24,7 +20,7 @@ Three schemas are understood:
   "benchmarks" array. Timings are host-dependent; the benchmark set
   must match and a >10% real_time regression warns.
 
-Harness and sweep records may carry a "val_mismatches" counter (the
+Sweep records may carry a "val_mismatches" counter (the
 engine's validation value self-check): any non-zero value in the NEW
 results is an error regardless of the baseline — a mismatch means
 speculative values diverged from architectural ones.
@@ -38,10 +34,9 @@ scan). --forbid-obs turns their *presence in the new results* into an
 error — the CI guard that default-mode regenerations stay observability
 -free and byte-comparable to the checked-in baselines.
 
-Both record schemas also print a per-plan wall-time delta summary
-table (aggregated by the record's "bench" field) so the perf
-trajectory is visible in CI logs, not just the warn-on-regression
-threshold.
+Sweep comparisons also print the total wall-time delta, labelled
+with the plans of the records, so the perf trajectory is visible in CI
+logs, not just the warn-on-regression threshold.
 
 Exit status: 1 on stat drift or schema mismatch, 0 otherwise (warnings
 included). --update rewrites the baseline file with the new results
@@ -64,12 +59,12 @@ def load(path):
 
 
 def schema_of(doc):
-    """Classify a loaded document: harness / sweep / google-benchmark."""
-    if isinstance(doc, list):
-        return "harness"
+    """Classify a loaded document: sweep / google-benchmark / None."""
     if isinstance(doc, dict) and "results" in doc:
         return "sweep"
-    return "google-benchmark"
+    if isinstance(doc, dict) and "benchmarks" in doc:
+        return "google-benchmark"
+    return None
 
 
 def sweep_records(doc):
@@ -80,30 +75,18 @@ def sweep_wall(doc):
     return doc.get("sweep", {}).get("wall_seconds", 0.0)
 
 
-def wall_summary(base, new, base_total=None, new_total=None):
-    """Per-plan wall-time delta table, aggregated by the "bench" field.
-
-    Per-record wall times exist only in the harness schema; sweep
-    documents carry one total, passed via base_total/new_total."""
-    plans = {}
-    for r in base:
-        k = r.get("bench", "")
-        plans.setdefault(k, [0.0, 0.0])[0] += r.get("wall_seconds", 0.0)
-    for r in new:
-        k = r.get("bench", "")
-        plans.setdefault(k, [0.0, 0.0])[1] += r.get("wall_seconds", 0.0)
-    if base_total is not None:
-        only = {k.split(":")[-1] for k in plans}
-        label = "total(%s)" % "+".join(sorted(only)) if only else "total"
-        plans = {label: [base_total, new_total]}
-    rows = [(k, b, n) for k, (b, n) in sorted(plans.items())
-            if b > 0 or n > 0]
-    if not rows:
+def wall_summary(base, new, base_total, new_total):
+    """Print the total wall-time delta of two sweep documents, labelled
+    with the plans their records come from."""
+    if base_total <= 0 and new_total <= 0:
         return
+    plans = {r.get("bench", "").split(":")[-1] for r in base + new}
+    label = "total(%s)" % "+".join(sorted(plans)) if plans else "total"
+    delta = ("n/a" if base_total <= 0 else
+             f"{100.0 * (new_total - base_total) / base_total:+.1f}%")
     print(f"  {'plan':<28} {'base':>9} {'new':>9} {'delta':>8}")
-    for k, b, n in rows:
-        delta = "n/a" if b <= 0 else f"{100.0 * (n - b) / b:+.1f}%"
-        print(f"  {k:<28} {b:>8.3f}s {n:>8.3f}s {delta:>8}")
+    print(f"  {label:<28} {base_total:>8.3f}s {new_total:>8.3f}s "
+          f"{delta:>8}")
 
 
 REQUIRED_STAT_FIELDS = ("workload", "config", "cycles", "insts", "ipc")
@@ -175,7 +158,7 @@ def check_val_mismatches(new):
 
 
 def compare_records(base, new, base_wall, new_wall):
-    """Shared record comparison for the harness and sweep schemas.
+    """Record comparison of two sweep documents.
 
     The record key is (bench, workload, config) so one sweep file can
     hold several figures' grids; simulated statistics (cycles, insts,
@@ -222,19 +205,6 @@ def compare_records(base, new, base_wall, new_wall):
         warnings.append(
             f"total wall time regressed >10%: "
             f"{base_wall:.3f}s -> {new_wall:.3f}s")
-    return errors, warnings
-
-
-def compare_harness(base, new, forbid_obs=False):
-    errors, warnings = compare_records(
-        base, new,
-        sum(r.get("wall_seconds", 0.0) for r in base),
-        sum(r.get("wall_seconds", 0.0) for r in new))
-    errors += check_val_mismatches(new)
-    errors += check_stat_fields(new)
-    if forbid_obs:
-        errors += check_no_obs(new)
-    wall_summary(base, new)
     return errors, warnings
 
 
@@ -302,14 +272,13 @@ def main():
 
     base = load(args.baseline)
     new = load(args.new)
-    if schema_of(base) != schema_of(new):
-        print("error: baseline and new results use different schemas")
+    schema = schema_of(base)
+    if schema is None or schema != schema_of(new):
+        print("error: baseline and new results are not both sweep or "
+              "both google-benchmark documents")
         return 1
 
-    schema = schema_of(base)
-    if schema == "harness":
-        errors, warnings = compare_harness(base, new, args.forbid_obs)
-    elif schema == "sweep":
+    if schema == "sweep":
         errors, warnings = compare_sweep(base, new, args.forbid_obs)
     else:
         errors, warnings = compare_google_benchmark(base, new)

@@ -2,9 +2,9 @@
  * @file
  * sdv_sweep: parallel sweep driver. Regenerates any figure's
  * (workload x configuration) grid from the plan registry, optionally
- * forking every configuration from a warmed checkpoint, and emits
- * ordered JSON that tools/compare_bench.py can diff against the
- * checked-in baselines.
+ * forking every configuration from a warmed checkpoint, prints the
+ * figure's report (sweep/report.hh) and emits ordered JSON that
+ * tools/compare_bench.py can diff against the checked-in baselines.
  *
  *   sdv_sweep --list
  *   sdv_sweep --plan fig11 --jobs 4 --json fig11.json
@@ -18,6 +18,7 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.hh"
@@ -25,6 +26,7 @@
 #include "sweep/fuzz.hh"
 #include "sweep/options.hh"
 #include "sweep/plan.hh"
+#include "sweep/report.hh"
 
 using namespace sdv;
 
@@ -60,16 +62,12 @@ main(int argc, char **argv)
 
     // sdv_sweep's own modes around the shared run flags.
     const char *plans = "plan runs";
-    const char *fuzzing = "fuzzing (instead of --plan)";
+    const char *modes = "other modes (instead of --plan)";
     std::vector<sweep::Flag> flags = {
         sweep::stringFlag(plans, "--plan", "NAME",
                           "plan to run (see --list; 'all' runs every "
                           "figure)",
                           plan_name),
-        sweep::switchFlag(plans, "--list",
-                          "list registered plans and workload "
-                          "footprints, then exit",
-                          [&] { list = true; }),
         sweep::switchFlag(plans, "--metrics-summary",
                           "print executor metrics (queue wait, run "
                           "time, utilization, snapshot traffic) and "
@@ -80,30 +78,57 @@ main(int argc, char **argv)
         flags.push_back(std::move(f));
     flags.insert(
         flags.end(),
-        {sweep::switchFlag(fuzzing, "--fuzz-speculation",
+        {sweep::switchFlag(modes, "--list",
+                           "list registered plans and workload "
+                           "footprints, then exit",
+                           [&] { list = true; }),
+         sweep::switchFlag(modes, "--fuzz-speculation",
                            "run every workload x N fuzzed samples "
                            "against a no-vectorization oracle; exits "
                            "non-zero and writes a minimized repro on "
                            "any divergence",
                            [&] { fuzz = true; }),
-         sweep::numberFlag(fuzzing, "--fuzz-samples", "N",
+         sweep::numberFlag(modes, "--fuzz-samples", "N",
                            "fuzzed samples per workload (default 8)", 1,
                            100'000,
                            [&](std::uint64_t v) {
                                fuzz_samples = unsigned(v);
                            }),
-         sweep::stringFlag(fuzzing, "--fuzz-repro", "PATH",
+         sweep::stringFlag(modes, "--fuzz-repro", "PATH",
                            "where to write a divergence repro (default "
                            "fuzz_repro.json)",
                            fuzz_repro),
-         sweep::stringFlag(fuzzing, "--fuzz-replay", "F",
+         sweep::stringFlag(modes, "--fuzz-replay", "F",
                            "re-run one case from a repro file",
                            fuzz_replay)});
 
+    // The first mode switch on the command line picks the mode, and
+    // only the flags that mode reads are parsed: any other flag, a
+    // second mode's switch included, exits 2 instead of being ignored.
+    // A plan run reads every flag but the other modes'.
+    const std::vector<std::vector<std::string_view>> mode_flags = {
+        {"--list", "--scale"},
+        {"--fuzz-speculation", "--fuzz-samples", "--fuzz-repro",
+         "--scale", "--footprint", "--quick", "--jobs", "--seed"},
+        {"--fuzz-replay"},
+    };
+    const std::vector<std::string_view> *mode = nullptr;
+    for (int i = 1; i < argc && !mode; ++i)
+        for (const std::vector<std::string_view> &m : mode_flags)
+            if (argv[i] == m.front())
+                mode = &m;
+    if (mode)
+        flags = sweep::onlyFlags(std::move(flags), *mode);
+    else
+        std::erase_if(flags, [&](const sweep::Flag &f) {
+            return std::string_view(f.section) == modes;
+        });
+
     const std::string synopsis =
         std::string("usage: ") + argv[0] + " --plan NAME [options]\n" +
-        "       " + argv[0] + " --list\n" + "       " + argv[0] +
-        " --fuzz-speculation [options]";
+        "       " + argv[0] + " --list [--scale N]\n" + "       " +
+        argv[0] + " --fuzz-speculation [options]\n" + "       " +
+        argv[0] + " --fuzz-replay F";
     const std::string parse_error = sweep::parseFlags(argc, argv, flags);
     if (!parse_error.empty())
         sweep::usageExit(synopsis, flags, parse_error);
@@ -250,6 +275,7 @@ main(int argc, char **argv)
 
     if (metrics_summary)
         std::fputs(metrics.summaryTable().c_str(), stdout);
+    std::fputs(sweep::planReport(outcomes).c_str(), stdout);
 
     if (!run.traceEventsPath.empty())
         sweep::writeTraceEvents(run.traceEventsPath, outcomes);
