@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <source_location>
 #include <sstream>
 #include <string>
 
@@ -27,6 +28,28 @@ concat(Args &&...args)
     (os << ... << std::forward<Args>(args));
     return os.str();
 }
+
+/**
+ * The first argument of panic() and fatal(): the message's leading
+ * string literal, tagged with the caller's source location. The
+ * defaulted std::source_location is evaluated where the literal is
+ * converted, which is the call site (for sdv_assert, the line that
+ * invokes the macro); evaluated inside the variadic template body it
+ * would name this header instead. Two pointers and no string: an
+ * inlined sdv_assert costs its hot caller no more than before.
+ */
+struct LocatedMessage
+{
+    LocatedMessage(
+        const char *first,
+        std::source_location where = std::source_location::current())
+        : text(first), loc(where)
+    {
+    }
+
+    const char *text;
+    std::source_location loc;
+};
 
 /** Abort after printing a panic message (simulator bug). */
 [[noreturn]] void panicImpl(const std::string &msg, const char *file,
@@ -97,10 +120,10 @@ class ScopedLogContext
  */
 template <typename... Args>
 [[noreturn]] void
-panic(Args &&...args)
+panic(detail::LocatedMessage msg, Args &&...args)
 {
-    detail::panicImpl(detail::concat(std::forward<Args>(args)...),
-                      __builtin_FILE(), __builtin_LINE());
+    detail::panicImpl(detail::concat(msg.text, std::forward<Args>(args)...),
+                      msg.loc.file_name(), int(msg.loc.line()));
 }
 
 /**
@@ -109,10 +132,10 @@ panic(Args &&...args)
  */
 template <typename... Args>
 [[noreturn]] void
-fatal(Args &&...args)
+fatal(detail::LocatedMessage msg, Args &&...args)
 {
-    detail::fatalImpl(detail::concat(std::forward<Args>(args)...),
-                      __builtin_FILE(), __builtin_LINE());
+    detail::fatalImpl(detail::concat(msg.text, std::forward<Args>(args)...),
+                      msg.loc.file_name(), int(msg.loc.line()));
 }
 
 /** Warn about suspicious but survivable conditions. */

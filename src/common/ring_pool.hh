@@ -1,10 +1,11 @@
 /**
  * @file
  * Fixed-capacity FIFO ring buffer with stable slot addresses, used for
- * pooled allocation of hot per-instruction structures (the ROB). Slots
- * are default-constructed once at construction and recycled by
- * assignment, so pushing never touches the heap and pointers handed out
- * to other pipeline structures stay valid until the entry is popped.
+ * pooled allocation of hot per-instruction structures (the ROB and the
+ * fetch queue). Slots are default-constructed once at construction and
+ * recycled by assignment, so pushing never touches the heap and
+ * pointers handed out to other pipeline structures stay valid until the
+ * entry is popped.
  */
 
 #ifndef SDV_COMMON_RING_POOL_HH

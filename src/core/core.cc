@@ -16,7 +16,8 @@ Core::Core(const CoreConfig &cfg, const Program &prog)
       gshare_(cfg.gshareEntries, cfg.gshareHistoryBits),
       btb_(cfg.btbSets, cfg.btbWays), ras_(cfg.rasDepth),
       lsq_(cfg.lsqEntries), fuPool_(cfg.fu), engine_(cfg.engine),
-      fetchPc_(prog.entry()), rob_(cfg.robEntries)
+      fetchPc_(prog.entry()), fetchQueue_(cfg.fetchQueueEntries),
+      rob_(cfg.robEntries)
 {
     // Speculative vector-element loads read their values from the
     // oracle memory image (sequentially correct state); conflicts with
@@ -301,8 +302,8 @@ Core::squashAllInFlight()
     recs.reserve(rob_.size() + fetchQueue_.size());
     for (size_t i = 0; i < rob_.size(); ++i)
         recs.push_back(rob_[i].rec);
-    for (const auto &f : fetchQueue_)
-        recs.push_back(f.rec);
+    for (size_t i = 0; i < fetchQueue_.size(); ++i)
+        recs.push_back(fetchQueue_[i].rec);
     for (auto it = recs.rbegin(); it != recs.rend(); ++it)
         replayQueue_.push_front(*it);
 
@@ -356,6 +357,7 @@ Core::completionStage()
         DynInst *d = completionHeap_.back();
         completionHeap_.pop_back();
         d->completed = true;
+        wakeConsumers(d);
         maybeUnstall(d);
     }
 
@@ -368,17 +370,15 @@ Core::completionStage()
           case ValStatus::Ready:
             d->completed = true;
             d->readyCycle = cycle_;
+            wakeConsumers(d);
             maybeUnstall(d);
             break;
-          case ValStatus::Dead: {
+          case ValStatus::Dead:
             engine_.fallbackValidation(*d);
-            auto pos = std::lower_bound(
-                iq_.begin(), iq_.end(), d->seq,
-                [](const DynInst *a, InstSeqNum s) { return a->seq < s; });
-            iq_.insert(pos, d);
             d->inIq = true;
+            if (d->pendingDeps == 0)
+                insertReady(d);
             break;
-          }
           case ValStatus::Waiting:
             parkedVals_[kept++] = d;
             break;
@@ -387,75 +387,163 @@ Core::completionStage()
     parkedVals_.resize(kept);
 }
 
+// --- wakeup -----------------------------------------------------------------
+
+void
+Core::linkProducer(DynInst &d, InstSeqNum dep, unsigned slot)
+{
+    DynInst *p = robFind(dep);
+    sdv_assert(p && !p->completed, "dependence on a settled producer");
+    d.nextWaiter[slot] = p->waiters;
+    p->waiters = &d;
+    ++d.pendingDeps;
+}
+
+void
+Core::wakeConsumers(DynInst *p)
+{
+    DynInst *w = p->waiters;
+    p->waiters = nullptr;
+    while (w) {
+        DynInst *next = w->nextWaiter[w->dep1 == p->seq ? 0 : 1];
+        if (--w->pendingDeps == 0 && w->inIq)
+            insertReady(w);
+        w = next;
+    }
+}
+
+void
+Core::insertReady(DynInst *d)
+{
+    auto pos = std::lower_bound(
+        iq_.begin(), iq_.end(), d->seq,
+        [](const DynInst *a, InstSeqNum s) { return a->seq < s; });
+    iq_.insert(pos, d);
+}
+
+std::string
+Core::auditIssueQueue() const
+{
+    // Consumers linked to each producer, indexed like the ROB.
+    std::vector<std::size_t> linked(rob_.size(), 0);
+    std::vector<const DynInst *> ready;
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+        const DynInst &e = rob_[i];
+        unsigned pending = 0;
+        const InstSeqNum deps[2] = {e.dep1, e.dep2 == e.dep1 ? 0 : e.dep2};
+        for (InstSeqNum dep : deps) {
+            const DynInst *p = dep == 0 ? nullptr : robFind(dep);
+            if (p && !p->completed) {
+                ++pending;
+                ++linked[std::size_t(p->seq - rob_.front().seq)];
+            }
+        }
+        if (e.pendingDeps != pending)
+            return detail::concat("seq ", e.seq, ": pendingDeps ",
+                                  unsigned(e.pendingDeps), ", expected ",
+                                  pending);
+        if (e.inIq != (!e.issued && !e.completed && !e.isValidation()))
+            return detail::concat("seq ", e.seq,
+                                  ": inIq disagrees with its state");
+        if (e.inIq && producerCompleted(e.dep1) &&
+            producerCompleted(e.dep2))
+            ready.push_back(&e);
+    }
+
+    // Each waiter list holds exactly the consumers linked to its
+    // producer: live entries that name it, youngest first, as many
+    // as the scan above counted.
+    for (std::size_t i = 0; i < rob_.size(); ++i) {
+        const DynInst &p = rob_[i];
+        std::size_t n = 0;
+        InstSeqNum prev = ~InstSeqNum(0);
+        for (const DynInst *w = p.waiters; w;
+             w = w->nextWaiter[w->dep1 == p.seq ? 0 : 1]) {
+            if (robFind(w->seq) != w || w->seq >= prev ||
+                (w->dep1 != p.seq && w->dep2 != p.seq) ||
+                ++n > linked[i])
+                return detail::concat("seq ", p.seq,
+                                      ": waiter list holds seq ", w->seq,
+                                      " out of place");
+            prev = w->seq;
+        }
+        if (n != linked[i])
+            return detail::concat("seq ", p.seq, ": waiter list holds ", n,
+                                  " consumers, expected ", linked[i]);
+    }
+
+    if (iq_.size() != ready.size() ||
+        !std::equal(iq_.begin(), iq_.end(), ready.begin()))
+        return detail::concat("iq_ holds ", iq_.size(),
+                              " entries, expected the ", ready.size(),
+                              " dep-ready waiting ones in seq order");
+    return {};
+}
+
 // --- issue ------------------------------------------------------------------
 
 void
 Core::issueStage()
 {
+    // iq_ holds only dep-ready entries: walk them oldest first.
     unsigned issued = 0;
     auto it = iq_.begin();
     while (it != iq_.end() && issued < cfg_.issueWidth) {
         DynInst *d = *it;
         bool remove = false;
 
-        const bool deps_ready =
-            producerCompleted(d->dep1) && producerCompleted(d->dep2);
-        if (deps_ready) {
-            if (d->isLoad()) {
-                const LoadCheck chk = lsq_.checkLoad(d);
-                if (chk == LoadCheck::Forward) {
-                    d->issued = true;
-                    d->readyCycle = cycle_ + 1;
-                    lsq_.noteForward();
-                    ++stats_.loadForwards;
-                    remove = true;
-                } else if (chk == LoadCheck::Ready) {
-                    const auto grant =
-                        ports_.requestLoadWord(d->rec.addr);
-                    if (grant.ok) {
-                        Cycle done = 0;
-                        bool ok = true;
-                        if (grant.newAccess) {
-                            ok = mem_.loadAccess(d->rec.addr, cycle_,
-                                                 done);
-                            if (ok) {
-                                cycleAccessDone_.emplace_back(
-                                    grant.accessId, done);
-                                ++stats_.scalarLoadAccesses;
-                            }
-                        } else {
-                            // Riding along a wide access made earlier
-                            // this cycle.
-                            done = neverCycle;
-                            for (const auto &[id, c] : cycleAccessDone_)
-                                if (id == grant.accessId)
-                                    done = c;
-                            if (done == neverCycle)
-                                ok = mem_.loadAccess(d->rec.addr, cycle_,
-                                                     done);
-                        }
-                        if (ok) {
-                            d->issued = true;
-                            d->readyCycle = done;
-                            remove = true;
-                        }
-                    }
-                } else {
-                    lsq_.noteConflictStall();
-                }
-            } else if (d->isStore()) {
-                // Address generation; the memory write happens at
-                // commit through a port.
+        if (d->isLoad()) {
+            const LoadCheck chk = lsq_.checkLoad(d);
+            if (chk == LoadCheck::Forward) {
                 d->issued = true;
                 d->readyCycle = cycle_ + 1;
+                lsq_.noteForward();
+                ++stats_.loadForwards;
                 remove = true;
-            } else {
-                const OpClass cls = d->inst().info().opClass;
-                if (fuPool_.tryIssue(cls)) {
-                    d->issued = true;
-                    d->readyCycle = cycle_ + opClassLatency(cls);
-                    remove = true;
+            } else if (chk == LoadCheck::Ready) {
+                const auto grant = ports_.requestLoadWord(d->rec.addr);
+                if (grant.ok) {
+                    Cycle done = 0;
+                    bool ok = true;
+                    if (grant.newAccess) {
+                        ok = mem_.loadAccess(d->rec.addr, cycle_, done);
+                        if (ok) {
+                            cycleAccessDone_.emplace_back(grant.accessId,
+                                                          done);
+                            ++stats_.scalarLoadAccesses;
+                        }
+                    } else {
+                        // Riding along a wide access made earlier this
+                        // cycle.
+                        done = neverCycle;
+                        for (const auto &[id, c] : cycleAccessDone_)
+                            if (id == grant.accessId)
+                                done = c;
+                        if (done == neverCycle)
+                            ok = mem_.loadAccess(d->rec.addr, cycle_,
+                                                 done);
+                    }
+                    if (ok) {
+                        d->issued = true;
+                        d->readyCycle = done;
+                        remove = true;
+                    }
                 }
+            } else {
+                lsq_.noteConflictStall();
+            }
+        } else if (d->isStore()) {
+            // Address generation; the memory write happens at commit
+            // through a port.
+            d->issued = true;
+            d->readyCycle = cycle_ + 1;
+            remove = true;
+        } else {
+            const OpClass cls = d->inst().info().opClass;
+            if (fuPool_.tryIssue(cls)) {
+                d->issued = true;
+                d->readyCycle = cycle_ + opClassLatency(cls);
+                remove = true;
             }
         }
 
@@ -520,6 +608,13 @@ Core::decodeStage()
             break;
         }
 
+        // Wait on each distinct in-flight producer: it wakes d when
+        // it completes.
+        if (d.dep1 != 0)
+            linkProducer(d, d.dep1, 0);
+        if (d.dep2 != 0 && d.dep2 != d.dep1)
+            linkProducer(d, d.dep2, 1);
+
         ++nextSeq_;
         if (f.mispredicted)
             stallBranchSeq_ = d.seq;
@@ -536,10 +631,11 @@ Core::decodeStage()
             d.readyCycle = cycle_;
         } else {
             d.inIq = true;
-            iq_.push_back(&d);
+            if (d.pendingDeps == 0)
+                iq_.push_back(&d); // the youngest entry: seq order holds
         }
 
-        fetchQueue_.pop_front();
+        fetchQueue_.popFront();
         ++decoded;
     }
 }
@@ -652,8 +748,7 @@ Core::fetchStage()
 
         // The oracle executes straight into the queue slot: no
         // intermediate ExecRecord copies on the fetch hot path.
-        fetchQueue_.emplace_back();
-        FetchedInst &f = fetchQueue_.back();
+        FetchedInst &f = fetchQueue_.emplaceBack();
         f.fetchCycle = cycle_;
         if (replay) {
             f.rec = replayQueue_.front();

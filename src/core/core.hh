@@ -17,6 +17,7 @@
 #define SDV_CORE_CORE_HH
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "arch/executor.hh"
@@ -257,6 +258,14 @@ class Core : private VecExecContext
      *  Pure observation: recording never changes simulated state. */
     void setRecorder(obs::TraceRecorder *rec);
 
+    /**
+     * Recompute the wakeup state from the ROB alone and compare: each
+     * entry's pendingDeps, each producer's waiter list, and iq_ as the
+     * seq-ordered waiting entries whose producers have all completed.
+     * @return the first mismatch as text, or empty when they agree
+     */
+    std::string auditIssueQueue() const;
+
   private:
     /** An instruction fetched but not yet renamed. */
     struct FetchedInst
@@ -266,6 +275,18 @@ class Core : private VecExecContext
         Addr predTarget = 0;
         bool mispredicted = false;
         Cycle fetchCycle = 0;
+
+        /** Recycle a fetch-queue slot. `rec` is left stale: every
+         *  fetch path (compiled trace, interpreter, replay) overwrites
+         *  it in full. */
+        void
+        reset()
+        {
+            predTaken = false;
+            predTarget = 0;
+            mispredicted = false;
+            fetchCycle = 0;
+        }
     };
 
     void commitStage();
@@ -280,6 +301,17 @@ class Core : private VecExecContext
     /** Schedule an issued instruction's completion (min-heap keyed by
      *  readyCycle; the completion stage pops entries as they mature). */
     void scheduleCompletion(DynInst *d);
+
+    /** Put @p d on the waiter list of in-flight producer @p dep through
+     *  link @p slot (0 for dep1, 1 for dep2). */
+    void linkProducer(DynInst &d, InstSeqNum dep, unsigned slot);
+
+    /** @p p completed: count down each consumer's pendingDeps and move
+     *  the waiting ones that reach 0 into iq_. */
+    void wakeConsumers(DynInst *p);
+
+    /** Insert a dep-ready waiting entry into iq_ at its seq position. */
+    void insertReady(DynInst *d);
 
     /** Shared unstall hook: a completing instruction that is the
      *  stalled-on branch resumes fetch at its resolved target. */
@@ -308,9 +340,7 @@ class Core : private VecExecContext
      */
     std::uint64_t readCommittedMemory(Addr addr, unsigned size) const;
 
-    /** @return true when producer @p seq has completed (or retired).
-     *  Inline: the issue stage queries this twice per queued
-     *  instruction per cycle. */
+    /** @return true when producer @p seq has completed (or retired). */
     bool
     producerCompleted(InstSeqNum seq) const
     {
@@ -361,15 +391,18 @@ class Core : private VecExecContext
     bool fetchStalled_ = false;
     InstSeqNum stallBranchSeq_ = 0; ///< 0: branch still in fetch queue
     Cycle icacheReadyAt_ = 0;
-    std::deque<FetchedInst> fetchQueue_;
+    RingPool<FetchedInst> fetchQueue_;
     std::deque<ExecRecord> replayQueue_;
 
     // Backend state. The ROB is a fixed-capacity pool of DynInst slots
     // sized by robEntries: no per-instruction heap allocation on the
-    // fetch->commit path, and entry addresses stay stable for the IQ
-    // and LSQ until the instruction retires.
+    // fetch->commit path, and entry addresses stay stable for the IQ,
+    // the LSQ and the waiter lists until the instruction retires.
     RingPool<DynInst> rob_;
-    std::vector<DynInst *> iq_; ///< seq-ordered issue queue
+    /** Issue queue: the waiting entries whose producers have all
+     *  completed, in seq order. A dep-blocked entry enters it when its
+     *  last producer wakes it. */
+    std::vector<DynInst *> iq_;
 
     /** Issued-but-incomplete instructions as a min-heap on readyCycle:
      *  the completion stage pops matured entries instead of rescanning

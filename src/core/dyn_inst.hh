@@ -40,6 +40,14 @@ struct DynInst
     InstSeqNum dep1 = 0; ///< producer of rs1 still in flight (0 = ready)
     InstSeqNum dep2 = 0; ///< producer of rs2 still in flight (0 = ready)
 
+    // --- wakeup (Core::wakeConsumers) --------------------------------------
+    /** Head of this entry's waiter list: its consumers, youngest
+     *  first. Emptied when the entry completes. */
+    DynInst *waiters = nullptr;
+    /** Next consumer on the waiter list of dep1's (0) or dep2's (1)
+     *  producer. A dep2 equal to dep1 is linked through slot 0 only. */
+    DynInst *nextWaiter[2] = {nullptr, nullptr};
+
     // --- squash undo ----------------------------------------------------------
     bool wroteRename = false;   ///< decode overwrote rename[dest]
     RenameEntry prevRename;     ///< previous rename entry of dest
@@ -51,9 +59,12 @@ struct DynInst
     bool bumpedVrmtOffset = false; ///< validation advanced entry offset
 
     // --- pipeline status ---------------------------------------------------------
-    bool inIq = false;       ///< waiting in an issue queue
+    bool inIq = false;       ///< waiting to issue (in iq_ once dep-ready)
     bool issued = false;     ///< sent to an FU / port
     bool completed = false;  ///< result available to consumers
+    /** Distinct producers among dep1/dep2 that have not completed: the
+     *  entry is dep-ready at 0. */
+    std::uint8_t pendingDeps = 0;
     Cycle readyCycle = neverCycle; ///< scheduled completion cycle
 
     // --- control flow -----------------------------------------------------------
@@ -86,6 +97,8 @@ struct DynInst
         valElemFellBack = false;
         dep1 = 0;
         dep2 = 0;
+        waiters = nullptr;
+        nextWaiter[0] = nextWaiter[1] = nullptr;
         wroteRename = false;
         touchedTl = false;
         replacedVrmt = false;
@@ -94,6 +107,7 @@ struct DynInst
         inIq = false;
         issued = false;
         completed = false;
+        pendingDeps = 0;
         readyCycle = neverCycle;
         predTaken = false;
         predTarget = 0;

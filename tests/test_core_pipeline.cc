@@ -8,6 +8,8 @@
  */
 
 #include <deque>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -320,6 +322,58 @@ TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
             EXPECT_EQ(res.cycles, budget);
         }
     }
+}
+
+/**
+ * Run @p prog on @p cfg one cycle at a time and audit the issue
+ * queue's wakeup state against the ROB after every tick.
+ * @return the run's verified result, or an unfinished one at the
+ *         first mismatch
+ */
+SimResult
+runAudited(const CoreConfig &cfg, const Program &prog)
+{
+    Simulator sim(cfg, prog);
+    Core &core = sim.core();
+    while (!core.done() && core.cycle() < 50'000'000) {
+        core.tick();
+        const std::string mismatch = core.auditIssueQueue();
+        if (!mismatch.empty()) {
+            ADD_FAILURE() << "cycle " << core.cycle() << ": " << mismatch;
+            return {};
+        }
+    }
+    return sim.run(); // finalize, collect and verify
+}
+
+TEST(Pipeline, WakeupStateMatchesItsAuditEveryCycle)
+{
+    const std::pair<const char *, CoreConfig> machines[] = {
+        {"4w-1pV", makeConfig(4, 1, BusMode::WideBusSdv)},
+        {"8w-4p", makeConfig(8, 4, BusMode::ScalarBus)},
+    };
+    std::uint64_t fallbacks = 0;
+    for (const WorkloadSpec &w : allWorkloads()) {
+        const Program prog = w.instantiate(1);
+        for (const auto &[name, cfg] : machines) {
+            SCOPED_TRACE(w.name + " " + name);
+            const SimResult res = runAudited(cfg, prog);
+            ASSERT_TRUE(res.finished);
+            EXPECT_TRUE(res.verified);
+            fallbacks += res.engine.lateValidationFallbacks;
+        }
+    }
+
+    // The squash path empties the ROB with waiter lists still linked.
+    const SimResult squashed = runAudited(
+        makeConfig(4, 1, BusMode::WideBusSdv), storeConflictLoop(64));
+    ASSERT_TRUE(squashed.finished);
+    EXPECT_TRUE(squashed.verified);
+    EXPECT_GT(squashed.core.storeConflictSquashes, 0u);
+
+    // Some validation fell back to scalar (ValStatus::Dead) and went
+    // through the issue queue.
+    EXPECT_GT(fallbacks + squashed.engine.lateValidationFallbacks, 0u);
 }
 
 /** Every machine shape must run every mini-program correctly. */

@@ -8,7 +8,8 @@
  * it, and the cross-flag checks stop the combinations that cannot
  * work. Also the writers behind the output flags (--json,
  * --trace-events, --fuzz-repro): each reports a write that fails part
- * way.
+ * way, and the error messages of panic(), fatal() and sdv_assert, which
+ * name the file and line of their caller.
  */
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "common/text_file.hh"
 #include "obs/trace.hh"
 #include "sweep/executor.hh"
@@ -259,6 +261,48 @@ TEST(ResultWriters, AppendfHasNoLengthLimit)
     EXPECT_EQ(out, "x<" + long_arg + ">7");
     appendf(out, "%s", "");
     EXPECT_EQ(out, "x<" + long_arg + ">7");
+}
+
+// --- error messages --------------------------------------------------------
+
+/** @return a POSIX regex that matches @p text literally. */
+std::string
+literal(const std::string &text)
+{
+    std::string out;
+    for (char c : text) {
+        if (std::string_view("\\.^$|()[]{}*+?").find(c) !=
+            std::string_view::npos)
+            out += '\\';
+        out += c;
+    }
+    return out;
+}
+
+constexpr int failedAssertLine = __LINE__ + 4;
+void
+failAnAssert()
+{
+    sdv_assert(2 + 2 == 5, "on purpose");
+}
+
+constexpr int fatalLine = __LINE__ + 4;
+void
+stopWithFatal()
+{
+    fatal("stopped at ", 42);
+}
+
+TEST(ErrorMessages, NameTheCallersFileAndLine)
+{
+    const std::string file = __FILE__;
+    EXPECT_DEATH(failAnAssert(),
+                 literal("panic: assertion failed: 2 + 2 == 5 on purpose (" +
+                         file + ":" + std::to_string(failedAssertLine) +
+                         ")"));
+    EXPECT_EXIT(stopWithFatal(), ::testing::ExitedWithCode(1),
+                literal("fatal: stopped at 42 (" + file + ":" +
+                        std::to_string(fatalLine) + ")"));
 }
 
 } // namespace
