@@ -153,8 +153,8 @@ class Core : private VecExecContext
     /**
      * Cap oracle fetch at @p insts dynamic instructions (0 removes the
      * cap). Fetch treats a reached cap like program exhaustion, so the
-     * pipeline drains naturally; used by Simulator::warmup to stop at
-     * a checkpointable instruction boundary.
+     * pipeline drains naturally; used by Simulator::advanceTo to stop
+     * at a checkpointable instruction boundary.
      */
     void setFetchLimit(std::uint64_t insts) { fetchLimit_ = insts; }
 

@@ -11,10 +11,26 @@ Simulator::Simulator(const CoreConfig &cfg, const Program &prog)
 }
 
 bool
-Simulator::warmup(std::uint64_t insts, std::uint64_t max_cycles)
+Simulator::tickUntil(std::uint64_t fetch_limit, bool stop_at_halt,
+                     std::uint64_t max_cycles,
+                     obs::IntervalTelemetry *telemetry)
 {
-    sdv_assert(insts > 0, "warmup needs at least one instruction");
-    return advanceTo(insts, max_cycles);
+    core_.setFetchLimit(fetch_limit);
+    // Without a cap the stream drains only after HALT commits. The
+    // quiescence check runs only once fetch is exhausted, so the
+    // steady-state loop stays as cheap as ticking alone.
+    const auto stopped = [&] {
+        return (stop_at_halt && core_.done()) ||
+               (core_.fetchExhausted() && core_.quiescent());
+    };
+    while (core_.cycle() < max_cycles && !stopped()) {
+        core_.tick();
+        if (telemetry && telemetry->due(core_.cycle()))
+            telemetry->sample(core_);
+    }
+    const bool stopped_by_rule = stopped();
+    core_.setFetchLimit(0);
+    return stopped_by_rule;
 }
 
 bool
@@ -24,18 +40,11 @@ Simulator::advanceTo(std::uint64_t target_insts,
     sdv_assert(target_insts > core_.oracle().instCount(),
                "advanceTo target is behind the current position");
     const ScopedLogContext log_ctx("sim", core_.cyclePtr());
-    core_.setFetchLimit(target_insts);
-    // Run until the capped fetch stream has fully drained through the
-    // pipeline *and* the vector engine (even when HALT committed
-    // inside the warm-up, in-flight vector elements must land before
-    // the boundary). The quiescence check runs only once fetch is
-    // exhausted, so the steady-state warm-up loop stays as cheap as a
-    // normal run.
-    while (core_.cycle() < max_cycles &&
-           !(core_.fetchExhausted() && core_.quiescent()))
-        core_.tick();
-    core_.setFetchLimit(0);
-    if (core_.done() || !core_.quiescent()) {
+    // Drain past HALT: even when HALT committed inside the warm-up,
+    // in-flight vector elements must land before the boundary.
+    if (!tickUntil(target_insts, /*stop_at_halt=*/false, max_cycles,
+                   nullptr) ||
+        core_.done()) {
         // Program over, or the budget elapsed before the pipeline
         // quiesced: no measurement boundary exists. The simulator is
         // left as-is (not rebased) and the caller must discard it.
@@ -68,21 +77,12 @@ Simulator::runInsts(std::uint64_t insts, std::uint64_t max_cycles)
 {
     sdv_assert(insts > 0, "runInsts needs at least one instruction");
     const ScopedLogContext log_ctx("sim", core_.cyclePtr());
-    core_.setFetchLimit(core_.oracle().instCount() + insts);
-    // As in advanceTo(): run until the capped fetch stream has fully
-    // drained, so the measured region's statistics are complete.
-    while (core_.cycle() < max_cycles && !core_.done() &&
-           !(core_.fetchExhausted() && core_.quiescent()))
-        core_.tick();
     // A sample is complete when its region drained or the program ran
     // to HALT inside it; only a blown cycle budget leaves it unusable.
-    const bool drained =
-        core_.done() || (core_.fetchExhausted() && core_.quiescent());
-    core_.setFetchLimit(0);
-    core_.finalize();
-
     SimResult res;
-    res.finished = drained;
+    res.finished = tickUntil(core_.oracle().instCount() + insts,
+                             /*stop_at_halt=*/true, max_cycles, nullptr);
+    core_.finalize();
     if (!res.finished)
         warn("sample measurement hit the cycle budget");
     collect(res);
@@ -98,31 +98,18 @@ Simulator::run(std::uint64_t max_cycles, bool verify,
     if (telemetry_)
         telemetry_->begin(core_);
     if (quiesce_interval == 0) {
-        while (!core_.done() && core_.cycle() < max_cycles) {
-            core_.tick();
-            if (telemetry_ && telemetry_->due(core_.cycle()))
-                telemetry_->sample(core_);
-        }
+        tickUntil(0, /*stop_at_halt=*/true, max_cycles, telemetry_);
     } else {
-        // Periodic context-switch semantics: cap fetch at the next
-        // boundary, drain until quiescent, drop the transient vector
-        // state, continue. The clock and statistics keep accumulating
-        // (unlike warmup()/advanceTo(), which rebase them).
-        std::uint64_t boundary =
-            core_.oracle().instCount() + quiesce_interval;
+        // Periodic context switch: drain at each boundary (past HALT,
+        // like advanceTo(), but without rebasing the clock and
+        // statistics) and drop the transient vector state.
+        std::uint64_t boundary = core_.oracle().instCount();
         while (!core_.done() && core_.cycle() < max_cycles) {
-            core_.setFetchLimit(boundary);
-            while (core_.cycle() < max_cycles &&
-                   !(core_.fetchExhausted() && core_.quiescent())) {
-                core_.tick();
-                if (telemetry_ && telemetry_->due(core_.cycle()))
-                    telemetry_->sample(core_);
-            }
-            core_.setFetchLimit(0);
-            if (core_.done() || core_.cycle() >= max_cycles)
-                break;
-            core_.quiesceVectorState();
             boundary += quiesce_interval;
+            tickUntil(boundary, /*stop_at_halt=*/false, max_cycles,
+                      telemetry_);
+            if (!core_.done() && core_.cycle() < max_cycles)
+                core_.quiesceVectorState();
         }
     }
 

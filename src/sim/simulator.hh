@@ -145,31 +145,14 @@ class Simulator
                   std::uint64_t quiesce_interval = 0);
 
     /**
-     * Warm up: simulate the first @p insts dynamic instructions to
-     * completion, drain the pipeline, quiesce transient vector state
-     * (context-switch semantics — caches, predictors and the Table of
+     * Warm up: advance to the measurement boundary at *absolute*
+     * committed-instruction count @p target_insts (counted from
+     * program start, warm-up regions included), drain, quiesce
+     * transient vector state (caches, predictors and the Table of
      * Loads stay warm) and rebase the clock and statistics to zero.
-     * The subsequent run() measures only the post-warm-up region; the
-     * core is then at the checkpointable measurement boundary that
-     * Checkpoint::capture serializes.
-     *
-     * @param insts dynamic instructions to warm over (> 0)
-     * @param max_cycles safety bound on the warm-up itself
-     * @retval false when no measurement boundary was reached — the
-     *         program ran to HALT inside the warm-up, or the cycle
-     *         budget elapsed with the pipeline still in flight. The
-     *         simulator is then NOT rebased and must be discarded.
-     */
-    bool warmup(std::uint64_t insts,
-                std::uint64_t max_cycles = 50'000'000);
-
-    /**
-     * Generalized warm-up: advance to the measurement boundary at
-     * *absolute* committed-instruction count @p target_insts (counted
-     * from program start, warm-up regions included), drain, quiesce
-     * and rebase exactly like warmup(). Callable repeatedly with
-     * increasing targets — the interval-sampling engine walks a run
-     * boundary to boundary, capturing a checkpoint at each.
+     * Callable repeatedly with increasing targets — the
+     * interval-sampling engine walks a run boundary to boundary,
+     * capturing a checkpoint at each.
      *
      * @retval false when the boundary is unreachable (the program ran
      *         to HALT first, or the cycle budget elapsed in flight);
@@ -211,6 +194,15 @@ class Simulator
     const Program &program() const { return prog_; }
 
   private:
+    /** The one tick loop: cap fetch at @p fetch_limit (0: none) and
+     *  tick until the capped stream has drained, HALT commits (with
+     *  @p stop_at_halt) or the clock reaches @p max_cycles, sampling
+     *  @p telemetry (may be null). @return false when the budget ran
+     *  out first. */
+    bool tickUntil(std::uint64_t fetch_limit, bool stop_at_halt,
+                   std::uint64_t max_cycles,
+                   obs::IntervalTelemetry *telemetry);
+
     /** Gather every statistic of the (finalized) core into @p res. */
     void collect(SimResult &res);
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Checkpoint / fast-forward for configuration sweeps: capture a
- * simulator at a warmed measurement boundary (Simulator::warmup) and
- * fork any number of configurations from the snapshot instead of
- * re-simulating the warm-up per configuration.
+ * simulator at a warmed measurement boundary (Simulator::advanceTo)
+ * and fork any number of configurations from the snapshot instead of
+ * re-simulating the run up to it per configuration.
  *
  * A checkpoint carries the architectural state (registers, PC,
  * execution progress, and the memory as a delta: the pages that differ
@@ -11,9 +11,9 @@
  * warm micro-architectural state: cache tags/LRU, branch predictors
  * (gshare, BTB, RAS) and the engine's Table of Loads stride tables.
  * Transient vector state is released at the boundary (context-switch
- * semantics, exactly as warmup() does on the straight-through path),
- * which is what makes restore-then-run bit-identical to
- * warmup-then-continue — see tests/test_sweep.cc.
+ * semantics, exactly as advanceTo() does on the straight-through
+ * path), which is what makes restore-then-run bit-identical to
+ * advance-then-continue — see tests/test_sweep.cc.
  *
  * The byte image is integrity-checked (magic, version, checksum64
  * trailer) and bound to the program identity and the component
@@ -39,7 +39,7 @@ class Checkpoint
   public:
     /**
      * Serialize @p sim's warm state. The simulator must sit at a
-     * measurement boundary (right after Simulator::warmup); capture
+     * measurement boundary (right after Simulator::advanceTo); capture
      * does not modify it.
      */
     static std::vector<std::uint8_t> capture(Simulator &sim);

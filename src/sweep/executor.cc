@@ -7,7 +7,6 @@
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <thread>
 
@@ -61,40 +60,6 @@ buildPrograms(const SweepPlan &plan)
         programs.emplace(job.workload, std::move(prog));
     }
     return programs;
-}
-
-/** Where a plan's jobs start: from reset, from one warm image measured
- *  to completion (--checkpoint), or from interval samples measured
- *  region by region (--samples, which takes precedence). */
-enum class Mode { Full, Checkpoint, Sampled };
-
-/**
- * Capture pass of one workload under its warm configuration @p cfg:
- * the interval samples, or the single warm image. An empty set means
- * no usable boundary — the workload's jobs run in full.
- */
-SampleSet
-captureSet(Mode mode, const std::string &workload, const CoreConfig &cfg,
-           const Program &prog, const ExecOptions &opt)
-{
-    if (mode == Mode::Sampled) {
-        SamplePlan sp = opt.sample;
-        sp.warmupInsts = opt.warmupInsts;
-        return captureSamples(cfg, prog, sp, opt.maxCycles);
-    }
-    SampleSet set;
-    Simulator sim(cfg, prog);
-    if (!sim.warmup(opt.warmupInsts, opt.maxCycles)) {
-        warn("workload '", workload,
-             "' reached no warm-up boundary (program finished or "
-             "budget elapsed); running its jobs without a checkpoint");
-        return set;
-    }
-    SampleCheckpoint sc;
-    sc.startInst = opt.warmupInsts;
-    sc.bytes = Checkpoint::capture(sim);
-    set.samples.push_back(std::move(sc));
-    return set;
 }
 
 } // namespace
@@ -170,18 +135,13 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         *metrics = ExecMetrics{};
         metrics->jobsAuto = opt.jobsAutoDetected;
     }
-    const Mode mode = opt.sample.enabled() ? Mode::Sampled
-                      : opt.checkpoint     ? Mode::Checkpoint
-                                           : Mode::Full;
-    sdv_assert(mode != Mode::Sampled || !opt.verify,
+    const bool sampled = opt.sample.enabled();
+    sdv_assert(!sampled || !opt.verify,
                "interval sampling produces estimates that cannot be "
                "functionally verified; drop --verify");
-    sdv_assert(mode == Mode::Full || opt.quiesceInterval == 0,
+    sdv_assert(!sampled || opt.quiesceInterval == 0,
                "--quiesce-interval applies to full runs only; drop "
-               "--samples or --checkpoint");
-    // Observability applies to runs measured to completion; sample
-    // measurements carry none.
-    const bool wholeRuns = mode != Mode::Sampled;
+               "--samples");
     auto jobConfig = [&](const SweepJob &job) {
         CoreConfig cfg = job.cfg;
         applyExecOverlay(cfg, opt);
@@ -189,7 +149,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     };
     const std::map<std::string, Program> programs = buildPrograms(plan);
 
-    // Snapshot sets: one capture per workload, in plan order, under the
+    // Sample sets: one capture per workload, in plan order, under the
     // workload's deterministic warm configuration, or reused from
     // --checkpoint-dir. Each is a pool task that publishes its set by
     // setting `ready`; every captured image is counted here.
@@ -205,7 +165,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     std::mutex published;
     std::condition_variable publishedCv;
     std::map<std::string, std::size_t> captureOf;
-    if (mode != Mode::Full)
+    if (sampled)
         for (const SweepJob &job : plan.jobs)
             if (captureOf.emplace(job.workload, captures.size()).second)
                 captures.push_back({job.workload, {}});
@@ -215,32 +175,28 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     // captures them. A config that cannot (an ablation varying the TL
     // confidence, say) runs in full from reset instead.
     std::vector<char> forks(plan.jobs.size(), 0);
-    for (std::size_t i = 0; i < plan.jobs.size() && mode != Mode::Full;
-         ++i)
+    for (std::size_t i = 0; i < plan.jobs.size() && sampled; ++i)
         forks[i] = Checkpoint::compatible(
             warmConfig(plan, opt, plan.jobs[i].workload),
             jobConfig(plan.jobs[i]));
 
     // Work units, planned before any set exists: a forking job gets
-    // one (job, sample) unit per snapshot it asks for (the cold region
-    // plus S boundaries for --samples, the warm image for
-    // --checkpoint), every other job one full run (sample -1). Unit
-    // order is fixed and job-major; the pool only changes who runs
-    // what.
+    // one (job, sample) unit per sample it asks for (the cold region
+    // plus S boundaries), every other job one full run (sample -1).
+    // Unit order is fixed and job-major; the pool only changes who
+    // runs what.
     struct Unit
     {
         std::size_t job;
         int sample; ///< index into the workload's set; -1: from reset
     };
-    const unsigned forkUnits =
-        mode == Mode::Sampled ? opt.sample.samples + 1 : 1;
     std::vector<Unit> units;
     for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
         if (!forks[i]) {
             units.push_back({i, -1});
             continue;
         }
-        for (unsigned k = 0; k < forkUnits; ++k)
+        for (unsigned k = 0; k <= opt.sample.samples; ++k)
             units.push_back({i, int(k)});
     }
 
@@ -250,7 +206,6 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     {
         SimResult res;
         std::uint64_t hash = 0;
-        bool restored = false;
         std::shared_ptr<obs::TraceRecorder> trace;
         std::string telemetryJson;
         double queueWait = 0.0;
@@ -265,9 +220,11 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         const auto t0 = std::chrono::steady_clock::now();
         const Program &prog = programs.at(c.workload);
         auto capture = [&] {
+            SamplePlan sp = opt.sample;
+            sp.warmupInsts = opt.warmupInsts;
             SampleSet set =
-                captureSet(mode, c.workload,
-                           warmConfig(plan, opt, c.workload), prog, opt);
+                captureSamples(warmConfig(plan, opt, c.workload), prog,
+                               sp, opt.maxCycles);
             for (const SampleCheckpoint &sc : set.samples)
                 if (!sc.bytes.empty()) {
                     ++c.images;
@@ -313,52 +270,44 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
                 return;
         }
         const auto t0 = std::chrono::steady_clock::now();
-        const CoreConfig cfg = jobConfig(job);
-        const Program &prog = programs.at(job.workload);
-        std::optional<Simulator> sim;
-        sim.emplace(cfg, prog);
+        Simulator sim(jobConfig(job), programs.at(job.workload));
 
         if (sc && !sc->bytes.empty()) {
             restoreCount.fetch_add(1, std::memory_order_relaxed);
             restoreBytes.fetch_add(sc->bytes.size(),
                                    std::memory_order_relaxed);
             std::string err;
-            slot.restored = Checkpoint::restore(*sim, sc->bytes, &err);
-            if (!slot.restored) {
+            if (!Checkpoint::restore(sim, sc->bytes, &err)) {
                 // The geometry matched, so this is exceptional. A
-                // failed restore may leave partial state: a whole run
-                // restarts cold on a fresh simulator; a sample keeps a
-                // zero-inst measurement, which drops out of the
-                // weighted aggregation deterministically.
+                // failed restore may leave partial state: the sample
+                // keeps a zero-inst measurement, which drops out of
+                // the weighted aggregation deterministically.
                 warn("snapshot restore failed for ", job.workload, "/",
                      job.configKey, ": ", err);
-                if (!wholeRuns) {
-                    slot.wall = secondsSince(t0);
-                    return;
-                }
-                sim.emplace(cfg, prog);
+                slot.wall = secondsSince(t0);
+                return;
             }
         }
 
-        // Flight recorder + interval telemetry (pure observation: the
-        // simulated outcome is bit-identical with or without them).
+        // Flight recorder + interval telemetry, full-run plans only
+        // (pure observation: the outcome is bit-identical either way).
         obs::IntervalTelemetry telemetry(
             opt.telemetryInterval ? opt.telemetryInterval : 1);
-        if (wholeRuns && opt.traceEvents) {
+        if (!sampled && opt.traceEvents) {
             slot.trace = std::make_shared<obs::TraceRecorder>();
             slot.trace->configure(opt.traceCategories, opt.traceLast);
-            sim->setRecorder(slot.trace.get());
+            sim.setRecorder(slot.trace.get());
         }
-        if (wholeRuns && opt.telemetryInterval)
-            sim->setTelemetry(&telemetry);
+        if (!sampled && opt.telemetryInterval)
+            sim.setTelemetry(&telemetry);
 
-        if (wholeRuns || !sc)
-            slot.res = sim->run(opt.maxCycles, opt.verify,
-                                opt.quiesceInterval);
+        if (sc)
+            slot.res = sim.runInsts(sc->measureInsts, opt.maxCycles);
         else
-            slot.res = sim->runInsts(sc->measureInsts, opt.maxCycles);
-        slot.hash = sim->core().commitPcHash();
-        if (wholeRuns && opt.telemetryInterval)
+            slot.res = sim.run(opt.maxCycles, opt.verify,
+                               opt.quiesceInterval);
+        slot.hash = sim.core().commitPcHash();
+        if (!sampled && opt.telemetryInterval)
             slot.telemetryJson = telemetry.toJson();
         slot.wall = secondsSince(t0);
     };
@@ -377,8 +326,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     // A job that could not fork from a non-empty set ran in full: one
     // warning per (workload, config), in plan order.
     std::set<std::pair<std::string, std::string>> warned;
-    for (std::size_t i = 0; i < plan.jobs.size() && mode != Mode::Full;
-         ++i) {
+    for (std::size_t i = 0; i < plan.jobs.size() && sampled; ++i) {
         const SweepJob &job = plan.jobs[i];
         if (!forks[i] &&
             !captures[captureOf.at(job.workload)].set.samples.empty() &&
@@ -388,9 +336,8 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     }
 
     // Plan-ordered fold, independent of which thread ran what: a job
-    // measured to completion takes its first unit's result; a sampled
-    // job is the pure integer aggregation of its per-sample
-    // measurements.
+    // run in full takes its first unit's result; a sampled job is the
+    // pure integer aggregation of its per-sample measurements.
     const auto collate0 = std::chrono::steady_clock::now();
     std::vector<RunOutcome> outcomes(plan.jobs.size());
     for (std::size_t u = 0, i = 0; i < plan.jobs.size(); ++i) {
@@ -405,10 +352,9 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         const SampleSet *set =
             forks[i] ? &captures[captureOf.at(job.workload)].set
                      : nullptr;
-        if (wholeRuns || !set || set->samples.empty()) {
+        if (!set || set->samples.empty()) {
             out.res = std::move(s.res);
             out.commitHash = s.hash;
-            out.fromCheckpoint = s.restored;
             out.trace = std::move(s.trace);
             out.telemetryJson = std::move(s.telemetryJson);
             continue;
@@ -655,17 +601,17 @@ writeJsonDoc(const std::string &path, const std::string &planName,
     std::string exec_metrics;
     if (!execMetricsJson.empty())
         exec_metrics = "\"exec_metrics\": " + execMetricsJson + ",\n";
-    // "event_skip" is a constant: the core ticks every cycle, and the
-    // key stays for the benchmark gate and the checked-in baselines.
+    // "event_skip" and "checkpoint" are constants: the core ticks every
+    // cycle and no job runs from a single warm image, and the keys stay
+    // for the benchmark gate and the checked-in baselines.
     std::string doc;
     appendf(
         doc,
         "{\n\"sweep\": {\"plan\": \"%s\", \"scale\": %u, "
-        "\"event_skip\": true, \"trace\": %s, \"checkpoint\": %s, "
+        "\"event_skip\": true, \"trace\": %s, \"checkpoint\": false, "
         "\"warmup_insts\": %llu%s, \"wall_seconds\": %.6f},\n"
         "%s\"results\": %s\n}\n",
         planName.c_str(), scale, opt.trace ? "true" : "false",
-        opt.checkpoint ? "true" : "false",
         static_cast<unsigned long long>(opt.warmupInsts), extra.c_str(),
         wall_seconds, exec_metrics.c_str(), resultsArray.c_str());
     return writeTextFile(path, doc);

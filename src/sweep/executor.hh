@@ -8,14 +8,14 @@
  * plan and options: serial and parallel execution produce
  * byte-identical JSON.
  *
- * Every mode runs through one pipeline: the programs, then one pool
- * that runs a capture task per workload (none for full runs, one warm
- * image for --checkpoint, the interval samples for --samples; reused
- * from --checkpoint-dir when present) ahead of the (job, sample) units
- * that wait on them, then a plan-ordered fold. A job forks from its
- * workload's snapshots when Checkpoint::compatible says its
- * configuration can take them. See src/sweep/checkpoint.hh,
- * src/sweep/sampling.hh and docs/sweep.md.
+ * Full and sampled runs go through one pipeline: the programs, then
+ * one pool that runs a capture task per workload (none for full runs,
+ * the interval samples for --samples; reused from --checkpoint-dir
+ * when present) ahead of the (job, sample) units that wait on them,
+ * then a plan-ordered fold. A sampled job forks from its workload's
+ * snapshots when Checkpoint::compatible says its configuration can
+ * take them. See src/sweep/checkpoint.hh, src/sweep/sampling.hh and
+ * docs/sweep.md.
  */
 
 #ifndef SDV_SWEEP_EXECUTOR_HH
@@ -43,16 +43,14 @@ struct ExecOptions
      *  (resolveJobs); reported in exec_metrics as "jobs_auto". */
     bool jobsAutoDetected = false;
     bool trace = true;          ///< trace-compiled dispatch (--no-trace)
-    bool checkpoint = false;    ///< fork configs from warmed snapshots
-    std::uint64_t warmupInsts = 10'000; ///< checkpoint warm-up length
+    std::uint64_t warmupInsts = 10'000; ///< sampling warm-up length
     /** Cycle budget of every simulation (capture pass, run, sample
      *  measurement): the executor's one bound. */
     std::uint64_t maxCycles = 200'000'000;
     bool verify = false;        ///< functional verification per job
     /** Context-switch the transient vector state every N fetched
      *  instructions (0 = never). Full runs only: runPlan rejects it
-     *  with checkpoint or sampled modes, whose jobs quiesce at their
-     *  own boundaries. */
+     *  with sampling, whose jobs quiesce at their own boundaries. */
     std::uint64_t quiesceInterval = 0;
     /** EngineConfig::eagerChainLoads on every job's machine (a job
      *  whose config already chains eagerly keeps doing so). */
@@ -62,14 +60,13 @@ struct ExecOptions
     /** Interval sampling: when enabled (samples > 0), every job is
      *  estimated from per-sample forks instead of a full run, and the
      *  per-(job, sample) measurements are what the worker pool
-     *  parallelizes. warmupInsts doubles as the sampling warm-up.
-     *  Takes precedence over the one-boundary `checkpoint` mode;
-     *  incompatible with `verify` (estimates cannot be verified). */
+     *  parallelizes. warmupInsts is the sampling warm-up.
+     *  Incompatible with `verify` (estimates cannot be verified). */
     SamplePlan sample;
-    /** When non-empty, the snapshot sets of --checkpoint and --samples
-     *  are persisted to (and reused from) <dir>/<key>.snap across
-     *  invocations (src/sweep/snapshot_cache.hh); a file written by
-     *  another build, for another program or damaged is recaptured. */
+    /** When non-empty, the snapshot sets of --samples are persisted
+     *  to (and reused from) <dir>/<key>.snap across invocations
+     *  (src/sweep/snapshot_cache.hh); a file written by another
+     *  build, for another program or damaged is recaptured. */
     std::string checkpointDir;
 
     // --- observability (all default-off: the default-mode JSON stays
@@ -150,7 +147,7 @@ struct RunOutcome
 
     SimResult res;
     std::uint64_t commitHash = 0;
-    bool fromCheckpoint = false;
+    bool fromCheckpoint = false; ///< estimated from snapshot forks
     /** Interval sampling: number of samples res was aggregated from
      *  (0 for an exact full run; res.sampled mirrors this). For a
      *  sampled job, commitHash is the FNV fold of the per-sample

@@ -147,13 +147,9 @@ runFlags(RunOptions &o)
                    "interpreter dispatch instead of the compiled trace "
                    "(cross-check mode)",
                    [&e] { e.trace = false; }),
-        switchFlag(execution, "--checkpoint",
-                   "warm each workload once, fork every config from "
-                   "the snapshot",
-                   [&e] { e.checkpoint = true; }),
         numberFlag(execution, "--warmup", "N",
-                   "checkpoint/sampling warm-up in instructions "
-                   "(default 10000; 0 counts as 1)",
+                   "sampling warm-up in instructions (default 10000; "
+                   "0 counts as 1)",
                    0, u64Max,
                    [&e](std::uint64_t v) {
                        e.warmupInsts = std::max<std::uint64_t>(v, 1);
@@ -175,8 +171,8 @@ runFlags(RunOptions &o)
                    0, u64Max,
                    [&e](std::uint64_t v) { e.sample.periodInsts = v; }),
         stringFlag(execution, "--checkpoint-dir", "D",
-                   "persist the snapshot sets of --checkpoint and "
-                   "--samples in D and reuse them on later runs",
+                   "persist the snapshot sets of --samples in D and "
+                   "reuse them on later runs",
                    e.checkpointDir),
         numberFlag(execution, "--quiesce-interval", "N",
                    "context-switch the transient vector state every N "
@@ -319,14 +315,12 @@ checkRunOptions(const RunOptions &o)
     if (e.sample.enabled() && e.verify)
         fatal("--verify is incompatible with --samples: sampled "
               "results are estimates, not verifiable runs");
-    if (e.quiesceInterval && (e.sample.enabled() || e.checkpoint))
-        fatal("--quiesce-interval is incompatible with --samples and "
-              "--checkpoint: it applies to full runs only");
+    if (e.quiesceInterval && e.sample.enabled())
+        fatal("--quiesce-interval is incompatible with --samples: it "
+              "applies to full runs only");
     if (e.telemetryInterval && o.jsonPath.empty())
         fatal("--telemetry needs --json: the telemetry is written into "
               "the JSON records");
-    if (e.sample.enabled() && e.checkpoint)
-        warn("--samples subsumes --checkpoint; sampling mode used");
     if (e.sample.enabled() && (e.traceEvents || e.telemetryInterval))
         warn("--trace-events/--telemetry only observe full runs; "
              "sampled jobs are not instrumented");

@@ -110,10 +110,10 @@ std::string flagUsage(const std::vector<Flag> &flags);
                             const std::string &error = std::string());
 
 /**
- * The cross-flag checks of a plan run: --verify with --samples is
- * fatal, as is --telemetry without --json (telemetry has no other
- * output); --samples over --checkpoint, observability on a sampled
- * run and --trace-events in an SDV_OBS=OFF build warn.
+ * The cross-flag checks of a plan run: --verify or
+ * --quiesce-interval with --samples is fatal, as is --telemetry
+ * without --json (telemetry has no other output); observability on a
+ * sampled run and --trace-events in an SDV_OBS=OFF build warn.
  */
 void checkRunOptions(const RunOptions &o);
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Interval sampling (SimPoint-style) for configuration sweeps: the
- * generalization of the one-boundary Simulator::warmup + Checkpoint
- * fast-forward layer to many boundaries per run.
+ * Checkpoint fast-forward layer applied at many measurement boundaries
+ * per run (Simulator::advanceTo).
  *
  * A SamplePlan asks for S samples of M instructions each. One *capture
  * pass* per workload (a task on the executor's pool, side by side with

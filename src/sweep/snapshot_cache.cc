@@ -81,17 +81,11 @@ snapshotKey(const SweepPlan &plan, const ExecOptions &opt,
     key += ".";
     key += footprintName(plan.footprint);
     key += ".w" + std::to_string(opt.warmupInsts);
-    if (opt.sample.enabled()) {
-        std::snprintf(buf, sizeof(buf), ".S%u.m%llu.p%llu",
-                      opt.sample.samples,
-                      static_cast<unsigned long long>(
-                          opt.sample.measureInsts),
-                      static_cast<unsigned long long>(
-                          opt.sample.periodInsts));
-        key += buf;
-    } else {
-        key += ".one";
-    }
+    std::snprintf(buf, sizeof(buf), ".S%u.m%llu.p%llu",
+                  opt.sample.samples,
+                  static_cast<unsigned long long>(opt.sample.measureInsts),
+                  static_cast<unsigned long long>(opt.sample.periodInsts));
+    key += buf;
     // The cycle budget shapes capture *failure* (a boundary unreachable
     // within the budget is a stored negative), so a bigger budget must
     // not reuse a smaller budget's verdict. The warm-config hash covers

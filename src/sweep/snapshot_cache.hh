@@ -1,11 +1,10 @@
 /**
  * @file
- * The snapshot store behind --checkpoint and --samples: one capture-pass
- * result per workload (a SampleSet — one warm image, or the interval
- * samples), keyed by everything that shapes the capture: workload,
- * scale, footprint, warm-up length, sampling parameters, cycle budget
- * and the canonical warm-config hash (sim/config.hh:
- * configIdentityHash).
+ * The snapshot store behind --samples: one capture-pass result per
+ * workload (a SampleSet: the interval samples), keyed by everything
+ * that shapes the capture: workload, scale, footprint, warm-up length,
+ * sampling parameters, cycle budget and the canonical warm-config hash
+ * (sim/config.hh: configIdentityHash).
  *
  * Without a directory the store is a plain capture: the set stays in
  * memory, never copied or serialized. With --checkpoint-dir D every set

@@ -299,14 +299,21 @@ TEST(Pipeline, CallsAndReturnsPredictViaRas)
 TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
 {
     // A budget shorter than the program stops each run loop exactly
-    // at the budget, unfinished.
+    // at the budget, unfinished; a zero budget reaches no boundary.
     const Program &prog = keep(buildWorkload("compress", 1));
     const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
-    for (std::uint64_t budget : {500ULL, 5'000ULL, 20'000ULL}) {
+    for (std::uint64_t budget : {0ULL, 500ULL, 5'000ULL, 20'000ULL}) {
         SCOPED_TRACE(budget);
         {
             Simulator sim(cfg, prog);
             const SimResult res = sim.run(budget, /*verify=*/false);
+            EXPECT_FALSE(res.finished);
+            EXPECT_EQ(res.cycles, budget);
+        }
+        {
+            Simulator sim(cfg, prog);
+            const SimResult res =
+                sim.run(budget, /*verify=*/false, /*quiesce_interval=*/2'000);
             EXPECT_FALSE(res.finished);
             EXPECT_EQ(res.cycles, budget);
         }

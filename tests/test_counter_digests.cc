@@ -2,8 +2,10 @@
  * @file
  * Pins every statistics counter of the `--plan all --quick` sweep (171
  * jobs, every figure grid over the quick workloads), not only the few
- * that the BENCH_* records carry, once as full runs and once
- * interval-sampled (`--samples 3`), which takes the warm-up and
+ * that the BENCH_* records carry, three times: as full runs, as full
+ * runs with a vector quiesce every 5,000 fetched instructions
+ * (`--quiesce-interval 5000`, the drain-at-each-boundary path of run())
+ * and interval-sampled (`--samples 3`), which takes the warm-up and
  * bounded-measurement paths. Each of the nine statistics blocks
  * (statsBlocks) is folded over all jobs in plan order into one FNV-1a
  * digest, so a change that moves any counter of any job fails here and
@@ -106,6 +108,24 @@ TEST(CounterDigests, PlanAllQuickMatchesPinnedDigests)
         {"l2", 0x45367f8b0a2cad6fULL},
     }};
     expectPinnedDigests(sweep::ExecOptions{}, pinned);
+}
+
+TEST(CounterDigests, PlanAllQuickQuiescedMatchesPinnedDigests)
+{
+    constexpr PinnedDigests pinned = {{
+        {"core", 0x59ea7ba7d72c417fULL},
+        {"engine", 0x71496b5ad55252f9ULL},
+        {"datapath", 0x994042689cde64caULL},
+        {"ports", 0xab6893ef244553f1ULL},
+        {"wideBus", 0x8d679d3a76404259ULL},
+        {"fates", 0x8f46010827453aa0ULL},
+        {"l1d", 0xd5a1b81bf35f088cULL},
+        {"l1i", 0xc06edd0f781c65a6ULL},
+        {"l2", 0xe323cef8a0f9dac7ULL},
+    }};
+    sweep::ExecOptions opt;
+    opt.quiesceInterval = 5'000;
+    expectPinnedDigests(opt, pinned);
 }
 
 TEST(CounterDigests, PlanAllQuickSampledMatchesPinnedDigests)

@@ -70,7 +70,7 @@ TEST(CheckpointFuzz, CorruptedImagesRejectedOnEveryWorkload)
         SCOPED_TRACE(w.name);
         const Program &prog = keep(w.instantiate(1));
         Simulator warm(cfg, prog);
-        ASSERT_TRUE(warm.warmup(5'000));
+        ASSERT_TRUE(warm.advanceTo(5'000));
         const std::vector<std::uint8_t> bytes =
             sweep::Checkpoint::capture(warm);
 

@@ -1,18 +1,17 @@
 /**
  * @file
  * Tests of the sweep subsystem: checkpoint capture/restore bit-identity
- * (restore-then-run equals warmup-then-continue on every tier-1
+ * (restore-then-run equals advance-then-continue on every tier-1
  * workload, statistics and commit hashes included), corrupted /
  * truncated snapshot rejection, cross-configuration restores, direct
  * audits of the delta memory images and the image checksum, the plan
- * registry, executor determinism (parallel == serial, checkpointed or
- * not), the executor's fork decision (which configs take the
- * snapshots, and that the rest run in full), the snapshot store
- * behind --checkpoint-dir (reuse, keying, recapture of corrupt,
- * foreign and older-format containers), the capture passes sharing
- * the pool with the units (same records and warnings at 1, 2 and 4
- * jobs) and the figure reports (headline formulas, one report per
- * figure of --plan all).
+ * registry, executor determinism (parallel == serial), the executor's
+ * fork decision (which configs take the snapshots, and that the rest
+ * run in full), the snapshot store behind --checkpoint-dir (reuse,
+ * keying, recapture of corrupt, foreign and older-format containers),
+ * the capture passes sharing the pool with the units (same records and
+ * warnings at 1, 2 and 4 jobs) and the figure reports (headline
+ * formulas, one report per figure of --plan all).
  */
 
 #include <algorithm>
@@ -85,7 +84,7 @@ TEST(Checkpoint, RestoreThenRunMatchesStraightThroughOnEveryWorkload)
 
         // Path A: warm up, then continue in place.
         Simulator cont(cfg, prog);
-        if (!cont.warmup(warmupInsts)) {
+        if (!cont.advanceTo(warmupInsts)) {
             ADD_FAILURE() << w.name << " finished inside the warm-up";
             continue;
         }
@@ -94,7 +93,7 @@ TEST(Checkpoint, RestoreThenRunMatchesStraightThroughOnEveryWorkload)
         // Path B: warm up, capture, restore into a fresh simulator
         // (through the serialized byte image), then run.
         Simulator warm(cfg, prog);
-        ASSERT_TRUE(warm.warmup(warmupInsts));
+        ASSERT_TRUE(warm.advanceTo(warmupInsts));
         const std::vector<std::uint8_t> bytes =
             sweep::Checkpoint::capture(warm);
         EXPECT_GT(bytes.size(), 64u);
@@ -120,7 +119,7 @@ TEST(Checkpoint, FileRoundTrip)
     const Program &prog = keep(buildWorkload("compress", 1));
     const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
     Simulator warm(cfg, prog);
-    ASSERT_TRUE(warm.warmup(warmupInsts));
+    ASSERT_TRUE(warm.advanceTo(warmupInsts));
     const auto bytes = sweep::Checkpoint::capture(warm);
 
     const std::string path = ::testing::TempDir() + "sdv_test.ckpt";
@@ -189,7 +188,7 @@ TEST(Checkpoint, RejectsCorruptedAndTruncatedImages)
     const Program &prog = keep(buildWorkload("go", 1));
     const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
     Simulator warm(cfg, prog);
-    ASSERT_TRUE(warm.warmup(warmupInsts));
+    ASSERT_TRUE(warm.advanceTo(warmupInsts));
     const auto bytes = sweep::Checkpoint::capture(warm);
 
     // Pristine image restores.
@@ -236,7 +235,7 @@ TEST(Checkpoint, ForksAcrossTheTable1Grid)
     // does not.
     const Program &prog = keep(buildWorkload("swim", 1));
     Simulator warm(makeConfig(4, 1, BusMode::WideBusSdv), prog);
-    ASSERT_TRUE(warm.warmup(warmupInsts));
+    ASSERT_TRUE(warm.advanceTo(warmupInsts));
     const auto bytes = sweep::Checkpoint::capture(warm);
 
     for (unsigned width : {4u, 8u}) {
@@ -314,7 +313,7 @@ TEST(CheckpointAudit, RestoredOracleMemoryEqualsTheCapturedOne)
         SCOPED_TRACE(w.name);
         const Program &prog = keep(w.instantiate(1));
         Simulator warm(cfg, prog);
-        ASSERT_TRUE(warm.warmup(warmupInsts));
+        ASSERT_TRUE(warm.advanceTo(warmupInsts));
         expectRestoredMemoryEqualsCaptured(warm, cfg, prog);
     }
     // A memory-resident footprint, at boundaries spread over its run:
@@ -335,7 +334,7 @@ TEST(CheckpointAudit, ImageListsExactlyThePagesThatDifferFromTheLoadImage)
         SCOPED_TRACE(w.name);
         const Program &prog = keep(w.instantiate(1));
         Simulator warm(cfg, prog);
-        ASSERT_TRUE(warm.warmup(warmupInsts));
+        ASSERT_TRUE(warm.advanceTo(warmupInsts));
         const SparseMemory &mem = warm.core().oracle().memory();
         SparseMemory loaded;
         loadProgram(prog, loaded);
@@ -363,7 +362,7 @@ TEST(CheckpointAuditDeathTest, RestoreIntoAWarmedSimulatorHitsTheFreshCoreAssert
     const Program &prog = keep(buildWorkload("go", 1));
     const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
     Simulator warm(cfg, prog);
-    ASSERT_TRUE(warm.warmup(warmupInsts));
+    ASSERT_TRUE(warm.advanceTo(warmupInsts));
     const auto bytes = sweep::Checkpoint::capture(warm);
     // The image's memory is a delta over the load image; a warmed core
     // no longer holds it.
@@ -624,30 +623,6 @@ TEST(SweepExecutor, ParallelMatchesSerialByteForByte)
     EXPECT_NE(a.find("\"workload\""), std::string::npos);
 }
 
-TEST(SweepExecutor, CheckpointedSweepIsDeterministicAndVerified)
-{
-    sweep::PlanOptions popt;
-    popt.quick = true;
-    const sweep::SweepPlan plan = sweep::buildPlan("fig13", popt);
-
-    sweep::ExecOptions opt;
-    opt.checkpoint = true;
-    opt.warmupInsts = warmupInsts;
-    opt.verify = true;
-
-    opt.jobs = 1;
-    const auto serial = sweep::runPlan(plan, opt);
-    opt.jobs = 2;
-    const auto parallel = sweep::runPlan(plan, opt);
-
-    ASSERT_EQ(serial.size(), plan.jobs.size());
-    for (const sweep::RunOutcome &o : serial) {
-        EXPECT_TRUE(o.fromCheckpoint) << o.workload;
-        EXPECT_TRUE(o.res.verified) << o.workload;
-    }
-    EXPECT_EQ(sweep::resultsJson(serial), sweep::resultsJson(parallel));
-}
-
 /** The attack plan's `eager` column chains eagerly without
  *  --eager-chain: the exec overlay only turns eager chaining on, so it
  *  keeps the grid's setting. */
@@ -742,7 +717,7 @@ TEST(SweepForks, CompatibleAgreesWithValidateOnEveryGridConfig)
         const Program &prog = keep(buildWorkload(w, plan.scale));
         const CoreConfig warm = sweep::warmConfig(plan, opt, w);
         Simulator warmed(warm, prog);
-        ASSERT_TRUE(warmed.warmup(warmupInsts));
+        ASSERT_TRUE(warmed.advanceTo(warmupInsts));
         const auto image = sweep::Checkpoint::capture(warmed);
         for (const sweep::SweepJob &job : plan.jobs) {
             if (job.workload != w)
@@ -835,39 +810,29 @@ runThrough(const sweep::SweepPlan &plan, sweep::ExecOptions opt,
 TEST(SweepStore, RerunOnPopulatedDirectoryCapturesNothing)
 {
     const sweep::SweepPlan plan = quickPlan("fig07");
-    sweep::ExecOptions ckpt;
-    ckpt.jobs = 2;
-    ckpt.checkpoint = true;
-    ckpt.warmupInsts = warmupInsts;
-    ckpt.verify = true;
-    // Images per run: one per workload, or one per warm sample.
-    for (const auto &[opt, images] :
-         {std::make_pair(ckpt, 3u), std::make_pair(sampledOptions(), 9u)}) {
-        SCOPED_TRACE(opt.sample.enabled() ? "sampled" : "checkpoint");
-        const StoreRun cold = runThrough(plan, opt, "");
-        EXPECT_EQ(images, cold.captures);
-        EXPECT_GT(cold.captureBytes, 0u);
+    const sweep::ExecOptions opt = sampledOptions();
+    // One image per warm sample: 3 workloads x 3 samples.
+    const StoreRun cold = runThrough(plan, opt, "");
+    EXPECT_EQ(9u, cold.captures);
+    EXPECT_GT(cold.captureBytes, 0u);
 
-        ScratchDir dir;
-        const StoreRun first = runThrough(plan, opt, dir.path);
-        EXPECT_EQ(images, first.captures);
-        EXPECT_EQ(cold.captureBytes, first.captureBytes);
-        EXPECT_EQ(cold.json, first.json);
+    ScratchDir dir;
+    const StoreRun first = runThrough(plan, opt, dir.path);
+    EXPECT_EQ(9u, first.captures);
+    EXPECT_EQ(cold.captureBytes, first.captureBytes);
+    EXPECT_EQ(cold.json, first.json);
 
-        const StoreRun again = runThrough(plan, opt, dir.path);
-        EXPECT_EQ(0u, again.captures);
-        EXPECT_EQ(0u, again.captureBytes);
-        EXPECT_EQ(cold.json, again.json);
-    }
+    const StoreRun again = runThrough(plan, opt, dir.path);
+    EXPECT_EQ(0u, again.captures);
+    EXPECT_EQ(0u, again.captureBytes);
+    EXPECT_EQ(cold.json, again.json);
 }
 
 TEST(SweepStore, DirectorySharedByTwoPlansKeepsThemApart)
 {
     // fig11 and headline warm their workloads under different machines;
     // headline must not fork from fig11's snapshots.
-    sweep::ExecOptions opt;
-    opt.jobs = 2;
-    opt.checkpoint = true;
+    const sweep::ExecOptions opt = sampledOptions();
     const sweep::SweepPlan headline = quickPlan("headline");
     const std::string cold =
         sweep::resultsJson(sweep::runPlan(headline, opt));
@@ -875,7 +840,7 @@ TEST(SweepStore, DirectorySharedByTwoPlansKeepsThemApart)
     ScratchDir dir;
     runThrough(quickPlan("fig11"), opt, dir.path);
     const StoreRun shared = runThrough(headline, opt, dir.path);
-    EXPECT_EQ(3u, shared.captures);
+    EXPECT_EQ(9u, shared.captures);
     EXPECT_EQ(cold, shared.json);
 }
 
@@ -1056,7 +1021,6 @@ void
 expectUnforkedJobsMatchFullRuns(const sweep::SweepPlan &plan,
                                 sweep::ExecOptions opt, const Observed &o)
 {
-    opt.checkpoint = false;
     opt.sample = sweep::SamplePlan{};
     const std::vector<sweep::RunOutcome> full = sweep::runPlan(plan, opt);
     ASSERT_EQ(full.size(), o.outcomes.size());
@@ -1140,21 +1104,6 @@ TEST(SweepPipeline, PopulatedDirectoryMatchesAtEveryJobCount)
     EXPECT_EQ(first, o.json);
     EXPECT_EQ(0u, o.metrics.checkpointCaptures);
     EXPECT_EQ(o.stderrLines, fallbackWarnings); // nothing to capture
-}
-
-TEST(SweepPipeline, CheckpointPlanMatchesAtEveryJobCount)
-{
-    sweep::ExecOptions opt;
-    opt.checkpoint = true;
-    opt.warmupInsts = 90'000; // go finishes first: it runs in full
-    opt.verify = true;
-    const Observed o = expectSameAtOneTwoAndFourJobs(mixedPlan(), opt);
-    expectUnforkedJobsMatchFullRuns(mixedPlan(), opt, o);
-    EXPECT_EQ(o.metrics.checkpointCaptures, 2u);
-    EXPECT_EQ(o.metrics.checkpointRestores, 4u);
-    for (const sweep::RunOutcome &out : o.outcomes)
-        EXPECT_TRUE(out.res.verified) << out.workload << "/"
-                                      << out.configKey;
 }
 
 TEST(SweepPipeline, MetricsCountTheCapturesOnThePool)

@@ -1,14 +1,13 @@
 /**
  * @file
  * sdv_sweep: parallel sweep driver. Regenerates any figure's
- * (workload x configuration) grid from the plan registry, optionally
- * forking every configuration from a warmed checkpoint, prints the
- * figure's report (sweep/report.hh) and emits ordered JSON that
+ * (workload x configuration) grid from the plan registry, as full runs
+ * or estimated from interval-sample forks, prints the figure's report
+ * (sweep/report.hh) and emits ordered JSON that
  * tools/compare_bench.py can diff against the checked-in baselines.
  *
  *   sdv_sweep --list
  *   sdv_sweep --plan fig11 --jobs 4 --json fig11.json
- *   sdv_sweep --plan fig11 --checkpoint --warmup 10000 --jobs 4
  *   sdv_sweep --plan all --quick --jobs 2
  *   sdv_sweep --plan fig11 --samples 3 --checkpoint-dir snaps
  *   sdv_sweep --fuzz-speculation --fuzz-samples 8 --jobs 4
@@ -214,17 +213,14 @@ main(int argc, char **argv)
         fatal("unknown plan '", plan_name, "' (try --list)");
     sweep::checkRunOptions(run);
 
-    // Warnings stay on: checkpoint fallbacks (stale snapshot, cold
-    // run on geometry mismatch, no warm-up boundary) must be visible.
+    // Warnings stay on: sampling fallbacks (stale snapshot, full run
+    // on geometry mismatch, no sample boundary) must be visible.
 
     const sweep::SweepPlan plan = sweep::buildPlan(plan_name, popt);
     std::printf("plan %s: %zu jobs, %u thread(s), scale %u, "
-                "footprint %s%s",
+                "footprint %s",
                 plan.name.c_str(), plan.jobs.size(), eopt.jobs,
-                plan.scale, footprintName(plan.footprint),
-                eopt.checkpoint && !eopt.sample.enabled()
-                    ? ", checkpointed"
-                    : "");
+                plan.scale, footprintName(plan.footprint));
     if (eopt.sample.enabled())
         std::printf(", %u samples x %llu insts", eopt.sample.samples,
                     static_cast<unsigned long long>(
@@ -264,11 +260,6 @@ main(int argc, char **argv)
                     "per-sample forks%s\n",
                     forked, outcomes.size(),
                     forked < outcomes.size() ? " (rest ran full)" : "");
-    else if (eopt.checkpoint)
-        std::printf("checkpoint: %u of %zu jobs forked from warm "
-                    "snapshots%s\n",
-                    forked, outcomes.size(),
-                    forked < outcomes.size() ? " (rest ran cold)" : "");
     if (unfinished)
         std::printf("warning: %u job(s) hit the cycle budget\n",
                     unfinished);
