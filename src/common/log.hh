@@ -7,7 +7,6 @@
 #ifndef SDV_COMMON_LOG_HH
 #define SDV_COMMON_LOG_HH
 
-#include <atomic>
 #include <cstdint>
 #include <source_location>
 #include <sstream>
@@ -153,24 +152,6 @@ inform(Args &&...args)
 {
     detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
-
-/** Warn at most once per call site (first caller wins across threads). */
-#define warn_once(...)                                                      \
-    do {                                                                    \
-        static std::atomic<bool> _sdv_warned_once{false};                   \
-        if (!_sdv_warned_once.exchange(true, std::memory_order_relaxed))    \
-            ::sdv::warn(__VA_ARGS__);                                       \
-    } while (0)
-
-/** Rate-limited warning: emit on the 1st, (n+1)th, (2n+1)th... call of
- *  this call site, so a per-cycle condition cannot flood stderr. */
-#define warn_every(n, ...)                                                  \
-    do {                                                                    \
-        static std::atomic<std::uint64_t> _sdv_warn_count{0};               \
-        if (_sdv_warn_count.fetch_add(1, std::memory_order_relaxed) %       \
-                std::uint64_t(n) == 0)                                      \
-            ::sdv::warn(__VA_ARGS__);                                       \
-    } while (0)
 
 /** Panic unless a condition holds. */
 #define sdv_assert(cond, ...)                                               \

@@ -153,11 +153,6 @@ class Deserializer
     {
     }
 
-    Deserializer(const std::uint8_t *data, std::size_t size)
-        : data_(data), size_(size)
-    {
-    }
-
     /**
      * Validate the checksum trailer written by Serializer::finish and
      * shrink the readable window to the payload. Must be called before

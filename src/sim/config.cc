@@ -1,7 +1,6 @@
 #include "sim/config.hh"
 
 #include "common/log.hh"
-#include "common/serialize.hh"
 
 namespace sdv {
 
@@ -88,74 +87,6 @@ CoreConfig
 defaultSdvConfig()
 {
     return makeConfig(4, 1, BusMode::WideBusSdv);
-}
-
-std::uint64_t
-configIdentityHash(const CoreConfig &cfg)
-{
-    // Field-by-field canonical serialization: raw struct bytes would
-    // hash padding (indeterminate), so every member is written
-    // explicitly. Any new CoreConfig field that changes simulated
-    // behavior must be added here, or distinct machines could share a
-    // snapshot-cache key.
-    Serializer ser;
-    ser.u32(cfg.fetchWidth);
-    ser.u32(cfg.decodeWidth);
-    ser.u32(cfg.issueWidth);
-    ser.u32(cfg.commitWidth);
-    ser.u32(cfg.maxStoresPerCycle);
-    ser.u32(cfg.robEntries);
-    ser.u32(cfg.lsqEntries);
-    ser.u32(cfg.fetchQueueEntries);
-    ser.u32(cfg.fu.intAlu);
-    ser.u32(cfg.fu.intMulDiv);
-    ser.u32(cfg.fu.fpAdd);
-    ser.u32(cfg.fu.fpMulDiv);
-    ser.u32(cfg.dcachePorts);
-    ser.b(cfg.widePorts);
-    ser.u32(cfg.gshareEntries);
-    ser.u32(cfg.gshareHistoryBits);
-    ser.u32(cfg.btbSets);
-    ser.u32(cfg.btbWays);
-    ser.u32(cfg.rasDepth);
-    ser.u32(cfg.fig10WindowInsts);
-    ser.b(cfg.traceExec);
-
-    const MemHierarchyConfig &m = cfg.mem;
-    ser.u64(m.l1iSize);
-    ser.u32(m.l1iAssoc);
-    ser.u32(m.l1iLineBytes);
-    ser.u64(m.l1iHitCycles);
-    ser.u64(m.l1dSize);
-    ser.u32(m.l1dAssoc);
-    ser.u32(m.l1dLineBytes);
-    ser.u64(m.l1dHitCycles);
-    ser.u64(m.l1dMissCycles);
-    ser.u64(m.l2Size);
-    ser.u32(m.l2Assoc);
-    ser.u32(m.l2LineBytes);
-    ser.u64(m.l2MissCycles);
-    ser.u32(m.mshrEntries);
-
-    const EngineConfig &e = cfg.engine;
-    ser.b(e.enabled);
-    ser.u32(e.vlen);
-    ser.u32(e.numVregs);
-    ser.u32(e.tlSets);
-    ser.u32(e.tlWays);
-    ser.u8(e.tlConfidence);
-    ser.u32(e.vrmtSets);
-    ser.u32(e.vrmtWays);
-    ser.b(e.blockOnScalarOperand);
-    ser.b(e.eagerChainLoads);
-    ser.u32(e.fu.intAlu);
-    ser.u32(e.fu.intMulDiv);
-    ser.u32(e.fu.fpAdd);
-    ser.u32(e.fu.fpMulDiv);
-    ser.u32(e.fu.loadPorts);
-
-    const std::vector<std::uint8_t> buf = ser.finish();
-    return fnv1a(buf.data(), buf.size());
 }
 
 StorageCost

@@ -55,17 +55,6 @@ struct StorageCost
 /** @return the storage accounting of Section 4.1 for @p cfg. */
 StorageCost storageCost(const CoreConfig &cfg);
 
-/**
- * Canonical identity hash of a full machine configuration: FNV-1a over
- * a field-by-field serialization of every CoreConfig member (widths,
- * FUs, ports, predictors, memory hierarchy, engine geometry and policy
- * flags). Two configs hash equal iff they describe the same machine —
- * the hash never reads raw struct bytes, so padding can't leak in. The
- * sweep's snapshot store keys on the hash of each workload's warm
- * configuration (docs/sweep.md, "Snapshot store").
- */
-std::uint64_t configIdentityHash(const CoreConfig &cfg);
-
 } // namespace sdv
 
 #endif // SDV_SIM_CONFIG_HH

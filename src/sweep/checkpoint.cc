@@ -1,11 +1,6 @@
 #include "sweep/checkpoint.hh"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
-
-#include <sys/stat.h>
-#include <unistd.h>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -151,63 +146,6 @@ Checkpoint::compatible(const CoreConfig &captured,
     const std::vector<std::uint8_t> geometry = ser.finish();
     Deserializer des(geometry);
     return geometryMatches(des, target);
-}
-
-bool
-Checkpoint::save(const std::string &path,
-                 const std::vector<std::uint8_t> &bytes)
-{
-    // Concurrent writers (two sweeps sharing a --checkpoint-dir) and
-    // crashes must never publish a partial image: write to a
-    // same-directory temp file, then rename() it into place — atomic
-    // on POSIX, so readers see either the old file or the complete
-    // new one, never a prefix.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    bool ok =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    ok &= std::fflush(f) == 0;
-    std::fclose(f);
-    if (ok)
-        ok = std::rename(tmp.c_str(), path.c_str()) == 0;
-    if (!ok)
-        std::remove(tmp.c_str());
-    return ok;
-}
-
-Checkpoint::LoadStatus
-Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out)
-{
-    FILE *f = std::fopen(path.c_str(), "rb");
-    // ENOTDIR: a path component is a regular file, so no image can
-    // exist at the path either.
-    if (!f)
-        return errno == ENOENT || errno == ENOTDIR ? LoadStatus::Missing
-                                                   : LoadStatus::Corrupt;
-    // fopen also opens a directory: only a regular file holds an
-    // image, and its size comes from fstat, not from seeking.
-    struct stat st;
-    if (fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
-        std::fclose(f);
-        return LoadStatus::Corrupt;
-    }
-    out.resize(size_t(st.st_size));
-    const bool ok =
-        std::fread(out.data(), 1, out.size(), f) == out.size();
-    std::fclose(f);
-    if (!ok)
-        return LoadStatus::Corrupt;
-    // A short or bit-rotted image fails its trailing checksum;
-    // report it as corruption here so callers can tell poisoning from
-    // a plain cold cache (atomic save() makes torn files unreachable
-    // through this API, so a Corrupt result is worth a warning).
-    Deserializer des(out);
-    if (!des.verifyChecksum())
-        return LoadStatus::Corrupt;
-    return LoadStatus::Ok;
 }
 
 } // namespace sweep

@@ -78,30 +78,6 @@ class Checkpoint
      */
     static bool compatible(const CoreConfig &captured,
                            const CoreConfig &target);
-
-    /**
-     * Write a checkpoint image to @p path atomically: the bytes land
-     * in a same-directory temp file first and are rename()d into
-     * place, so a reader racing a writer (or a crash mid-write) can
-     * never observe a torn image at @p path. @retval false on I/O
-     * error (the temp file is removed).
-     */
-    static bool save(const std::string &path,
-                     const std::vector<std::uint8_t> &bytes);
-
-    /** Outcome of load(): distinguishes an absent cache file (normal
-     *  cold-cache path) from a present-but-damaged one (torn write,
-     *  truncation, bit rot) so poisoning is visible to callers. */
-    enum class LoadStatus { Ok, Missing, Corrupt };
-
-    /** Read a checkpoint image from @p path and verify its trailing
-     *  checksum. @retval Missing when the file does not exist (nor
-     *  can: a path component that is a regular file counts too),
-     *  Corrupt when it exists but cannot be read back as an intact
-     *  image (header/program/geometry checks still happen later, in
-     *  restore()/validate()). */
-    static LoadStatus load(const std::string &path,
-                           std::vector<std::uint8_t> &out);
 };
 
 } // namespace sweep

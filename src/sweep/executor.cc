@@ -16,7 +16,6 @@
 #include "common/text_file.hh"
 #include "obs/telemetry.hh"
 #include "sweep/checkpoint.hh"
-#include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
 
 namespace sdv {
@@ -150,9 +149,9 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     const std::map<std::string, Program> programs = buildPrograms(plan);
 
     // Sample sets: one capture per workload, in plan order, under the
-    // workload's deterministic warm configuration, or reused from
-    // --checkpoint-dir. Each is a pool task that publishes its set by
-    // setting `ready`; every captured image is counted here.
+    // workload's deterministic warm configuration. Each is a pool task
+    // that publishes its set by setting `ready`; every captured image
+    // is counted here.
     struct Capture
     {
         std::string workload;
@@ -218,23 +217,15 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
 
     auto runCapture = [&](Capture &c) {
         const auto t0 = std::chrono::steady_clock::now();
-        const Program &prog = programs.at(c.workload);
-        auto capture = [&] {
-            SamplePlan sp = opt.sample;
-            sp.warmupInsts = opt.warmupInsts;
-            SampleSet set =
-                captureSamples(warmConfig(plan, opt, c.workload), prog,
-                               sp, opt.maxCycles);
-            for (const SampleCheckpoint &sc : set.samples)
-                if (!sc.bytes.empty()) {
-                    ++c.images;
-                    c.bytes += sc.bytes.size();
-                }
-            return set;
-        };
-        c.set = loadOrCapture(opt.checkpointDir,
-                              snapshotKey(plan, opt, c.workload),
-                              prog.identityHash(), capture);
+        SamplePlan sp = opt.sample;
+        sp.warmupInsts = opt.warmupInsts;
+        c.set = captureSamples(warmConfig(plan, opt, c.workload),
+                               programs.at(c.workload), sp, opt.maxCycles);
+        for (const SampleCheckpoint &sc : c.set.samples)
+            if (!sc.bytes.empty()) {
+                ++c.images;
+                c.bytes += sc.bytes.size();
+            }
         c.seconds = secondsSince(t0);
         {
             std::lock_guard<std::mutex> lock(published);

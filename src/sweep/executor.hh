@@ -10,12 +10,11 @@
  *
  * Full and sampled runs go through one pipeline: the programs, then
  * one pool that runs a capture task per workload (none for full runs,
- * the interval samples for --samples; reused from --checkpoint-dir
- * when present) ahead of the (job, sample) units that wait on them,
- * then a plan-ordered fold. A sampled job forks from its workload's
- * snapshots when Checkpoint::compatible says its configuration can
- * take them. See src/sweep/checkpoint.hh, src/sweep/sampling.hh and
- * docs/sweep.md.
+ * the interval samples for --samples) ahead of the (job, sample) units
+ * that wait on them, then a plan-ordered fold. A sampled job forks
+ * from its workload's snapshots when Checkpoint::compatible says its
+ * configuration can take them. See src/sweep/checkpoint.hh,
+ * src/sweep/sampling.hh and docs/sweep.md.
  */
 
 #ifndef SDV_SWEEP_EXECUTOR_HH
@@ -63,11 +62,6 @@ struct ExecOptions
      *  parallelizes. warmupInsts is the sampling warm-up.
      *  Incompatible with `verify` (estimates cannot be verified). */
     SamplePlan sample;
-    /** When non-empty, the snapshot sets of --samples are persisted
-     *  to (and reused from) <dir>/<key>.snap across invocations
-     *  (src/sweep/snapshot_cache.hh); a file written by another
-     *  build, for another program or damaged is recaptured. */
-    std::string checkpointDir;
 
     // --- observability (all default-off: the default-mode JSON stays
     // byte-identical to the checked-in baselines; docs/observability.md)
@@ -167,9 +161,9 @@ struct RunOutcome
 /**
  * Run every job of @p plan and return outcomes in plan order.
  * Programs are built and pre-decoded up front (one per workload,
- * shared read-only); snapshot sets, when enabled, are captured (or
- * loaded) by pool tasks that the pool claims before any unit. A
- * Simulator is built only by the capture passes and by the work units.
+ * shared read-only); snapshot sets, when enabled, are captured by
+ * pool tasks that the pool claims before any unit. A Simulator is
+ * built only by the capture passes and by the work units.
  */
 std::vector<RunOutcome> runPlan(const SweepPlan &plan,
                                 const ExecOptions &opt,
@@ -225,7 +219,7 @@ void applyExecOverlay(CoreConfig &cfg, const ExecOptions &opt);
  * @return the deterministic warm-up configuration for @p workload
  * under @p plan: its first engine-enabled job (falling back to its
  * first job), with the exec overlay applied. This is the machine the
- * capture pass runs, and its hash is part of the snapshot-store key.
+ * capture pass runs.
  */
 CoreConfig warmConfig(const SweepPlan &plan, const ExecOptions &opt,
                       const std::string &workload);

@@ -170,10 +170,6 @@ runFlags(RunOptions &o)
                    "spread evenly over the run)",
                    0, u64Max,
                    [&e](std::uint64_t v) { e.sample.periodInsts = v; }),
-        stringFlag(execution, "--checkpoint-dir", "D",
-                   "persist the snapshot sets of --samples in D and "
-                   "reuse them on later runs",
-                   e.checkpointDir),
         numberFlag(execution, "--quiesce-interval", "N",
                    "context-switch the transient vector state every N "
                    "fetched instructions (full runs only)",
@@ -312,6 +308,20 @@ void
 checkRunOptions(const RunOptions &o)
 {
     const ExecOptions &e = o.exec;
+    // A flag that only acts under another one is refused without it
+    // once it moves its field from the default: the run would ignore
+    // it, and the JSON header would record a --warmup it never used.
+    const ExecOptions defaults;
+    if (!e.sample.enabled() &&
+        (e.warmupInsts != defaults.warmupInsts ||
+         e.sample.measureInsts != defaults.sample.measureInsts ||
+         e.sample.periodInsts != defaults.sample.periodInsts))
+        fatal("--warmup, --sample-insts and --sample-period need "
+              "--samples: full runs do not warm up or sample");
+    if (!e.traceEvents && (e.traceCategories != defaults.traceCategories ||
+                           e.traceLast != defaults.traceLast))
+        fatal("--trace-filter and --trace-last need --trace-events: "
+              "without it no job is traced");
     if (e.sample.enabled() && e.verify)
         fatal("--verify is incompatible with --samples: sampled "
               "results are estimates, not verifiable runs");

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -101,6 +102,7 @@ TEST(RunFlags, MalformedValuesFailNamingTheFlagAndText)
         {{"--quick", "--samples"}, "--samples needs a value (N)"},
         {{"--bogus"}, "unknown flag '--bogus'"},
         {{"--checkpoint"}, "unknown flag '--checkpoint'"},
+        {{"--checkpoint-dir", "snaps"}, "unknown flag '--checkpoint-dir'"},
     };
     for (const Case &c : cases) {
         sweep::RunOptions o;
@@ -115,8 +117,8 @@ TEST(RunFlags, EachFlagSetsItsField)
                         "--jobs", "3", "--seed", "7", "--no-trace",
                         "--warmup", "0",
                         "--samples", "3", "--sample-insts", "500",
-                        "--sample-period", "9000", "--checkpoint-dir",
-                        "snaps", "--quiesce-interval", "2000",
+                        "--sample-period", "9000",
+                        "--quiesce-interval", "2000",
                         "--eager-chain", "--verify", "--json",
                         "o.json", "--trace-events", "t.json",
                         "--trace-filter", "sdv,mem", "--trace-last", "100",
@@ -133,7 +135,6 @@ TEST(RunFlags, EachFlagSetsItsField)
     EXPECT_EQ(o.exec.sample.samples, 3u);
     EXPECT_EQ(o.exec.sample.measureInsts, 500u);
     EXPECT_EQ(o.exec.sample.periodInsts, 9000u);
-    EXPECT_EQ(o.exec.checkpointDir, "snaps");
     EXPECT_EQ(o.exec.quiesceInterval, 2000u);
     EXPECT_TRUE(o.exec.eagerChain);
     EXPECT_TRUE(o.exec.verify);
@@ -216,6 +217,55 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
     EXPECT_EXIT(sweep::checkRunOptions(quiesced),
                 ::testing::ExitedWithCode(1),
                 "--quiesce-interval is incompatible with --samples");
+
+    // A flag that acts only under another one is refused without it,
+    // instead of being recorded in the JSON header of a run it did not
+    // shape.
+    struct Case
+    {
+        std::vector<const char *> args;
+        const char *error;
+    };
+    const char *sampling = "--warmup, --sample-insts and --sample-period "
+                           "need --samples";
+    const char *tracing = "--trace-filter and --trace-last need "
+                          "--trace-events";
+    const std::vector<Case> refused = {
+        {{"--warmup", "5", "--json", "o.json"}, sampling},
+        {{"--sample-insts", "500"}, sampling},
+        {{"--sample-period", "9000"}, sampling},
+        {{"--trace-filter", "sdv"}, tracing},
+        {{"--trace-last", "100"}, tracing},
+    };
+    for (const Case &c : refused) {
+        sweep::RunOptions o;
+        ASSERT_EQ(parse(o, c.args), "") << c.args.front();
+        EXPECT_EXIT(sweep::checkRunOptions(o), ::testing::ExitedWithCode(1),
+                    c.error)
+            << c.args.front();
+    }
+
+    // Each passes with the flag it needs, or at its own default.
+    const std::vector<std::vector<const char *>> allowed = {
+        {"--samples", "3", "--warmup", "5", "--sample-insts", "500",
+         "--sample-period", "9000"},
+        {"--trace-events", "t.json", "--trace-filter", "sdv",
+         "--trace-last", "100"},
+        {"--warmup", "10000", "--sample-insts", "20000",
+         "--sample-period", "0", "--trace-filter", "sdv,mem,core",
+         "--trace-last", "0"},
+    };
+    for (const std::vector<const char *> &args : allowed) {
+        sweep::RunOptions o;
+        ASSERT_EQ(parse(o, args), "") << args.front();
+        EXPECT_EXIT(
+            {
+                sweep::checkRunOptions(o);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(0), "")
+            << args.front();
+    }
 }
 
 // --- result writers --------------------------------------------------------

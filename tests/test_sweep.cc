@@ -7,18 +7,14 @@
  * audits of the delta memory images and the image checksum, the plan
  * registry, executor determinism (parallel == serial), the executor's
  * fork decision (which configs take the snapshots, and that the rest
- * run in full), the snapshot store behind --checkpoint-dir (reuse,
- * keying, recapture of corrupt, foreign and older-format containers),
- * the capture passes sharing the pool with the units (same records and
- * warnings at 1, 2 and 4 jobs) and the figure reports (headline
- * formulas, one report per figure of --plan all).
+ * run in full), the capture passes sharing the pool with the units
+ * (same records, warnings and capture counts at 1, 2 and 4 jobs) and
+ * the figure reports (headline formulas, one report per figure of
+ * --plan all).
  */
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
-#include <filesystem>
 #include <functional>
 #include <optional>
 #include <set>
@@ -35,28 +31,11 @@
 #include "sweep/executor.hh"
 #include "sweep/plan.hh"
 #include "sweep/report.hh"
-#include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
 #include "expect_same_stats.hh"
 
 namespace sdv {
 namespace {
-
-/** A fresh directory, removed with its contents at scope exit. */
-struct ScratchDir
-{
-    std::string path;
-
-    ScratchDir()
-    {
-        std::string tmpl = ::testing::TempDir() + "sdvXXXXXX";
-        const char *dir = ::mkdtemp(tmpl.data());
-        EXPECT_NE(dir, nullptr);
-        path = dir ? dir : "";
-    }
-
-    ~ScratchDir() { std::filesystem::remove_all(path); }
-};
 
 std::deque<Program> &
 keeper()
@@ -112,75 +91,6 @@ TEST(Checkpoint, RestoreThenRunMatchesStraightThroughOnEveryWorkload)
                   restored.core().commitPcHash())
             << w.name;
     }
-}
-
-TEST(Checkpoint, FileRoundTrip)
-{
-    const Program &prog = keep(buildWorkload("compress", 1));
-    const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
-    Simulator warm(cfg, prog);
-    ASSERT_TRUE(warm.advanceTo(warmupInsts));
-    const auto bytes = sweep::Checkpoint::capture(warm);
-
-    const std::string path = ::testing::TempDir() + "sdv_test.ckpt";
-    ASSERT_TRUE(sweep::Checkpoint::save(path, bytes));
-    std::vector<std::uint8_t> loaded;
-    ASSERT_EQ(sweep::Checkpoint::LoadStatus::Ok,
-              sweep::Checkpoint::load(path, loaded));
-    EXPECT_EQ(bytes, loaded);
-    std::remove(path.c_str());
-
-    Simulator restored(cfg, prog);
-    ASSERT_TRUE(sweep::Checkpoint::restore(restored, loaded));
-    EXPECT_TRUE(restored.run(50'000'000, /*verify=*/true).verified);
-}
-
-TEST(SweepCheckpoint, LoadDistinguishesMissingFromCorrupt)
-{
-    ScratchDir dir;
-    const std::string missing = dir.path + "/absent.ckpt";
-    const std::string corrupt = dir.path + "/corrupt.ckpt";
-
-    std::vector<std::uint8_t> bytes;
-    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Missing,
-              sweep::Checkpoint::load(missing, bytes));
-
-    std::FILE *f = std::fopen(corrupt.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a checkpoint", f);
-    std::fclose(f);
-    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Corrupt,
-              sweep::Checkpoint::load(corrupt, bytes));
-
-    // A path under a regular file (fopen fails with ENOTDIR) cannot
-    // hold an image either: missing, not corrupt.
-    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Missing,
-              sweep::Checkpoint::load(corrupt + "/absent.ckpt", bytes));
-
-    // A directory at the image path opens, but holds no image.
-    const std::string subdir = dir.path + "/dir.ckpt";
-    ASSERT_TRUE(std::filesystem::create_directory(subdir));
-    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Corrupt,
-              sweep::Checkpoint::load(subdir, bytes));
-
-    // Round-trip through the atomic save path: the payload comes back
-    // verbatim and no temp file is left beside it.
-    const std::string saved = dir.path + "/saved.ckpt";
-    std::vector<std::uint8_t> payload;
-    {
-        Serializer ser;
-        ser.str("atomic-save probe");
-        payload = ser.finish();
-    }
-    ASSERT_TRUE(sweep::Checkpoint::save(saved, payload));
-    std::vector<std::uint8_t> loaded;
-    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Ok,
-              sweep::Checkpoint::load(saved, loaded));
-    EXPECT_EQ(payload, loaded);
-    for (const auto &e : std::filesystem::directory_iterator(dir.path))
-        EXPECT_EQ(e.path().filename().string().find("tmp"),
-                  std::string::npos)
-            << "temp-file litter: " << e.path();
 }
 
 TEST(Checkpoint, RejectsCorruptedAndTruncatedImages)
@@ -784,166 +694,6 @@ TEST(SweepForks, ConfigsThatCannotTakeTheSnapshotsRunInFull)
     }
 }
 
-// --- snapshot store (--checkpoint-dir) -------------------------------------
-
-/** What one sweep through a snapshot directory produced. */
-struct StoreRun
-{
-    std::string json;
-    std::uint64_t captures = 0;
-    std::uint64_t captureBytes = 0;
-};
-
-StoreRun
-runThrough(const sweep::SweepPlan &plan, sweep::ExecOptions opt,
-           const std::string &dir)
-{
-    opt.checkpointDir = dir;
-    sweep::ExecMetrics m;
-    StoreRun r;
-    r.json = sweep::resultsJson(sweep::runPlan(plan, opt, &m));
-    r.captures = m.checkpointCaptures;
-    r.captureBytes = m.checkpointCaptureBytes;
-    return r;
-}
-
-TEST(SweepStore, RerunOnPopulatedDirectoryCapturesNothing)
-{
-    const sweep::SweepPlan plan = quickPlan("fig07");
-    const sweep::ExecOptions opt = sampledOptions();
-    // One image per warm sample: 3 workloads x 3 samples.
-    const StoreRun cold = runThrough(plan, opt, "");
-    EXPECT_EQ(9u, cold.captures);
-    EXPECT_GT(cold.captureBytes, 0u);
-
-    ScratchDir dir;
-    const StoreRun first = runThrough(plan, opt, dir.path);
-    EXPECT_EQ(9u, first.captures);
-    EXPECT_EQ(cold.captureBytes, first.captureBytes);
-    EXPECT_EQ(cold.json, first.json);
-
-    const StoreRun again = runThrough(plan, opt, dir.path);
-    EXPECT_EQ(0u, again.captures);
-    EXPECT_EQ(0u, again.captureBytes);
-    EXPECT_EQ(cold.json, again.json);
-}
-
-TEST(SweepStore, DirectorySharedByTwoPlansKeepsThemApart)
-{
-    // fig11 and headline warm their workloads under different machines;
-    // headline must not fork from fig11's snapshots.
-    const sweep::ExecOptions opt = sampledOptions();
-    const sweep::SweepPlan headline = quickPlan("headline");
-    const std::string cold =
-        sweep::resultsJson(sweep::runPlan(headline, opt));
-
-    ScratchDir dir;
-    runThrough(quickPlan("fig11"), opt, dir.path);
-    const StoreRun shared = runThrough(headline, opt, dir.path);
-    EXPECT_EQ(9u, shared.captures);
-    EXPECT_EQ(cold, shared.json);
-}
-
-TEST(SweepStore, CorruptContainerIsRecapturedWithAWarning)
-{
-    const sweep::SweepPlan plan = quickPlan("fig07");
-    const sweep::ExecOptions opt = sampledOptions();
-    ScratchDir dir;
-    const StoreRun cold = runThrough(plan, opt, dir.path);
-
-    const std::string path =
-        dir.path + "/" +
-        sweep::snapshotKey(plan, opt, plan.jobs.front().workload) + ".snap";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a snapshot set", f);
-    std::fclose(f);
-
-    ::testing::internal::CaptureStderr();
-    const StoreRun r = runThrough(plan, opt, dir.path);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find(path + " is corrupt"), std::string::npos) << err;
-    EXPECT_EQ(3u, r.captures); // that workload's samples only
-    EXPECT_EQ(cold.json, r.json);
-    EXPECT_EQ(0u, runThrough(plan, opt, dir.path).captures);
-}
-
-TEST(SweepStore, ContainerFromAnotherBuildIsRecapturedNeverRestored)
-{
-    const sweep::SweepPlan plan = quickPlan("fig07");
-    const sweep::ExecOptions opt = sampledOptions();
-    const std::string cold =
-        sweep::resultsJson(sweep::runPlan(plan, opt));
-
-    // A container at the right key holding another warm-up's samples:
-    // restoring it would change that workload's records.
-    const std::string &w = plan.jobs.front().workload;
-    const Program &prog = keep(buildWorkload(w, plan.scale, plan.footprint));
-    sweep::SamplePlan sp = opt.sample;
-    sp.warmupInsts = opt.warmupInsts + 1'000;
-    const sweep::SampleSet other = sweep::captureSamples(
-        sweep::warmConfig(plan, opt, w), prog, sp, opt.maxCycles);
-    ScratchDir dir;
-    const std::string path =
-        dir.path + "/" + sweep::snapshotKey(plan, opt, w) + ".snap";
-
-    // Control: written by this binary, the container is trusted.
-    ASSERT_TRUE(sweep::saveSnapshotSet(path, other, prog.identityHash(),
-                                       sweep::binaryFingerprint()));
-    EXPECT_NE(cold, runThrough(plan, opt, dir.path).json);
-
-    // Written by another build: recaptured and overwritten in place.
-    ASSERT_TRUE(sweep::saveSnapshotSet(path, other, prog.identityHash(),
-                                       sweep::binaryFingerprint() ^ 1));
-    const StoreRun r = runThrough(plan, opt, dir.path);
-    EXPECT_EQ(3u, r.captures);
-    EXPECT_EQ(cold, r.json);
-    EXPECT_EQ(0u, runThrough(plan, opt, dir.path).captures);
-}
-
-TEST(SweepStoreDeathTest, OlderVersionContainerIsAnotherBuildsNotCorrupt)
-{
-    // A container in the previous format (version 2, sealed with an
-    // FNV-1a trailer) fails this build's checksum, but it is another
-    // build's file, not a damaged one. The store warns once per process
-    // and kind, so the run is checked in a fresh process.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const sweep::SweepPlan plan = quickPlan("fig07");
-    const sweep::ExecOptions opt = sampledOptions();
-    ScratchDir dir;
-    const StoreRun cold = runThrough(plan, opt, dir.path);
-    const std::string path =
-        dir.path + "/" +
-        sweep::snapshotKey(plan, opt, plan.jobs.front().workload) + ".snap";
-    {
-        Serializer ser;
-        ser.bytes("SDVSNAP1", 8);
-        ser.u32(2);
-        ser.u64(sweep::binaryFingerprint());
-        std::vector<std::uint8_t> bytes = ser.finish();
-        bytes.resize(bytes.size() - 8); // drop this build's trailer
-        const std::uint64_t fnv = fnv1a(bytes.data(), bytes.size());
-        for (unsigned i = 0; i < 8; ++i)
-            bytes.push_back(std::uint8_t(fnv >> (8 * i)));
-        ASSERT_TRUE(sweep::Checkpoint::save(path, bytes));
-    }
-    EXPECT_EXIT(
-        {
-            ::testing::internal::CaptureStderr();
-            const StoreRun r = runThrough(plan, opt, dir.path);
-            const std::string err =
-                ::testing::internal::GetCapturedStderr();
-            std::filesystem::remove_all(dir.path);
-            std::fputs(err.c_str(), stderr);
-            std::exit(err.find("corrupt") == std::string::npos &&
-                              r.captures == 3 && r.json == cold.json
-                          ? 0
-                          : 1);
-        },
-        ::testing::ExitedWithCode(0),
-        "was captured by another build; recapturing");
-}
-
 // --- captures on the pool --------------------------------------------------
 
 /** What one runPlan printed and returned. */
@@ -1091,19 +841,6 @@ TEST(SweepPipeline, EmptyPartialAndFallbackSetsMatchAtEveryJobCount)
                          "warn: program too short for 3 samples after a "
                          "90000-inst warm-up; falling back to full runs"),
               1);
-}
-
-TEST(SweepPipeline, PopulatedDirectoryMatchesAtEveryJobCount)
-{
-    ScratchDir dir;
-    sweep::ExecOptions opt = mixedOptions();
-    opt.checkpointDir = dir.path;
-    const std::string first = observe(mixedPlan(), opt, 1).json;
-
-    const Observed o = expectSameAtOneTwoAndFourJobs(mixedPlan(), opt);
-    EXPECT_EQ(first, o.json);
-    EXPECT_EQ(0u, o.metrics.checkpointCaptures);
-    EXPECT_EQ(o.stderrLines, fallbackWarnings); // nothing to capture
 }
 
 TEST(SweepPipeline, MetricsCountTheCapturesOnThePool)

@@ -9,7 +9,7 @@
  *   sdv_sweep --list
  *   sdv_sweep --plan fig11 --jobs 4 --json fig11.json
  *   sdv_sweep --plan all --quick --jobs 2
- *   sdv_sweep --plan fig11 --samples 3 --checkpoint-dir snaps
+ *   sdv_sweep --plan fig11 --scale 4 --footprint mem --samples 3
  *   sdv_sweep --fuzz-speculation --fuzz-samples 8 --jobs 4
  *   sdv_sweep --fuzz-replay fuzz_repro.json
  */
@@ -213,8 +213,8 @@ main(int argc, char **argv)
         fatal("unknown plan '", plan_name, "' (try --list)");
     sweep::checkRunOptions(run);
 
-    // Warnings stay on: sampling fallbacks (stale snapshot, full run
-    // on geometry mismatch, no sample boundary) must be visible.
+    // Warnings stay on: sampling fallbacks (full run on geometry
+    // mismatch, no sample boundary) must be visible.
 
     const sweep::SweepPlan plan = sweep::buildPlan(plan_name, popt);
     std::printf("plan %s: %zu jobs, %u thread(s), scale %u, "
