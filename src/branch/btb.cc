@@ -59,12 +59,4 @@ Btb::update(Addr pc, Addr target)
     victim->lastUse = ++useClock_;
 }
 
-void
-Btb::reset()
-{
-    for (auto &e : entries_)
-        e = Entry{};
-    useClock_ = hits_ = lookups_ = 0;
-}
-
 } // namespace sdv

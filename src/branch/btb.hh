@@ -35,13 +35,10 @@ class Btb
     /** Install/refresh the target for @p pc. */
     void update(Addr pc, Addr target);
 
-    /** Drop all entries. */
-    void reset();
-
-    /** @return hit count since construction/reset. */
+    /** @return hit count since construction or resetStats(). */
     std::uint64_t hits() const { return hits_; }
 
-    /** @return lookup count since construction/reset. */
+    /** @return lookup count since construction or resetStats(). */
     std::uint64_t lookups() const { return lookups_; }
 
     /** Zero the hit/lookup counters, keeping the entries. */

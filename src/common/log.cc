@@ -54,23 +54,9 @@ warnImpl(const std::string &msg)
 }
 
 void
-informImpl(const std::string &msg)
-{
-    if (!quietFlag)
-        std::fprintf(stderr, "info: %s%s\n", contextPrefix().c_str(),
-                     msg.c_str());
-}
-
-void
 setQuiet(bool quiet)
 {
     quietFlag = quiet;
-}
-
-bool
-quiet()
-{
-    return quietFlag;
 }
 
 LogContext

@@ -1,7 +1,7 @@
 /**
  * @file
  * gem5-style status/error reporting: panic() for simulator bugs, fatal()
- * for user/configuration errors, warn()/inform() for status messages.
+ * for user/configuration errors, warn() for survivable conditions.
  */
 
 #ifndef SDV_COMMON_LOG_HH
@@ -61,18 +61,12 @@ struct LocatedMessage
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);
 
-/** Print an informational message to stderr. */
-void informImpl(const std::string &msg);
-
-/** Globally silence warn()/inform() (used by tests and benches). */
+/** Globally silence warn() (used by the inspection benches). */
 void setQuiet(bool quiet);
 
-/** @return whether warn()/inform() are silenced. */
-bool quiet();
-
 /** Per-thread message tag: the emitting subsystem plus a live pointer
- *  to its simulated clock, prefixed to warn/inform output so messages
- *  from concurrent sweep workers stay attributable. */
+ *  to its simulated clock, prefixed to warn() output so messages from
+ *  concurrent sweep workers stay attributable. */
 struct LogContext
 {
     const char *subsystem = nullptr;
@@ -88,8 +82,8 @@ void setLogContext(const char *subsystem, const Cycle *cycle);
 } // namespace detail
 
 /**
- * RAII log tag: while alive, warn()/inform() from this thread are
- * prefixed with "[subsystem @cycle]". The cycle pointer must outlive
+ * RAII log tag: while alive, warn() from this thread is prefixed with
+ * "[subsystem @cycle]". The cycle pointer must outlive
  * the scope (pass nullptr when no simulated clock applies).
  */
 class ScopedLogContext
@@ -143,14 +137,6 @@ void
 warn(Args &&...args)
 {
     detail::warnImpl(detail::concat(std::forward<Args>(args)...));
-}
-
-/** Emit normal operating status. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::concat(std::forward<Args>(args)...));
 }
 
 /** Panic unless a condition holds. */

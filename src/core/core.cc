@@ -3,15 +3,12 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "isa/trace.hh"
 #include "obs/hooks.hh"
 
 namespace sdv {
 
 Core::Core(const CoreConfig &cfg, const Program &prog)
-    : cfg_(cfg), prog_(prog),
-      trace_(cfg.traceExec ? &prog.trace() : nullptr),
-      oracle_(prog, cfg.traceExec), mem_(cfg.mem),
+    : cfg_(cfg), oracle_(prog, cfg.traceExec), mem_(cfg.mem),
       ports_(cfg.dcachePorts, cfg.widePorts, cfg.mem.l1dLineBytes),
       gshare_(cfg.gshareEntries, cfg.gshareHistoryBits),
       btb_(cfg.btbSets, cfg.btbWays), ras_(cfg.rasDepth),
@@ -236,7 +233,7 @@ Core::commitCommon(DynInst &d)
     if (d.inst().writesReg() || d.isValidation())
         rt_.onWriterCommit(d.inst().rd, d.seq);
     if (d.inst().isMem())
-        lsq_.erase(d.seq);
+        lsq_.erase(&d);
 
     commitHash_ = (commitHash_ ^ d.pc()) * 1099511628211ULL;
     if (d.rec.halted)
@@ -312,7 +309,7 @@ Core::squashAllInFlight()
     completionHeap_.clear();
     parkedVals_.clear();
     fetchQueue_.clear();
-    lsq_.squashAfter(0);
+    lsq_.clear();
 
     fetchStalled_ = false;
     stallBranchSeq_ = 0;
@@ -375,7 +372,6 @@ Core::completionStage()
             break;
           case ValStatus::Dead:
             engine_.fallbackValidation(*d);
-            d->inIq = true;
             if (d->pendingDeps == 0)
                 insertReady(d);
             break;
@@ -406,7 +402,7 @@ Core::wakeConsumers(DynInst *p)
     p->waiters = nullptr;
     while (w) {
         DynInst *next = w->nextWaiter[w->dep1 == p->seq ? 0 : 1];
-        if (--w->pendingDeps == 0 && w->inIq)
+        if (--w->pendingDeps == 0 && w->waitsToIssue())
             insertReady(w);
         w = next;
     }
@@ -422,13 +418,15 @@ Core::insertReady(DynInst *d)
 }
 
 std::string
-Core::auditIssueQueue() const
+Core::auditScheduler() const
 {
     // Consumers linked to each producer, indexed like the ROB.
     std::vector<std::size_t> linked(rob_.size(), 0);
     std::vector<const DynInst *> ready;
+    std::size_t inFlight = 0; ///< issued, not-completed entries
     for (std::size_t i = 0; i < rob_.size(); ++i) {
         const DynInst &e = rob_[i];
+        inFlight += e.issued && !e.completed;
         unsigned pending = 0;
         const InstSeqNum deps[2] = {e.dep1, e.dep2 == e.dep1 ? 0 : e.dep2};
         for (InstSeqNum dep : deps) {
@@ -442,10 +440,7 @@ Core::auditIssueQueue() const
             return detail::concat("seq ", e.seq, ": pendingDeps ",
                                   unsigned(e.pendingDeps), ", expected ",
                                   pending);
-        if (e.inIq != (!e.issued && !e.completed && !e.isValidation()))
-            return detail::concat("seq ", e.seq,
-                                  ": inIq disagrees with its state");
-        if (e.inIq && producerCompleted(e.dep1) &&
+        if (e.waitsToIssue() && producerCompleted(e.dep1) &&
             producerCompleted(e.dep2))
             ready.push_back(&e);
     }
@@ -477,6 +472,23 @@ Core::auditIssueQueue() const
         return detail::concat("iq_ holds ", iq_.size(),
                               " entries, expected the ", ready.size(),
                               " dep-ready waiting ones in seq order");
+
+    // The completion heap holds each issued, not-completed entry once.
+    std::vector<char> inHeap(rob_.size(), 0);
+    for (const DynInst *d : completionHeap_) {
+        const DynInst *e = robFind(d->seq);
+        if (e != d || !e->issued || e->completed ||
+            inHeap[std::size_t(e->seq - rob_.front().seq)]++)
+            return detail::concat("completion heap holds seq ", d->seq,
+                                  " out of place");
+    }
+    if (completionHeap_.size() != inFlight)
+        return detail::concat("completion heap holds ",
+                              completionHeap_.size(), " entries, expected ",
+                              inFlight, " issued, not-completed ones");
+    if (!std::is_heap(completionHeap_.begin(), completionHeap_.end(),
+                      CompletionLater{}))
+        return "completion heap is not a min-heap on readyCycle";
     return {};
 }
 
@@ -548,7 +560,6 @@ Core::issueStage()
         }
 
         if (remove) {
-            d->inIq = false;
             scheduleCompletion(d);
             it = iq_.erase(it);
             ++issued;
@@ -630,7 +641,6 @@ Core::decodeStage()
             d.completed = true;
             d.readyCycle = cycle_;
         } else {
-            d.inIq = true;
             if (d.pendingDeps == 0)
                 iq_.push_back(&d); // the youngest entry: seq order holds
         }
@@ -670,9 +680,7 @@ Core::predictControl(FetchedInst &f)
     if (in.isCondBranch()) {
         f.predTaken = gshare_.predictAndUpdate(pc, f.rec.taken);
         f.predTarget =
-            trace_ ? trace_->slotAt(pc).target
-                   : pc + Addr(std::int64_t(in.imm) *
-                               std::int64_t(instBytes));
+            pc + Addr(std::int64_t(in.imm) * std::int64_t(instBytes));
         f.mispredicted = f.predTaken != f.rec.taken;
         return;
     }

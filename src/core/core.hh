@@ -68,10 +68,12 @@ struct CoreConfig
      *  mispredicted branch (the paper measures the next 100). */
     unsigned fig10WindowInsts = 100;
 
-    /** Trace-compiled dispatch: fetch and the oracle consume the
-     *  program's compiled trace (pre-resolved handlers, pre-folded
-     *  immediates, pre-computed branch targets) instead of re-decoding
-     *  through instAt(). Bit-identical to the interpreter path (see
+    /** Trace-compiled dispatch: the oracle executes the program's
+     *  compiled trace (pre-resolved handlers, pre-folded immediates,
+     *  pre-computed branch targets) instead of interpreting each
+     *  instruction through instAt(). Fetch computes a conditional
+     *  branch's predicted target from its immediate either way.
+     *  Bit-identical to the interpreter path (see
      *  tests/test_trace_compile.cc); disable (--no-trace) to
      *  cross-check. */
     bool traceExec = true;
@@ -259,12 +261,14 @@ class Core : private VecExecContext
     void setRecorder(obs::TraceRecorder *rec);
 
     /**
-     * Recompute the wakeup state from the ROB alone and compare: each
-     * entry's pendingDeps, each producer's waiter list, and iq_ as the
-     * seq-ordered waiting entries whose producers have all completed.
+     * Recompute the scheduling state from the ROB alone and compare:
+     * each entry's pendingDeps, each producer's waiter list, iq_ as
+     * the seq-ordered waiting entries whose producers have all
+     * completed, and completionHeap_ as the issued, not-completed
+     * entries, each once, in a min-heap on readyCycle.
      * @return the first mismatch as text, or empty when they agree
      */
-    std::string auditIssueQueue() const;
+    std::string auditScheduler() const;
 
   private:
     /** An instruction fetched but not yet renamed. */
@@ -369,12 +373,8 @@ class Core : private VecExecContext
     void predictControl(FetchedInst &f);
 
     CoreConfig cfg_;
-    const Program &prog_;
 
     // Substrate components.
-    /** The program's compiled trace (null under --no-trace): fetch
-     *  reads pre-computed branch targets from it. */
-    const CompiledTrace *trace_ = nullptr;
     FunctionalCore oracle_;
     MemHierarchy mem_;
     DCachePorts ports_;

@@ -59,7 +59,6 @@ struct DynInst
     bool bumpedVrmtOffset = false; ///< validation advanced entry offset
 
     // --- pipeline status ---------------------------------------------------------
-    bool inIq = false;       ///< waiting to issue (in iq_ once dep-ready)
     bool issued = false;     ///< sent to an FU / port
     bool completed = false;  ///< result available to consumers
     /** Distinct producers among dep1/dep2 that have not completed: the
@@ -104,7 +103,6 @@ struct DynInst
         replacedVrmt = false;
         prevVrmtExisted = false;
         bumpedVrmtOffset = false;
-        inIq = false;
         issued = false;
         completed = false;
         pendingDeps = 0;
@@ -133,6 +131,14 @@ struct DynInst
 
     /** @return true when this instance validates a vector element. */
     bool isValidation() const { return mode == InstMode::Validation; }
+
+    /** @return true while the entry waits to issue: in iq_ once its
+     *  producers have all completed. */
+    bool
+    waitsToIssue() const
+    {
+        return !issued && !completed && !isValidation();
+    }
 };
 
 } // namespace sdv

@@ -1,7 +1,5 @@
 #include "core/lsq.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace sdv {
@@ -15,52 +13,31 @@ void
 LoadStoreQueue::insert(DynInst *inst)
 {
     sdv_assert(!full(), "LSQ overflow");
-    sdv_assert(entries_.empty() || entries_.back()->seq < inst->seq,
-               "LSQ inserts must be in program order");
-    entries_.push_back(inst);
-    if (inst->isStore())
+    ++size_;
+    if (inst->isStore()) {
+        sdv_assert(stores_.empty() || stores_.back()->seq < inst->seq,
+                   "LSQ inserts must be in program order");
         stores_.push_back(inst);
+    }
 }
 
 void
-LoadStoreQueue::erase(InstSeqNum seq)
+LoadStoreQueue::erase(const DynInst *inst)
 {
-    // Memory instructions commit in program order, so the erased entry
-    // is the oldest one in the common case.
-    const DynInst *victim = nullptr;
-    if (!entries_.empty() && entries_.front()->seq == seq) {
-        victim = entries_.front();
-        entries_.pop_front();
-    } else {
-        for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-            if ((*it)->seq == seq) {
-                victim = *it;
-                entries_.erase(it);
-                break;
-            }
-        }
-    }
-    if (!victim || !victim->isStore())
-        return;
-    if (!stores_.empty() && stores_.front()->seq == seq) {
+    sdv_assert(size_ > 0, "LSQ erase from an empty queue");
+    --size_;
+    if (inst->isStore()) {
+        sdv_assert(!stores_.empty() && stores_.front() == inst,
+                   "LSQ store commits out of program order");
         stores_.pop_front();
-        return;
-    }
-    for (auto it = stores_.begin(); it != stores_.end(); ++it) {
-        if ((*it)->seq == seq) {
-            stores_.erase(it);
-            return;
-        }
     }
 }
 
 void
-LoadStoreQueue::squashAfter(InstSeqNum seq)
+LoadStoreQueue::clear()
 {
-    while (!entries_.empty() && entries_.back()->seq > seq)
-        entries_.pop_back();
-    while (!stores_.empty() && stores_.back()->seq > seq)
-        stores_.pop_back();
+    size_ = 0;
+    stores_.clear();
 }
 
 LoadCheck

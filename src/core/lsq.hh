@@ -32,19 +32,20 @@ class LoadStoreQueue
     explicit LoadStoreQueue(unsigned capacity);
 
     /** @return true when no entry is free. */
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return size_ >= capacity_; }
 
     /** @return current occupancy. */
-    size_t size() const { return entries_.size(); }
+    size_t size() const { return size_; }
 
     /** Insert a memory instruction at dispatch (program order). */
     void insert(DynInst *inst);
 
-    /** Remove the entry for @p seq (at commit). */
-    void erase(InstSeqNum seq);
+    /** Remove the entry of @p inst at its commit. Memory instructions
+     *  commit in program order, so a store is the oldest store. */
+    void erase(const DynInst *inst);
 
-    /** Remove every entry younger than @p seq (squash). */
-    void squashAfter(InstSeqNum seq);
+    /** Remove every entry (squash). */
+    void clear();
 
     /**
      * Check whether the load @p ld may issue.
@@ -80,10 +81,9 @@ class LoadStoreQueue
 
   private:
     unsigned capacity_;
-    std::deque<DynInst *> entries_; ///< program order (by seq)
-    /** The store entries only, same program order: checkLoad scans
-     *  stores exclusively, and a load-heavy window (the common case)
-     *  answers Ready without touching the main queue at all. */
+    size_t size_ = 0; ///< loads and stores in flight
+    /** The store entries, in program order: checkLoad reads only
+     *  stores, so the loads are just counted. */
     std::deque<DynInst *> stores_;
     std::uint64_t forwards_ = 0;
     std::uint64_t conflictStalls_ = 0;

@@ -187,18 +187,43 @@ SdvEngine::decodeLoad(DynInst &d, RenameTable &rt)
     return DecodeAction::Normal;
 }
 
-bool
-SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
+/**
+ * Allocate and launch a load incarnation whose elements follow the
+ * access at @p base: the one launch sequence of a fresh spawn
+ * (trySpawnLoad), the last-element chain (tryChainLoad) and the eager
+ * chain (eagerSpawnNext).
+ *
+ * A stride-0 incarnation is uniform by construction — every element
+ * loads the same address.
+ *
+ * @return the new incarnation, or an invalid ref when no register was
+ * free (the caller's retry paths handle it)
+ */
+VecRegRef
+SdvEngine::launchLoad(DynInst &d, Addr base, std::int64_t stride)
 {
     const VecRegRef v = vrf_.allocate(gmrbb_);
     if (!v.valid())
-        return false;
+        return v;
     const unsigned vl = cfg_.vlen;
     vrf_.setElemCount(v, vl);
     vrf_.setUniform(v, stride == 0);
-    const Addr first = d.rec.addr + Addr(stride);
-    const Addr last = d.rec.addr + Addr(stride * std::int64_t(vl));
-    vrf_.setAddrRange(v, first, last, d.rec.size);
+    vrf_.setAddrRange(v, base + Addr(stride),
+                      base + Addr(stride * std::int64_t(vl)), d.rec.size);
+
+    datapath_.spawnLoad(d.pc(), v, base, stride, d.rec.size, vl);
+
+    d.spawnedVector = true;
+    d.spawnedDest = v;
+    return v;
+}
+
+bool
+SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
+{
+    const VecRegRef v = launchLoad(d, d.rec.addr, stride);
+    if (!v.valid())
+        return false;
 
     saveVrmtPrev(d);
     VrmtEntry e;
@@ -210,11 +235,6 @@ SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
     e.stride = stride;
     e.baseAddr = d.rec.addr;
     vrmt_.install(e);
-
-    datapath_.spawnLoad(d.pc(), v, d.rec.addr, stride, d.rec.size, vl);
-
-    d.spawnedVector = true;
-    d.spawnedDest = v;
 
     saveRenamePrev(d, rt);
     RenameEntry re;
@@ -230,41 +250,6 @@ SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
     return true;
 }
 
-/**
- * Allocate and launch a load-chain successor incarnation starting at
- * @p base: the shared construction sequence of the last-element chain
- * (tryChainLoad) and the eager chain (eagerSpawnNext), so successor
- * invariants live in exactly one place.
- *
- * The successor of a stride-0 chain is uniform by construction —
- * every element loads the same address. (Bugfix in PR 5: the seed
- * only marked fresh spawns, so chained incarnations lost the flag and
- * their consumers fell back to lockstep element matching.)
- *
- * @return the new incarnation, or an invalid ref when no register was
- * free (the caller's retry paths handle it)
- */
-VecRegRef
-SdvEngine::spawnSuccessorLoad(DynInst &d, Addr base, std::int64_t stride)
-{
-    const VecRegRef v2 = vrf_.allocate(gmrbb_);
-    if (!v2.valid())
-        return v2;
-    const unsigned vl = cfg_.vlen;
-    vrf_.setElemCount(v2, vl);
-    vrf_.setUniform(v2, stride == 0);
-    vrf_.setAddrRange(v2, base + Addr(stride),
-                      base + Addr(stride * std::int64_t(vl)),
-                      d.rec.size);
-
-    datapath_.spawnLoad(d.pc(), v2, base, stride, d.rec.size, vl);
-
-    d.spawnedVector = true;
-    d.spawnedDest = v2;
-    ++stats_.loadChainSpawns;
-    return v2;
-}
-
 void
 SdvEngine::tryChainLoad(DynInst &d, RenameTable &rt)
 {
@@ -273,9 +258,10 @@ SdvEngine::tryChainLoad(DynInst &d, RenameTable &rt)
     VrmtEntry *ve = vrmt_.lookup(d.pc());
     sdv_assert(ve, "chain with no entry");
     const Addr base = d.rec.addr;
-    const VecRegRef v2 = spawnSuccessorLoad(d, base, ve->stride);
+    const VecRegRef v2 = launchLoad(d, base, ve->stride);
     if (!v2.valid())
         return; // the offset==count decode path retries later
+    ++stats_.loadChainSpawns;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
                   packRef(v2), /*eager=*/0);
 
@@ -302,9 +288,10 @@ SdvEngine::eagerSpawnNext(DynInst &d, VrmtEntry &ve)
     const Addr base =
         ve.baseAddr +
         Addr(ve.stride * std::int64_t(vrf_.elemCount(ve.vreg)));
-    const VecRegRef v2 = spawnSuccessorLoad(d, base, ve.stride);
+    const VecRegRef v2 = launchLoad(d, base, ve.stride);
     if (!v2.valid())
         return; // last-element validation falls back to tryChainLoad
+    ++stats_.loadChainSpawns;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
                   packRef(v2), /*eager=*/1);
 
@@ -511,20 +498,27 @@ SdvEngine::computableElems(const SrcSpec &s1, const SrcSpec &s2) const
     return count;
 }
 
-bool
-SdvEngine::trySpawnArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
-                         const SrcSpec &s2)
+/**
+ * Allocate and launch an arithmetic incarnation over @p s1 and @p s2:
+ * the one launch sequence of a fresh spawn (trySpawnArith) and a chain
+ * successor (tryChainArith), VRMT install included.
+ *
+ * @return the new incarnation, or an invalid ref when the sources
+ * compute no element or no register was free
+ */
+VecRegRef
+SdvEngine::launchArith(DynInst &d, const SrcSpec &s1, const SrcSpec &s2)
 {
     // Evaluate source-derived properties before allocate(): its lazy
     // condition-2 reclamation may steal one of the source registers.
     const unsigned count = computableElems(s1, s2);
     const bool uniform = specsUniform(s1, s2);
     if (count == 0)
-        return false;
+        return VecRegRef{};
 
     const VecRegRef v = vrf_.allocate(gmrbb_);
     if (!v.valid())
-        return false;
+        return v;
     vrf_.setElemCount(v, count);
     vrf_.setUniform(v, uniform);
 
@@ -544,6 +538,16 @@ SdvEngine::trySpawnArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
 
     d.spawnedVector = true;
     d.spawnedDest = v;
+    return v;
+}
+
+bool
+SdvEngine::trySpawnArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
+                         const SrcSpec &s2)
+{
+    const VecRegRef v = launchArith(d, s1, s2);
+    if (!v.valid())
+        return false;
 
     saveRenamePrev(d, rt);
     RenameEntry re;
@@ -572,33 +576,9 @@ SdvEngine::tryChainArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
     if (!s1.isVector() && !s2.isVector())
         return; // no vector source any more: stop the chain
 
-    const unsigned count = computableElems(s1, s2);
-    const bool uniform = specsUniform(s1, s2);
-    if (count == 0)
-        return;
-
-    const VecRegRef v2 = vrf_.allocate(gmrbb_);
+    const VecRegRef v2 = launchArith(d, s1, s2);
     if (!v2.valid())
         return;
-    vrf_.setElemCount(v2, count);
-    vrf_.setUniform(v2, uniform);
-
-    saveVrmtPrev(d);
-    VrmtEntry e;
-    e.valid = true;
-    e.pc = d.pc();
-    e.vreg = v2;
-    e.offset = 0;
-    e.src1 = s1;
-    e.src2 = s2;
-    e.isLoad = false;
-    vrmt_.install(e);
-
-    datapath_.spawnArith(d.pc(), d.inst().op, d.inst().imm, v2, s1, s2,
-                         count);
-
-    d.spawnedVector = true;
-    d.spawnedDest = v2;
 
     RenameEntry re = rt.entry(d.inst().rd);
     re.vreg = v2;

@@ -248,11 +248,12 @@ class SdvEngine
     /** Turn d into a validation of the entry's next element. */
     void makeValidation(DynInst &d, RenameTable &rt, VrmtEntry &ve);
 
+    /** Allocate, set up and spawn a load incarnation following the
+     *  access at @p base; marks @p d as its spawner. */
+    VecRegRef launchLoad(DynInst &d, Addr base, std::int64_t stride);
+
     /** Spawn a fresh vectorized load covering the next vlen elements. */
     bool trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride);
-
-    /** Shared successor construction for both chain flavours. */
-    VecRegRef spawnSuccessorLoad(DynInst &d, Addr base, std::int64_t stride);
 
     /** Chain-spawn the successor load incarnation (Section 3.2). */
     void tryChainLoad(DynInst &d, RenameTable &rt);
@@ -282,6 +283,11 @@ class SdvEngine
 
     /** @return true when every vector source is a uniform register. */
     bool specsUniform(const SrcSpec &s1, const SrcSpec &s2) const;
+
+    /** Allocate, set up, install in the VRMT and spawn an arithmetic
+     *  incarnation; marks @p d as its spawner. */
+    VecRegRef launchArith(DynInst &d, const SrcSpec &s1,
+                          const SrcSpec &s2);
 
     /** Spawn a fresh vectorized arithmetic instance. */
     bool trySpawnArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,

@@ -233,14 +233,6 @@ ProgramBuilder::pokeWord(Addr addr, std::uint64_t value)
 }
 
 void
-ProgramBuilder::pokeWord32(Addr addr, std::uint32_t value)
-{
-    std::vector<std::uint8_t> bytes(4);
-    std::memcpy(bytes.data(), &value, 4);
-    pokes_.emplace_back(addr, std::move(bytes));
-}
-
-void
 ProgramBuilder::pokeDouble(Addr addr, double value)
 {
     std::uint64_t bits;
@@ -269,8 +261,13 @@ ProgramBuilder::finish()
     for (const Fixup &f : fixups_) {
         const std::int64_t slot = labelSlot_[size_t(f.label)];
         sdv_assert(slot >= 0, "unbound label used by instruction ", f.slot);
-        Instruction inst = program_.instAt(program_.codeBase() +
-                                           f.slot * instBytes);
+        // Decode the word itself: instAt() would build the compiled
+        // trace here, before the fixups, and predecodeAll() builds it
+        // once the program is complete.
+        const Addr pc = program_.codeBase() + f.slot * instBytes;
+        Instruction inst;
+        const bool ok = Instruction::decode(program_.encodedAt(pc), inst);
+        sdv_assert(ok, "undecodable instruction at ", pc);
         inst.imm = branchOffset(f.slot, size_t(slot));
         program_.patch(f.slot, inst);
     }

@@ -137,9 +137,6 @@ class ProgramBuilder
     /** Set the initial value of the 64-bit word at @p addr. */
     void pokeWord(Addr addr, std::uint64_t value);
 
-    /** Set the initial value of the 32-bit word at @p addr. */
-    void pokeWord32(Addr addr, std::uint32_t value);
-
     /** Set the initial value of a double at @p addr. */
     void pokeDouble(Addr addr, double value);
 

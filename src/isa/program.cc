@@ -1,8 +1,5 @@
 #include "isa/program.hh"
 
-#include <iomanip>
-#include <sstream>
-
 #include "common/log.hh"
 #include "common/serialize.hh"
 #include "isa/trace.hh"
@@ -20,7 +17,6 @@ Program &Program::operator=(Program &&other) noexcept = default;
 
 Program::Program(const Program &other)
     : codeBase_(other.codeBase_), entry_(other.entry_), code_(other.code_),
-      decoded_(other.decoded_), decodedValid_(other.decodedValid_),
       data_(other.data_), symbols_(other.symbols_)
 {
     // trace_ deliberately not copied: a patched copy must not mutate
@@ -34,8 +30,6 @@ Program::operator=(const Program &other)
         codeBase_ = other.codeBase_;
         entry_ = other.entry_;
         code_ = other.code_;
-        decoded_ = other.decoded_;
-        decodedValid_ = other.decodedValid_;
         data_ = other.data_;
         symbols_ = other.symbols_;
         trace_.reset();
@@ -48,8 +42,6 @@ Program::append(const Instruction &inst)
 {
     const Addr pc = codeEnd();
     code_.push_back(inst.encode());
-    decoded_.emplace_back();
-    decodedValid_.push_back(0);
     if (trace_)
         trace_->appendSlot(code_.back());
     return pc;
@@ -60,7 +52,6 @@ Program::patch(size_t index, const Instruction &inst)
 {
     sdv_assert(index < code_.size(), "patch out of range");
     code_[index] = inst.encode();
-    decodedValid_[index] = 0;
     if (trace_)
         trace_->recompile(index, code_[index]);
 }
@@ -76,26 +67,13 @@ const Instruction &
 Program::instAt(Addr pc) const
 {
     sdv_assert(validPc(pc), "bad instruction address ", pc);
-    const size_t idx = size_t((pc - codeBase_) / instBytes);
-    if (!decodedValid_[idx]) {
-        const bool ok = Instruction::decode(code_[idx], decoded_[idx]);
-        sdv_assert(ok, "undecodable instruction at ", pc);
-        decodedValid_[idx] = 1;
-    }
-    return decoded_[idx];
+    return trace().slotAt(pc).inst;
 }
 
 void
 Program::predecodeAll() const
 {
-    for (size_t idx = 0; idx < code_.size(); ++idx) {
-        if (decodedValid_[idx])
-            continue;
-        const bool ok = Instruction::decode(code_[idx], decoded_[idx]);
-        sdv_assert(ok, "undecodable instruction in slot ", idx);
-        decodedValid_[idx] = 1;
-    }
-    trace(); // build the compiled trace alongside the decode cache
+    trace();
 }
 
 const CompiledTrace &
@@ -144,23 +122,6 @@ Program::symbol(const std::string &name, Addr &out) const
         return false;
     out = it->second;
     return true;
-}
-
-std::string
-Program::disassemble() const
-{
-    std::ostringstream os;
-    for (size_t i = 0; i < code_.size(); ++i) {
-        Instruction inst;
-        const Addr pc = codeBase_ + i * instBytes;
-        if (!Instruction::decode(code_[i], inst)) {
-            os << std::hex << pc << ": <invalid>\n" << std::dec;
-            continue;
-        }
-        os << "0x" << std::hex << pc << std::dec << ":  " << inst.disasm()
-           << "\n";
-    }
-    return os.str();
 }
 
 } // namespace sdv

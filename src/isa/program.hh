@@ -82,35 +82,30 @@ class Program
     std::uint64_t encodedAt(Addr pc) const;
 
     /**
-     * @return the decoded instruction at @p pc.
-     *
-     * Decoding is cached per slot: the first access decodes the 64-bit
-     * word into a side-table and later accesses (the interpreter path;
-     * the compiled trace serves fetch otherwise) return it. patch()
-     * invalidates the slot. The reference is invalidated by patch(),
-     * append() (the side-table may reallocate) and destruction/move —
+     * @return the decoded instruction at @p pc: its compiled-trace
+     * slot's (the first call builds the trace; see trace()). patch()
+     * rewrites the slot in place. The reference is invalidated by
+     * append() (the trace may reallocate) and destruction/move —
      * copy the Instruction if the program may still grow.
      */
     const Instruction &instAt(Addr pc) const;
 
     /**
-     * Decode every slot into the cache up front. A program shared by
+     * Build the compiled trace up front. A program shared by
      * concurrent simulators (the sweep executor runs one per thread
-     * over the same image) must be pre-decoded: instAt()'s lazy fill
-     * writes the mutable side-table, which would race otherwise.
-     * After this call, concurrent instAt() calls are read-only.
+     * over the same image) must be pre-decoded: the lazy build of
+     * trace() and instAt() writes a mutable side-table, which would
+     * race otherwise. After this call, both are read-only.
      */
     void predecodeAll() const;
 
     /**
      * @return the compiled trace of this program (built on first use;
-     * predecodeAll() also builds it so sweep jobs share it read-only).
+     * predecodeAll() builds it so sweep jobs share it read-only).
      *
      * Slots stay in sync with the code image: patch() recompiles the
-     * affected slot and append() extends the trace. Like instAt()
-     * references, trace slots shift under append() — re-fetch after
-     * growing the program. The lazy build mutates a side-table, so the
-     * same predecodeAll() rule applies before concurrent sharing.
+     * affected slot and append() extends the trace. Trace slots shift
+     * under append() — re-fetch after growing the program.
      */
     const CompiledTrace &trace() const;
 
@@ -148,21 +143,14 @@ class Program
     /** @return raw encoded code words. */
     const std::vector<std::uint64_t> &codeWords() const { return code_; }
 
-    /** Disassemble the whole program (one instruction per line). */
-    std::string disassemble() const;
-
   private:
     Addr codeBase_;
     Addr entry_ = 0;
     std::vector<std::uint64_t> code_;
-    /** Lazily-filled decode cache, one entry per code slot. A slot is
-     *  valid when the matching decodedValid_ flag is set; patch()
-     *  clears the flag. Mutable: filling the cache does not change the
-     *  program's observable state. */
-    mutable std::vector<Instruction> decoded_;
-    mutable std::vector<std::uint8_t> decodedValid_;
-    /** Lazily-built compiled form (see trace()); never shared between
-     *  Program instances — copies rebuild their own. */
+    /** Lazily-built compiled form (see trace()), which also holds the
+     *  decoded instructions; never shared between Program instances —
+     *  copies rebuild their own. Mutable: building it does not change
+     *  the program's observable state. */
     mutable std::unique_ptr<CompiledTrace> trace_;
     std::vector<DataSegment> data_;
     std::map<std::string, Addr> symbols_;

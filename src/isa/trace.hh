@@ -20,10 +20,11 @@
  * indirect call through the slot (tail-call style), with no decode,
  * no opcode switch and no OpInfo lookups on the executed path.
  *
- * A trace is built once per Program (beside predecodeAll) and shared
- * read-only by every Simulator in a sweep; Program::patch() recompiles
- * the affected slot and Program::append() extends the trace, mirroring
- * the decoded-instruction cache invalidation rules.
+ * A trace is built once per Program (by predecodeAll) and shared
+ * read-only by every Simulator in a sweep; it is also where
+ * Program::instAt() reads the decoded instruction. Program::patch()
+ * recompiles the affected slot and Program::append() extends the
+ * trace.
  */
 
 #ifndef SDV_ISA_TRACE_HH

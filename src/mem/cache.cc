@@ -93,15 +93,6 @@ Cache::invalidate(Addr addr)
 }
 
 void
-Cache::reset()
-{
-    for (auto &l : lines_)
-        l = Line{};
-    useClock_ = 0;
-    stats_ = CacheStats{};
-}
-
-void
 Cache::saveState(Serializer &ser) const
 {
     ser.u32(sets_);

@@ -95,9 +95,6 @@ class Cache
     /** @return accumulated statistics. */
     const CacheStats &stats() const { return stats_; }
 
-    /** Clear contents and statistics. */
-    void reset();
-
     /** Zero the statistics, keeping the tag contents (checkpoint
      *  measurement rebase). */
     void resetStats() { stats_ = CacheStats{}; }

@@ -74,12 +74,4 @@ MshrFile::busyCount(Cycle now) const
     return n;
 }
 
-void
-MshrFile::reset()
-{
-    for (auto &e : entries_)
-        e = Entry{};
-    allocations_ = merges_ = fullStalls_ = 0;
-}
-
 } // namespace sdv

@@ -63,9 +63,6 @@ class MshrFile
     /** @return requests rejected because the file was full. */
     std::uint64_t fullStalls() const { return fullStalls_; }
 
-    /** Clear all entries and statistics. */
-    void reset();
-
     /** Attach a flight recorder for alloc/retry events (null
      *  detaches; pure observation). */
     void setRecorder(obs::TraceRecorder *rec) { recorder_ = rec; }

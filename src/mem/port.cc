@@ -1,5 +1,7 @@
 #include "mem/port.hh"
 
+#include <algorithm>
+
 #include "common/bitutils.hh"
 #include "common/log.hh"
 
@@ -33,12 +35,6 @@ DCachePorts::beginCycle()
             foldRecord(id);
     }
     openRecords_.clear();
-}
-
-unsigned
-DCachePorts::freePorts() const
-{
-    return numPorts_ - usedThisCycle_;
 }
 
 std::int32_t
@@ -75,7 +71,7 @@ DCachePorts::foldRecord(std::int32_t id)
 }
 
 DCachePorts::Grant
-DCachePorts::requestLoadWord(Addr addr, ElemLoadId elem_load_id)
+DCachePorts::requestLoadWord(Addr addr, bool speculative)
 {
     Grant g;
     const Addr line = lineOf(addr);
@@ -84,18 +80,19 @@ DCachePorts::requestLoadWord(Addr addr, ElemLoadId elem_load_id)
         AccessRecord &rec = ledger_[size_t(id)];
         ++rec.servedLoads;
         ++stats_.wordsServed;
-        if (elem_load_id != 0) {
+        if (speculative) {
             ++rec.specWords;
             ++rec.specPending;
-            elemAccess_.emplace(elem_load_id, id);
         } else {
             ++rec.demandWords;
         }
     };
 
     if (wide_) {
-        auto it = cycleReads_.find(line);
-        if (it != cycleReads_.end()) {
+        auto it = std::find_if(
+            cycleReads_.rbegin(), cycleReads_.rend(),
+            [line](const auto &read) { return read.first == line; });
+        if (it != cycleReads_.rend()) {
             AccessRecord &rec = ledger_[size_t(it->second)];
             if (rec.servedLoads < maxServedPerAccess_) {
                 g.ok = true;
@@ -118,7 +115,7 @@ DCachePorts::requestLoadWord(Addr addr, ElemLoadId elem_load_id)
 
     const std::int32_t id = allocRecord(line);
     if (wide_)
-        cycleReads_[line] = id;
+        cycleReads_.emplace_back(line, id);
 
     g.ok = true;
     g.newAccess = true;
@@ -148,17 +145,14 @@ DCachePorts::requestStoreWord(Addr addr)
 void
 DCachePorts::resolveElem(ElemLoadId id, bool used)
 {
-    auto it = elemAccess_.find(id);
-    if (it == elemAccess_.end())
-        return;
-    AccessRecord &rec = ledger_[size_t(it->second)];
+    sdv_assert(id != 0 && id <= ledger_.size(), "bad element load id ", id);
+    const std::int32_t slot = std::int32_t(id - 1);
+    AccessRecord &rec = ledger_[size_t(slot)];
     sdv_assert(rec.inUse && rec.specPending > 0,
                "element resolution against a folded record");
     if (used)
         ++rec.specUsed;
     --rec.specPending;
-    const std::int32_t slot = it->second;
-    elemAccess_.erase(it);
     if (!rec.open && rec.specPending == 0)
         foldRecord(slot);
 }

@@ -11,15 +11,16 @@
 #define SDV_MEM_PORT_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
 
 namespace sdv {
 
-/** Identifier of one speculative vector-element load, for deferred
- *  useful-word accounting. 0 means "none". */
+/** Identifier of a speculative vector-element load, for deferred
+ *  useful-word accounting: the ledger slot of its access + 1 (see
+ *  DCachePorts::Grant::elemLoadId). 0 means "none". */
 using ElemLoadId = std::uint64_t;
 
 /** Aggregate port / wide-bus statistics. */
@@ -85,9 +86,15 @@ class DCachePorts
         bool ok = false;       ///< the word is served this cycle
         bool newAccess = false; ///< a fresh port/access was claimed
         /** Ledger slot id (valid when ok for loads; stores make no
-         *  ledger record — Figure 13 only buckets reads). Only
-         *  meaningful within the granting cycle. */
+         *  ledger record — Figure 13 only buckets reads). Names the
+         *  access only within the granting cycle. */
         std::int32_t accessId = -1;
+
+        /** @return the id under which a speculative element load of
+         *  this grant resolves (resolveElem), 0 when nothing was
+         *  granted. The slot stays the record's until every
+         *  speculative element on it has resolved. */
+        ElemLoadId elemLoadId() const { return ElemLoadId(accessId + 1); }
     };
 
     /**
@@ -98,16 +105,14 @@ class DCachePorts
      * the paper); otherwise a free port is claimed.
      *
      * @param addr word address
-     * @param elem_load_id non-zero for speculative vector-element loads;
-     *        their usefulness is resolved later via resolveElem()
+     * @param speculative true for a speculative vector-element load;
+     *        its usefulness must be resolved exactly once, later, via
+     *        resolveElem(grant.elemLoadId(), ...)
      */
-    Grant requestLoadWord(Addr addr, ElemLoadId elem_load_id = 0);
+    Grant requestLoadWord(Addr addr, bool speculative = false);
 
     /** Request a store access (one port, no ride-along). */
     Grant requestStoreWord(Addr addr);
-
-    /** @return number of ports still free this cycle. */
-    unsigned freePorts() const;
 
     /** @return true when configured with wide ports. */
     bool wide() const { return wide_; }
@@ -116,9 +121,10 @@ class DCachePorts
     unsigned numPorts() const { return numPorts_; }
 
     /**
-     * Mark the element load @p id as architecturally useful (validated)
-     * or not; called by the vector register file when element fates are
-     * known.
+     * Mark one speculative element load of access @p id as
+     * architecturally useful (validated) or not; called when element
+     * fates are known. The access must still have an unresolved
+     * speculative element.
      */
     void resolveElem(ElemLoadId id, bool used);
 
@@ -181,15 +187,16 @@ class DCachePorts
     unsigned maxServedPerAccess_;
 
     unsigned usedThisCycle_ = 0;
-    /** Read accesses made this cycle, by line address (wide merge). */
-    std::unordered_map<Addr, std::int32_t> cycleReads_;
+    /** Read accesses made this cycle as (line address, ledger slot),
+     *  oldest first (wide merge; the newest access to a line wins).
+     *  At most one per port. */
+    std::vector<std::pair<Addr, std::int32_t>> cycleReads_;
     /** Ledger slots of the accesses made this cycle (closed at the
      *  next beginCycle). */
     std::vector<std::int32_t> openRecords_;
 
     std::vector<AccessRecord> ledger_; ///< slot pool (recycled)
     std::vector<std::int32_t> freeSlots_;
-    std::unordered_map<ElemLoadId, std::int32_t> elemAccess_;
     WideBusBreakdown folded_; ///< resolved accesses, already bucketed
     PortStats stats_;
 };

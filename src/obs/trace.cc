@@ -192,16 +192,6 @@ TraceRecorder::record(EventKind kind, Addr pc, std::uint64_t arg0,
 }
 
 void
-TraceRecorder::clear()
-{
-    events_.clear();
-    head_ = 0;
-    recorded_ = 0;
-    dropped_ = 0;
-    chainHist_.reset();
-}
-
-void
 TraceRecorder::appendEventsJson(std::string &out, unsigned pid) const
 {
     bool first = true;

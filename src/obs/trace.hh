@@ -125,9 +125,6 @@ class TraceRecorder
      */
     const Histogram &chainLifetimeHist() const { return chainHist_; }
 
-    /** Drop all retained events and counters (keeps configuration). */
-    void clear();
-
     /** Visit retained events in chronological order. */
     template <typename Fn>
     void

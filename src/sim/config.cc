@@ -83,12 +83,6 @@ makeConfig(unsigned width, unsigned ports, BusMode mode)
     return cfg;
 }
 
-CoreConfig
-defaultSdvConfig()
-{
-    return makeConfig(4, 1, BusMode::WideBusSdv);
-}
-
 StorageCost
 storageCost(const CoreConfig &cfg)
 {

@@ -35,9 +35,6 @@ std::string configLabel(unsigned ports, BusMode mode);
  */
 CoreConfig makeConfig(unsigned width, unsigned ports, BusMode mode);
 
-/** Convenience: the paper's 4-way machine with one wide bus + SDV. */
-CoreConfig defaultSdvConfig();
-
 /** Extra storage cost of the mechanism (Section 4.1: 56KB total). */
 struct StorageCost
 {

@@ -141,6 +141,9 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     sdv_assert(!sampled || opt.quiesceInterval == 0,
                "--quiesce-interval applies to full runs only; drop "
                "--samples");
+    sdv_assert(!sampled || (!opt.traceEvents && !opt.telemetryInterval),
+               "--trace-events and --telemetry observe full runs only; "
+               "drop --samples");
     auto jobConfig = [&](const SweepJob &job) {
         CoreConfig cfg = job.cfg;
         applyExecOverlay(cfg, opt);
@@ -284,12 +287,12 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         // (pure observation: the outcome is bit-identical either way).
         obs::IntervalTelemetry telemetry(
             opt.telemetryInterval ? opt.telemetryInterval : 1);
-        if (!sampled && opt.traceEvents) {
+        if (opt.traceEvents) {
             slot.trace = std::make_shared<obs::TraceRecorder>();
             slot.trace->configure(opt.traceCategories, opt.traceLast);
             sim.setRecorder(slot.trace.get());
         }
-        if (!sampled && opt.telemetryInterval)
+        if (opt.telemetryInterval)
             sim.setTelemetry(&telemetry);
 
         if (sc)
@@ -298,7 +301,7 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
             slot.res = sim.run(opt.maxCycles, opt.verify,
                                opt.quiesceInterval);
         slot.hash = sim.core().commitPcHash();
-        if (!sampled && opt.telemetryInterval)
+        if (opt.telemetryInterval)
             slot.telemetryJson = telemetry.toJson();
         slot.wall = secondsSince(t0);
     };

@@ -65,10 +65,11 @@ struct ExecOptions
 
     // --- observability (all default-off: the default-mode JSON stays
     // byte-identical to the checked-in baselines; docs/observability.md)
-    /** Attach a flight recorder to every full-run job (--trace-events).
-     *  Needs an SDV_OBS build (the default) to record anything; the
+    /** Attach a flight recorder to every job (--trace-events). Needs
+     *  an SDV_OBS build (the default) to record anything; the
      *  recorders come back in RunOutcome::trace for plan-ordered
-     *  serialization. Sampled jobs are not traced. */
+     *  serialization. Full runs only: runPlan rejects it with
+     *  sampling. */
     bool traceEvents = false;
     /** Event-category mask for the recorders (--trace-filter). */
     unsigned traceCategories = obs::CatAll;
@@ -76,8 +77,9 @@ struct ExecOptions
      *  (--trace-last; 0 = unbounded append). */
     std::size_t traceLast = 0;
     /** Interval telemetry: sample CoreStats/EngineStats deltas every N
-     *  cycles per full-run job (--telemetry; 0 = off). Emitted as the
-     *  per-record "telemetry" array. Sampled jobs ignore it. */
+     *  cycles per job (--telemetry; 0 = off). Emitted as the
+     *  per-record "telemetry" array. Full runs only: runPlan rejects
+     *  it with sampling. */
     std::uint64_t telemetryInterval = 0;
 };
 

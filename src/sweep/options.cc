@@ -332,8 +332,8 @@ checkRunOptions(const RunOptions &o)
         fatal("--telemetry needs --json: the telemetry is written into "
               "the JSON records");
     if (e.sample.enabled() && (e.traceEvents || e.telemetryInterval))
-        warn("--trace-events/--telemetry only observe full runs; "
-             "sampled jobs are not instrumented");
+        fatal("--trace-events and --telemetry are incompatible with "
+              "--samples: they observe full runs only");
     if (e.traceEvents && !SDV_OBS_ENABLED)
         warn("this build has SDV_OBS off: the trace file will contain "
              "no events");

@@ -113,11 +113,11 @@ std::string flagUsage(const std::vector<Flag> &flags);
  * The cross-flag checks of a plan run. Fatal: --warmup, --sample-insts
  * or --sample-period away from its default without --samples;
  * --trace-filter or --trace-last away from its default without
- * --trace-events; --verify or --quiesce-interval with --samples; and
- * --telemetry without --json (telemetry has no other output). A flag
- * that passes its own default changes nothing and is let through.
- * Observability on a sampled run and --trace-events in an SDV_OBS=OFF
- * build warn.
+ * --trace-events; --verify, --quiesce-interval, --trace-events or
+ * --telemetry with --samples; and --telemetry without --json
+ * (telemetry has no other output). A flag that passes its own default
+ * changes nothing and is let through. --trace-events in an SDV_OBS=OFF
+ * build warns.
  */
 void checkRunOptions(const RunOptions &o);
 

@@ -193,20 +193,21 @@ VectorDatapath::tick(Cycle now, DCachePorts &ports, MemHierarchy &mem)
             continue;
         while (!inst.done() && load_slots > 0) {
             const Addr addr = inst.elemAddr(inst.nextElem);
-            const ElemLoadId lid = nextElemLoadId_++;
-            const auto grant = ports.requestLoadWord(addr, lid);
+            const auto grant =
+                ports.requestLoadWord(addr, /*speculative=*/true);
             if (!grant.ok) {
                 ++stats_.elemLoadPortStalls;
                 load_slots = 0;
                 break;
             }
+            const ElemLoadId lid = grant.elemLoadId();
             Cycle done_at = 0;
             if (grant.newAccess) {
                 if (!mem.loadAccess(addr, now, done_at)) {
                     // MSHR full: the claimed port slot is wasted this
-                    // cycle and the element retries next cycle. The
-                    // retry draws a fresh load id, so this one must
-                    // resolve (unused) or its ledger record leaks.
+                    // cycle and the element retries next cycle as a
+                    // new load, so this one resolves (unused) now or
+                    // its ledger record leaks.
                     ports.resolveElem(lid, false);
                     ++stats_.elemLoadMshrStalls;
                     load_slots = 0;

@@ -201,7 +201,6 @@ class VectorDatapath
      *  cycle, by access id (kept allocated across ticks). */
     std::vector<std::pair<std::int32_t, Cycle>> accessDone_;
     std::uint64_t nextInstanceId_ = 1;
-    ElemLoadId nextElemLoadId_ = 1;
     DatapathStats stats_;
 };
 

@@ -1,5 +1,6 @@
 #include "vector/vreg_file.hh"
 
+#include "common/bitutils.hh"
 #include "common/log.hh"
 #include "obs/hooks.hh"
 
@@ -18,19 +19,13 @@ packVregArg(VecRegId reg, std::uint32_t gen, unsigned cause = 0)
 } // namespace
 
 VecRegFile::VecRegFile(unsigned num_regs, unsigned vlen)
-    : numRegs_(num_regs), vlen_(vlen), freeCount_(num_regs),
-      regs_(num_regs)
+    : numRegs_(num_regs), vlen_(vlen), regs_(num_regs)
 {
     sdv_assert(num_regs >= 1, "need at least one vector register");
     sdv_assert(vlen >= 2, "vector length must be at least 2");
     sdv_assert(vlen <= 64, "flag bitmasks hold at most 64 elements");
     for (auto &r : regs_)
         r.elems.resize(vlen);
-    const std::size_t words = (num_regs + 63) / 64;
-    freeMask_.assign(words, 0);
-    liveMask_.assign(words, 0);
-    for (unsigned i = 0; i < num_regs; ++i)
-        setMaskBit(freeMask_, i, true);
     sweepMarked_.assign(num_regs, false);
     sweepCandidates_.reserve(num_regs);
 }
@@ -52,29 +47,28 @@ VecRegFile::regFor(VecRegRef ref)
         static_cast<const VecRegFile *>(this)->regFor(ref));
 }
 
+unsigned
+VecRegFile::numFree() const
+{
+    unsigned n = 0;
+    for (const Reg &r : regs_)
+        n += !r.allocated;
+    return n;
+}
+
 VecRegRef
 VecRegFile::allocate(Addr mrbb)
 {
     Reg *chosen = nullptr;
-    for (std::size_t w = 0; w < freeMask_.size() && !chosen; ++w)
-        if (freeMask_[w])
-            chosen = &regs_[w * 64 + countTrailingZeros(freeMask_[w])];
-    if (!chosen) {
-        // Lazy condition-2 reclamation (see the header comment). Walk
-        // the live registers lowest-index-first: every register is
-        // live here, so the order matches the old full scan exactly.
-        for (std::size_t w = 0; w < liveMask_.size() && !chosen; ++w) {
-            std::uint64_t bits = liveMask_[w];
-            while (bits && !chosen) {
-                const unsigned i =
-                    unsigned(w * 64) + countTrailingZeros(bits);
-                bits &= bits - 1;
-                if (tryRelease(VecRegRef{VecRegId(i), regs_[i].gen},
-                               mrbb, /*allow_cond2=*/true))
-                    chosen = &regs_[i];
-            }
-        }
-    }
+    for (unsigned i = 0; i < numRegs_ && !chosen; ++i)
+        if (!regs_[i].allocated)
+            chosen = &regs_[i];
+    // Lazy condition-2 reclamation (see the header comment); every
+    // register is live here.
+    for (unsigned i = 0; i < numRegs_ && !chosen; ++i)
+        if (tryRelease(VecRegRef{VecRegId(i), regs_[i].gen}, mrbb,
+                       /*allow_cond2=*/true))
+            chosen = &regs_[i];
     if (!chosen) {
         ++allocFailures_;
         return VecRegRef{};
@@ -91,10 +85,7 @@ VecRegFile::allocate(Addr mrbb)
     r.allocCycle = clock_;
     for (auto &e : r.elems)
         e = Elem{};
-    --freeCount_;
     const VecRegId id = VecRegId(unsigned(&r - regs_.data()));
-    setMaskBit(freeMask_, id, false);
-    setMaskBit(liveMask_, id, true);
     markSweepCandidate(id); // a degenerate incarnation may free at once
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregAlloc, mrbb,
                   packVregArg(id, r.gen));
@@ -281,12 +272,37 @@ VecRegFile::release(Reg &reg, ReleaseCause cause)
         break;
     }
     reg.allocated = false;
-    ++freeCount_;
-    const VecRegId id = VecRegId(unsigned(&reg - regs_.data()));
-    setMaskBit(freeMask_, id, true);
-    setMaskBit(liveMask_, id, false);
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,
-                  packVregArg(id, reg.gen, unsigned(cause)), age);
+                  packVregArg(VecRegId(unsigned(&reg - regs_.data())),
+                              reg.gen, unsigned(cause)),
+                  age);
+}
+
+std::optional<VecRegFile::ReleaseCause>
+VecRegFile::releaseCause(const Reg &r, Addr gmrbb, bool allow_cond2) const
+{
+    // Every Section 3.3 predicate over the computable elements is a
+    // single-word mask test, and none releases a register while a
+    // validation is in flight.
+    const std::uint64_t cnt = lowBits(r.elemCount);
+    if ((r.uMask & cnt) != 0)
+        return std::nullopt;
+
+    // Killed incarnations just wait for in-flight validations to drain.
+    if (r.killed)
+        return ReleaseCause::Killed;
+
+    // Condition 1: every element computed and freed.
+    if ((r.rMask & r.fMask & cnt) == cnt)
+        return ReleaseCause::Cond1;
+
+    // Condition 2: every validated element freed, all computed, and the
+    // allocating loop has terminated (MRBB != GMRBB). Only applied
+    // under allocation pressure (see allocate()).
+    if (allow_cond2 && (r.rMask & cnt) == cnt &&
+        (r.vMask & ~r.fMask & cnt) == 0 && r.mrbb != gmrbb)
+        return ReleaseCause::Cond2;
+    return std::nullopt;
 }
 
 bool
@@ -295,39 +311,12 @@ VecRegFile::tryRelease(VecRegRef ref, Addr gmrbb, bool allow_cond2)
     if (!isLive(ref))
         return false;
     Reg &r = regFor(ref);
-
-    // All four Section 3.3 predicates over the computable elements are
-    // single-word mask tests.
-    const std::uint64_t cnt = lowBits(r.elemCount);
-    const bool any_u = (r.uMask & cnt) != 0;
-    const bool all_rf = (r.rMask & r.fMask & cnt) == cnt;
-    const bool all_r = (r.rMask & cnt) == cnt;
-    const bool valids_freed = (r.vMask & ~r.fMask & cnt) == 0;
-
-    // Killed incarnations just wait for in-flight validations to drain.
-    if (r.killed) {
-        if (!any_u) {
-            release(r, ReleaseCause::Killed);
-            return true;
-        }
+    const std::optional<ReleaseCause> cause =
+        releaseCause(r, gmrbb, allow_cond2);
+    if (!cause)
         return false;
-    }
-
-    // Condition 1: every element computed and freed.
-    if (all_rf && !any_u) {
-        release(r, ReleaseCause::Cond1);
-        return true;
-    }
-
-    // Condition 2: every validated element freed, all computed, nothing
-    // in use, and the allocating loop has terminated (MRBB != GMRBB).
-    // Only applied under allocation pressure (see allocate()).
-    if (allow_cond2 && valids_freed && all_r && !any_u &&
-        r.mrbb != gmrbb) {
-        release(r, ReleaseCause::Cond2);
-        return true;
-    }
-    return false;
+    release(r, *cause);
+    return true;
 }
 
 unsigned
@@ -344,6 +333,26 @@ VecRegFile::sweepReleases(Addr gmrbb)
     }
     sweepCandidates_.clear();
     return freed;
+}
+
+std::string
+VecRegFile::auditSweep(Addr gmrbb) const
+{
+    std::vector<unsigned> listed(numRegs_, 0);
+    for (const VecRegId id : sweepCandidates_)
+        if (id >= numRegs_ || ++listed[id] > 1 || !sweepMarked_[id])
+            return detail::concat("vreg ", id,
+                                  ": candidate list entry out of place");
+    for (unsigned i = 0; i < numRegs_; ++i) {
+        if (sweepMarked_[i] != (listed[i] != 0))
+            return detail::concat("vreg ", i, ": marked but not listed");
+        const Reg &r = regs_[i];
+        if (r.allocated && !listed[i] &&
+            releaseCause(r, gmrbb, /*allow_cond2=*/false))
+            return detail::concat("vreg ", i,
+                                  ": releasable but not a candidate");
+    }
+    return {};
 }
 
 void
@@ -366,9 +375,6 @@ VecRegFile::releaseSquashed(VecRegRef ref)
             if (e.loadId != 0)
                 ports_->resolveElem(e.loadId, false);
     r.allocated = false;
-    ++freeCount_;
-    setMaskBit(freeMask_, ref.reg, true);
-    setMaskBit(liveMask_, ref.reg, false);
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,
                   packVregArg(ref.reg, r.gen, /*cause=*/4),
                   clock_ - r.allocCycle);

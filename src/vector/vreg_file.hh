@@ -18,19 +18,20 @@
  * holds; the file records the Figure 15 computed/validated ledger at
  * that moment.
  *
- * Allocation and the live-register walk run off free/live bitmasks
- * (lowest-index-first, exactly the order the old linear scans used).
- * Consumers poll element state: the datapath through srcElem(), the
- * core's parked validations through the engine's validation status.
+ * Allocation and the live-register walk read each register's
+ * `allocated` flag lowest-index-first. Consumers poll element state:
+ * the datapath through srcElem(), the core's parked validations
+ * through the engine's validation status.
  */
 
 #ifndef SDV_VECTOR_VREG_FILE_HH
 #define SDV_VECTOR_VREG_FILE_HH
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
-#include "common/bitutils.hh"
 #include "common/types.hh"
 #include "mem/port.hh"
 
@@ -114,15 +115,14 @@ class VecRegFile
     /** @return total register count. */
     unsigned numRegs() const { return numRegs_; }
 
-    /** @return number of currently free registers. */
-    unsigned numFree() const { return freeCount_; }
+    /** @return number of currently free registers (a count over the
+     *  file: telemetry reads it once per sample). */
+    unsigned numFree() const;
 
     /**
-     * Allocate a register.
-     *
-     * The free list is a bitmask scanned lowest-index-first — the exact
-     * register the old linear scan would have chosen, at a word-popcount
-     * cost instead of a 128-entry walk.
+     * Allocate the lowest-index free register, or, when none is free,
+     * reclaim the lowest-index condition-2 candidate. The tiny-VRF
+     * ablation columns depend on that order.
      *
      * When no register is free, the Section 3.3 condition-2 candidates
      * (all elements computed, every validated element freed, nothing in
@@ -198,23 +198,17 @@ class VecRegFile
      */
     bool rangeOverlaps(VecRegRef ref, Addr lo, Addr hi) const;
 
-    /** Run @p fn over every live register (inlined; no type erasure —
-     *  this runs once per committed store for the Section 3.6 check).
-     *  Iterates the live bitmask in ascending index order — the same
-     *  order (and the same registers) the old full scan visited. */
+    /** Run @p fn over every live register in ascending index order
+     *  (inlined; no type erasure — this runs once per committed store
+     *  for the Section 3.6 check). @p fn may release the register it
+     *  is given. */
     template <typename Fn>
     void
     forEachLive(Fn &&fn) const
     {
-        for (std::size_t w = 0; w < liveMask_.size(); ++w) {
-            std::uint64_t bits = liveMask_[w];
-            while (bits) {
-                const unsigned i =
-                    unsigned(w * 64) + countTrailingZeros(bits);
-                bits &= bits - 1;
+        for (unsigned i = 0; i < numRegs_; ++i)
+            if (regs_[i].allocated)
                 fn(VecRegRef{VecRegId(i), regs_[i].gen});
-            }
-        }
     }
 
     // --- fused hot-path queries ----------------------------------------
@@ -294,6 +288,16 @@ class VecRegFile
      * @retval true when the register was released
      */
     bool tryRelease(VecRegRef ref, Addr gmrbb, bool allow_cond2 = false);
+
+    /**
+     * Check the incremental sweep against its definition: every
+     * allocated register that condition 1 or the killed rule would
+     * release now is on the candidate list, and the dedup flags mark
+     * exactly the listed registers, each once. A test hook: it holds
+     * after every Core::tick.
+     * @return the first mismatch as text, or empty when they agree
+     */
+    std::string auditSweep(Addr gmrbb) const;
 
     /**
      * Try to release registers by condition 1 / killed state. Runs once
@@ -392,6 +396,11 @@ class VecRegFile
     Reg &regFor(VecRegRef ref);
     void release(Reg &reg, ReleaseCause cause);
 
+    /** @return the cause under which @p r may be released now, or none
+     *  (condition 2 only when @p allow_cond2; see tryRelease()). */
+    std::optional<ReleaseCause> releaseCause(const Reg &r, Addr gmrbb,
+                                             bool allow_cond2) const;
+
     /** Mark @p id for the next incremental sweepReleases() pass. */
     void
     markSweepCandidate(VecRegId id)
@@ -402,21 +411,9 @@ class VecRegFile
         }
     }
 
-    void
-    setMaskBit(std::vector<std::uint64_t> &mask, unsigned i, bool on)
-    {
-        if (on)
-            mask[i / 64] |= std::uint64_t(1) << (i % 64);
-        else
-            mask[i / 64] &= ~(std::uint64_t(1) << (i % 64));
-    }
-
     unsigned numRegs_;
     unsigned vlen_;
-    unsigned freeCount_;
     std::vector<Reg> regs_;
-    std::vector<std::uint64_t> freeMask_; ///< bit set = register free
-    std::vector<std::uint64_t> liveMask_; ///< bit set = register live
     std::vector<VecRegId> sweepCandidates_;
     std::vector<bool> sweepMarked_;     ///< dedup for the candidate list
     VecRegFateStats fates_;

@@ -96,14 +96,6 @@ Vrmt::invalidateAll()
         e.valid = false;
 }
 
-void
-Vrmt::forEach(const std::function<void(VrmtEntry &)> &fn)
-{
-    for (auto &e : entries_)
-        if (e.valid)
-            fn(e);
-}
-
 unsigned
 Vrmt::occupancy() const
 {

@@ -10,7 +10,6 @@
 #define SDV_VECTOR_VRMT_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/types.hh"
@@ -88,9 +87,6 @@ class Vrmt
 
     /** Invalidate everything (context switch semantics, Section 3.2). */
     void invalidateAll();
-
-    /** Run @p fn over each valid entry. */
-    void forEach(const std::function<void(VrmtEntry &)> &fn);
 
     /** @return entry capacity. */
     unsigned capacity() const { return sets_ * ways_; }

@@ -332,8 +332,10 @@ TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
 }
 
 /**
- * Run @p prog on @p cfg one cycle at a time and audit the issue
- * queue's wakeup state against the ROB after every tick.
+ * Run @p prog on @p cfg one cycle at a time and audit the incremental
+ * structures after every tick: the core's wakeup state, issue queue
+ * and completion heap against the ROB, and the register file's release
+ * sweep against the freeing conditions.
  * @return the run's verified result, or an unfinished one at the
  *         first mismatch
  */
@@ -344,7 +346,9 @@ runAudited(const CoreConfig &cfg, const Program &prog)
     Core &core = sim.core();
     while (!core.done() && core.cycle() < 50'000'000) {
         core.tick();
-        const std::string mismatch = core.auditIssueQueue();
+        std::string mismatch = core.auditScheduler();
+        if (mismatch.empty())
+            mismatch = core.engine().vrf().auditSweep(core.engine().gmrbb());
         if (!mismatch.empty()) {
             ADD_FAILURE() << "cycle " << core.cycle() << ": " << mismatch;
             return {};
@@ -355,9 +359,14 @@ runAudited(const CoreConfig &cfg, const Program &prog)
 
 TEST(Pipeline, WakeupStateMatchesItsAuditEveryCycle)
 {
+    // vregs8 is the ablation's smallest register file: allocation
+    // pressure drives the lazy condition-2 releases.
+    CoreConfig vregs8 = makeConfig(4, 1, BusMode::WideBusSdv);
+    vregs8.engine.numVregs = 8;
     const std::pair<const char *, CoreConfig> machines[] = {
         {"4w-1pV", makeConfig(4, 1, BusMode::WideBusSdv)},
         {"8w-4p", makeConfig(8, 4, BusMode::ScalarBus)},
+        {"vregs8", vregs8},
     };
     std::uint64_t fallbacks = 0;
     for (const WorkloadSpec &w : allWorkloads()) {

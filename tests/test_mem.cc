@@ -295,14 +295,14 @@ TEST(Ports, WideBusLedgerClassifiesUsefulWords)
     // Access 2: one demand + two speculative elements, one later used.
     ports.beginCycle();
     ports.requestLoadWord(0x200);
-    ports.requestLoadWord(0x208, /*elem_load_id=*/1);
-    ports.requestLoadWord(0x210, /*elem_load_id=*/2);
-    ports.resolveElem(1, true);
-    ports.resolveElem(2, false);
+    const ElemLoadId used = ports.requestLoadWord(0x208, true).elemLoadId();
+    const ElemLoadId unused = ports.requestLoadWord(0x210, true).elemLoadId();
+    ports.resolveElem(used, true);
+    ports.resolveElem(unused, false);
     // Access 3: purely speculative, never used.
     ports.beginCycle();
-    ports.requestLoadWord(0x300, /*elem_load_id=*/3);
-    // id 3 left unresolved -> counts as unused.
+    ports.requestLoadWord(0x300, /*speculative=*/true);
+    // Left unresolved -> counts as unused.
 
     const WideBusBreakdown b = ports.wideBusBreakdown();
     EXPECT_EQ(b.totalReads, 3u);

@@ -220,7 +220,8 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
 
     // A flag that acts only under another one is refused without it,
     // instead of being recorded in the JSON header of a run it did not
-    // shape.
+    // shape; an observer is refused with --samples, whose jobs it
+    // cannot observe.
     struct Case
     {
         std::vector<const char *> args;
@@ -230,12 +231,17 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
                            "need --samples";
     const char *tracing = "--trace-filter and --trace-last need "
                           "--trace-events";
+    const char *observing = "--trace-events and --telemetry are "
+                            "incompatible with --samples";
     const std::vector<Case> refused = {
         {{"--warmup", "5", "--json", "o.json"}, sampling},
         {{"--sample-insts", "500"}, sampling},
         {{"--sample-period", "9000"}, sampling},
         {{"--trace-filter", "sdv"}, tracing},
         {{"--trace-last", "100"}, tracing},
+        {{"--samples", "3", "--trace-events", "t.json"}, observing},
+        {{"--samples", "3", "--telemetry", "500", "--json", "tj.json"},
+         observing},
     };
     for (const Case &c : refused) {
         sweep::RunOptions o;

@@ -188,7 +188,7 @@ TEST(CompiledTrace, FunctionalFastPathMatchesInterpreter)
     }
 }
 
-// --- decoded-program cache -------------------------------------------------
+// --- decoded instructions (Program::instAt reads the compiled trace) -------
 
 TEST(DecodedCache, InstAtReflectsPatch)
 {
@@ -199,20 +199,20 @@ TEST(DecodedCache, InstAtReflectsPatch)
         p.append(Instruction(Opcode::LDQ, 4, 5, 0, 16));
     p.append(Instruction(Opcode::HALT, 0, 0, 0, 0));
 
-    // Prime the decode cache.
+    // Build the compiled trace through instAt().
     EXPECT_EQ(p.instAt(pc0).op, Opcode::ADD);
     EXPECT_EQ(p.instAt(pc1).op, Opcode::LDQ);
     EXPECT_EQ(p.instAt(pc1).imm, 16);
 
     // Patch slot 1 (the builder's label-fixup path) and re-read: the
-    // cached decode must be invalidated, not returned stale.
+    // trace slot must be recompiled, not returned stale.
     p.patch(1, Instruction(Opcode::LDQ, 4, 5, 0, 64));
     EXPECT_EQ(p.instAt(pc1).imm, 64);
     p.patch(1, Instruction(Opcode::SUB, 7, 8, 9, 0));
     EXPECT_EQ(p.instAt(pc1).op, Opcode::SUB);
     EXPECT_EQ(p.instAt(pc1).rd, 7);
 
-    // Unpatched slots keep their cached decode.
+    // Unpatched slots keep their decode.
     EXPECT_EQ(p.instAt(pc0).op, Opcode::ADD);
     EXPECT_EQ(p.instAt(pc0).rs2, 3);
 }
@@ -224,7 +224,7 @@ TEST(DecodedCache, RepeatedAccessIsStable)
     p.append(Instruction(Opcode::HALT, 0, 0, 0, 0));
     const Instruction &first = p.instAt(pc);
     const Instruction &second = p.instAt(pc);
-    // Same cached slot, same contents.
+    // Same trace slot, same contents.
     EXPECT_EQ(&first, &second);
     EXPECT_EQ(first.imm, -7);
     EXPECT_EQ(p.encodedAt(pc), first.encode());
