@@ -55,12 +55,4 @@ Gshare::predictAndUpdate(Addr pc, bool taken)
     return pred;
 }
 
-void
-Gshare::reset()
-{
-    for (auto &c : table_)
-        c = SatCounter(2, 1);
-    history_ = 0;
-}
-
 } // namespace sdv

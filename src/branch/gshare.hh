@@ -48,9 +48,6 @@ class Gshare
     /** @return table size in entries. */
     unsigned numEntries() const { return unsigned(table_.size()); }
 
-    /** Reset all counters and history. */
-    void reset();
-
     /** Serialize every counter plus the global history register. */
     void
     saveState(Serializer &ser) const

@@ -29,11 +29,4 @@ ReturnAddressStack::pop(Addr &out)
     return true;
 }
 
-void
-ReturnAddressStack::reset()
-{
-    top_ = 0;
-    size_ = 0;
-}
-
 } // namespace sdv

@@ -35,9 +35,6 @@ class ReturnAddressStack
     /** @return stack capacity. */
     unsigned depth() const { return unsigned(stack_.size()); }
 
-    /** Empty the stack. */
-    void reset();
-
     /** Serialize the stack contents and pointers. */
     void
     saveState(Serializer &ser) const

@@ -52,65 +52,6 @@ Histogram::overflowFraction() const
     return total_ == 0 ? 0.0 : double(overflow_) / double(total_);
 }
 
-double
-Histogram::underflowFraction() const
-{
-    return total_ == 0 ? 0.0 : double(underflow_) / double(total_);
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    sdv_assert(other.buckets_.size() == buckets_.size(),
-               "merging histograms of different shapes");
-    for (size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    overflow_ += other.overflow_;
-    underflow_ += other.underflow_;
-    total_ += other.total_;
-}
-
-std::int64_t
-Histogram::quantile(double q) const
-{
-    if (total_ == 0)
-        return -1;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    // Smallest value whose cumulative count reaches ceil(q * total),
-    // with at least one sample so quantile(0) is the minimum value.
-    std::uint64_t target = std::uint64_t(q * double(total_) + 0.999999);
-    if (target == 0)
-        target = 1;
-    if (target > total_)
-        target = total_;
-    std::uint64_t cum = underflow_;
-    if (cum >= target)
-        return -1;
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        cum += buckets_[i];
-        if (cum >= target)
-            return std::int64_t(i);
-    }
-    return std::int64_t(buckets_.size());
-}
-
-std::string
-Histogram::toString() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (size_t i = 0; i < buckets_.size(); ++i) {
-        if (i)
-            os << " ";
-        os << buckets_[i];
-    }
-    os << " | unf " << underflow_ << " ovf " << overflow_ << "]";
-    return os.str();
-}
-
 std::string
 Histogram::toJson() const
 {

@@ -48,25 +48,8 @@ class Histogram
     /** @return overflow count as a fraction of all samples. */
     double overflowFraction() const;
 
-    /** @return underflow count as a fraction of all samples. */
-    double underflowFraction() const;
-
     /** @return number of in-range buckets. */
     unsigned numBuckets() const { return unsigned(buckets_.size()); }
-
-    /** Merge another histogram of identical shape into this one. */
-    void merge(const Histogram &other);
-
-    /**
-     * @return the smallest bucket value v whose cumulative count
-     * reaches fraction @p q (clamped to [0,1]) of all samples: -1 when
-     * the quantile falls in the underflow bucket, numBuckets() when it
-     * falls in the overflow bucket, -1 when the histogram is empty.
-     */
-    std::int64_t quantile(double q) const;
-
-    /** @return a one-line textual rendering (for logs and tests). */
-    std::string toString() const;
 
     /**
      * @return a JSON object {"buckets":[...],"underflow":u,
@@ -89,40 +72,6 @@ class Histogram
  * in the JSON reports uses one format.
  */
 std::string bucketArrayJson(const std::uint64_t *buckets, std::size_t n);
-
-/** Incremental mean tracker. */
-class RunningMean
-{
-  public:
-    /** Add one sample. */
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++n_;
-    }
-
-    /** Add a pre-weighted sample. */
-    void
-    sampleWeighted(double sum, std::uint64_t n)
-    {
-        sum_ += sum;
-        n_ += n;
-    }
-
-    /** @return the current mean (0 when no samples). */
-    double mean() const { return n_ == 0 ? 0.0 : sum_ / double(n_); }
-
-    /** @return the number of samples. */
-    std::uint64_t count() const { return n_; }
-
-    /** @return the sum of samples. */
-    double sum() const { return sum_; }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t n_ = 0;
-};
 
 } // namespace sdv
 

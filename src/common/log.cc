@@ -8,7 +8,6 @@ namespace detail {
 
 namespace {
 
-bool quietFlag = false;
 thread_local LogContext threadContext;
 
 /** Format the "[subsystem @cycle] " prefix of the active context. */
@@ -48,15 +47,8 @@ fatalImpl(const std::string &msg, const char *file, int line)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quietFlag)
-        std::fprintf(stderr, "warn: %s%s\n", contextPrefix().c_str(),
-                     msg.c_str());
-}
-
-void
-setQuiet(bool quiet)
-{
-    quietFlag = quiet;
+    std::fprintf(stderr, "warn: %s%s\n", contextPrefix().c_str(),
+                 msg.c_str());
 }
 
 LogContext

@@ -61,9 +61,6 @@ struct LocatedMessage
 /** Print a warning to stderr. */
 void warnImpl(const std::string &msg);
 
-/** Globally silence warn() (used by the inspection benches). */
-void setQuiet(bool quiet);
-
 /** Per-thread message tag: the emitting subsystem plus a live pointer
  *  to its simulated clock, prefixed to warn() output so messages from
  *  concurrent sweep workers stay attributable. */

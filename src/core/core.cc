@@ -82,7 +82,6 @@ Core::tick()
     fetchStage();
 
     ++cycle_;
-    stats_.cycles = cycle_;
 }
 
 // --- checkpoint / measurement boundary -------------------------------------

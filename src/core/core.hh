@@ -85,7 +85,7 @@ struct CoreConfig
 /** Statistics exported by the core. */
 struct CoreStats
 {
-    Cycle cycles = 0;
+    Cycle cycles = 0; ///< the clock, filled in by Core::stats()
     std::uint64_t committedInsts = 0;
     std::uint64_t committedLoads = 0;
     std::uint64_t committedStores = 0;
@@ -231,8 +231,14 @@ class Core : private VecExecContext
      *  tagging: warnings print the cycle they fired at). */
     const Cycle *cyclePtr() const { return &cycle_; }
 
-    /** @return core statistics. */
-    const CoreStats &stats() const { return stats_; }
+    /** @return core statistics, their cycles read from the clock. */
+    CoreStats
+    stats() const
+    {
+        CoreStats s = stats_;
+        s.cycles = cycle_;
+        return s;
+    }
 
     /** @return the vectorization engine. */
     SdvEngine &engine() { return engine_; }

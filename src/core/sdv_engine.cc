@@ -404,7 +404,6 @@ SdvEngine::decodeArith(DynInst &d, RenameTable &rt,
         if (mixed && cfg_.blockOnScalarOperand &&
             (scalarOperandBlocked(ve->src1, 1, d.rec, rt, ctx) ||
              scalarOperandBlocked(ve->src2, 2, d.rec, rt, ctx))) {
-            ++stats_.decodeBlockEvents;
             return DecodeAction::Blocked;
         }
         // Capture the successor's source specs *before* the validation

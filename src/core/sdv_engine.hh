@@ -27,6 +27,7 @@ namespace sdv {
  *  EngineConfig::fault. */
 struct FaultPlan
 {
+    bool operator==(const FaultPlan &) const = default;
 };
 
 /** Configuration of the vectorization engine (Table 1 defaults). */
@@ -90,7 +91,6 @@ struct EngineStats
     std::uint64_t arithOperandMisspecs = 0;
     std::uint64_t storesChecked = 0;
     std::uint64_t storeRangeConflicts = 0; ///< Section 3.6 squashes
-    std::uint64_t decodeBlockEvents = 0;   ///< Figure 7 stall cycles
     std::uint64_t lateValidationFallbacks = 0;
     std::uint64_t validationValueMismatches = 0; ///< self-check (== 0)
 };

@@ -83,16 +83,6 @@ Cache::probe(Addr addr) const
 }
 
 void
-Cache::invalidate(Addr addr)
-{
-    const Addr tag = lineAddr(addr);
-    Line *set = &lines_[size_t(setIndex(addr)) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w)
-        if (set[w].valid && set[w].tag == tag)
-            set[w] = Line{};
-}
-
-void
 Cache::saveState(Serializer &ser) const
 {
     ser.u32(sets_);

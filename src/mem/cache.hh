@@ -77,9 +77,6 @@ class Cache
     /** @return true when the line containing @p addr is present. */
     bool probe(Addr addr) const;
 
-    /** Invalidate the line containing @p addr if present. */
-    void invalidate(Addr addr);
-
     /** @return line size in bytes. */
     unsigned lineBytes() const { return lineBytes_; }
 

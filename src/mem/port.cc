@@ -22,7 +22,6 @@ DCachePorts::beginCycle()
 {
     usedThisCycle_ = 0;
     cycleReads_.clear();
-    ++stats_.cycles;
 
     // Close the previous cycle's accesses: no further words can join
     // them, so any record with no speculative resolution outstanding

@@ -27,14 +27,14 @@ using ElemLoadId = std::uint64_t;
 struct PortStats
 {
     std::uint64_t busyPortCycles = 0;  ///< one per claimed port per cycle
-    std::uint64_t cycles = 0;          ///< cycles observed
     std::uint64_t readAccesses = 0;    ///< load line/word accesses
     std::uint64_t writeAccesses = 0;   ///< store accesses
     std::uint64_t wordsServed = 0;     ///< total load words served
 
-    /** @return port occupancy in [0,1] given @p num_ports. */
+    /** @return port occupancy in [0,1] of @p num_ports ports over
+     *  @p cycles cycles (the core's clock, CoreStats::cycles). */
     double
-    occupancy(unsigned num_ports) const
+    occupancy(unsigned num_ports, std::uint64_t cycles) const
     {
         const double cap = double(cycles) * num_ports;
         return cap == 0.0 ? 0.0 : double(busyPortCycles) / cap;

@@ -2,8 +2,8 @@
  * @file
  * Top-level simulation driver: runs a program on a configured core to
  * completion, verifies the committed stream against an independent
- * functional execution, and gathers every statistic the benchmark
- * harness needs.
+ * functional execution, and gathers every statistic the sweeps and
+ * figure reports need.
  */
 
 #ifndef SDV_SIM_SIMULATOR_HH
@@ -31,12 +31,6 @@ struct SimResult
     Cycle cycles = 0;
     std::uint64_t insts = 0;
     double ipc = 0.0;
-
-    /** True when the result is an interval-sampled estimate: every
-     *  counter is the weighted extrapolation of @ref samplesMeasured
-     *  measured regions (see sweep/sampling.hh), not an exact count. */
-    bool sampled = false;
-    unsigned samplesMeasured = 0;
 
     CoreStats core;
     EngineStats engine;

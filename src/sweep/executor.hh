@@ -81,6 +81,8 @@ struct ExecOptions
      *  per-record "telemetry" array. Full runs only: runPlan rejects
      *  it with sampling. */
     std::uint64_t telemetryInterval = 0;
+
+    bool operator==(const ExecOptions &) const = default;
 };
 
 /** Host-side execution metrics (--metrics-summary / "exec_metrics"):
@@ -145,9 +147,10 @@ struct RunOutcome
     std::uint64_t commitHash = 0;
     bool fromCheckpoint = false; ///< estimated from snapshot forks
     /** Interval sampling: number of samples res was aggregated from
-     *  (0 for an exact full run; res.sampled mirrors this). For a
-     *  sampled job, commitHash is the FNV fold of the per-sample
-     *  commit-stream hashes in capture order. */
+     *  (0 for an exact full run). For a sampled job, every counter of
+     *  res is an extrapolation (aggregateSamples), and commitHash is
+     *  the FNV fold of the per-sample commit-stream hashes in capture
+     *  order. */
     unsigned samples = 0;
     double wallSeconds = 0.0; ///< host timing; kept out of the
                               ///< deterministic JSON payload

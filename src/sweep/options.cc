@@ -305,8 +305,17 @@ usageExit(const std::string &synopsis, const std::vector<Flag> &flags,
 }
 
 void
-checkRunOptions(const RunOptions &o)
+checkRunOptions(const RunOptions &o, const std::string &plan)
 {
+    if (planInspection(plan)) {
+        RunOptions read; // the defaults, and what an inspection reads
+        read.plan.scale = o.plan.scale;
+        read.plan.footprint = o.plan.footprint;
+        read.plan.quick = o.plan.quick;
+        if (!(o == read))
+            fatal("plan ", plan, " inspects programs and runs no job: "
+                  "it takes only --scale, --footprint and --quick");
+    }
     const ExecOptions &e = o.exec;
     // A flag that only acts under another one is refused without it
     // once it moves its field from the default: the run would ignore

@@ -1,15 +1,15 @@
 /**
  * @file
- * The run flags of every sweep front end, defined once. sdv_sweep and
- * the bench harness (bench/harness.hh) parse through runFlags(): one
- * entry per flag holding its name, value kind and bounds, help line
- * and the PlanOptions/ExecOptions field it sets. Usage text, the
- * number parser and the cross-flag checks come from here too, so a
- * flag means the same thing, and fails the same way, in every binary.
- * Front-end-only flags (sdv_sweep's --plan, --list, fuzzing) are Flags
- * of the same shape, declared next to the code that reads them. A
- * front end or mode that reads only some flags parses onlyFlags() of
- * its table, so the rest fail instead of being ignored.
+ * The run flags of sdv_sweep, defined once. runFlags() holds one entry
+ * per flag: its name, value kind and bounds, help line and the
+ * PlanOptions/ExecOptions field it sets. Usage text, the number parser
+ * and the cross-flag checks come from here too, so a flag means the
+ * same thing, and fails the same way, in every mode. sdv_sweep's own
+ * flags (--plan, --list, --metrics-summary, fuzzing) are Flags of the
+ * same shape, declared next to the code that reads them. A mode that
+ * reads only some flags parses onlyFlags() of its table, so the rest
+ * fail instead of being ignored; a plan that reads only some of them
+ * (an inspection) refuses the rest in checkRunOptions().
  */
 
 #ifndef SDV_SWEEP_OPTIONS_HH
@@ -36,6 +36,8 @@ struct RunOptions
     ExecOptions exec;
     std::string jsonPath;        ///< --json (empty: no file)
     std::string traceEventsPath; ///< --trace-events (empty: no file)
+
+    bool operator==(const RunOptions &) const = default;
 };
 
 /** One command-line flag. */
@@ -110,16 +112,18 @@ std::string flagUsage(const std::vector<Flag> &flags);
                             const std::string &error = std::string());
 
 /**
- * The cross-flag checks of a plan run. Fatal: --warmup, --sample-insts
- * or --sample-period away from its default without --samples;
- * --trace-filter or --trace-last away from its default without
- * --trace-events; --verify, --quiesce-interval, --trace-events or
- * --telemetry with --samples; and --telemetry without --json
+ * The cross-flag checks of a run of plan @p plan. Fatal: any run flag
+ * but --scale, --footprint and --quick away from its default when the
+ * plan inspects (planInspection), since it runs no job; --warmup,
+ * --sample-insts or --sample-period away from its default without
+ * --samples; --trace-filter or --trace-last away from its default
+ * without --trace-events; --verify, --quiesce-interval, --trace-events
+ * or --telemetry with --samples; and --telemetry without --json
  * (telemetry has no other output). A flag that passes its own default
  * changes nothing and is let through. --trace-events in an SDV_OBS=OFF
  * build warns.
  */
-void checkRunOptions(const RunOptions &o);
+void checkRunOptions(const RunOptions &o, const std::string &plan);
 
 /** Write the flight-recorder traces of @p outcomes to @p path (plan
  *  order, see traceSources) and print a one-line summary; fatal when

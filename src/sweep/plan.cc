@@ -76,17 +76,28 @@ ablationGrid()
     return grid;
 }
 
+/** The grid of a plan that inspects instead of simulating. */
+std::vector<GridConfig>
+noGrid()
+{
+    return {};
+}
+
 struct PlanDef
 {
     PlanInfo info;
     std::vector<GridConfig> (*grid)();
     /** Renders the plan's outcomes, which arrive in the order of
-     *  grid; null for a plan that is no paper figure. */
+     *  grid; null for a plan that is no paper figure or that inspects. */
     FigureReport report;
     /** Included in --plan all. The adversarial "attack" plan is not:
      *  "all" regenerates the paper-figure baselines, and its job list
-     *  (and JSON) must not change when robustness plans are added. */
+     *  (and JSON) must not change when robustness plans are added. The
+     *  inspection plans are not either: they simulate nothing. */
     bool inAll = true;
+    /** Set in place of report by a plan with no grid: renders the
+     *  plan from its workloads alone. */
+    Inspection inspect = nullptr;
 };
 
 /** The "attack" plan's machines: SDV geometry variants whose transient
@@ -133,6 +144,13 @@ const std::vector<PlanDef> &
 planDefs()
 {
     static const std::vector<PlanDef> defs = {
+        {{"fig01", "stride distribution of the strided loads"}, noGrid,
+         nullptr, /*inAll=*/false, fig01Report},
+        {{"fig03", "vectorizable fraction of the instructions"}, noGrid,
+         nullptr, /*inAll=*/false, fig03Report},
+        {{"table1", "machine parameters, extra storage and workload "
+                    "footprints"},
+         noGrid, nullptr, /*inAll=*/false, table1Report},
         {{"fig07", "IPC: decode blocking on scalar operands "
                    "(real vs ideal)"},
          fig07Grid, fig07Report},
@@ -208,19 +226,21 @@ figureReport(const std::string &name)
     return planDef(name).report;
 }
 
+Inspection
+planInspection(const std::string &name)
+{
+    return name == "all" ? nullptr : planDef(name).inspect;
+}
+
 namespace {
 
-/** Append @p name's grid jobs for every (quick-filtered) workload. */
+/** Append @p name's grid jobs for every workload of @p plan. */
 void
 appendFigure(SweepPlan &plan, const std::string &name,
              const PlanOptions &opt)
 {
     const std::vector<GridConfig> grid = figureGrid(name);
-    // The attack plan runs the timing-channel pair, not the figure
-    // suite (which stays fixed at the paper's 12 workloads).
-    const std::vector<Workload> &suite =
-        name == "attack" ? attackWorkloads() : allWorkloads();
-    for (const Workload *w : selectWorkloads(suite, opt.quick)) {
+    for (const Workload *w : plan.workloads) {
         for (const GridConfig &g : grid) {
             SweepJob job;
             job.figure = name;
@@ -249,6 +269,10 @@ buildPlan(const std::string &name, const PlanOptions &opt)
               "dynamic-length multiplier and must be >= 1)");
     plan.scale = opt.scale;
     plan.footprint = opt.footprint;
+    // The attack plan runs the timing-channel pair, not the figure
+    // suite (which stays fixed at the paper's 12 workloads).
+    plan.workloads = selectWorkloads(
+        name == "attack" ? attackWorkloads() : allWorkloads(), opt.quick);
 
     if (name == "all") {
         plan.title = "every figure grid back to back";

@@ -1,10 +1,12 @@
 /**
  * @file
  * Declarative sweep plans: the (workload x configuration) grid behind
- * every figure of the paper, expressed once in a registry instead of
- * re-enumerated by each hand-rolled bench main. A SweepPlan is a flat,
- * ordered job list the executor runs — serially or on a thread pool —
- * with bit-identical results either way.
+ * every figure and table of the paper, expressed once in a registry
+ * instead of re-enumerated by each hand-rolled bench main. A SweepPlan
+ * is a flat, ordered job list the executor runs — serially or on a
+ * thread pool — with bit-identical results either way. The plans that
+ * inspect programs instead of simulating them (Figures 1 and 3, Table
+ * 1) have no grid and build no jobs.
  */
 
 #ifndef SDV_SWEEP_PLAN_HH
@@ -63,6 +65,9 @@ struct SweepPlan
     std::string title;  ///< one-line description
     unsigned scale = 1; ///< workload scale the jobs were built for
     Footprint footprint = Footprint::Base; ///< working-set regime
+    /** The plan's suite as --quick filters it (selectWorkloads), in
+     *  suite order: the workloads its jobs run or its inspection reads. */
+    std::vector<const Workload *> workloads;
     std::vector<SweepJob> jobs;
 };
 
@@ -73,6 +78,8 @@ struct PlanOptions
     Footprint footprint = Footprint::Base; ///< working-set regime
     bool quick = false;        ///< first two INT + first FP only
     std::uint64_t baseSeed = 0; ///< base of the per-job seed derivation
+
+    bool operator==(const PlanOptions &) const = default;
 };
 
 /** Registry entry: a named plan and what it regenerates. */
@@ -102,8 +109,19 @@ struct RunOutcome;
 using FigureReport = std::string (*)(const std::vector<RunOutcome> &);
 
 /** @return the report of plan @p name, null for a plan that is no
- *  paper figure ("attack"). Fatal on unknown names, like figureGrid. */
+ *  paper figure ("attack") or that inspects. Fatal on unknown names,
+ *  like figureGrid. */
 FigureReport figureReport(const std::string &name);
+
+/** A report that inspects the programs of its plan's workloads at the
+ *  plan's scale and footprint instead of simulating them
+ *  (sweep/report.hh). */
+using Inspection = std::string (*)(const SweepPlan &);
+
+/** @return the inspection of plan @p name ("fig01", "fig03",
+ *  "table1"), null for a plan that simulates, "all" included. Fatal on
+ *  unknown names. */
+Inspection planInspection(const std::string &name);
 
 /**
  * Instantiate plan @p name over the (quick-filtered) workload suite.

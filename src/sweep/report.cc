@@ -3,6 +3,8 @@
 #include "common/log.hh"
 #include "common/table.hh"
 #include "common/text_file.hh"
+#include "sim/stride_profiler.hh"
+#include "sim/vect_analyzer.hh"
 #include "sweep/plan.hh"
 
 namespace sdv {
@@ -238,7 +240,8 @@ fig12Report(const std::vector<RunOutcome> &outcomes)
            byWidth(
                outcomes, "Port occupancy",
                [](const RunOutcome &o) {
-                   return o.res.ports.occupancy(o.cfg.dcachePorts);
+                   return o.res.ports.occupancy(o.cfg.dcachePorts,
+                                                o.res.core.cycles);
                },
                /*percent=*/true, 1);
 }
@@ -404,8 +407,168 @@ headlineReport(const std::vector<RunOutcome> &outcomes)
 }
 
 std::string
-planReport(const std::vector<RunOutcome> &outcomes)
+fig01Report(const SweepPlan &plan)
 {
+    // Benchmarks are weighted equally (each SPEC program contributed
+    // the same 100M-instruction sample in the paper).
+    double int_frac[11] = {}, fp_frac[11] = {};
+    double int_lt4 = 0, fp_lt4 = 0;
+    unsigned n_int = 0, n_fp = 0;
+    for (const Workload *w : plan.workloads) {
+        const StrideProfile prof =
+            profileStrides(w->instantiate(plan.scale, plan.footprint));
+        double *frac = w->isFp ? fp_frac : int_frac;
+        for (unsigned s = 0; s < 10; ++s)
+            frac[s] += prof.strideHist.fraction(s);
+        frac[10] += prof.strideHist.overflowFraction();
+        (w->isFp ? fp_lt4 : int_lt4) += prof.stridedBelow4Fraction();
+        (w->isFp ? n_fp : n_int) += 1;
+    }
+    for (unsigned s = 0; s <= 10; ++s) {
+        int_frac[s] /= n_int ? n_int : 1;
+        fp_frac[s] /= n_fp ? n_fp : 1;
+    }
+
+    TextTable t("Stride distribution (percentage of dynamic stride "
+                "samples, benchmarks equally weighted)");
+    t.setHeader({"stride (elements)", "SpecInt", "SpecFP"});
+    for (unsigned s = 0; s < 10; ++s)
+        t.addRow({std::to_string(s), TextTable::percent(int_frac[s]),
+                  TextTable::percent(fp_frac[s])});
+    t.addSeparator();
+    t.addRow({">9 / irregular", TextTable::percent(int_frac[10]),
+              TextTable::percent(fp_frac[10])});
+
+    std::string out = banner("Figure 1 - stride distribution",
+                             "stride 0 most frequent for both suites; "
+                             "<4-element strides are 97.9% (INT) / "
+                             "81.3% (FP) of strided loads") +
+                      t.render() + "\n";
+    out += "strided loads with |stride| < 4 elements:\n";
+    appendf(out, "  SpecInt: %5.1f%%   (paper: 97.9%%)\n",
+            100.0 * int_lt4 / (n_int ? n_int : 1));
+    appendf(out, "  SpecFP:  %5.1f%%   (paper: 81.3%%)\n",
+            100.0 * fp_lt4 / (n_fp ? n_fp : 1));
+    return out;
+}
+
+std::string
+fig03Report(const SweepPlan &plan)
+{
+    SuiteTable table({"vectorizable", "loads", "arith"});
+    for (const Workload *w : plan.workloads) {
+        const VectAnalysis a = analyzeVectorizability(
+            w->instantiate(plan.scale, plan.footprint));
+        table.add(w->name, w->isFp,
+                  {a.fraction(),
+                   double(a.vectorizableLoads) / double(a.insts),
+                   double(a.vectorizableArith) / double(a.insts)});
+    }
+    return banner("Figure 3 - percentage of vectorizable instructions",
+                  "unbounded resources: 47% of SpecInt95, 51% of "
+                  "SpecFP95 instructions can be vectorized") +
+           table.render("Vectorizable fraction of dynamic instructions",
+                        /*percent=*/true, 1) +
+           "\npaper reference: INTEGER ~47%, FP ~51%\n";
+}
+
+namespace {
+
+/** @return the Figure 11 grid's 1pV machine of @p width, so Table 1
+ *  can never drift from what the sweeps simulate. */
+CoreConfig
+registryConfig(unsigned width)
+{
+    const std::string group = std::to_string(width) + "w";
+    for (const GridConfig &g : figureGrid("fig11"))
+        if (g.group == group && g.column == "1pV")
+            return g.cfg;
+    panic("fig11 grid lost its ", group, "/1pV column");
+}
+
+/** Append the Table 1 parameters of the @p width-way machine. */
+void
+appendConfig(std::string &out, unsigned width)
+{
+    const CoreConfig cfg = registryConfig(width);
+    appendf(out, "%u-way processor\n", width);
+    appendf(out, "  fetch/decode/issue/commit width : %u/%u/%u/%u\n",
+            cfg.fetchWidth, cfg.decodeWidth, cfg.issueWidth,
+            cfg.commitWidth);
+    appendf(out, "  instruction window (ROB)        : %u\n",
+            cfg.robEntries);
+    appendf(out, "  load/store queue                : %u\n",
+            cfg.lsqEntries);
+    appendf(out,
+            "  scalar FUs (int/intMulDiv/fpAdd/fpMulDiv): %u/%u/%u/%u\n",
+            cfg.fu.intAlu, cfg.fu.intMulDiv, cfg.fu.fpAdd,
+            cfg.fu.fpMulDiv);
+    appendf(out,
+            "  vector FUs (int/intMulDiv/fpAdd/fpMulDiv): %u/%u/%u/%u\n",
+            cfg.engine.fu.intAlu, cfg.engine.fu.intMulDiv,
+            cfg.engine.fu.fpAdd, cfg.engine.fu.fpMulDiv);
+    appendf(out, "  branch predictor                : gshare, %u entries\n",
+            cfg.gshareEntries);
+    appendf(out, "  L1I: %lluKB %u-way %uB lines, %llu-cycle hit\n",
+            (unsigned long long)cfg.mem.l1iSize / 1024, cfg.mem.l1iAssoc,
+            cfg.mem.l1iLineBytes,
+            (unsigned long long)cfg.mem.l1iHitCycles);
+    appendf(out,
+            "  L1D: %lluKB %u-way %uB lines, %llu-cycle hit, "
+            "%llu-cycle miss, %u MSHRs\n",
+            (unsigned long long)cfg.mem.l1dSize / 1024, cfg.mem.l1dAssoc,
+            cfg.mem.l1dLineBytes,
+            (unsigned long long)cfg.mem.l1dHitCycles,
+            (unsigned long long)cfg.mem.l1dMissCycles,
+            cfg.mem.mshrEntries);
+    appendf(out, "  L2 : %lluKB %u-way %uB lines, +%llu-cycle miss\n",
+            (unsigned long long)cfg.mem.l2Size / 1024, cfg.mem.l2Assoc,
+            cfg.mem.l2LineBytes,
+            (unsigned long long)cfg.mem.l2MissCycles);
+    appendf(out, "  vector registers                : %u x %u x 64-bit\n",
+            cfg.engine.numVregs, cfg.engine.vlen);
+    appendf(out, "  TL  : %u-way x %u sets (conf %u)\n", cfg.engine.tlWays,
+            cfg.engine.tlSets, cfg.engine.tlConfidence);
+    appendf(out, "  VRMT: %u-way x %u sets\n\n", cfg.engine.vrmtWays,
+            cfg.engine.vrmtSets);
+}
+
+} // namespace
+
+std::string
+table1Report(const SweepPlan &plan)
+{
+    std::string out = banner("Table 1 - processor microarchitectural "
+                             "parameters",
+                             "4-way and 8-way machines; extra storage "
+                             "totals ~56KB");
+    appendConfig(out, 4);
+    appendConfig(out, 8);
+
+    const StorageCost cost = storageCost(registryConfig(4));
+    out += "additional storage (Section 4.1):\n";
+    appendf(out, "  vector register file : %6llu bytes (paper: 4096)\n",
+            (unsigned long long)cost.vectorRegisterFileBytes);
+    appendf(out, "  VRMT                 : %6llu bytes (paper: 4608)\n",
+            (unsigned long long)cost.vrmtBytes);
+    appendf(out, "  Table of Loads       : %6llu bytes (paper: 49152)\n",
+            (unsigned long long)cost.tlBytes);
+    appendf(out, "  total                : %6llu bytes (~56KB)\n",
+            (unsigned long long)cost.totalBytes());
+
+    appendf(out, "\nworkload footprints at --scale %u, --footprint %s:\n",
+            plan.scale, footprintName(plan.footprint));
+    for (const Workload *w : plan.workloads)
+        appendf(out, "  %-9s %s\n", w->name.c_str(),
+                describeFootprint(*w, plan.scale, plan.footprint).c_str());
+    return out;
+}
+
+std::string
+planReport(const SweepPlan &plan, const std::vector<RunOutcome> &outcomes)
+{
+    if (const Inspection inspect = planInspection(plan.name))
+        return inspect(plan);
     std::string out;
     for (auto first = outcomes.begin(); first != outcomes.end();) {
         auto last = first;

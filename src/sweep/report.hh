@@ -1,10 +1,11 @@
 /**
  * @file
- * The paper's figures as text: one report per figure plan, rendered
- * from that plan's outcomes in the grid order plan.cc defines, so a
- * figure's layout is known in this module only. sdv_sweep prints
- * planReport() after its run summary. Reports return their text and
- * print nothing.
+ * The paper's figures and tables as text: one report per plan. A
+ * figure that simulates is rendered from its plan's outcomes in the
+ * grid order plan.cc defines, so a figure's layout is known in this
+ * module only; Figures 1 and 3 and Table 1 inspect their plan's
+ * programs instead. sdv_sweep prints planReport() after its run
+ * summary. Reports return their text and print nothing.
  */
 
 #ifndef SDV_SWEEP_REPORT_HH
@@ -71,12 +72,27 @@ std::string ablationReport(const std::vector<RunOutcome> &outcomes);
 std::string headlineReport(const std::vector<RunOutcome> &outcomes);
 /** @} */
 
+/** @name Inspection reports
+ * Each inspects the programs of its plan's workloads at the plan's
+ * scale and footprint, without simulating them; the plan has no jobs.
+ * @{ */
+/** Figure 1: the stride distribution of each suite (profileStrides). */
+std::string fig01Report(const SweepPlan &plan);
+/** Figure 3: the vectorizable fraction (analyzeVectorizability). */
+std::string fig03Report(const SweepPlan &plan);
+/** Table 1: the Figure 11 grid's 1pV machines, their Section 4.1
+ *  storage cost and the footprints of the plan's workloads. */
+std::string table1Report(const SweepPlan &plan);
+/** @} */
+
 /**
- * @return the reports of @p outcomes: each run of outcomes of one
- * figure (RunOutcome::figure) rendered by that plan's report, in plan
- * order. A plan without a report ("attack") adds nothing.
+ * @return the report of @p plan: its inspection when it has one,
+ * otherwise each run of @p outcomes of one figure (RunOutcome::figure)
+ * rendered by that plan's report, in plan order. A plan without a
+ * report ("attack") adds nothing.
  */
-std::string planReport(const std::vector<RunOutcome> &outcomes);
+std::string planReport(const SweepPlan &plan,
+                       const std::vector<RunOutcome> &outcomes);
 
 } // namespace sweep
 } // namespace sdv

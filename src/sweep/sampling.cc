@@ -113,8 +113,6 @@ aggregateSamples(const SampleSet &set,
     sdv_assert(set.samples.size() == measured.size(),
                "sample set / measurement mismatch");
     SimResult agg;
-    agg.sampled = true;
-    agg.samplesMeasured = unsigned(measured.size());
     agg.finished = true;
     agg.verified = false; // estimates cannot be verified functionally
 

@@ -54,6 +54,8 @@ struct SamplePlan
     std::uint64_t periodInsts = 0;
 
     bool enabled() const { return samples > 0; }
+
+    bool operator==(const SamplePlan &) const = default;
 };
 
 /** One captured sample boundary. */

@@ -238,24 +238,4 @@ describeFootprint(const WorkloadSpec &w, unsigned scale, Footprint fp)
     return out;
 }
 
-std::vector<std::string>
-intWorkloadNames()
-{
-    std::vector<std::string> names;
-    for (const WorkloadSpec &w : allWorkloads())
-        if (!w.isFp)
-            names.push_back(w.name);
-    return names;
-}
-
-std::vector<std::string>
-fpWorkloadNames()
-{
-    std::vector<std::string> names;
-    for (const WorkloadSpec &w : allWorkloads())
-        if (w.isFp)
-            names.push_back(w.name);
-    return names;
-}
-
 } // namespace sdv

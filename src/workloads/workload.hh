@@ -168,16 +168,10 @@ Program buildWorkload(const std::string &name, unsigned scale = 1,
  * @return a one-line footprint summary for @p w at (@p scale, @p fp):
  * total initialized bytes plus the dominant extents, e.g.
  * "160.0 KiB (htab 128.0 KiB, input 16.0 KiB, ...)". Used by the
- * sweep driver's --list and the Table 1 bench.
+ * sweep driver's --list and its table1 plan.
  */
 std::string describeFootprint(const WorkloadSpec &w, unsigned scale,
                               Footprint fp);
-
-/** @return the 8 SpecInt95-like workload names in paper order. */
-std::vector<std::string> intWorkloadNames();
-
-/** @return the 4 SpecFP95-like workload names in paper order. */
-std::vector<std::string> fpWorkloadNames();
 
 // Individual kernel models and builders (one translation unit each).
 FootprintPlan planGo(unsigned scale, Footprint fp);

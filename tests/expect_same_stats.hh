@@ -28,8 +28,6 @@ expectSameStats(const SimResult &a, const SimResult &b,
     SCOPED_TRACE(label);
     EXPECT_EQ(a.finished, b.finished);
     EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.sampled, b.sampled);
-    EXPECT_EQ(a.samplesMeasured, b.samplesMeasured);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.insts, b.insts);
     EXPECT_DOUBLE_EQ(a.ipc, b.ipc);

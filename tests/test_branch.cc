@@ -68,16 +68,6 @@ TEST(Gshare, HistoryShiftsAndMasks)
     EXPECT_EQ(g.history(), 0b1011u); // 4-bit mask drops the oldest bit
 }
 
-TEST(Gshare, ResetClearsState)
-{
-    Gshare g(256, 4);
-    for (int i = 0; i < 4; ++i)
-        g.update(0x40, true);
-    g.reset();
-    EXPECT_EQ(g.history(), 0u);
-    EXPECT_FALSE(g.predict(0x40)); // back to weakly not-taken
-}
-
 /** Property sweep: table sizes and history lengths stay consistent. */
 class GshareGeometry
     : public ::testing::TestWithParam<std::tuple<unsigned, unsigned>>
@@ -165,16 +155,6 @@ TEST(Ras, OverflowWrapsKeepingNewest)
     ASSERT_TRUE(ras.pop(out));
     EXPECT_EQ(out, 2u);
     EXPECT_FALSE(ras.pop(out));
-}
-
-TEST(Ras, ResetEmpties)
-{
-    ReturnAddressStack ras(4);
-    ras.push(7);
-    ras.reset();
-    Addr out = 0;
-    EXPECT_FALSE(ras.pop(out));
-    EXPECT_EQ(ras.size(), 0u);
 }
 
 } // namespace

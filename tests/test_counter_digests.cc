@@ -17,7 +17,10 @@
  * run `./build/test_counter_digests`, and replace the failing test's
  * `pinned` table with the values its failure messages print (each
  * names its block). List the blocks that moved, and why, in the
- * change's notes.
+ * change's notes. Deleting a counter moves its block's digest with no
+ * statistic moved: first fold the counter's surviving copy in at the
+ * deleted word's place and check that the old digest comes back, then
+ * re-pin.
  */
 
 #include <array>
@@ -98,9 +101,9 @@ TEST(CounterDigests, PlanAllQuickMatchesPinnedDigests)
 {
     constexpr PinnedDigests pinned = {{
         {"core", 0x2ebdd4bed984307dULL},
-        {"engine", 0x9a740078e2c82e59ULL},
+        {"engine", 0xd13cd3125a1dd60dULL},
         {"datapath", 0xe8a8ebbec8aa63dcULL},
-        {"ports", 0xa095810b14c560a8ULL},
+        {"ports", 0x86e20b1efd845e51ULL},
         {"wideBus", 0x4a8edce25ef47487ULL},
         {"fates", 0xcfb803d77568acb7ULL},
         {"l1d", 0x59a2fd6dc653eb39ULL},
@@ -114,9 +117,9 @@ TEST(CounterDigests, PlanAllQuickQuiescedMatchesPinnedDigests)
 {
     constexpr PinnedDigests pinned = {{
         {"core", 0x59ea7ba7d72c417fULL},
-        {"engine", 0x71496b5ad55252f9ULL},
+        {"engine", 0x1aafa0e9a5477f2cULL},
         {"datapath", 0x994042689cde64caULL},
-        {"ports", 0xab6893ef244553f1ULL},
+        {"ports", 0xcb82f62ed061d630ULL},
         {"wideBus", 0x8d679d3a76404259ULL},
         {"fates", 0x8f46010827453aa0ULL},
         {"l1d", 0xd5a1b81bf35f088cULL},
@@ -132,9 +135,9 @@ TEST(CounterDigests, PlanAllQuickSampledMatchesPinnedDigests)
 {
     constexpr PinnedDigests pinned = {{
         {"core", 0xdec57e323e270d77ULL},
-        {"engine", 0x977d208bdf84931eULL},
+        {"engine", 0xb8573194081f4915ULL},
         {"datapath", 0x5273c98b1f570fa0ULL},
-        {"ports", 0xa955c8d29826f799ULL},
+        {"ports", 0xeb5bd3c2a0cd36f7ULL},
         {"wideBus", 0x9e2e75d768d491fdULL},
         {"fates", 0x8469d54bdeeed05aULL},
         {"l1d", 0x6f84af951ff96a49ULL},

@@ -184,7 +184,6 @@ TEST(Sampling, EstimateMatchesTiledFullRunWithinTwoPercent)
         }
         const SimResult e = sweep::aggregateSamples(set, est);
         const SimResult f = sweep::aggregateSamples(set, full);
-        EXPECT_TRUE(e.sampled);
         EXPECT_NEAR(e.ipc, f.ipc, f.ipc * 0.02) << w.name;
         // The estimate must be an estimate: for runs long enough to
         // sample, it measures fewer instructions than the full run.
@@ -210,10 +209,8 @@ TEST(Sampling, SampledSweepSerialEqualsParallelByteForByte)
     eopt.jobs = 4;
     const auto parallel = sweep::runPlan(plan, eopt);
     ASSERT_EQ(serial.size(), parallel.size());
-    for (const auto &o : serial) {
-        EXPECT_TRUE(o.res.sampled);
+    for (const auto &o : serial)
         EXPECT_GT(o.samples, 0u);
-    }
     EXPECT_EQ(sweep::resultsJson(serial), sweep::resultsJson(parallel));
 }
 
@@ -235,7 +232,6 @@ TEST(Sampling, TooShortProgramsFallBackToExactFullRuns)
     const auto fallback = sweep::runPlan(plan, sampled);
 
     ASSERT_EQ(exact.size(), fallback.size());
-    EXPECT_FALSE(fallback[0].res.sampled);
     EXPECT_EQ(fallback[0].samples, 0u);
     EXPECT_EQ(exact[0].res.cycles, fallback[0].res.cycles);
     EXPECT_EQ(exact[0].res.insts, fallback[0].res.insts);

@@ -92,15 +92,6 @@ TEST(Cache, CleanEvictionHasNoWriteback)
     EXPECT_FALSE(res.writeback);
 }
 
-TEST(Cache, InvalidateRemovesLine)
-{
-    Cache c("t", 1024, 2, 32);
-    c.access(0x100, false);
-    EXPECT_TRUE(c.probe(0x100));
-    c.invalidate(0x100);
-    EXPECT_FALSE(c.probe(0x100));
-}
-
 TEST(Cache, StatsAccumulate)
 {
     Cache c("t", 1024, 2, 32);
@@ -282,7 +273,7 @@ TEST(Ports, OccupancyComputation)
         if (c < 5)
             ports.requestLoadWord(Addr(c) * 64);
     }
-    EXPECT_DOUBLE_EQ(ports.stats().occupancy(2), 5.0 / 20.0);
+    EXPECT_DOUBLE_EQ(ports.stats().occupancy(2, 10), 5.0 / 20.0);
 }
 
 TEST(Ports, WideBusLedgerClassifiesUsefulWords)

@@ -6,7 +6,7 @@
  * serialization must be deterministic across executor schedules, the
  * ring bound must hold, and the telemetry interval sums must equal the
  * end-of-run aggregates exactly. Plus unit coverage for the shared
- * Histogram quantile/JSON helpers the trace reports are built on.
+ * Histogram JSON shape of the JSON records.
  */
 
 #include <deque>
@@ -220,29 +220,7 @@ TEST(Observability, TelemetrySumsEqualAggregatesExactly)
 
 // --- histogram helpers -----------------------------------------------------
 
-TEST(Histogram, QuantilesWalkTheCumulativeDistribution)
-{
-    Histogram h(8);
-    EXPECT_EQ(h.quantile(0.5), -1); // empty
-
-    h.sample(1, 10);
-    h.sample(3, 30);
-    h.sample(6, 60);
-    EXPECT_EQ(h.quantile(0.0), 1);
-    EXPECT_EQ(h.quantile(0.10), 1);
-    EXPECT_EQ(h.quantile(0.25), 3);
-    EXPECT_EQ(h.quantile(0.40), 3);
-    EXPECT_EQ(h.quantile(0.41), 6);
-    EXPECT_EQ(h.quantile(1.0), 6);
-
-    h.sample(100);  // overflow bucket
-    h.sample(-5);   // underflow bucket
-    EXPECT_EQ(h.quantile(1.0), 8);  // numBuckets() == overflow
-    EXPECT_EQ(h.quantile(0.0), -1); // underflow
-    EXPECT_EQ(h.total(), 102u);
-}
-
-TEST(Histogram, JsonAndMergeUseTheSharedShape)
+TEST(Histogram, JsonUsesTheSharedShape)
 {
     Histogram h(3);
     h.sample(0, 2);
@@ -251,14 +229,6 @@ TEST(Histogram, JsonAndMergeUseTheSharedShape)
     EXPECT_EQ(h.toJson(),
               "{\"buckets\":[2, 0, 1],\"underflow\":0,\"overflow\":4,"
               "\"total\":7}");
-
-    Histogram other(3);
-    other.sample(1, 5);
-    other.sample(-1, 3);
-    h.merge(other);
-    EXPECT_EQ(h.bucket(1), 5u);
-    EXPECT_EQ(h.underflow(), 3u);
-    EXPECT_EQ(h.total(), 15u);
 
     const std::uint64_t raw[4] = {1, 2, 3, 4};
     EXPECT_EQ(bucketArrayJson(raw, 4), "[1, 2, 3, 4]");

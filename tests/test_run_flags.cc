@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests of the run-flag table (sweep/options.hh) that sdv_sweep and
- * the bench harness parse through: the one number parser rejects
- * malformed and out-of-range values with an error naming the flag and
- * the text given, each flag sets the field it documents, a front end
- * or mode that reads a subset of the table rejects every flag outside
- * it, and the cross-flag checks stop the combinations that cannot
- * work. Also the writers behind the output flags (--json,
+ * Tests of the run-flag table (sweep/options.hh) that sdv_sweep
+ * parses through: the one number parser rejects malformed and
+ * out-of-range values with an error naming the flag and the text
+ * given, each flag sets the field it documents, a mode that reads a
+ * subset of the table rejects every flag outside it, and the
+ * cross-flag checks stop the combinations that cannot work, an
+ * inspection plan's ignored flags among them. Also the writers behind the output flags (--json,
  * --trace-events, --fuzz-repro): each reports a write that fails part
  * way, and the error messages of panic(), fatal() and sdv_assert, which
  * name the file and line of their caller.
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -155,14 +156,14 @@ TEST(RunFlags, SubsetTakesOnlyItsFlags)
 {
     sweep::RunOptions o;
     EXPECT_EQ(parse(o, {"--scale", "2", "--footprint", "l2", "--quick"},
-                    {"--scale", "--footprint", "--quick"}),
+                    {"--scale", "--footprint", "--quick", "--jobs",
+                     "--seed"}),
               "");
     EXPECT_EQ(o.plan.scale, 2u);
 
-    // The inspection benches, sdv_sweep --list and sdv_sweep
-    // --fuzz-speculation: every run flag outside the subset is unknown.
+    // sdv_sweep --list and sdv_sweep --fuzz-speculation: every run flag
+    // outside the subset is unknown.
     const std::vector<std::vector<std::string_view>> subsets = {
-        {"--scale", "--footprint", "--quick"},
         {"--scale"},
         {"--scale", "--footprint", "--quick", "--jobs", "--seed"},
     };
@@ -200,13 +201,13 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
 {
     sweep::RunOptions sampled;
     ASSERT_EQ(parse(sampled, {"--samples", "3", "--verify"}), "");
-    EXPECT_EXIT(sweep::checkRunOptions(sampled),
+    EXPECT_EXIT(sweep::checkRunOptions(sampled, "fig09"),
                 ::testing::ExitedWithCode(1),
                 "--verify is incompatible with --samples");
 
     sweep::RunOptions telemetry;
     ASSERT_EQ(parse(telemetry, {"--telemetry", "100"}), "");
-    EXPECT_EXIT(sweep::checkRunOptions(telemetry),
+    EXPECT_EXIT(sweep::checkRunOptions(telemetry, "fig09"),
                 ::testing::ExitedWithCode(1), "--telemetry needs --json");
 
     // --quiesce-interval applies to full runs only.
@@ -214,18 +215,20 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
     ASSERT_EQ(parse(quiesced, {"--samples", "3", "--quiesce-interval",
                                "2000"}),
               "");
-    EXPECT_EXIT(sweep::checkRunOptions(quiesced),
+    EXPECT_EXIT(sweep::checkRunOptions(quiesced, "fig09"),
                 ::testing::ExitedWithCode(1),
                 "--quiesce-interval is incompatible with --samples");
 
     // A flag that acts only under another one is refused without it,
     // instead of being recorded in the JSON header of a run it did not
     // shape; an observer is refused with --samples, whose jobs it
-    // cannot observe.
+    // cannot observe; an inspection plan, which runs no job, refuses
+    // every run flag it does not read.
     struct Case
     {
         std::vector<const char *> args;
         const char *error;
+        const char *plan = "fig09";
     };
     const char *sampling = "--warmup, --sample-insts and --sample-period "
                            "need --samples";
@@ -233,6 +236,7 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
                           "--trace-events";
     const char *observing = "--trace-events and --telemetry are "
                             "incompatible with --samples";
+    const char *inspecting = "inspects programs and runs no job";
     const std::vector<Case> refused = {
         {{"--warmup", "5", "--json", "o.json"}, sampling},
         {{"--sample-insts", "500"}, sampling},
@@ -242,14 +246,18 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
         {{"--samples", "3", "--trace-events", "t.json"}, observing},
         {{"--samples", "3", "--telemetry", "500", "--json", "tj.json"},
          observing},
+        {{"--quick", "--samples", "3"}, inspecting, "fig01"},
+        {{"--json", "t1.json"}, inspecting, "table1"},
     };
+    std::filesystem::remove("t1.json");
     for (const Case &c : refused) {
         sweep::RunOptions o;
         ASSERT_EQ(parse(o, c.args), "") << c.args.front();
-        EXPECT_EXIT(sweep::checkRunOptions(o), ::testing::ExitedWithCode(1),
-                    c.error)
+        EXPECT_EXIT(sweep::checkRunOptions(o, c.plan),
+                    ::testing::ExitedWithCode(1), c.error)
             << c.args.front();
     }
+    EXPECT_FALSE(std::filesystem::exists("t1.json"));
 
     // Each passes with the flag it needs, or at its own default.
     const std::vector<std::vector<const char *>> allowed = {
@@ -266,12 +274,27 @@ TEST(RunFlags, CrossFlagChecksStopWhatCannotWork)
         ASSERT_EQ(parse(o, args), "") << args.front();
         EXPECT_EXIT(
             {
-                sweep::checkRunOptions(o);
+                sweep::checkRunOptions(o, "fig09");
                 std::exit(0);
             },
             ::testing::ExitedWithCode(0), "")
             << args.front();
     }
+
+    // An inspection plan takes its own three flags, and the others at
+    // their defaults.
+    sweep::RunOptions inspected;
+    ASSERT_EQ(parse(inspected, {"--scale", "4", "--footprint", "mem",
+                                "--quick", "--jobs", "1", "--seed", "0"}),
+              "");
+    for (const char *plan : {"fig01", "fig03", "table1"})
+        EXPECT_EXIT(
+            {
+                sweep::checkRunOptions(inspected, plan);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(0), "")
+            << plan;
 }
 
 // --- result writers --------------------------------------------------------

@@ -10,7 +10,7 @@
  * run in full), the capture passes sharing the pool with the units
  * (same records, warnings and capture counts at 1, 2 and 4 jobs) and
  * the figure reports (headline formulas, one report per figure of
- * --plan all).
+ * --plan all, and the inspection plans' reports without jobs).
  */
 
 #include <algorithm>
@@ -314,6 +314,15 @@ TEST(ImageChecksum, EveryTailLengthGivesADistinctValue)
 
 // --- plan registry ---------------------------------------------------------
 
+/** @return plan @p name under --quick. */
+sweep::SweepPlan
+quickPlan(const std::string &name)
+{
+    sweep::PlanOptions opt;
+    opt.quick = true;
+    return sweep::buildPlan(name, opt);
+}
+
 TEST(SweepPlan, RegistryCoversEveryFigureGrid)
 {
     EXPECT_TRUE(sweep::havePlan("fig11"));
@@ -328,7 +337,11 @@ TEST(SweepPlan, RegistryCoversEveryFigureGrid)
     opt.quick = true;
     for (const sweep::PlanInfo &info : sweep::allPlans()) {
         const sweep::SweepPlan plan = sweep::buildPlan(info.name, opt);
-        EXPECT_FALSE(plan.jobs.empty()) << info.name;
+        // Only the three inspection plans simulate nothing.
+        EXPECT_EQ(plan.jobs.empty(),
+                  info.name == "fig01" || info.name == "fig03" ||
+                      info.name == "table1")
+            << info.name;
         // Quick mode: 2 INT + 1 FP workloads — except the attack plan,
         // whose suite is the 2-workload timing-channel pair (quick mode
         // cannot shrink it further).
@@ -346,9 +359,46 @@ TEST(SweepPlan, RegistryCoversEveryFigureGrid)
     }
 }
 
+TEST(SweepPlan, InspectionPlansHoldTheirWorkloadsAndRenderWithoutJobs)
+{
+    const std::vector<std::pair<std::string, std::string>> banners = {
+        {"fig01", "Figure 1 - stride distribution\n"},
+        {"fig03", "Figure 3 - percentage of vectorizable instructions\n"},
+        {"table1",
+         "Table 1 - processor microarchitectural parameters\n"},
+    };
+    for (const auto &[name, title] : banners) {
+        const sweep::SweepPlan plan = quickPlan(name);
+        EXPECT_NE(sweep::planInspection(name), nullptr) << name;
+        EXPECT_TRUE(plan.jobs.empty()) << name;
+        std::vector<std::string> workloads;
+        for (const Workload *w : plan.workloads)
+            workloads.push_back(w->name);
+        EXPECT_EQ(workloads,
+                  (std::vector<std::string>{"go", "m88ksim", "swim"}))
+            << name;
+        // The banner: a rule, then the title line.
+        const std::string report = sweep::planReport(plan, {});
+        EXPECT_TRUE(report.starts_with("=====")) << report;
+        EXPECT_EQ(report.substr(report.find('\n') + 1, title.size()), title)
+            << report;
+        if (name == "table1") {
+            EXPECT_NE(report.find("  total                :  57856 bytes "
+                                  "(~56KB)\n"),
+                      std::string::npos)
+                << report;
+            // The footprints listed are the plan's: the quick three.
+            EXPECT_NE(report.find("\n  swim "), std::string::npos);
+            EXPECT_EQ(report.find("\n  fpppp "), std::string::npos);
+        }
+    }
+    EXPECT_EQ(sweep::planInspection("fig11"), nullptr);
+    EXPECT_EQ(sweep::planInspection("all"), nullptr);
+}
+
 TEST(SweepPlan, QuickSubsetIsFirstTwoIntAndFirstFp)
 {
-    // The one --quick rule behind plans, the fuzz campaign and benches.
+    // The one --quick rule behind plans and the fuzz campaign.
     std::vector<std::string> names;
     for (const Workload *w : selectWorkloads(allWorkloads(), true))
         names.push_back(w->name);
@@ -397,17 +447,14 @@ TEST(SweepPlan, SeedsAreStreamAndOrderIndependent)
 
 // --- figure reports --------------------------------------------------------
 
-/** @return the outcomes of plan @p name (--quick) without simulating:
- *  each job's identity stamped into a RunOutcome whose counters @p fill
- *  sets. */
+/** @return the outcomes of @p plan without simulating: each job's
+ *  identity stamped into a RunOutcome whose counters @p fill sets. */
 std::vector<sweep::RunOutcome>
-stampedOutcomes(const std::string &name,
+stampedOutcomes(const sweep::SweepPlan &plan,
                 const std::function<void(sweep::RunOutcome &)> &fill)
 {
-    sweep::PlanOptions opt;
-    opt.quick = true;
     std::vector<sweep::RunOutcome> outcomes;
-    for (const sweep::SweepJob &job : sweep::buildPlan(name, opt).jobs) {
+    for (const sweep::SweepJob &job : plan.jobs) {
         sweep::RunOutcome o;
         o.figure = job.figure;
         o.workload = job.workload;
@@ -428,8 +475,9 @@ TEST(Reports, HeadlineOfAPaperMachinePrintsThePaperClaims)
     // Counters under which every headline formula reads the paper's
     // value, the same for each workload of a suite. perfbench/gate.py
     // copies the cycle-sum formulas for paper_err_pp.
+    const sweep::SweepPlan plan = quickPlan("headline");
     const std::vector<sweep::RunOutcome> outcomes =
-        stampedOutcomes("headline", [](sweep::RunOutcome &o) {
+        stampedOutcomes(plan, [](sweep::RunOutcome &o) {
             SimResult &r = o.res;
             if (o.column == "4w-1pV") {
                 r.cycles = 1000;
@@ -447,7 +495,7 @@ TEST(Reports, HeadlineOfAPaperMachinePrintsThePaperClaims)
             }
         });
     ASSERT_EQ(outcomes.size(), 12u);
-    const std::string report = sweep::planReport(outcomes);
+    const std::string report = sweep::planReport(plan, outcomes);
     for (const char *line : {"  speedup: +19.0%   (paper: +19%)\n",
                              "  SpecInt: -15.0%   (paper: -15%)\n",
                              "  SpecFP:  -20.0%   (paper: -20%)\n",
@@ -462,8 +510,9 @@ TEST(Reports, HeadlineOfAPaperMachinePrintsThePaperClaims)
 
 TEST(Reports, PlanAllPrintsEachFigureOnceInPlanOrder)
 {
+    const sweep::SweepPlan all = quickPlan("all");
     const std::string report = sweep::planReport(
-        stampedOutcomes("all", [](sweep::RunOutcome &o) {
+        all, stampedOutcomes(all, [](sweep::RunOutcome &o) {
             o.res.cycles = 1000;
             o.res.insts = 1500;
             o.res.ipc = 1.5;
@@ -507,8 +556,9 @@ TEST(Reports, PlanAllPrintsEachFigureOnceInPlanOrder)
     EXPECT_EQ(tables, 10u);
 
     // The attack plan is no paper figure.
+    const sweep::SweepPlan attack = quickPlan("attack");
     EXPECT_EQ(sweep::planReport(
-                  stampedOutcomes("attack", [](sweep::RunOutcome &) {})),
+                  attack, stampedOutcomes(attack, [](sweep::RunOutcome &) {})),
               "");
 }
 
@@ -602,14 +652,6 @@ sampledOptions()
     return opt;
 }
 
-sweep::SweepPlan
-quickPlan(const std::string &name)
-{
-    sweep::PlanOptions popt;
-    popt.quick = true;
-    return sweep::buildPlan(name, popt);
-}
-
 TEST(SweepForks, CompatibleAgreesWithValidateOnEveryGridConfig)
 {
     // The executor forks a job when Checkpoint::compatible holds for
@@ -619,10 +661,10 @@ TEST(SweepForks, CompatibleAgreesWithValidateOnEveryGridConfig)
     const sweep::ExecOptions opt;
     std::size_t forks = 0, fallbacks = 0;
     for (const sweep::PlanInfo &info : sweep::allPlans()) {
-        if (info.name == "all")
+        const sweep::SweepPlan plan = quickPlan(info.name);
+        if (info.name == "all" || plan.jobs.empty())
             continue;
         SCOPED_TRACE(info.name);
-        const sweep::SweepPlan plan = quickPlan(info.name);
         const std::string &w = plan.jobs.front().workload;
         const Program &prog = keep(buildWorkload(w, plan.scale));
         const CoreConfig warm = sweep::warmConfig(plan, opt, w);

@@ -23,8 +23,6 @@ TEST(Workloads, RegistryListsTwelveInPaperOrder)
     EXPECT_EQ(all.front().name, "go");
     EXPECT_EQ(all[7].name, "vortex");
     EXPECT_EQ(all.back().name, "fpppp");
-    EXPECT_EQ(intWorkloadNames().size(), 8u);
-    EXPECT_EQ(fpWorkloadNames().size(), 4u);
     EXPECT_NE(findWorkload("swim"), nullptr);
     EXPECT_EQ(findWorkload("nonesuch"), nullptr);
 }

@@ -5,8 +5,11 @@
  * or estimated from interval-sample forks, prints the figure's report
  * (sweep/report.hh) and emits ordered JSON that
  * tools/compare_bench.py can diff against the checked-in baselines.
+ * Figures 1 and 3 and Table 1 are plans too: they inspect the
+ * workloads' programs and simulate nothing.
  *
  *   sdv_sweep --list
+ *   sdv_sweep --plan table1 --scale 4 --footprint mem
  *   sdv_sweep --plan fig11 --jobs 4 --json fig11.json
  *   sdv_sweep --plan all --quick --jobs 2
  *   sdv_sweep --plan fig11 --scale 4 --footprint mem --samples 3
@@ -211,10 +214,10 @@ main(int argc, char **argv)
             "nothing to run: give --plan NAME, --list or --fuzz-speculation");
     if (!sweep::havePlan(plan_name))
         fatal("unknown plan '", plan_name, "' (try --list)");
-    sweep::checkRunOptions(run);
-
-    // Warnings stay on: sampling fallbacks (full run on geometry
-    // mismatch, no sample boundary) must be visible.
+    sweep::checkRunOptions(run, plan_name);
+    if (metrics_summary && sweep::planInspection(plan_name))
+        fatal("plan ", plan_name, " inspects programs and runs no job: "
+              "--metrics-summary has nothing to measure");
 
     const sweep::SweepPlan plan = sweep::buildPlan(plan_name, popt);
     std::printf("plan %s: %zu jobs, %u thread(s), scale %u, "
@@ -266,7 +269,7 @@ main(int argc, char **argv)
 
     if (metrics_summary)
         std::fputs(metrics.summaryTable().c_str(), stdout);
-    std::fputs(sweep::planReport(outcomes).c_str(), stdout);
+    std::fputs(sweep::planReport(plan, outcomes).c_str(), stdout);
 
     if (!run.traceEventsPath.empty())
         sweep::writeTraceEvents(run.traceEventsPath, outcomes);

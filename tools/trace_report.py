@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Summarize a flight-recorder trace produced by --trace-events.
 
-The input is the Chrome/Perfetto trace-event JSON written by the bench
-harness or sdv_sweep: a {"traceEvents": [...]} document whose events
+The input is the Chrome/Perfetto trace-event JSON written by
+sdv_sweep: a {"traceEvents": [...]} document whose events
 are instants (ph "i") or vreg-lifetime async pairs (ph "b"/"e"), one
 pid per recorded run, timestamps in simulated cycles. otherData carries
 a per-source summary (recorded/dropped counts and the chain-lifetime
