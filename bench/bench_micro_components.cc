@@ -206,9 +206,9 @@ BM_CoreSimulation(benchmark::State &state)
         const SimResult r =
             simulate(makeConfig(4, 1, BusMode::WideBusSdv), prog,
                      10'000'000, /*verify=*/false);
-        cycles += r.cycles;
-        insts += r.insts;
-        benchmark::DoNotOptimize(r.ipc);
+        cycles += r.core.cycles;
+        insts += r.core.committedInsts;
+        benchmark::DoNotOptimize(r.core.ipc());
     }
     state.counters["cycles/s"] = benchmark::Counter(
         double(cycles), benchmark::Counter::kIsRate);

@@ -87,7 +87,7 @@ main()
                     makeConfig(4, 1, BusMode::WideBusSdv)}}) {
         const SimResult r = simulate(cfg, as.program);
         std::printf("%-28s %10llu %8.2f %12llu%s\n", label,
-                    (unsigned long long)r.cycles, r.ipc,
+                    (unsigned long long)r.core.cycles, r.core.ipc(),
                     (unsigned long long)r.memoryRequests(),
                     r.verified ? "" : "  (VERIFY FAILED)");
     }

@@ -69,9 +69,9 @@ main()
 
     std::printf("%-22s %10s %8s\n", "configuration", "cycles", "IPC");
     std::printf("%-22s %10llu %8.2f\n", "wide bus",
-                (unsigned long long)sdv_off.cycles, sdv_off.ipc);
+                (unsigned long long)sdv_off.core.cycles, sdv_off.core.ipc());
     std::printf("%-22s %10llu %8.2f\n", "wide bus + SDV",
-                (unsigned long long)sdv_on.cycles, sdv_on.ipc);
+                (unsigned long long)sdv_on.core.cycles, sdv_on.core.ipc());
     std::printf("\nvector state survives the squash: the stream's loads "
                 "and arithmetic revalidate after recovery instead of "
                 "re-executing.\n");

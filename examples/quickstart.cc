@@ -65,8 +65,8 @@ main()
                 "%s\n",
                 r.finished ? "yes" : "no", r.verified ? "yes" : "no");
     std::printf("cycles: %llu   instructions: %llu   IPC: %.2f\n\n",
-                (unsigned long long)r.cycles, (unsigned long long)r.insts,
-                r.ipc);
+                (unsigned long long)r.core.cycles,
+                (unsigned long long)r.core.committedInsts, r.core.ipc());
 
     std::printf("what the vectorization engine did:\n");
     std::printf("  vector load spawns (TL detections): %llu (+%llu "
@@ -91,6 +91,7 @@ main()
     const SimResult base =
         simulate(makeConfig(4, 1, BusMode::ScalarBus), prog);
     std::printf("\nspeedup vs 4-way scalar-bus baseline: %.1f%%\n",
-                100.0 * (double(base.cycles) / double(r.cycles) - 1.0));
+                100.0 * (double(base.core.cycles) / double(r.core.cycles) -
+                         1.0));
     return 0;
 }

@@ -28,7 +28,7 @@ main()
         std::printf("%-9s %9llu %6.1f%% %6.1f%% %7.2f %6.1f%%   %s\n",
                     w.name.c_str(), (unsigned long long)va.insts,
                     100.0 * sp.strideHist.fraction(0),
-                    100.0 * va.fraction(), r.ipc,
+                    100.0 * va.fraction(), r.core.ipc(),
                     100.0 * r.validationFraction(),
                     w.description.c_str());
         if (!r.verified)

@@ -196,8 +196,6 @@ Core::loadWarmState(Deserializer &des)
 void
 Core::commitCommon(DynInst &d)
 {
-    d.commitCycle = cycle_;
-
     // Figure 10: count instructions inside an open post-mispredict
     // window before possibly opening a new one below.
     if (fig10Remaining_ > 0) {
@@ -590,10 +588,7 @@ Core::decodeStage()
         DynInst &d = rob_.emplaceBack();
         d.seq = nextSeq_;
         d.rec = f.rec;
-        d.predTaken = f.predTaken;
-        d.predTarget = f.predTarget;
         d.mispredicted = f.mispredicted;
-        d.fetchCycle = f.fetchCycle;
 
         // Capture scalar dependences before the engine rewrites the
         // rename entries. The entry itself is excluded from
@@ -677,40 +672,30 @@ Core::predictControl(FetchedInst &f)
     const Addr fallthrough = pc + instBytes;
 
     if (in.isCondBranch()) {
-        f.predTaken = gshare_.predictAndUpdate(pc, f.rec.taken);
-        f.predTarget =
-            pc + Addr(std::int64_t(in.imm) * std::int64_t(instBytes));
-        f.mispredicted = f.predTaken != f.rec.taken;
+        const bool predTaken = gshare_.predictAndUpdate(pc, f.rec.taken);
+        f.mispredicted = predTaken != f.rec.taken;
         return;
     }
 
     switch (in.op) {
       case Opcode::BR:
-        f.predTaken = true;
-        f.predTarget = f.rec.nextPc;
         break;
       case Opcode::JAL:
-        f.predTaken = true;
-        f.predTarget = f.rec.nextPc;
         ras_.push(fallthrough);
         break;
       case Opcode::JALR: {
-        f.predTaken = true;
         ras_.push(fallthrough);
         Addr t = fallthrough;
         if (!btb_.lookup(pc, t))
             t = fallthrough;
-        f.predTarget = t;
         f.mispredicted = t != f.rec.nextPc;
         btb_.update(pc, f.rec.nextPc);
         break;
       }
       case Opcode::JR: {
-        f.predTaken = true;
         Addr t = 0;
         if (!ras_.pop(t) && !btb_.lookup(pc, t))
             t = fallthrough;
-        f.predTarget = t;
         f.mispredicted = t != f.rec.nextPc;
         btb_.update(pc, f.rec.nextPc);
         break;
@@ -756,7 +741,6 @@ Core::fetchStage()
         // The oracle executes straight into the queue slot: no
         // intermediate ExecRecord copies on the fetch hot path.
         FetchedInst &f = fetchQueue_.emplaceBack();
-        f.fetchCycle = cycle_;
         if (replay) {
             f.rec = replayQueue_.front();
             sdv_assert(f.rec.pc == fetchPc_, "replay pc mismatch");

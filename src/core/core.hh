@@ -41,7 +41,9 @@ namespace obs {
 class TraceRecorder;
 } // namespace obs
 
-/** Full machine configuration (Table 1 shapes live in sim/config). */
+/** Full machine configuration. The defaults here and in the member
+ *  structs are Table 1's 4-way machine; makeConfig (sim/config)
+ *  sets what the 8-way width, the port count and the bus mode change. */
 struct CoreConfig
 {
     unsigned fetchWidth = 4;   ///< instructions per cycle, <=1 taken branch
@@ -281,22 +283,12 @@ class Core : private VecExecContext
     struct FetchedInst
     {
         ExecRecord rec;
-        bool predTaken = false;
-        Addr predTarget = 0;
         bool mispredicted = false;
-        Cycle fetchCycle = 0;
 
         /** Recycle a fetch-queue slot. `rec` is left stale: every
          *  fetch path (compiled trace, interpreter, replay) overwrites
          *  it in full. */
-        void
-        reset()
-        {
-            predTaken = false;
-            predTarget = 0;
-            mispredicted = false;
-            fetchCycle = 0;
-        }
+        void reset() { mispredicted = false; }
     };
 
     void commitStage();

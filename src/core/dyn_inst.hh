@@ -34,7 +34,6 @@ struct DynInst
     VecRegRef spawnedDest;      ///< register allocated by the spawn
     VecRegRef valVreg;          ///< validation target register
     std::uint8_t valElem = 0;   ///< validation target element
-    bool valElemFellBack = false; ///< validation reverted to scalar
 
     // --- dependences ----------------------------------------------------------
     InstSeqNum dep1 = 0; ///< producer of rs1 still in flight (0 = ready)
@@ -67,13 +66,7 @@ struct DynInst
     Cycle readyCycle = neverCycle; ///< scheduled completion cycle
 
     // --- control flow -----------------------------------------------------------
-    bool predTaken = false;   ///< front-end direction prediction
-    Addr predTarget = 0;      ///< front-end target prediction
     bool mispredicted = false; ///< prediction disagreed with the oracle
-
-    // --- bookkeeping -----------------------------------------------------------------
-    Cycle fetchCycle = 0;
-    Cycle commitCycle = 0;
 
     /**
      * Return the entry to its decode-ready state when its ROB slot is
@@ -93,7 +86,6 @@ struct DynInst
         spawnedDest = VecRegRef{};
         valVreg = VecRegRef{};
         valElem = 0;
-        valElemFellBack = false;
         dep1 = 0;
         dep2 = 0;
         waiters = nullptr;
@@ -107,11 +99,7 @@ struct DynInst
         completed = false;
         pendingDeps = 0;
         readyCycle = neverCycle;
-        predTaken = false;
-        predTarget = 0;
         mispredicted = false;
-        fetchCycle = 0;
-        commitCycle = 0;
     }
 
     /** @return the static instruction. */

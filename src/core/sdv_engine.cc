@@ -211,7 +211,7 @@ SdvEngine::launchLoad(DynInst &d, Addr base, std::int64_t stride)
     vrf_.setAddrRange(v, base + Addr(stride),
                       base + Addr(stride * std::int64_t(vl)), d.rec.size);
 
-    datapath_.spawnLoad(d.pc(), v, base, stride, d.rec.size, vl);
+    datapath_.spawnLoad(v, base, stride, d.rec.size, vl);
 
     d.spawnedVector = true;
     d.spawnedDest = v;
@@ -532,8 +532,7 @@ SdvEngine::launchArith(DynInst &d, const SrcSpec &s1, const SrcSpec &s2)
     e.isLoad = false;
     vrmt_.install(e);
 
-    datapath_.spawnArith(d.pc(), d.inst().op, d.inst().imm, v, s1, s2,
-                         count);
+    datapath_.spawnArith(d.inst().op, d.inst().imm, v, s1, s2, count);
 
     d.spawnedVector = true;
     d.spawnedDest = v;
@@ -651,7 +650,6 @@ SdvEngine::fallbackValidation(DynInst &d)
     if (vrf_.isLive(d.valVreg))
         vrf_.setUsed(d.valVreg, d.valElem, false);
     d.mode = InstMode::Scalar;
-    d.valElemFellBack = true;
     ++stats_.lateValidationFallbacks;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ValMiss, d.pc(),
                   packRef(d.valVreg), /*fallback=*/1);

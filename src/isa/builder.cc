@@ -219,8 +219,10 @@ ProgramBuilder::allocBytes(const std::string &name, size_t bytes)
 {
     const Addr base = alignUp(dataBump_, 8);
     dataBump_ = base + alignUp(bytes, 8);
-    if (!name.empty())
+    if (!name.empty()) {
         program_.defineSymbol(name, base);
+        program_.addAllocation({name, std::size_t(dataBump_ - base)});
+    }
     return base;
 }
 

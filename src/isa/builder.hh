@@ -127,11 +127,13 @@ class ProgramBuilder
 
     /**
      * Allocate @p count 8-byte words of zeroed data; define @p name as a
-     * symbol. @return the base address.
+     * symbol and record the allocation in the program (see
+     * Program::allocations). @return the base address.
      */
     Addr allocWords(const std::string &name, size_t count);
 
-    /** Allocate raw zeroed bytes (8-byte aligned). */
+    /** Allocate raw zeroed bytes (8-byte aligned); a named allocation
+     *  is recorded as allocWords records it. */
     Addr allocBytes(const std::string &name, size_t bytes);
 
     /** Set the initial value of the 64-bit word at @p addr. */

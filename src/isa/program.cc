@@ -17,7 +17,7 @@ Program &Program::operator=(Program &&other) noexcept = default;
 
 Program::Program(const Program &other)
     : codeBase_(other.codeBase_), entry_(other.entry_), code_(other.code_),
-      data_(other.data_), symbols_(other.symbols_)
+      data_(other.data_), allocs_(other.allocs_), symbols_(other.symbols_)
 {
     // trace_ deliberately not copied: a patched copy must not mutate
     // the original's compiled trace. The copy rebuilds lazily.
@@ -31,6 +31,7 @@ Program::operator=(const Program &other)
         entry_ = other.entry_;
         code_ = other.code_;
         data_ = other.data_;
+        allocs_ = other.allocs_;
         symbols_ = other.symbols_;
         trace_.reset();
     }

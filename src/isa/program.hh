@@ -27,6 +27,13 @@ struct DataSegment
     std::vector<std::uint8_t> bytes; ///< contents
 };
 
+/** One named array the builder reserved in the data space. */
+struct DataAllocation
+{
+    std::string name;
+    std::size_t bytes = 0; ///< reserved size (8-byte aligned)
+};
+
 /**
  * A complete program: code, data, entry point, symbols.
  *
@@ -128,6 +135,13 @@ class Program
     /** @return all data segments. */
     const std::vector<DataSegment> &dataSegments() const { return data_; }
 
+    /** Record a named allocation (ProgramBuilder::allocBytes). */
+    void addAllocation(DataAllocation a) { allocs_.push_back(std::move(a)); }
+
+    /** @return the named allocations, in allocation order: the
+     *  footprint describeFootprint() reports. */
+    const std::vector<DataAllocation> &allocations() const { return allocs_; }
+
     /** Define a symbol. */
     void defineSymbol(const std::string &name, Addr value);
 
@@ -153,6 +167,7 @@ class Program
      *  the program's observable state. */
     mutable std::unique_ptr<CompiledTrace> trace_;
     std::vector<DataSegment> data_;
+    std::vector<DataAllocation> allocs_;
     std::map<std::string, Addr> symbols_;
 };
 

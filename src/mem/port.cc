@@ -37,7 +37,7 @@ DCachePorts::beginCycle()
 }
 
 std::int32_t
-DCachePorts::allocRecord(Addr line)
+DCachePorts::allocRecord()
 {
     std::int32_t id;
     if (!freeSlots_.empty()) {
@@ -49,7 +49,6 @@ DCachePorts::allocRecord(Addr line)
         id = std::int32_t(ledger_.size() - 1);
     }
     AccessRecord &rec = ledger_[size_t(id)];
-    rec.lineAddr = line;
     rec.inUse = true;
     rec.open = true;
     openRecords_.push_back(id);
@@ -80,7 +79,6 @@ DCachePorts::requestLoadWord(Addr addr, bool speculative)
         ++rec.servedLoads;
         ++stats_.wordsServed;
         if (speculative) {
-            ++rec.specWords;
             ++rec.specPending;
         } else {
             ++rec.demandWords;
@@ -112,7 +110,7 @@ DCachePorts::requestLoadWord(Addr addr, bool speculative)
     ++stats_.busyPortCycles;
     ++stats_.readAccesses;
 
-    const std::int32_t id = allocRecord(line);
+    const std::int32_t id = allocRecord();
     if (wide_)
         cycleReads_.emplace_back(line, id);
 

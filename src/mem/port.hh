@@ -163,20 +163,18 @@ class DCachePorts
      */
     struct AccessRecord
     {
-        Addr lineAddr = 0;
         bool inUse = false;             ///< slot holds a live record
         bool open = false;              ///< access's cycle still running
         std::uint32_t demandWords = 0;  ///< words for committed-path loads
-        std::uint32_t specWords = 0;    ///< speculative element words
-        std::uint32_t specUsed = 0;     ///< ... of which later validated
-        std::uint32_t specPending = 0;  ///< ... not yet resolved
+        std::uint32_t specUsed = 0;     ///< speculative words validated
+        std::uint32_t specPending = 0;  ///< speculative words unresolved
         std::uint32_t servedLoads = 0;  ///< loads served by this access
     };
 
     Addr lineOf(Addr addr) const { return addr & ~Addr(lineBytes_ - 1); }
 
     /** Claim a pooled ledger slot for a fresh read access. */
-    std::int32_t allocRecord(Addr line);
+    std::int32_t allocRecord();
 
     /** Fold a fully-resolved record into the histogram, free its slot. */
     void foldRecord(std::int32_t id);

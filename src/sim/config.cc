@@ -29,24 +29,19 @@ makeConfig(unsigned width, unsigned ports, BusMode mode)
     sdv_assert(ports == 1 || ports == 2 || ports == 4,
                "ports must be 1, 2 or 4");
 
+    // The config structs' defaults are Table 1's 4-way machine; set
+    // only what the width, the port count and the bus mode change.
     CoreConfig cfg;
     cfg.fetchWidth = width;
     cfg.decodeWidth = width;
     cfg.issueWidth = width;
     cfg.commitWidth = width;
-    cfg.maxStoresPerCycle = 2;
     cfg.fetchQueueEntries = 2 * width;
     cfg.dcachePorts = ports;
     cfg.widePorts = mode != BusMode::ScalarBus;
+    cfg.engine.enabled = mode == BusMode::WideBusSdv;
 
-    if (width == 4) {
-        cfg.robEntries = 128;
-        cfg.lsqEntries = 32;
-        cfg.fu.intAlu = 3;
-        cfg.fu.intMulDiv = 2;
-        cfg.fu.fpAdd = 2;
-        cfg.fu.fpMulDiv = 1;
-    } else {
+    if (width == 8) {
         cfg.robEntries = 256;
         cfg.lsqEntries = 64;
         cfg.fu.intAlu = 6;
@@ -54,32 +49,11 @@ makeConfig(unsigned width, unsigned ports, BusMode mode)
         cfg.fu.fpAdd = 4;
         cfg.fu.fpMulDiv = 2;
     }
-
-    // Branch predictor: gshare with 64K entries (Table 1).
-    cfg.gshareEntries = 64 * 1024;
-    cfg.gshareHistoryBits = 16;
-
-    // Memory hierarchy latencies/geometry: Table 1 defaults already
-    // encode the paper's caches.
-    cfg.mem = MemHierarchyConfig{};
-
-    // Vectorization engine.
-    cfg.engine.enabled = mode == BusMode::WideBusSdv;
-    cfg.engine.vlen = 4;
-    cfg.engine.numVregs = 128;
-    cfg.engine.tlSets = 512;
-    cfg.engine.tlWays = 4;
-    cfg.engine.tlConfidence = 2;
-    cfg.engine.vrmtSets = 64;
-    cfg.engine.vrmtWays = 4;
-    cfg.engine.blockOnScalarOperand = true;
     // Vector FUs mirror the scalar counts (Table 1).
     cfg.engine.fu.intAlu = cfg.fu.intAlu;
     cfg.engine.fu.intMulDiv = cfg.fu.intMulDiv;
     cfg.engine.fu.fpAdd = cfg.fu.fpAdd;
     cfg.engine.fu.fpMulDiv = cfg.fu.fpMulDiv;
-    cfg.engine.fu.loadPorts = 4; // "1 to 4 loads"
-
     return cfg;
 }
 

@@ -58,10 +58,7 @@ Simulator::advanceTo(std::uint64_t target_insts,
 void
 Simulator::collect(SimResult &res)
 {
-    res.cycles = core_.cycle();
     res.core = core_.stats();
-    res.insts = res.core.committedInsts;
-    res.ipc = res.core.ipc();
     res.engine = core_.engine().stats();
     res.datapath = core_.engine().datapath().stats();
     res.ports = core_.ports().stats();

@@ -28,9 +28,6 @@ struct SimResult
 {
     bool finished = false;      ///< HALT committed within the budget
     bool verified = false;      ///< committed stream matches functional
-    Cycle cycles = 0;
-    std::uint64_t insts = 0;
-    double ipc = 0.0;
 
     CoreStats core;
     EngineStats engine;

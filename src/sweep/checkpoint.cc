@@ -1,6 +1,7 @@
 #include "sweep/checkpoint.hh"
 
 #include <cstring>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -11,58 +12,43 @@ namespace sweep {
 namespace {
 
 constexpr char magic[8] = {'S', 'D', 'V', 'C', 'K', 'P', 'T', '1'};
-/** 2: the memory section is a delta over the program's load image. */
-constexpr std::uint32_t version = 2;
+/** 2: the memory section is a delta over the program's load image.
+ *  3: the geometry is one WarmGeometry, stored as its bytes. */
+constexpr std::uint32_t version = 3;
 
-/** Serialize the geometry the warm state depends on. Restoring into a
- *  machine whose warm structures are shaped differently is rejected
- *  up front with a readable error instead of failing mid-restore. */
-void
-writeGeometry(Serializer &ser, const CoreConfig &cfg)
+/**
+ * The geometry the warm state depends on. An image restores only into
+ * a machine whose warm structures are shaped alike, which is rejected
+ * up front with a readable error instead of failing mid-restore. Every
+ * field is a 64-bit word, so the image header stores the struct's
+ * bytes as they are.
+ */
+struct WarmGeometry
+{
+    std::uint64_t l1iSize, l1iAssoc, l1iLineBytes;
+    std::uint64_t l1dSize, l1dAssoc, l1dLineBytes;
+    std::uint64_t l2Size, l2Assoc, l2LineBytes;
+    std::uint64_t gshareEntries, gshareHistoryBits;
+    std::uint64_t btbSets, btbWays, rasDepth;
+    std::uint64_t tlSets, tlWays, tlConfidence;
+
+    bool operator==(const WarmGeometry &) const = default;
+};
+
+static_assert(std::has_unique_object_representations_v<WarmGeometry>,
+              "the image header stores the geometry's bytes");
+
+WarmGeometry
+geometryOf(const CoreConfig &cfg)
 {
     const MemHierarchyConfig &m = cfg.mem;
-    ser.u64(m.l1iSize);
-    ser.u32(m.l1iAssoc);
-    ser.u32(m.l1iLineBytes);
-    ser.u64(m.l1dSize);
-    ser.u32(m.l1dAssoc);
-    ser.u32(m.l1dLineBytes);
-    ser.u64(m.l2Size);
-    ser.u32(m.l2Assoc);
-    ser.u32(m.l2LineBytes);
-    ser.u32(cfg.gshareEntries);
-    ser.u32(cfg.gshareHistoryBits);
-    ser.u32(cfg.btbSets);
-    ser.u32(cfg.btbWays);
-    ser.u32(cfg.rasDepth);
-    ser.u32(cfg.engine.tlSets);
-    ser.u32(cfg.engine.tlWays);
-    ser.u8(cfg.engine.tlConfidence);
-}
-
-bool
-geometryMatches(Deserializer &des, const CoreConfig &cfg)
-{
-    const MemHierarchyConfig &m = cfg.mem;
-    bool ok = true;
-    ok &= des.u64() == m.l1iSize;
-    ok &= des.u32() == m.l1iAssoc;
-    ok &= des.u32() == m.l1iLineBytes;
-    ok &= des.u64() == m.l1dSize;
-    ok &= des.u32() == m.l1dAssoc;
-    ok &= des.u32() == m.l1dLineBytes;
-    ok &= des.u64() == m.l2Size;
-    ok &= des.u32() == m.l2Assoc;
-    ok &= des.u32() == m.l2LineBytes;
-    ok &= des.u32() == cfg.gshareEntries;
-    ok &= des.u32() == cfg.gshareHistoryBits;
-    ok &= des.u32() == cfg.btbSets;
-    ok &= des.u32() == cfg.btbWays;
-    ok &= des.u32() == cfg.rasDepth;
-    ok &= des.u32() == cfg.engine.tlSets;
-    ok &= des.u32() == cfg.engine.tlWays;
-    ok &= des.u8() == cfg.engine.tlConfidence;
-    return ok && des.ok();
+    const EngineConfig &e = cfg.engine;
+    return {m.l1iSize, m.l1iAssoc, m.l1iLineBytes,
+            m.l1dSize, m.l1dAssoc, m.l1dLineBytes,
+            m.l2Size, m.l2Assoc, m.l2LineBytes,
+            cfg.gshareEntries, cfg.gshareHistoryBits,
+            cfg.btbSets, cfg.btbWays, cfg.rasDepth,
+            e.tlSets, e.tlWays, e.tlConfidence};
 }
 
 bool
@@ -91,7 +77,9 @@ checkHeader(Deserializer &des, Simulator &sim, std::string *error)
     if (des.u32() != version)
         return setError(error, "unsupported checkpoint version");
     const std::uint64_t prog = des.u64();
-    if (!geometryMatches(des, sim.core().config()))
+    WarmGeometry geometry{};
+    if (!des.bytes(&geometry, sizeof(geometry)) ||
+        !(geometry == geometryOf(sim.core().config())))
         return setError(error,
                         "checkpoint geometry does not match the target "
                         "configuration (caches/predictors/TL shape)");
@@ -111,7 +99,8 @@ Checkpoint::capture(Simulator &sim)
     ser.bytes(magic, sizeof(magic));
     ser.u32(version);
     ser.u64(sim.program().identityHash());
-    writeGeometry(ser, sim.core().config());
+    const WarmGeometry geometry = geometryOf(sim.core().config());
+    ser.bytes(&geometry, sizeof(geometry));
     sim.core().saveWarmState(ser);
     return ser.finish();
 }
@@ -141,11 +130,7 @@ bool
 Checkpoint::compatible(const CoreConfig &captured,
                        const CoreConfig &target)
 {
-    Serializer ser;
-    writeGeometry(ser, captured);
-    const std::vector<std::uint8_t> geometry = ser.finish();
-    Deserializer des(geometry);
-    return geometryMatches(des, target);
+    return geometryOf(captured) == geometryOf(target);
 }
 
 } // namespace sweep

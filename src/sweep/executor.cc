@@ -414,8 +414,9 @@ resultRecordJson(const RunOutcome &o)
         "\"finished\": %s, \"from_checkpoint\": %s, "
         "\"seed\": %llu, \"val_mismatches\": %llu",
         o.figure.c_str(), o.workload.c_str(), o.configKey.c_str(),
-        static_cast<unsigned long long>(o.res.cycles),
-        static_cast<unsigned long long>(o.res.insts), o.res.ipc,
+        static_cast<unsigned long long>(o.res.core.cycles),
+        static_cast<unsigned long long>(o.res.core.committedInsts),
+        o.res.core.ipc(),
         static_cast<unsigned long long>(o.commitHash),
         o.res.finished ? "true" : "false",
         o.fromCheckpoint ? "true" : "false",
@@ -590,7 +591,7 @@ writeJsonDoc(const std::string &path, const std::string &planName,
         extra += buf;
     }
     // Host-side executor metrics appear only when collected
-    // (--metrics-summary / --metrics): the default-mode document stays
+    // (--metrics-summary): the default-mode document stays
     // byte-identical to the checked-in baselines.
     std::string exec_metrics;
     if (!execMetricsJson.empty())

@@ -101,12 +101,12 @@ runFuzzCase(const FuzzCase &c, std::uint64_t max_cycles)
     const SimResult sres =
         sdv.run(max_cycles, /*verify=*/true, c.quiesceInterval);
     out.sdvHash = sdv.core().commitPcHash();
-    out.sdvInsts = sres.insts;
+    out.sdvInsts = sres.core.committedInsts;
 
     Simulator ref(oracleConfig(c), prog);
     const SimResult rres = ref.run(max_cycles, /*verify=*/true, 0);
     out.refHash = ref.core().commitPcHash();
-    out.refInsts = rres.insts;
+    out.refInsts = rres.core.committedInsts;
 
     // Record the *first* failed check: later checks compare values a
     // failed earlier check already invalidates.

@@ -144,7 +144,7 @@ columnIpc(const std::vector<RunOutcome> &outcomes,
     unsigned n = 0;
     for (const RunOutcome &o : outcomes)
         if (o.column == column) {
-            sum += o.res.ipc;
+            sum += o.res.core.ipc();
             ++n;
         }
     sdv_assert(n > 0, "unknown ablation column ", column);
@@ -162,11 +162,12 @@ fig07Report(const std::vector<RunOutcome> &outcomes)
         const RunOutcome &real = outcomes[i];
         const RunOutcome &ideal = outcomes[i + 1];
         const double loss =
-            ideal.res.ipc > 0
-                ? (ideal.res.ipc - real.res.ipc) / ideal.res.ipc
+            ideal.res.core.ipc() > 0
+                ? (ideal.res.core.ipc() - real.res.core.ipc()) /
+                      ideal.res.core.ipc()
                 : 0.0;
         table.add(real.workload, real.isFp,
-                  {real.res.ipc, ideal.res.ipc, 100.0 * loss});
+                  {real.res.core.ipc(), ideal.res.core.ipc(), 100.0 * loss});
     }
     return banner("Figure 7 - IPC blocking vs not blocking mixed-operand "
                   "vector instructions",
@@ -207,10 +208,10 @@ fig10Report(const std::vector<RunOutcome> &outcomes)
                outcomes, {"reused", "window insts/total"},
                [](const RunOutcome &o) -> std::vector<double> {
                    const double window_share =
-                       o.res.insts == 0
+                       o.res.core.committedInsts == 0
                            ? 0.0
                            : double(o.res.core.postMispredictWindowInsts) /
-                                 double(o.res.insts);
+                                 double(o.res.core.committedInsts);
                    return {o.res.controlIndependenceFraction(),
                            window_share};
                },
@@ -228,7 +229,7 @@ fig11Report(const std::vector<RunOutcome> &outcomes)
                   "a 4-way processor with one wide bus + SDV beats the "
                   "same processor with 4 scalar buses by ~19%") +
            byWidth(outcomes, "IPC",
-                   [](const RunOutcome &o) { return o.res.ipc; });
+                   [](const RunOutcome &o) { return o.res.core.ipc(); });
 }
 
 std::string
@@ -273,9 +274,9 @@ fig14Report(const std::vector<RunOutcome> &outcomes)
            perWorkload(
                outcomes, {"validations", "load vals", "arith vals"},
                [](const RunOutcome &o) -> std::vector<double> {
-                   const double total =
-                       double(o.res.insts ? o.res.insts : 1);
                    const auto &c = o.res.core;
+                   const double total =
+                       double(c.committedInsts ? c.committedInsts : 1);
                    return {o.res.validationFraction(),
                            double(c.committedLoadValidations) / total,
                            double(c.committedValidations -
@@ -358,9 +359,9 @@ headlineReport(const std::vector<RunOutcome> &outcomes)
         const SimResult &v = outcomes[i].res;
         const SimResult &im = outcomes[i + 1].res;
         const int fp = outcomes[i].isFp;
-        cycles_v[fp] += double(v.cycles);
-        cycles_im[fp] += double(im.cycles);
-        cycles_4p[fp] += double(outcomes[i + 2].res.cycles);
+        cycles_v[fp] += double(v.core.cycles);
+        cycles_im[fp] += double(im.core.cycles);
+        cycles_4p[fp] += double(outcomes[i + 2].res.core.cycles);
         req_v[fp] += double(v.memoryRequests());
         req_im[fp] += double(im.memoryRequests());
         conf[fp] += v.engine.storesChecked
@@ -368,8 +369,8 @@ headlineReport(const std::vector<RunOutcome> &outcomes)
                               double(v.engine.storesChecked)
                         : 0.0;
         ++n[fp];
-        cycles_8w4p += double(outcomes[i + 3].res.cycles);
-        cycles_v_total += double(v.cycles);
+        cycles_8w4p += double(outcomes[i + 3].res.core.cycles);
+        cycles_v_total += double(v.core.cycles);
     }
 
     std::string out = banner("Headline claims (abstract, Sections 1, 3.6 "

@@ -130,9 +130,6 @@ aggregateSamples(const SampleSet &set,
             for (std::size_t i = 0; i < dst[b].words.size(); ++i)
                 dst[b].words[i] += scaled(src[b].words[i], w, m);
     }
-    agg.cycles = agg.core.cycles;
-    agg.insts = agg.core.committedInsts;
-    agg.ipc = agg.core.ipc();
     return agg;
 }
 

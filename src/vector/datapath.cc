@@ -15,14 +15,10 @@ VectorDatapath::VectorDatapath(const VectorFuConfig &cfg, VecRegFile &vrf)
 }
 
 void
-VectorDatapath::spawnLoad(Addr pc, VecRegRef dest, Addr base,
-                          std::int64_t stride, unsigned elem_bytes,
-                          unsigned elem_count)
+VectorDatapath::spawnLoad(VecRegRef dest, Addr base, std::int64_t stride,
+                          unsigned elem_bytes, unsigned elem_count)
 {
     VecInstance inst;
-    inst.id = nextInstanceId_++;
-    inst.pc = pc;
-    inst.op = Opcode::LDQ; // element semantics: raw word load
     inst.dest = dest;
     inst.elemCount = elem_count;
     inst.isLoad = true;
@@ -35,14 +31,11 @@ VectorDatapath::spawnLoad(Addr pc, VecRegRef dest, Addr base,
 }
 
 void
-VectorDatapath::spawnArith(Addr pc, Opcode op, std::int32_t imm,
-                           VecRegRef dest, const SrcSpec &src1,
-                           const SrcSpec &src2, unsigned elem_count)
+VectorDatapath::spawnArith(Opcode op, std::int32_t imm, VecRegRef dest,
+                           const SrcSpec &src1, const SrcSpec &src2,
+                           unsigned elem_count)
 {
     VecInstance inst;
-    inst.id = nextInstanceId_++;
-    inst.pc = pc;
-    inst.op = op;
     inst.kern = elemKernel(op);
     inst.cls = opInfo(op).opClass;
     sdv_assert(inst.kern, "vectorized op without element semantics: ",

@@ -56,11 +56,9 @@ struct VectorFuConfig
 /** One in-flight vectorized instruction instance. */
 struct VecInstance
 {
-    std::uint64_t id = 0;    ///< unique instance id
-    Addr pc = 0;             ///< spawning static instruction
-    Opcode op = Opcode::NOP; ///< operation (element-wise)
     /** Arith: batched element kernel and FU class, resolved once at
-     *  spawn (no per-element opcode switch or OpInfo lookup). */
+     *  spawn from the operation (no per-element opcode switch or
+     *  OpInfo lookup). */
     ElemKernelFn kern = nullptr;
     OpClass cls = OpClass::None;
     std::int32_t imm = 0;    ///< immediate for reg-imm forms
@@ -125,11 +123,11 @@ class VectorDatapath
     void setContext(const VecExecContext *ctx) { ctx_ = ctx; }
 
     /** Spawn a vectorized load instance. */
-    void spawnLoad(Addr pc, VecRegRef dest, Addr base, std::int64_t stride,
+    void spawnLoad(VecRegRef dest, Addr base, std::int64_t stride,
                    unsigned elem_bytes, unsigned elem_count);
 
     /** Spawn a vectorized arithmetic instance. */
-    void spawnArith(Addr pc, Opcode op, std::int32_t imm, VecRegRef dest,
+    void spawnArith(Opcode op, std::int32_t imm, VecRegRef dest,
                     const SrcSpec &src1, const SrcSpec &src2,
                     unsigned elem_count);
 
@@ -200,7 +198,6 @@ class VectorDatapath
     /** Per-tick scratch: completion cycle of each new access this
      *  cycle, by access id (kept allocated across ticks). */
     std::vector<std::pair<std::int32_t, Cycle>> accessDone_;
-    std::uint64_t nextInstanceId_ = 1;
     DatapathStats stats_;
 };
 

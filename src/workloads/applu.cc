@@ -14,32 +14,21 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planApplu(unsigned scale, Footprint fp)
+Program
+buildApplu(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Three banded arrays of n doubles: 37KB / 148KB / 1.2MB.
     const std::size_t n = byFootprint<std::size_t>(fp, 1536, 6144, 49152);
-    p.extent("a", n + 16);
-    p.extent("rhs", n + 16);
-    p.extent("x", n + 16);
-    p.extent("pivots", 4);
-    p.trip("n", std::int64_t(n));
-    p.trip("passes", scaledPasses(scale, 12, byFootprint(fp, 1u, 4u, 32u)));
-    return p;
-}
+    const std::int32_t passes =
+        scaledPasses("applu", scale, 12, byFootprint(fp, 1u, 4u, 32u));
 
-Program
-buildApplu(const FootprintPlan &p)
-{
     ProgramBuilder b;
 
-    const std::size_t n = std::size_t(p.count("n"));
     const Addr a = b.allocWords("a", n + 16);
     const Addr rhs = b.allocWords("rhs", n + 16);
     const Addr x = b.allocWords("x", n + 16);
     const Addr pivots = b.allocWords("pivots", 4);
-    const double fz = fuzzOffset(p.fuzzSeed);
+    const double fz = fuzzOffset(fuzz_seed);
     fillDoubles(b, a, n + 16,
                 [=](size_t i) { return 1.0 + fz + 0.01 * (i % 97); });
     fillDoubles(b, rhs, n + 16,
@@ -54,7 +43,7 @@ buildApplu(const FootprintPlan &p)
     b.ldi(scratch0, 0);
     b.cvtif(facc, scratch0);
 
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, a);
         b.loadAddr(ptr1, rhs);
         b.loadAddr(ptr2, x);

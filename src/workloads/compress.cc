@@ -15,28 +15,22 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planCompress(unsigned scale, Footprint fp)
-{
-    FootprintPlan p = makePlan(scale, fp);
-    // The randomly probed hash table dominates the footprint:
-    // 32KB / 128KB / 1MB, flanked by the streamed input and output.
-    p.extent("input", byFootprint<std::size_t>(fp, 2048, 4096, 16384));
-    p.extent("htab", byFootprint<std::size_t>(fp, 4096, 16384, 131072));
-    p.extent("output", byFootprint<std::size_t>(fp, 2048, 4096, 16384));
-    p.extent("frame", 32);
-    p.trip("passes", scaledPasses(scale, 1, byFootprint(fp, 1u, 2u, 8u)));
-    return p;
-}
-
 Program
-buildCompress(const FootprintPlan &p)
+buildCompress(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    ProgramBuilder b;
-    Random rng(0xc0457 ^ p.fuzzSeed);
+    // The randomly probed hash table dominates the footprint:
+    // 32KB / 128KB / 1MB, flanked by the streamed input and the output
+    // (each the input's size).
+    const std::size_t inputLen =
+        byFootprint<std::size_t>(fp, 2048, 4096, 16384);
+    const std::size_t htabLen =
+        byFootprint<std::size_t>(fp, 4096, 16384, 131072);
+    const std::int32_t passes =
+        scaledPasses("compress", scale, 1, byFootprint(fp, 1u, 2u, 8u));
 
-    const std::size_t inputLen = p.words("input");
-    const std::size_t htabLen = p.words("htab");
+    ProgramBuilder b;
+    Random rng(0xc0457 ^ fuzz_seed);
+
     const Addr input = b.allocWords("input", inputLen);
     const Addr htab = b.allocWords("htab", htabLen);
     const Addr output = b.allocWords("output", inputLen);
@@ -49,10 +43,10 @@ buildCompress(const FootprintPlan &p)
     b.ldi(acc0, 0);   // running code
     b.ldi(acc1, 0);   // output count
 
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, input);
         b.loadAddr(ptr2, output);
-        countedLoop(b, counter1, p.wordTrip("input"), [&] {
+        countedLoop(b, counter1, std::int32_t(inputLen), [&] {
             // Compressor-state reloads (bit budget, free code: stride 0).
             emitSpillReloads(b, 2, acc1);
             // Next input symbol (stride 1, vectorizable).
@@ -73,7 +67,7 @@ buildCompress(const FootprintPlan &p)
             b.loadImm64(scratch2, 2654435761ULL);
             b.mul(scratch1, acc0, scratch2);
             b.srli(scratch1, scratch1, 20);
-            b.andi(scratch1, scratch1, p.indexMask("htab"));
+            b.andi(scratch1, scratch1, indexMask(htabLen));
             b.slli(scratch1, scratch1, 3);
             b.add(ptr3, ptr1, scratch1);
             b.ldq(scratch2, ptr3, 0);

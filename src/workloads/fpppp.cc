@@ -15,30 +15,23 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planFpppp(unsigned scale, Footprint fp)
+Program
+buildFpppp(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // The seed workspace is deliberately tiny (256B: fpppp's character
     // is straight-line FP code over few cells). The grown modes tile a
     // 128KB / 1MB workspace into 256-byte blocks and move to the next
     // block every 8 iterations: stride-0 reloads still form vectors
     // within a block's window, while the walk streams the footprint.
-    p.extent("work", byFootprint<std::size_t>(fp, 32, 16384, 131072));
-    p.extent("result", 8);
-    p.trip("iters", std::int64_t(scale) * 2200);
-    return p;
-}
+    const std::size_t workWords =
+        byFootprint<std::size_t>(fp, 32, 16384, 131072);
+    const std::int32_t iters = scaledPasses("fpppp", scale, 2200);
 
-Program
-buildFpppp(const FootprintPlan &p)
-{
     ProgramBuilder b;
 
-    const std::size_t workWords = p.words("work");
     const Addr work = b.allocWords("work", workWords);
     const Addr result = b.allocWords("result", 8);
-    const double fz = fuzzOffset(p.fuzzSeed);
+    const double fz = fuzzOffset(fuzz_seed);
     fillDoubles(b, work, workWords,
                 [=](size_t i) { return 1.0 + fz + 0.03 * i; });
 
@@ -50,11 +43,11 @@ buildFpppp(const FootprintPlan &p)
     b.cvtif(facc, scratch0);
 
     // Grown footprints: 256B blocks, advanced every 8th iteration.
-    const bool walkBlocks = p.footprint != Footprint::Base;
+    const bool walkBlocks = fp != Footprint::Base;
     const std::int32_t blockMask =
         walkBlocks ? subIndexMask(workWords, 32) : 0;
 
-    countedLoop(b, counter0, p.count("iters"), [&] {
+    countedLoop(b, counter0, iters, [&] {
         if (walkBlocks) {
             auto sameBlock = b.newLabel();
             b.andi(scratch0, counter0, 7);

@@ -15,30 +15,22 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planGcc(unsigned scale, Footprint fp)
+Program
+buildGcc(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Footprint: the shuffled RTL node pool (irregular pointer chase)
     // plus the hashed symbol table. 45KB / 176KB / 1.3MB total.
-    p.extent("nodes", 4 * byFootprint<std::size_t>(fp, 1024, 4096, 32768));
-    p.extent("tokens", byFootprint<std::size_t>(fp, 512, 2048, 8192));
-    p.extent("symtab", byFootprint<std::size_t>(fp, 1024, 4096, 16384));
-    p.extent("out", 16);
-    p.extent("frame", 32);
-    p.trip("iters", std::int64_t(scale) * 550);
-    return p;
-}
+    const std::size_t nodes = byFootprint<std::size_t>(fp, 1024, 4096, 32768);
+    const std::size_t tokenLen =
+        byFootprint<std::size_t>(fp, 512, 2048, 8192);
+    const std::size_t symtabLen =
+        byFootprint<std::size_t>(fp, 1024, 4096, 16384);
+    const std::int32_t iters = scaledPasses("gcc", scale, 550);
 
-Program
-buildGcc(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x6cc ^ p.fuzzSeed);
+    Random rng(0x6cc ^ fuzz_seed);
 
-    const std::size_t tokenLen = p.words("tokens");
-    const std::size_t symtabLen = p.words("symtab");
-    const Addr head = buildList(b, "nodes", p.words("nodes") / 4, 4,
+    const Addr head = buildList(b, "nodes", nodes, 4,
                                 /*shuffled=*/true, rng);
     const Addr tokens = b.allocWords("tokens", tokenLen);
     const Addr symtab = b.allocWords("symtab", symtabLen);
@@ -47,14 +39,14 @@ buildGcc(const FootprintPlan &p)
     fillRandomWords(b, tokens, tokenLen, rng, 200);
     fillRandomWords(b, symtab, symtabLen, rng, 5000);
 
-    emitLcgInit(b, 0xc0ffee ^ p.fuzzSeed);
+    emitLcgInit(b, 0xc0ffee ^ fuzz_seed);
     b.loadAddr(ptr0, head);
     b.loadAddr(ptr2, symtab);
     b.loadAddr(framePtr, frame);
     b.ldi(acc0, 0);
     b.ldi(acc1, 0);
 
-    countedLoop(b, counter0, p.count("iters"), [&] {
+    countedLoop(b, counter0, iters, [&] {
         // Pass-state reloads (current function, flags: stride 0).
         emitSpillReloads(b, 5, acc1);
         // Walk one RTL node (shuffled pool: irregular strides).
@@ -85,7 +77,7 @@ buildGcc(const FootprintPlan &p)
         });
 
         // Symbol-table probe at a hashed (pseudo-random) index.
-        emitLcgNext(b, scratch0, std::uint32_t(p.indexMask("symtab")));
+        emitLcgNext(b, scratch0, std::uint32_t(indexMask(symtabLen)));
         b.slli(scratch0, scratch0, 3);
         b.add(ptr3, ptr2, scratch0);
         b.ldq(scratch1, ptr3, 0);

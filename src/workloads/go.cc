@@ -15,28 +15,19 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planGo(unsigned scale, Footprint fp)
+Program
+buildGo(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // The probed board is the footprint: 8KB at the seed size, 128KB
     // (L2-resident) and 1MB (memory-resident) beyond; the random
     // probes spread over the whole board in every mode.
-    p.extent("board", byFootprint<std::size_t>(fp, 1024, 16384, 131072));
-    p.extent("weights", 64);
-    p.extent("globals", 8);
-    p.extent("frame", 32);
-    p.trip("iters", std::int64_t(scale) * 1400);
-    return p;
-}
+    const std::size_t boardWords =
+        byFootprint<std::size_t>(fp, 1024, 16384, 131072);
+    const std::int32_t iters = scaledPasses("go", scale, 1400);
 
-Program
-buildGo(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x60601 ^ p.fuzzSeed);
+    Random rng(0x60601 ^ fuzz_seed);
 
-    const std::size_t boardWords = p.words("board");
     const Addr board = b.allocWords("board", boardWords);
     const Addr weights = b.allocWords("weights", 64);
     const Addr globals = b.allocWords("globals", 8);
@@ -67,14 +58,14 @@ buildGo(const FootprintPlan &p)
     b.jr(31);
 
     b.bind(start);
-    emitLcgInit(b, 0xdecafbad ^ p.fuzzSeed);
+    emitLcgInit(b, 0xdecafbad ^ fuzz_seed);
     b.loadAddr(ptr0, board);
     b.loadAddr(ptr2, globals);
     b.loadAddr(framePtr, frame);
     b.ldi(acc0, 0);
     b.ldi(acc1, 0);
 
-    countedLoop(b, counter0, p.count("iters"), [&] {
+    countedLoop(b, counter0, iters, [&] {
         // Unoptimized-code locals reloads (stride 0).
         emitSpillReloads(b, 5, acc2);
         // Board probe: mostly sequential with occasional random jumps
@@ -88,10 +79,10 @@ buildGo(const FootprintPlan &p)
             b.addi(cursor, cursor, 8); // advance the sweep cursor
             b.br(probed);
             b.bind(jump);
-            emitLcgNext(b, scratch0, std::uint32_t(p.indexMask("board")));
+            emitLcgNext(b, scratch0, std::uint32_t(indexMask(boardWords)));
             b.slli(cursor, scratch0, 3);
             b.bind(probed);
-            b.andi(scratch1, cursor, p.byteMask("board"));
+            b.andi(scratch1, cursor, byteMask(boardWords));
         }
         b.add(ptr1, ptr0, scratch1);
         b.ldq(scratch1, ptr1, 0);

@@ -13,35 +13,23 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planIjpeg(unsigned scale, Footprint fp)
+Program
+buildIjpeg(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // dim x dim image plus the same-size output plane: 64KB at the
     // seed 64x64, 144KB at 96x96 (L2), 1MB at 256x256 (mem). The seed
     // filter touches 12 rows per pass; the grown modes filter the
     // whole plane so the streamed footprint matches the allocation.
-    const std::size_t dim = byFootprint<std::size_t>(fp, 64, 96, 256);
-    p.extent("image", dim * dim);
-    p.extent("out", dim * dim);
-    p.extent("coeff", 8);
-    p.extent("frame", 32);
-    p.trip("dim", std::int64_t(dim));
-    p.trip("rows", byFootprint<std::int64_t>(fp, 12, std::int64_t(dim),
-                                             std::int64_t(dim)));
+    const std::int32_t dim = byFootprint(fp, 64, 96, 256);
+    const std::size_t planeWords = std::size_t(dim) * std::size_t(dim);
+    const std::int32_t rows = byFootprint(fp, 12, dim, dim);
     // Per-pass pixels: 768 seed, 9216 L2 (12x), 65536 mem (85x).
-    p.trip("passes", scaledPasses(scale, 24, byFootprint(fp, 1u, 12u, 85u)));
-    return p;
-}
+    const std::int32_t passes =
+        scaledPasses("ijpeg", scale, 24, byFootprint(fp, 1u, 12u, 85u));
 
-Program
-buildIjpeg(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x17e6 ^ p.fuzzSeed);
+    Random rng(0x17e6 ^ fuzz_seed);
 
-    const std::int32_t dim = p.count("dim");
-    const std::size_t planeWords = p.words("image");
     const Addr image = b.allocWords("image", planeWords);
     const Addr coeff = b.allocWords("coeff", 8);
     const Addr out = b.allocWords("out", planeWords);
@@ -52,11 +40,11 @@ buildIjpeg(const FootprintPlan &p)
     b.loadAddr(ptr2, coeff);
     b.loadAddr(framePtr, frame);
 
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, image);
         b.loadAddr(ptr1, out);
-        // One filtering pass over the planned number of image rows.
-        countedLoop(b, counter1, p.count("rows"), [&] {
+        // One filtering pass over the first `rows` image rows.
+        countedLoop(b, counter1, rows, [&] {
             b.ldq(scratch3, ptr2, 0); // coefficient reload (stride 0)
             // Row body: dim pixels, stride 1 load, a deep vectorizable
             // MAC chain, stride 1 store.

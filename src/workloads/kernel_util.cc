@@ -9,13 +9,36 @@ namespace sdv {
 namespace workloads {
 
 std::int32_t
-scaledPasses(unsigned scale, unsigned base_passes, unsigned growth)
+scaledPasses(const char *workload, unsigned scale, unsigned base_passes,
+             unsigned growth)
 {
     sdv_assert(base_passes >= 1 && growth >= 1,
                "pass scaling needs positive factors");
     const std::uint64_t total =
         std::uint64_t(base_passes) * scale / growth;
+    if (total > 0x7fffffffu)
+        fatal("workload '", workload, "': --scale ", scale,
+              " needs a trip count of ", total, ", beyond the ",
+              0x7fffffffu, " a loop counter holds");
     return std::int32_t(total < 1 ? 1 : total);
+}
+
+std::int32_t
+indexMask(std::size_t words)
+{
+    sdv_assert(words >= 2 && (words & (words - 1)) == 0,
+               "extent of ", words, " words must be a power of two for "
+               "masking");
+    sdv_assert(words - 1 <= 0x7fffffffu, "mask exceeds immediate range");
+    return std::int32_t(words - 1);
+}
+
+std::int32_t
+byteMask(std::size_t words)
+{
+    const std::int32_t m = indexMask(words);
+    sdv_assert(m <= 0x0fffffff, "byte mask exceeds immediate range");
+    return m * 8 + 7;
 }
 
 std::int32_t
@@ -23,11 +46,7 @@ subIndexMask(std::size_t words, std::size_t divisor)
 {
     sdv_assert(divisor >= 1 && words % divisor == 0,
                "window divisor must divide the extent");
-    const std::size_t w = words / divisor;
-    sdv_assert(w >= 2 && (w & (w - 1)) == 0,
-               "window size must be a power of two for masking");
-    sdv_assert(w - 1 <= 0x7fffffffu, "mask exceeds immediate range");
-    return std::int32_t(w - 1);
+    return indexMask(words / divisor);
 }
 
 void

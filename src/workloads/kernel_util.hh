@@ -15,7 +15,7 @@
 namespace sdv {
 namespace workloads {
 
-// --- footprint-model helpers (shared by every kernel's plan fn) -----
+// --- footprint-model helpers (shared by every kernel's builder) ----
 
 /** @return the variant of a sizing constant for @p fp. */
 template <typename T>
@@ -33,33 +33,34 @@ byFootprint(Footprint fp, T base, T l2, T mem)
     }
 }
 
-/** Start an empty plan bound to (@p scale, @p fp). */
-inline FootprintPlan
-makePlan(unsigned scale, Footprint fp)
-{
-    FootprintPlan p;
-    p.scale = scale;
-    p.footprint = fp;
-    return p;
-}
-
 /**
- * Outer pass count for a kernel whose per-pass work grows with its
- * footprint: base_passes * scale passes at the seed footprint, divided
+ * Outer pass count: base_passes * scale passes at the seed footprint.
+ * A kernel whose per-pass work grows with its footprint divides that
  * by the same factor the per-pass trip count grew by (never below one
  * full pass), so the dynamic instruction count stays proportional to
- * the scale in every mode.
+ * the scale in every mode. Every scale-derived trip count comes from
+ * here: a count beyond what a loop counter holds is fatal, naming
+ * --scale and @p workload, never wrapped or clamped.
  */
-std::int32_t scaledPasses(unsigned scale, unsigned base_passes,
-                          unsigned growth);
+std::int32_t scaledPasses(const char *workload, unsigned scale,
+                          unsigned base_passes, unsigned growth = 1);
+
+/**
+ * @return @p words - 1, asserting that the extent is a power of two:
+ * the index mask the kernels' random probes use.
+ */
+std::int32_t indexMask(std::size_t words);
+
+/** @return words * 8 - 1, the byte mask over a power-of-two extent. */
+std::int32_t byteMask(std::size_t words);
 
 /**
  * AND-mask covering 1/@p divisor of a power-of-two extent:
  * words / divisor - 1. The validated way to derive the sub-extent
  * window masks some kernels use (scan/copy/start windows) — asserts
- * the power-of-two shape just like FootprintPlan::indexMask, so a
- * future non-pow2 retune fails loudly instead of silently skewing the
- * emitted index distribution.
+ * the power-of-two shape through indexMask, so a future non-pow2
+ * retune fails loudly instead of silently skewing the emitted index
+ * distribution.
  */
 std::int32_t subIndexMask(std::size_t words, std::size_t divisor);
 
@@ -84,7 +85,7 @@ void fillDoubles(ProgramBuilder &b, Addr base, size_t count,
                  const std::function<double(size_t)> &f);
 
 /** Input perturbation of the FP builders under --fuzz-speculation: a
- *  small deterministic offset derived from the plan's fuzz seed,
+ *  small deterministic offset derived from the fuzz seed,
  *  exactly 0.0 at seed 0 so the seed kernels stay byte-identical. */
 inline double
 fuzzOffset(std::uint64_t fuzz_seed)

@@ -15,49 +15,40 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planLi(unsigned scale, Footprint fp)
+Program
+buildLi(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Footprint: the sequential cons-cell pool (32KB / 128KB / 1MB)
     // plus the hashed environment. In the base mode the evaluator
     // restarts at the head every iteration (the seed behaviour); in
     // the grown modes the circular walk continues instead, so the
     // constant-stride cdr chase actually streams the whole pool.
-    p.extent("cells", 2 * byFootprint<std::size_t>(fp, 2048, 8192, 65536));
-    p.extent("env", byFootprint<std::size_t>(fp, 256, 1024, 4096));
-    p.extent("stack", 64);
-    p.extent("frame", 32);
-    p.trip("iters", std::int64_t(scale) * 520);
-    return p;
-}
+    const std::size_t cells = byFootprint<std::size_t>(fp, 2048, 8192, 65536);
+    const std::size_t envLen = byFootprint<std::size_t>(fp, 256, 1024, 4096);
+    const std::int32_t iters = scaledPasses("li", scale, 520);
 
-Program
-buildLi(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x115b ^ p.fuzzSeed);
+    Random rng(0x115b ^ fuzz_seed);
 
-    const std::size_t envLen = p.words("env");
     // Sequential pool: cdr (word 0) strides by the 2-word cell size.
-    const Addr head = buildList(b, "cells", p.words("cells") / 2, 2,
+    const Addr head = buildList(b, "cells", cells, 2,
                                 /*shuffled=*/false, rng);
     const Addr env = b.allocWords("env", envLen);
     const Addr stack = b.allocWords("stack", 64);
     const Addr frame = b.allocWords("frame", 32);
     fillRandomWords(b, env, envLen, rng, 400);
 
-    emitLcgInit(b, 0x11511 ^ p.fuzzSeed);
+    emitLcgInit(b, 0x11511 ^ fuzz_seed);
     b.loadAddr(ptr2, env);
     b.loadAddr(ptr3, stack);
     b.loadAddr(framePtr, frame);
     b.ldi(acc0, 0);
     b.ldi(acc1, 0);
 
-    const bool walkContinues = p.footprint != Footprint::Base;
+    const bool walkContinues = fp != Footprint::Base;
     if (walkContinues)
         b.loadAddr(ptr0, head);
-    countedLoop(b, counter0, p.count("iters"), [&] {
+    countedLoop(b, counter0, iters, [&] {
         // Interpreter-state reloads (env pointer, depth: stride 0).
         emitSpillReloads(b, 6, acc1);
         // Evaluate a list of 5 cells: car is the value, cdr the next
@@ -85,7 +76,7 @@ buildLi(const FootprintPlan &p)
         b.stq(acc0, scratch1, 0);
 
         // Environment lookup at a hashed index with a biased branch.
-        emitLcgNext(b, scratch1, std::uint32_t(p.indexMask("env")));
+        emitLcgNext(b, scratch1, std::uint32_t(indexMask(envLen)));
         b.slli(scratch1, scratch1, 3);
         b.add(ptr1, ptr2, scratch1);
         b.ldq(scratch2, ptr1, 0);

@@ -16,27 +16,19 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planM88ksim(unsigned scale, Footprint fp)
+Program
+buildM88ksim(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // The streamed trace is the footprint: 16KB / 128KB / 1MB. Each
     // pass re-reads it from the start, so every L2/mem pass misses L1.
-    p.extent("trace", byFootprint<std::size_t>(fp, 2048, 16384, 131072));
-    p.extent("regfile", 32);
-    p.extent("stats", 8);
-    p.extent("frame", 32);
-    p.trip("passes", scaledPasses(scale, 2, byFootprint(fp, 1u, 8u, 64u)));
-    return p;
-}
+    const std::size_t traceLen =
+        byFootprint<std::size_t>(fp, 2048, 16384, 131072);
+    const std::int32_t passes =
+        scaledPasses("m88ksim", scale, 2, byFootprint(fp, 1u, 8u, 64u));
 
-Program
-buildM88ksim(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x88000 ^ p.fuzzSeed);
+    Random rng(0x88000 ^ fuzz_seed);
 
-    const std::size_t traceLen = p.words("trace");
     const Addr trace = b.allocWords("trace", traceLen);
     const Addr regfile = b.allocWords("regfile", 32);
     const Addr stats = b.allocWords("stats", 8);
@@ -52,9 +44,9 @@ buildM88ksim(const FootprintPlan &p)
     b.loadAddr(framePtr, frame);
     b.ldi(acc0, 0);
 
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, trace);
-        countedLoop(b, counter1, p.wordTrip("trace"), [&] {
+        countedLoop(b, counter1, std::int32_t(traceLen), [&] {
             // Simulator-state reloads (PC, cycle count: stride 0).
             emitSpillReloads(b, 2, acc0);
             // Fetch (stride 1) and decode: the field extractions are

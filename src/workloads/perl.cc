@@ -13,30 +13,23 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planPerl(unsigned scale, Footprint fp)
+Program
+buildPerl(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Footprint: streamed bytecode, scanned string arena and the
     // randomly probed hash. 17KB / 160KB / 900KB total.
-    p.extent("bytecode", byFootprint<std::size_t>(fp, 1024, 8192, 32768));
-    p.extent("strings", byFootprint<std::size_t>(fp, 512, 4096, 16384));
-    p.extent("hash", byFootprint<std::size_t>(fp, 512, 8192, 65536));
-    p.extent("vstack", 64);
-    p.extent("frame", 32);
-    p.trip("passes", scaledPasses(scale, 2, byFootprint(fp, 1u, 8u, 32u)));
-    return p;
-}
+    const std::size_t codeLen =
+        byFootprint<std::size_t>(fp, 1024, 8192, 32768);
+    const std::size_t stringsLen =
+        byFootprint<std::size_t>(fp, 512, 4096, 16384);
+    const std::size_t hashLen =
+        byFootprint<std::size_t>(fp, 512, 8192, 65536);
+    const std::int32_t passes =
+        scaledPasses("perl", scale, 2, byFootprint(fp, 1u, 8u, 32u));
 
-Program
-buildPerl(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x9e71 ^ p.fuzzSeed);
+    Random rng(0x9e71 ^ fuzz_seed);
 
-    const std::size_t codeLen = p.words("bytecode");
-    const std::size_t stringsLen = p.words("strings");
-    const std::size_t hashLen = p.words("hash");
     const Addr bytecode = b.allocWords("bytecode", codeLen);
     const Addr strings = b.allocWords("strings", stringsLen);
     const Addr hash = b.allocWords("hash", hashLen);
@@ -46,7 +39,7 @@ buildPerl(const FootprintPlan &p)
     fillRandomWords(b, strings, stringsLen, rng, 128);
     fillRandomWords(b, hash, hashLen, rng, 600);
 
-    emitLcgInit(b, 0x9e119e11 ^ p.fuzzSeed);
+    emitLcgInit(b, 0x9e119e11 ^ fuzz_seed);
     b.loadAddr(ptr1, strings);
     b.loadAddr(ptr2, hash);
     b.loadAddr(ptr3, vstack);
@@ -54,9 +47,9 @@ buildPerl(const FootprintPlan &p)
     b.ldi(acc0, 0);
     b.ldi(acc1, 0);
 
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, bytecode);
-        countedLoop(b, counter1, p.wordTrip("bytecode"), [&] {
+        countedLoop(b, counter1, std::int32_t(codeLen), [&] {
             // Interpreter-state reloads (sp, pad pointer: stride 0).
             emitSpillReloads(b, 2, acc1);
             // Opcode fetch (stride 1, vectorizable) and operand-field
@@ -96,7 +89,7 @@ buildPerl(const FootprintPlan &p)
             b.cmpeqi(scratch1, scratch0, 2);
             b.beqz(scratch1, op_push);
             // op 2: hash probe (random index) + biased branch.
-            emitLcgNext(b, scratch2, std::uint32_t(p.indexMask("hash")));
+            emitLcgNext(b, scratch2, std::uint32_t(indexMask(hashLen)));
             b.slli(scratch2, scratch2, 3);
             b.add(scratch2, scratch2, ptr2);
             b.ldq(scratch3, scratch2, 0);

@@ -40,142 +40,82 @@ parseFootprint(const std::string &name)
     fatal("unknown footprint mode '", name, "' (base, l2 or mem)");
 }
 
-// --- FootprintPlan --------------------------------------------------
-
-std::size_t
-FootprintPlan::words(const std::string &name) const
-{
-    for (const auto &e : extents)
-        if (e.first == name)
-            return e.second;
-    fatal("footprint plan declares no extent '", name, "'");
-}
-
-std::int32_t
-FootprintPlan::wordTrip(const std::string &name) const
-{
-    const std::size_t w = words(name);
-    sdv_assert(w <= 0x7fffffffu, "extent too large for a trip count");
-    return std::int32_t(w);
-}
-
-std::int32_t
-FootprintPlan::count(const std::string &name) const
-{
-    for (const auto &t : trips)
-        if (t.first == name) {
-            sdv_assert(t.second >= 1 && t.second <= 0x7fffffff,
-                       "trip count out of range");
-            return std::int32_t(t.second);
-        }
-    fatal("footprint plan declares no trip count '", name, "'");
-}
-
-std::int32_t
-FootprintPlan::indexMask(const std::string &name) const
-{
-    const std::size_t w = words(name);
-    sdv_assert(w >= 2 && (w & (w - 1)) == 0,
-               "extent '", name, "' must be a power of two for masking");
-    sdv_assert(w - 1 <= 0x7fffffffu, "mask exceeds immediate range");
-    return std::int32_t(w - 1);
-}
-
-std::int32_t
-FootprintPlan::byteMask(const std::string &name) const
-{
-    const std::int32_t m = indexMask(name);
-    sdv_assert(m <= 0x0fffffff, "byte mask exceeds immediate range");
-    return m * 8 + 7;
-}
-
-std::size_t
-FootprintPlan::totalBytes() const
-{
-    std::size_t words = 0;
-    for (const auto &e : extents)
-        words += e.second;
-    return words * 8;
-}
-
 // --- registry -------------------------------------------------------
 
 Program
-WorkloadSpec::instantiate(unsigned scale, Footprint fp,
-                          std::uint64_t fuzz_seed) const
+Workload::instantiate(unsigned scale, Footprint fp,
+                      std::uint64_t fuzz_seed) const
 {
     if (scale == 0)
         fatal("workload '", name, "': invalid scale 0 (the scale is a "
               "dynamic-length multiplier and must be >= 1)");
-    FootprintPlan p = plan(scale, fp);
-    p.fuzzSeed = fuzz_seed;
-    return build(p);
+    return build(scale, fp, fuzz_seed);
 }
 
-const std::vector<WorkloadSpec> &
+const std::vector<Workload> &
 allWorkloads()
 {
-    static const std::vector<WorkloadSpec> workloads = {
+    static const std::vector<Workload> workloads = {
         {"go", false, "branchy board evaluation, irregular probes",
-         planGo, buildGo},
+         buildGo},
         {"m88ksim", false, "ISA-simulator main loop over a trace",
-         planM88ksim, buildM88ksim},
+         buildM88ksim},
         {"gcc", false, "compiler passes: pointer chasing + token scan",
-         planGcc, buildGcc},
+         buildGcc},
         {"compress", false, "LZW hashing with random table probes",
-         planCompress, buildCompress},
+         buildCompress},
         {"li", false, "lisp interpreter: strided cons-cell chasing",
-         planLi, buildLi},
+         buildLi},
         {"ijpeg", false, "block image transforms, dense stride-1",
-         planIjpeg, buildIjpeg},
+         buildIjpeg},
         {"perl", false, "bytecode interpreter with dispatch cascade",
-         planPerl, buildPerl},
+         buildPerl},
         {"vortex", false, "OO database: record scans and bulk copies",
-         planVortex, buildVortex},
+         buildVortex},
         {"swim", true, "shallow-water stencils, stride-1 doubles",
-         planSwim, buildSwim},
+         buildSwim},
         {"applu", true, "banded solver, unrolled-by-2 (stride 2)",
-         planApplu, buildApplu},
+         buildApplu},
         {"turb3d", true, "FFT-like passes at strides 1/2/4/8",
-         planTurb3d, buildTurb3d},
+         buildTurb3d},
         {"fpppp", true, "huge FP basic blocks over a small workspace",
-         planFpppp, buildFpppp},
+         buildFpppp},
     };
     return workloads;
 }
 
-const std::vector<WorkloadSpec> &
+const std::vector<Workload> &
 attackWorkloads()
 {
-    static const std::vector<WorkloadSpec> workloads = {
+    static const std::vector<Workload> workloads = {
         {"tc_victim", false,
          "timing-channel victim: secret-length speculative chains",
-         planTcVictim, buildTcVictim},
+         buildTcVictim},
         {"tc_attack", false,
          "timing-channel attacker: victim phases + cache probes",
-         planTcAttack, buildTcAttack},
+         buildTcAttack},
     };
     return workloads;
 }
 
-std::vector<const WorkloadSpec *>
-selectWorkloads(const std::vector<WorkloadSpec> &suite, bool quick)
+std::vector<const Workload *>
+selectWorkloads(const std::vector<Workload> &suite, bool quick)
 {
-    std::vector<const WorkloadSpec *> picked;
+    std::vector<const Workload *> picked;
     unsigned ints = 0, fps = 0;
-    for (const WorkloadSpec &w : suite)
+    for (const Workload &w : suite)
         if (!quick || (w.isFp ? fps++ < 1 : ints++ < 2))
             picked.push_back(&w);
     return picked;
 }
 
-const WorkloadSpec *
+const Workload *
 findWorkload(const std::string &name)
 {
-    for (const WorkloadSpec &w : allWorkloads())
+    for (const Workload &w : allWorkloads())
         if (w.name == name)
             return &w;
-    for (const WorkloadSpec &w : attackWorkloads())
+    for (const Workload &w : attackWorkloads())
         if (w.name == name)
             return &w;
     return nullptr;
@@ -185,7 +125,7 @@ Program
 buildWorkload(const std::string &name, unsigned scale, Footprint fp,
               std::uint64_t fuzz_seed)
 {
-    const WorkloadSpec *w = findWorkload(name);
+    const Workload *w = findWorkload(name);
     if (!w)
         fatal("unknown workload '", name, "'");
     return w->instantiate(scale, fp, fuzz_seed);
@@ -210,27 +150,26 @@ formatBytes(double bytes)
 } // namespace
 
 std::string
-describeFootprint(const WorkloadSpec &w, unsigned scale, Footprint fp)
+describeFootprint(const Workload &w, unsigned scale, Footprint fp)
 {
-    if (scale == 0)
-        fatal("workload '", w.name, "': invalid scale 0");
-    const FootprintPlan plan = w.plan(scale, fp);
-
-    // Largest extents first; the long tail is folded into "...".
-    std::vector<std::pair<std::string, std::size_t>> sorted =
-        plan.extents;
+    // Largest allocations first (ties keep allocation order); the long
+    // tail is folded into "...".
+    std::vector<DataAllocation> sorted =
+        w.instantiate(scale, fp).allocations();
     std::stable_sort(sorted.begin(), sorted.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second > b.second;
+                     [](const DataAllocation &a, const DataAllocation &b) {
+                         return a.bytes > b.bytes;
                      });
 
-    std::string out = formatBytes(double(plan.totalBytes())) + " (";
+    std::size_t total = 0;
+    for (const DataAllocation &a : sorted)
+        total += a.bytes;
+    std::string out = formatBytes(double(total)) + " (";
     const std::size_t shown = std::min<std::size_t>(sorted.size(), 3);
     for (std::size_t i = 0; i < shown; ++i) {
         if (i)
             out += ", ";
-        out += sorted[i].first + " " +
-               formatBytes(double(sorted[i].second) * 8.0);
+        out += sorted[i].name + " " + formatBytes(double(sorted[i].bytes));
     }
     if (sorted.size() > shown)
         out += ", ...";

@@ -14,32 +14,21 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planSwim(unsigned scale, Footprint fp)
+Program
+buildSwim(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Three streamed double grids of n elements: 50KB / 192KB / 1.5MB.
     const std::size_t n = byFootprint<std::size_t>(fp, 2048, 8192, 65536);
-    p.extent("u", n + 8);
-    p.extent("v", n + 72);
-    p.extent("p", n + 8);
-    p.extent("consts", 4);
-    p.trip("n", std::int64_t(n));
-    p.trip("passes", scaledPasses(scale, 5, byFootprint(fp, 1u, 4u, 32u)));
-    return p;
-}
+    const std::int32_t passes =
+        scaledPasses("swim", scale, 5, byFootprint(fp, 1u, 4u, 32u));
 
-Program
-buildSwim(const FootprintPlan &plan)
-{
     ProgramBuilder b;
 
-    const std::size_t n = std::size_t(plan.count("n"));
     const Addr u = b.allocWords("u", n + 8);
     const Addr v = b.allocWords("v", n + 72);
     const Addr p = b.allocWords("p", n + 8);
     const Addr consts = b.allocWords("consts", 4);
-    const double fz = fuzzOffset(plan.fuzzSeed);
+    const double fz = fuzzOffset(fuzz_seed);
     fillDoubles(b, u, n + 8,
                 [=](size_t i) { return 0.25 + fz + 0.001 * i; });
     fillDoubles(b, v, n + 72,
@@ -55,12 +44,12 @@ buildSwim(const FootprintPlan &plan)
     b.cvtif(facc, scratch0);
 
     const RegId idx = 16;
-    countedLoop(b, counter0, plan.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, u);
         b.loadAddr(ptr1, v);
         b.loadAddr(ptr2, p);
         b.ldi(idx, 0);
-        countedLoop(b, counter1, plan.count("n"), [&] {
+        countedLoop(b, counter1, std::int32_t(n), [&] {
             // Explicit index arithmetic, as compiled array code does
             // (scalar overhead that never vectorizes).
             b.slli(scratch0, idx, 3);

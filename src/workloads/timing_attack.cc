@@ -18,8 +18,8 @@
  *
  * Neither kernel is part of allWorkloads(): the 12-workload suite is
  * the fixed baseline surface of every figure. They register through
- * attackWorkloads() / findWorkload() and run via the "attack" plan
- * (excluded from --plan all) or --workload tc_victim / tc_attack.
+ * attackWorkloads() / findWorkload() and run through the "attack"
+ * plan (`sdv_sweep --plan attack`, excluded from --plan all).
  */
 
 #include "workloads/workload.hh"
@@ -31,20 +31,6 @@
 namespace sdv {
 
 using namespace workloads;
-
-FootprintPlan
-planTcVictim(unsigned scale, Footprint fp)
-{
-    FootprintPlan p = makePlan(scale, fp);
-    // The secret array drives the chain lengths; the streamed buffer
-    // is what the secret-dependent chains load from.
-    p.extent("secret", byFootprint<std::size_t>(fp, 512, 1024, 4096));
-    p.extent("buffer", byFootprint<std::size_t>(fp, 2048, 16384, 131072));
-    p.extent("frame", 16);
-    p.trip("segs", byFootprint(fp, 256, 512, 1024));
-    p.trip("passes", scaledPasses(scale, 4, byFootprint(fp, 1u, 2u, 4u)));
-    return p;
-}
 
 /**
  * Emit one victim segment: read a secret word, then stream stride-1
@@ -82,13 +68,22 @@ emitVictimSegment(ProgramBuilder &b, Addr buffer, std::int32_t off_mask)
 }
 
 Program
-buildTcVictim(const FootprintPlan &p)
+buildTcVictim(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    ProgramBuilder b;
-    Random rng(0x7c7111 ^ p.fuzzSeed);
+    // The secret array drives the chain lengths; the streamed buffer
+    // is what the secret-dependent chains load from.
+    const std::size_t secretLen =
+        byFootprint<std::size_t>(fp, 512, 1024, 4096);
+    const std::size_t bufferLen =
+        byFootprint<std::size_t>(fp, 2048, 16384, 131072);
+    const std::int32_t segs =
+        std::min(byFootprint(fp, 256, 512, 1024), indexMask(secretLen) + 1);
+    const std::int32_t passes =
+        scaledPasses("tc_victim", scale, 4, byFootprint(fp, 1u, 2u, 4u));
 
-    const std::size_t secretLen = p.words("secret");
-    const std::size_t bufferLen = p.words("buffer");
+    ProgramBuilder b;
+    Random rng(0x7c7111 ^ fuzz_seed);
+
     const Addr secret = b.allocWords("secret", secretLen);
     const Addr buffer = b.allocWords("buffer", bufferLen);
     const Addr frame = b.allocWords("frame", 16);
@@ -100,11 +95,8 @@ buildTcVictim(const FootprintPlan &p)
         subIndexMask(bufferLen, 2); // start in the lower half
 
     b.ldi(acc0, 0);
-    const std::int32_t seg_mask = p.indexMask("secret");
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, secret);
-        const std::int32_t segs =
-            std::min(p.count("segs"), seg_mask + 1);
         countedLoop(b, counter1, segs, [&] {
             emitVictimSegment(b, buffer, off_mask);
         });
@@ -116,31 +108,25 @@ buildTcVictim(const FootprintPlan &p)
     return b.finish();
 }
 
-FootprintPlan
-planTcAttack(unsigned scale, Footprint fp)
+Program
+buildTcAttack(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
-    p.extent("secret", byFootprint<std::size_t>(fp, 512, 1024, 4096));
-    p.extent("buffer", byFootprint<std::size_t>(fp, 2048, 16384, 131072));
+    const std::size_t secretLen =
+        byFootprint<std::size_t>(fp, 512, 1024, 4096);
+    const std::size_t bufferLen =
+        byFootprint<std::size_t>(fp, 2048, 16384, 131072);
     // The attacker's probe array: randomly probed, evicting/observing
     // the lines the victim's speculative element loads touch.
-    p.extent("probe", byFootprint<std::size_t>(fp, 2048, 16384, 131072));
-    p.extent("frame", 16);
-    p.trip("segs", byFootprint(fp, 128, 256, 512));
-    p.trip("probes", 64);
-    p.trip("passes", scaledPasses(scale, 4, byFootprint(fp, 1u, 2u, 4u)));
-    return p;
-}
+    const std::size_t probeLen =
+        byFootprint<std::size_t>(fp, 2048, 16384, 131072);
+    const std::int32_t segs =
+        std::min(byFootprint(fp, 128, 256, 512), indexMask(secretLen) + 1);
+    const std::int32_t passes =
+        scaledPasses("tc_attack", scale, 4, byFootprint(fp, 1u, 2u, 4u));
 
-Program
-buildTcAttack(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x477ac ^ p.fuzzSeed);
+    Random rng(0x477ac ^ fuzz_seed);
 
-    const std::size_t secretLen = p.words("secret");
-    const std::size_t bufferLen = p.words("buffer");
-    const std::size_t probeLen = p.words("probe");
     const Addr secret = b.allocWords("secret", secretLen);
     const Addr buffer = b.allocWords("buffer", bufferLen);
     const Addr probe = b.allocWords("probe", probeLen);
@@ -150,18 +136,15 @@ buildTcAttack(const FootprintPlan &p)
     fillRandomWords(b, probe, probeLen, rng, 4096);
 
     const std::int32_t off_mask = subIndexMask(bufferLen, 2);
-    const std::int32_t probe_mask = p.indexMask("probe");
+    const std::int32_t probe_mask = indexMask(probeLen);
 
     b.ldi(acc0, 0); // victim accumulator
     b.ldi(acc1, 0); // attacker "measurement" accumulator
-    emitLcgInit(b, 0xa77acc ^ p.fuzzSeed);
+    emitLcgInit(b, 0xa77acc ^ fuzz_seed);
     b.loadAddr(ptr1, probe);
 
-    const std::int32_t seg_mask = p.indexMask("secret");
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         b.loadAddr(ptr0, secret);
-        const std::int32_t segs =
-            std::min(p.count("segs"), seg_mask + 1);
         countedLoop(b, counter1, segs, [&] {
             // Victim phase: a secret-dependent speculative chain. With
             // --quiesce-interval active, some of these segments land a
@@ -175,7 +158,7 @@ buildTcAttack(const FootprintPlan &p)
             // element loads displaced — the cache-side channel. A
             // stride-1 tail re-primes the vector engine so attacker
             // chains are alive at the next boundary too.
-            countedLoop(b, spillTmp, p.count("probes"), [&] {
+            countedLoop(b, spillTmp, 64, [&] {
                 emitLcgNext(b, scratch1, probe_mask);
                 b.slli(scratch1, scratch1, 3);
                 b.add(ptr3, ptr1, scratch1);

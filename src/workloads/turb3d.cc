@@ -13,37 +13,31 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planTurb3d(unsigned scale, Footprint fp)
+Program
+buildTurb3d(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Ping-pong signal buffers of n doubles (33KB / 192KB / 2MB). The
     // seed butterfly counts touch a few KB per pass; the grown modes
     // sweep the whole buffer at every stride (span pairs*stride ~ n).
     const std::size_t n = byFootprint<std::size_t>(fp, 2048, 12288, 131072);
-    p.extent("sig", n + 64);
-    p.extent("outbuf", n + 64);
-    p.extent("twiddle", 4);
-    const std::int64_t sweep = std::int64_t(n) - 1024; // grown spans
-    p.trip("pairs1", byFootprint<std::int64_t>(fp, 224, sweep, sweep));
-    p.trip("pairs2", byFootprint<std::int64_t>(fp, 224, sweep / 2, sweep / 2));
-    p.trip("pairs4", byFootprint<std::int64_t>(fp, 96, sweep / 4, sweep / 4));
-    p.trip("pairs8", byFootprint<std::int64_t>(fp, 96, sweep / 8, sweep / 8));
+    // Butterfly pairs per pass, indexed by stride (1, 2, 4 and 8).
+    const std::int32_t sweep = std::int32_t(n) - 1024; // grown spans
+    const bool seed = fp == Footprint::Base;
+    std::int32_t pairsFor[9] = {};
+    pairsFor[1] = seed ? 224 : sweep;
+    pairsFor[2] = seed ? 224 : sweep / 2;
+    pairsFor[4] = seed ? 96 : sweep / 4;
+    pairsFor[8] = seed ? 96 : sweep / 8;
     // Total pairs per outer pass: 864 seed, ~37x at L2, ~432x at mem.
-    p.trip("passes", scaledPasses(scale, 5, byFootprint(fp, 1u, 37u, 432u)));
-    return p;
-}
+    const std::int32_t passes =
+        scaledPasses("turb3d", scale, 5, byFootprint(fp, 1u, 37u, 432u));
 
-Program
-buildTurb3d(const FootprintPlan &p)
-{
     ProgramBuilder b;
 
-    const std::size_t n = p.words("sig") - 64;
     const Addr sig = b.allocWords("sig", n + 64);
     const Addr out = b.allocWords("outbuf", n + 64);
     const Addr twiddle = b.allocWords("twiddle", 4);
-    const double fz = fuzzOffset(p.fuzzSeed);
+    const double fz = fuzzOffset(fuzz_seed);
     fillDoubles(b, sig, n + 64, [=](size_t i) {
         return 0.001 * double(i % 611) - 0.3 + fz;
     });
@@ -56,16 +50,7 @@ buildTurb3d(const FootprintPlan &p)
     b.ldi(scratch0, 0);
     b.cvtif(facc, scratch0);
 
-    const std::int32_t pairsFor[9] = {0,
-                                      p.count("pairs1"),
-                                      p.count("pairs2"),
-                                      0,
-                                      p.count("pairs4"),
-                                      0,
-                                      0,
-                                      0,
-                                      p.count("pairs8")};
-    countedLoop(b, counter0, p.count("passes"), [&] {
+    countedLoop(b, counter0, passes, [&] {
         // One butterfly pass per stride in {1, 2, 4, 8}; short strides
         // dominate as in a real decimation (81% of strided accesses
         // stay below 4 elements for SpecFP in the paper).

@@ -14,34 +14,24 @@ namespace sdv {
 
 using namespace workloads;
 
-FootprintPlan
-planVortex(unsigned scale, Footprint fp)
+Program
+buildVortex(unsigned scale, Footprint fp, std::uint64_t fuzz_seed)
 {
-    FootprintPlan p = makePlan(scale, fp);
     // Footprint: the two-word record store plus its mirror,
     // 26KB / 200KB / 1.6MB. The grown modes also widen the scan and
     // bulk-copy windows (the seed masks cover a hot subset only) so
     // the streamed traffic spreads over the grown store.
     const std::size_t nrec = byFootprint<std::size_t>(fp, 1024, 8192, 65536);
-    p.extent("records", nrec * 2);
-    p.extent("mirror", nrec);
-    p.extent("index", byFootprint<std::size_t>(fp, 256, 1024, 4096));
-    p.extent("frame", 32);
-    p.trip("nrec", std::int64_t(nrec));
-    p.trip("iters", std::int64_t(scale) * 190);
-    p.trip("scanmask", subIndexMask(nrec, fp == Footprint::Base ? 32 : 8));
-    p.trip("copymask", subIndexMask(nrec, fp == Footprint::Base ? 16 : 4));
-    return p;
-}
+    const std::size_t indexLen =
+        byFootprint<std::size_t>(fp, 256, 1024, 4096);
+    const std::int32_t iters = scaledPasses("vortex", scale, 190);
+    const bool base = fp == Footprint::Base;
+    const std::int32_t scanMask = subIndexMask(nrec, base ? 32 : 8);
+    const std::int32_t copyMask = subIndexMask(nrec, base ? 16 : 4);
 
-Program
-buildVortex(const FootprintPlan &p)
-{
     ProgramBuilder b;
-    Random rng(0x04237e ^ p.fuzzSeed);
+    Random rng(0x04237e ^ fuzz_seed);
 
-    const std::size_t nrec = std::size_t(p.count("nrec"));
-    const std::size_t indexLen = p.words("index");
     const Addr records = b.allocWords("records", nrec * 2); // key,value
     const Addr mirror = b.allocWords("mirror", nrec);
     const Addr index = b.allocWords("index", indexLen);
@@ -50,17 +40,17 @@ buildVortex(const FootprintPlan &p)
     fillWords(b, index, indexLen,
               [&](size_t) { return rng.below(nrec); });
 
-    emitLcgInit(b, 0x4237e ^ p.fuzzSeed);
+    emitLcgInit(b, 0x4237e ^ fuzz_seed);
     b.loadAddr(framePtr, frame);
     b.ldi(acc0, 0);
     b.ldi(acc1, 0);
 
-    countedLoop(b, counter0, p.count("iters"), [&] {
+    countedLoop(b, counter0, iters, [&] {
         // Transaction-state reloads (db handle, cursor: stride 0).
         emitSpillReloads(b, 6, acc1);
         // Key scan over 10 records (stride 2: the struct size).
         b.loadAddr(ptr0, records);
-        b.andi(scratch0, counter0, p.count("scanmask"));
+        b.andi(scratch0, counter0, scanMask);
         b.slli(scratch0, scratch0, 4);
         b.add(ptr0, ptr0, scratch0);
         countedLoop(b, counter1, 10, [&] {
@@ -81,7 +71,7 @@ buildVortex(const FootprintPlan &p)
         // and store).
         b.loadAddr(ptr1, records);
         b.loadAddr(ptr2, mirror);
-        b.andi(scratch0, counter0, p.count("copymask"));
+        b.andi(scratch0, counter0, copyMask);
         b.slli(scratch1, scratch0, 3);
         b.add(ptr2, ptr2, scratch1);
         b.slli(scratch1, scratch0, 4);
@@ -95,7 +85,7 @@ buildVortex(const FootprintPlan &p)
         });
 
         // Index-directed probe (random record).
-        emitLcgNext(b, scratch0, std::uint32_t(p.indexMask("index")));
+        emitLcgNext(b, scratch0, std::uint32_t(indexMask(indexLen)));
         b.slli(scratch0, scratch0, 3);
         b.loadAddr(ptr3, index);
         b.add(ptr3, ptr3, scratch0);

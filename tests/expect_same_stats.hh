@@ -28,9 +28,9 @@ expectSameStats(const SimResult &a, const SimResult &b,
     SCOPED_TRACE(label);
     EXPECT_EQ(a.finished, b.finished);
     EXPECT_EQ(a.verified, b.verified);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
+    EXPECT_EQ(a.core.cycles, b.core.cycles);
+    EXPECT_EQ(a.core.committedInsts, b.core.committedInsts);
+    EXPECT_DOUBLE_EQ(a.core.ipc(), b.core.ipc());
 
     const auto sa = statsBlocks(a);
     const auto sb = statsBlocks(b);

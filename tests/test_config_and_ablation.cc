@@ -90,7 +90,7 @@ TEST(Config, Fig10WindowDefaultsToThePapersHundred)
     explicit100.fig10WindowInsts = 100;
     const SimResult a = simulate(base, prog, 50'000'000, false);
     const SimResult b = simulate(explicit100, prog, 50'000'000, false);
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.core.cycles, b.core.cycles);
     EXPECT_EQ(a.core.postMispredictWindowInsts,
               b.core.postMispredictWindowInsts);
     EXPECT_EQ(a.core.postMispredictReused, b.core.postMispredictReused);
@@ -109,7 +109,8 @@ TEST(Config, Fig10WindowIsAblatable)
     narrow.fig10WindowInsts = 10;
     const SimResult a = simulate(base, prog, 50'000'000, false);
     const SimResult b = simulate(narrow, prog, 50'000'000, false);
-    EXPECT_EQ(a.cycles, b.cycles); // measurement only, no timing effect
+    // Measurement only, no timing effect.
+    EXPECT_EQ(a.core.cycles, b.core.cycles);
     ASSERT_GT(a.core.branchMispredicts, 0u);
     EXPECT_GT(a.core.postMispredictWindowInsts,
               b.core.postMispredictWindowInsts);
@@ -160,7 +161,7 @@ TEST(Ablation, MoreVregsNeverHurtMuch)
     CoreConfig large = makeConfig(4, 1, BusMode::WideBusSdv);
     const SimResult rs = simulate(small, prog, 50'000'000, false);
     const SimResult rl = simulate(large, prog, 50'000'000, false);
-    EXPECT_LE(double(rl.cycles), double(rs.cycles) * 1.02);
+    EXPECT_LE(double(rl.core.cycles), double(rs.core.cycles) * 1.02);
 }
 
 TEST(Ablation, ConfidenceOneSpawnsMoreAggressively)

@@ -62,7 +62,7 @@ TEST(Pipeline, SumLoopScalarBaseline)
         simulate(makeConfig(4, 1, BusMode::ScalarBus), prog);
     ASSERT_TRUE(res.finished);
     EXPECT_TRUE(res.verified);
-    EXPECT_GT(res.ipc, 0.5);
+    EXPECT_GT(res.core.ipc(), 0.5);
     EXPECT_EQ(res.core.committedValidations, 0u);
 }
 
@@ -114,7 +114,7 @@ TEST(Pipeline, VectorizationSpeedsUpStreamingCode)
     const SimResult sdv =
         simulate(makeConfig(4, 1, BusMode::WideBusSdv), prog);
     ASSERT_TRUE(base.finished && sdv.finished);
-    EXPECT_LT(sdv.cycles, base.cycles);
+    EXPECT_LT(sdv.core.cycles, base.core.cycles);
 }
 
 /** Pointer-style stride-0 reloads: the "same address" pattern. */
@@ -308,14 +308,14 @@ TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
             Simulator sim(cfg, prog);
             const SimResult res = sim.run(budget, /*verify=*/false);
             EXPECT_FALSE(res.finished);
-            EXPECT_EQ(res.cycles, budget);
+            EXPECT_EQ(res.core.cycles, budget);
         }
         {
             Simulator sim(cfg, prog);
             const SimResult res =
                 sim.run(budget, /*verify=*/false, /*quiesce_interval=*/2'000);
             EXPECT_FALSE(res.finished);
-            EXPECT_EQ(res.cycles, budget);
+            EXPECT_EQ(res.core.cycles, budget);
         }
         {
             Simulator sim(cfg, prog);
@@ -326,7 +326,7 @@ TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
             Simulator sim(cfg, prog);
             const SimResult res = sim.runInsts(1'000'000, budget);
             EXPECT_FALSE(res.finished);
-            EXPECT_EQ(res.cycles, budget);
+            EXPECT_EQ(res.core.cycles, budget);
         }
     }
 }
@@ -369,7 +369,7 @@ TEST(Pipeline, WakeupStateMatchesItsAuditEveryCycle)
         {"vregs8", vregs8},
     };
     std::uint64_t fallbacks = 0;
-    for (const WorkloadSpec &w : allWorkloads()) {
+    for (const Workload &w : allWorkloads()) {
         const Program prog = w.instantiate(1);
         for (const auto &[name, cfg] : machines) {
             SCOPED_TRACE(w.name + " " + name);

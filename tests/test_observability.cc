@@ -192,7 +192,7 @@ TEST(Observability, TelemetrySumsEqualAggregatesExactly)
 
         // Samples tile [0, cycles] with no gaps or overlaps ...
         EXPECT_EQ(samples.front().startCycle, 0u);
-        EXPECT_EQ(samples.back().endCycle, r.cycles);
+        EXPECT_EQ(samples.back().endCycle, r.core.cycles);
         for (std::size_t i = 1; i < samples.size(); ++i)
             EXPECT_EQ(samples[i].startCycle, samples[i - 1].endCycle);
 
@@ -207,8 +207,8 @@ TEST(Observability, TelemetrySumsEqualAggregatesExactly)
             validations += s.validations;
             fallbacks += s.valFallbacks;
         }
-        EXPECT_EQ(insts, r.insts);
-        EXPECT_EQ(cycles, r.cycles);
+        EXPECT_EQ(insts, r.core.committedInsts);
+        EXPECT_EQ(cycles, r.core.cycles);
         EXPECT_EQ(stalls, r.core.fetchStallCycles);
         EXPECT_EQ(val_waits, r.core.fetchStallValWaitCycles);
         EXPECT_EQ(validations, r.core.committedValidations);

@@ -167,7 +167,7 @@ TEST(Validation, CatchesACorruptedLandedElement)
         EXPECT_TRUE(res.verified);
         EXPECT_GE(res.engine.validationValueMismatches, 1u);
         EXPECT_EQ(core.commitPcHash(), clean.core().commitPcHash());
-        EXPECT_EQ(res.insts, cres.insts);
+        EXPECT_EQ(res.core.committedInsts, cres.core.committedInsts);
     }
 }
 

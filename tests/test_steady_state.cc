@@ -55,7 +55,7 @@ struct GapResult
     double
     gap() const
     {
-        return double(cont.cycles) / double(quiesced.cycles) - 1.0;
+        return double(cont.core.cycles) / double(quiesced.core.cycles) - 1.0;
     }
 };
 
@@ -104,13 +104,13 @@ TEST(SteadyState, EagerChainClosesTheGapToTwoPercent)
     // bound).
     for (const std::string w : {"m88ksim", "perl"}) {
         const GapResult r = measureGap(w, /*eager=*/true);
-        EXPECT_LE(double(r.cont.cycles),
-                  double(r.quiesced.cycles) * 1.02)
+        EXPECT_LE(double(r.cont.core.cycles),
+                  double(r.quiesced.core.cycles) * 1.02)
             << w << " gap " << r.gap();
         // And it beats the default configuration outright, not just
         // relative to its own quiesced twin.
         const GapResult d = measureGap(w, /*eager=*/false);
-        EXPECT_LT(r.cont.cycles, d.cont.cycles) << w;
+        EXPECT_LT(r.cont.core.cycles, d.cont.core.cycles) << w;
     }
 }
 
@@ -148,7 +148,7 @@ TEST(SteadyState, QuiesceIntervalPreservesArchitecturalResults)
         Simulator qui(cfg, prog);
         const SimResult rq = qui.run(200'000'000, true, 5'000);
         EXPECT_TRUE(rc.verified && rq.verified) << w;
-        EXPECT_EQ(rc.insts, rq.insts) << w;
+        EXPECT_EQ(rc.core.committedInsts, rq.core.committedInsts) << w;
         EXPECT_EQ(cont.core().commitPcHash(), qui.core().commitPcHash())
             << w;
         // The quiesced machine really did drop vector state: it

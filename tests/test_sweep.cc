@@ -480,18 +480,18 @@ TEST(Reports, HeadlineOfAPaperMachinePrintsThePaperClaims)
         stampedOutcomes(plan, [](sweep::RunOutcome &o) {
             SimResult &r = o.res;
             if (o.column == "4w-1pV") {
-                r.cycles = 1000;
+                r.core.cycles = 1000;
                 r.ports.readAccesses = o.isFp ? 800 : 850;
                 r.engine.storesChecked = 1000;
                 r.engine.storeRangeConflicts = o.isFp ? 25 : 45;
             } else if (o.column == "4w-1pIM") {
-                r.cycles = o.isFp ? 1081 : 1212;
+                r.core.cycles = o.isFp ? 1081 : 1212;
                 r.ports.readAccesses = 1000;
             } else if (o.column == "4w-4pnoIM") {
-                r.cycles = 1190;
+                r.core.cycles = 1190;
             } else {
                 ASSERT_EQ(o.column, "8w-4pnoIM");
-                r.cycles = 1030;
+                r.core.cycles = 1030;
             }
         });
     ASSERT_EQ(outcomes.size(), 12u);
@@ -513,9 +513,8 @@ TEST(Reports, PlanAllPrintsEachFigureOnceInPlanOrder)
     const sweep::SweepPlan all = quickPlan("all");
     const std::string report = sweep::planReport(
         all, stampedOutcomes(all, [](sweep::RunOutcome &o) {
-            o.res.cycles = 1000;
-            o.res.insts = 1500;
-            o.res.ipc = 1.5;
+            o.res.core.cycles = 1000;
+            o.res.core.committedInsts = 1500;
         }));
     std::vector<std::string> lines;
     std::istringstream in(report);
@@ -618,9 +617,9 @@ TEST(SweepExecutor, AttackPlanEagerColumnChainsEagerly)
             buildWorkload(eager.workload, plan.scale, plan.footprint));
         Simulator direct(*eager_cfg, prog);
         const SimResult res = direct.run(opt.maxCycles, /*verify=*/false);
-        EXPECT_EQ(eager.res.cycles, res.cycles);
+        EXPECT_EQ(eager.res.core.cycles, res.core.cycles);
         EXPECT_EQ(eager.commitHash, direct.core().commitPcHash());
-        EXPECT_NE(eager.res.cycles, base->res.cycles);
+        EXPECT_NE(eager.res.core.cycles, base->res.core.cycles);
         ++checked;
     }
     EXPECT_EQ(checked, attackWorkloads().size());

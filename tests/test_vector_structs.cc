@@ -438,7 +438,7 @@ TEST_F(DatapathFixture, LoadInstanceFillsElements)
 {
     const VecRegRef v = vrf.allocate(0);
     vrf.setElemCount(v, 4);
-    dp.spawnLoad(0x1000, v, /*base=*/800, /*stride=*/8, 8, 4);
+    dp.spawnLoad(v, /*base=*/800, /*stride=*/8, 8, 4);
     Cycle now = 0;
     tickN(40, now); // enough for a cold miss to land
     for (unsigned e = 0; e < 4; ++e) {
@@ -452,8 +452,8 @@ TEST_F(DatapathFixture, LoadFeedsArithInstance)
 {
     const VecRegRef v = vrf.allocate(0);
     const VecRegRef dst = vrf.allocate(0);
-    dp.spawnLoad(0x1000, v, /*base=*/800, /*stride=*/8, 8, 4);
-    dp.spawnArith(0x2000, Opcode::ADDI, /*imm=*/5, dst,
+    dp.spawnLoad(v, /*base=*/800, /*stride=*/8, 8, 4);
+    dp.spawnArith(Opcode::ADDI, /*imm=*/5, dst,
                   SrcSpec::vector(v, 0), SrcSpec::none(), 4);
     Cycle now = 0;
     tickN(60, now); // the arith instance waits out the cold miss
@@ -470,7 +470,7 @@ TEST_F(DatapathFixture, ArithInstanceComputesFromSources)
         vrf.setData(src, e, 10 * e);
     const VecRegRef dst = vrf.allocate(0);
     vrf.setElemCount(dst, 4);
-    dp.spawnArith(0x2000, Opcode::ADDI, /*imm=*/5, dst,
+    dp.spawnArith(Opcode::ADDI, /*imm=*/5, dst,
                   SrcSpec::vector(src, 0), SrcSpec::none(), 4);
     Cycle now = 0;
     tickN(10, now);
@@ -486,7 +486,7 @@ TEST_F(DatapathFixture, ScalarOperandBroadcasts)
     for (unsigned e = 0; e < 4; ++e)
         vrf.setData(src, e, e);
     const VecRegRef dst = vrf.allocate(0);
-    dp.spawnArith(0x3000, Opcode::ADD, 0, dst, SrcSpec::vector(src, 0),
+    dp.spawnArith(Opcode::ADD, 0, dst, SrcSpec::vector(src, 0),
                   SrcSpec::scalar(100), 4);
     Cycle now = 0;
     tickN(10, now);
@@ -502,7 +502,7 @@ TEST_F(DatapathFixture, ScalarDependenceParksInstance)
     const VecRegRef dst = vrf.allocate(0);
     SrcSpec scalar = SrcSpec::scalar(7);
     scalar.depSeq = 42; // in-flight producer
-    dp.spawnArith(0x4000, Opcode::ADD, 0, dst, SrcSpec::vector(src, 0),
+    dp.spawnArith(Opcode::ADD, 0, dst, SrcSpec::vector(src, 0),
                   scalar, 4);
     Cycle now = 0;
     tickN(10, now);
@@ -520,7 +520,7 @@ TEST_F(DatapathFixture, SourceOffsetShiftsElementPairing)
         vrf.setData(src, e, 100 + e);
     const VecRegRef dst = vrf.allocate(0);
     vrf.setElemCount(dst, 3); // vlen - srcOffset
-    dp.spawnArith(0x5000, Opcode::ADDI, 0, dst, SrcSpec::vector(src, 1),
+    dp.spawnArith(Opcode::ADDI, 0, dst, SrcSpec::vector(src, 1),
                   SrcSpec::none(), 3);
     Cycle now = 0;
     tickN(10, now);
@@ -532,7 +532,7 @@ TEST_F(DatapathFixture, SourceOffsetShiftsElementPairing)
 TEST_F(DatapathFixture, AbortStopsRemainingElements)
 {
     const VecRegRef v = vrf.allocate(0);
-    dp.spawnLoad(0x6000, v, 800, 8, 8, 4);
+    dp.spawnLoad(v, 800, 8, 8, 4);
     dp.abortByDest(v);
     Cycle now = 0;
     tickN(20, now);
@@ -544,7 +544,7 @@ TEST_F(DatapathFixture, DeadSourceCascadesKillToDest)
 {
     const VecRegRef src = vrf.allocate(0);
     const VecRegRef dst = vrf.allocate(0);
-    dp.spawnArith(0x7000, Opcode::ADDI, 1, dst, SrcSpec::vector(src, 0),
+    dp.spawnArith(Opcode::ADDI, 1, dst, SrcSpec::vector(src, 0),
                   SrcSpec::none(), 4);
     vrf.kill(src); // e.g. store conflict on the producer
     Cycle now = 0;
@@ -559,7 +559,7 @@ TEST_F(DatapathFixture, UniformSourceServesAnyElementFromElem0)
     vrf.setUniform(src, true);
     vrf.setData(src, 0, 55); // only element 0 computed
     const VecRegRef dst = vrf.allocate(0);
-    dp.spawnArith(0x8000, Opcode::ADDI, 1, dst, SrcSpec::vector(src, 2),
+    dp.spawnArith(Opcode::ADDI, 1, dst, SrcSpec::vector(src, 2),
                   SrcSpec::none(), 4);
     Cycle now = 0;
     tickN(10, now);

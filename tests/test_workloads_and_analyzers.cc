@@ -50,7 +50,7 @@ TEST_P(WorkloadRun, VerifiesOnHeadlineMachine)
     ASSERT_TRUE(r.finished) << w.name;
     EXPECT_TRUE(r.verified) << w.name;
     EXPECT_EQ(r.engine.validationValueMismatches, 0u) << w.name;
-    EXPECT_GT(r.insts, 20000u) << w.name;
+    EXPECT_GT(r.core.committedInsts, 20000u) << w.name;
     // The mechanism must engage on every workload.
     EXPECT_GT(r.core.committedValidations, 100u) << w.name;
 }
@@ -65,7 +65,7 @@ TEST_P(WorkloadRun, SdvNeverLosesToWideBus)
                                  prog, 50'000'000, false);
     const SimResult im = simulate(makeConfig(4, 1, BusMode::WideBus),
                                   prog, 50'000'000, false);
-    EXPECT_LT(double(v.cycles), double(im.cycles) * 1.02) << w.name;
+    EXPECT_LT(double(v.core.cycles), double(im.core.cycles) * 1.02) << w.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadRun,

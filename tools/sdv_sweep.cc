@@ -199,7 +199,7 @@ main(int argc, char **argv)
                     popt.scale);
         std::printf("  %-9s %-10s %s\n", "workload", "mode",
                     "footprint");
-        for (const WorkloadSpec &w : allWorkloads())
+        for (const Workload &w : allWorkloads())
             for (Footprint fp :
                  {Footprint::Base, Footprint::L2, Footprint::Mem})
                 std::printf("  %-9s %-10s %s\n", w.name.c_str(),
@@ -243,7 +243,7 @@ main(int argc, char **argv)
     unsigned unfinished = 0;
     unsigned forked = 0;
     for (const sweep::RunOutcome &o : outcomes) {
-        insts += o.res.insts;
+        insts += o.res.core.committedInsts;
         if (!o.res.finished)
             ++unfinished;
         if (o.fromCheckpoint)
