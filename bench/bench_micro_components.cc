@@ -2,7 +2,8 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator substrate itself:
  * cache tag lookups, predictor updates, Table of Loads observations,
- * VRMT lookups, sparse-memory access and whole-core simulation speed.
+ * VRMT lookups, sparse-memory access, whole-core simulation speed and
+ * the paper point's program set-up.
  */
 
 #include <array>
@@ -14,6 +15,7 @@
 #include "branch/gshare.hh"
 #include "mem/cache.hh"
 #include "sim/simulator.hh"
+#include "sweep/plan.hh"
 #include "vector/elem_kernels.hh"
 #include "vector/table_of_loads.hh"
 #include "vector/vreg_file.hh"
@@ -111,11 +113,11 @@ BM_ValidationWakeup(benchmark::State &state)
 {
     // The core's validation poll: each completion stage asks the
     // register file about every parked validation's target element
-    // (live, computed, killed: SdvEngine::validationStatus). Here each
-    // element is polled once while it waits and once after it lands.
+    // (SdvEngine::validationStatus). Here each element is polled once
+    // while it waits and once after it lands.
     VecRegFile vrf(128, 4);
     const auto resolved = [&vrf](VecRegRef r, unsigned e) {
-        return !vrf.isLive(r) || vrf.isReady(r, e) || vrf.isKilled(r);
+        return vrf.valElem(r, e) != VecRegFile::ValElem::Waiting;
     };
     std::uint64_t polls = 0;
     std::uint64_t ready = 0;
@@ -216,6 +218,28 @@ BM_CoreSimulation(benchmark::State &state)
         double(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CoreSimulation)->Unit(benchmark::kMillisecond);
+
+void
+BM_ProgramSetup(benchmark::State &state)
+{
+    // Program set-up of the paper point (fig11 at --scale 4 --footprint
+    // mem): build and pre-decode every workload the plan runs, the work
+    // the sweep does before its first job and that perfbench's setup_s
+    // times.
+    const sweep::SweepPlan plan =
+        sweep::buildPlan("fig11", {.scale = 4, .footprint = Footprint::Mem});
+    for (auto _ : state) {
+        for (const Workload *w : plan.workloads) {
+            Program prog = w->instantiate(plan.scale, plan.footprint);
+            prog.predecodeAll();
+            benchmark::DoNotOptimize(prog);
+        }
+    }
+    state.counters["programs/s"] = benchmark::Counter(
+        double(state.iterations() * plan.workloads.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ProgramSetup)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -361,18 +361,18 @@ Core::completionStage()
     std::size_t kept = 0;
     for (DynInst *d : parkedVals_) {
         switch (engine_.validationStatus(*d)) {
-          case ValStatus::Ready:
+          case VecRegFile::ValElem::Ready:
             d->completed = true;
             d->readyCycle = cycle_;
             wakeConsumers(d);
             maybeUnstall(d);
             break;
-          case ValStatus::Dead:
+          case VecRegFile::ValElem::Dead:
             engine_.fallbackValidation(*d);
             if (d->pendingDeps == 0)
                 insertReady(d);
             break;
-          case ValStatus::Waiting:
+          case VecRegFile::ValElem::Waiting:
             parkedVals_[kept++] = d;
             break;
         }

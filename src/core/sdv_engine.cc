@@ -632,16 +632,10 @@ SdvEngine::killEntry(VrmtEntry &ve)
 
 // --- completion / commit side -------------------------------------------
 
-ValStatus
+VecRegFile::ValElem
 SdvEngine::validationStatus(const DynInst &d) const
 {
-    if (!vrf_.isLive(d.valVreg))
-        return ValStatus::Dead;
-    if (vrf_.isReady(d.valVreg, d.valElem))
-        return ValStatus::Ready;
-    if (vrf_.isKilled(d.valVreg))
-        return ValStatus::Dead; // will never be computed
-    return ValStatus::Waiting;
+    return vrf_.valElem(d.valVreg, d.valElem);
 }
 
 void
@@ -709,7 +703,7 @@ SdvEngine::onStoreCommit(const DynInst &d)
     load_pcs.clear();
     std::vector<VecRegRef> &successors = storeCheckSuccessors_;
     successors.clear();
-    vrf_.forEachLive([&](VecRegRef ref) {
+    vrf_.forEachRanged([&](VecRegRef ref) {
         if (!vrf_.rangeOverlaps(ref, lo, hi))
             return;
         if (!vrf_.isKilled(ref)) {

@@ -69,14 +69,6 @@ enum class DecodeAction : std::uint8_t
     Blocked, ///< stall decode this cycle and retry (Figure 7)
 };
 
-/** Completion state of a validation's target element. */
-enum class ValStatus : std::uint8_t
-{
-    Ready,   ///< element computed; validation may complete
-    Waiting, ///< element still in flight
-    Dead,    ///< register killed/freed; fall back to scalar execution
-};
-
 /** Engine statistics (feed Figures 9, 13, 14, 15 and prose claims). */
 struct EngineStats
 {
@@ -118,7 +110,7 @@ class SdvEngine
                         const VecExecContext &ctx);
 
     /** @return the target element's status for an in-flight validation. */
-    ValStatus validationStatus(const DynInst &d) const;
+    VecRegFile::ValElem validationStatus(const DynInst &d) const;
 
     /** Give up on a validation whose register died: clears U and lets
      *  the pipeline re-execute the instance in scalar mode. */

@@ -8,7 +8,7 @@
 namespace sdv {
 
 ProgramBuilder::ProgramBuilder(Addr code_base, Addr data_base)
-    : program_(code_base), dataBase_(data_base), dataBump_(data_base)
+    : program_(code_base), dataBase_(data_base)
 {
     sdv_assert(data_base % 8 == 0, "misaligned data base");
 }
@@ -217,11 +217,15 @@ ProgramBuilder::allocWords(const std::string &name, size_t count)
 Addr
 ProgramBuilder::allocBytes(const std::string &name, size_t bytes)
 {
-    const Addr base = alignUp(dataBump_, 8);
-    dataBump_ = base + alignUp(bytes, 8);
+    sdv_assert(!finished_, "builder reused after finish()");
+    // Every allocation is a multiple of 8 bytes from an 8-aligned base,
+    // so the image's end is the next aligned address.
+    const Addr base = dataBase_ + data_.size();
+    const std::size_t size = alignUp(bytes, 8);
+    data_.resize(data_.size() + size);
     if (!name.empty()) {
         program_.defineSymbol(name, base);
-        program_.addAllocation({name, std::size_t(dataBump_ - base)});
+        program_.addAllocation({name, size});
     }
     return base;
 }
@@ -229,9 +233,12 @@ ProgramBuilder::allocBytes(const std::string &name, size_t bytes)
 void
 ProgramBuilder::pokeWord(Addr addr, std::uint64_t value)
 {
-    std::vector<std::uint8_t> bytes(8);
-    std::memcpy(bytes.data(), &value, 8);
-    pokes_.emplace_back(addr, std::move(bytes));
+    sdv_assert(!finished_, "poke after finish()");
+    const Addr off = addr - dataBase_;
+    sdv_assert(addr >= dataBase_ && data_.size() >= 8 &&
+                   off <= data_.size() - 8,
+               "poke outside allocated data at ", addr);
+    std::memcpy(data_.data() + off, &value, 8);
 }
 
 void
@@ -274,19 +281,8 @@ ProgramBuilder::finish()
         program_.patch(f.slot, inst);
     }
 
-    if (dataBump_ > dataBase_) {
-        DataSegment seg;
-        seg.base = dataBase_;
-        seg.bytes.assign(size_t(dataBump_ - dataBase_), 0);
-        for (const auto &[addr, bytes] : pokes_) {
-            sdv_assert(addr >= seg.base &&
-                           addr + bytes.size() <= seg.base + seg.bytes.size(),
-                       "poke outside allocated data");
-            std::memcpy(seg.bytes.data() + (addr - seg.base), bytes.data(),
-                        bytes.size());
-        }
-        program_.addData(std::move(seg));
-    }
+    if (!data_.empty())
+        program_.addData({dataBase_, std::move(data_)});
 
     return std::move(program_);
 }

@@ -136,10 +136,12 @@ class ProgramBuilder
      *  is recorded as allocWords records it. */
     Addr allocBytes(const std::string &name, size_t bytes);
 
-    /** Set the initial value of the 64-bit word at @p addr. */
+    /** Set the initial value of the 64-bit word at @p addr, which must
+     *  lie inside the data allocated so far (a later poke of the same
+     *  word overwrites it). */
     void pokeWord(Addr addr, std::uint64_t value);
 
-    /** Set the initial value of a double at @p addr. */
+    /** Set the initial value of a double at @p addr (as pokeWord). */
     void pokeDouble(Addr addr, double value);
 
     /** Define an arbitrary symbol in the output program. */
@@ -182,10 +184,12 @@ class ProgramBuilder
 
     Program program_;
     Addr dataBase_;
-    Addr dataBump_;
+    /** The initial data image from dataBase_: every allocation so far,
+     *  zero-filled, with the pokes written in place. finish() moves it
+     *  into the program. */
+    std::vector<std::uint8_t> data_;
     std::vector<std::int64_t> labelSlot_; ///< -1 while unbound
     std::vector<Fixup> fixups_;
-    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> pokes_;
     bool finished_ = false;
 };
 

@@ -28,6 +28,7 @@ VecRegFile::VecRegFile(unsigned num_regs, unsigned vlen)
         r.elems.resize(vlen);
     sweepMarked_.assign(num_regs, false);
     sweepCandidates_.reserve(num_regs);
+    rangedMask_.assign((num_regs + 63) / 64, 0);
 }
 
 const VecRegFile::Reg &
@@ -184,6 +185,7 @@ VecRegFile::setAddrRange(VecRegRef ref, Addr first, Addr last,
 {
     Reg &r = regFor(ref);
     r.hasRange = true;
+    rangedMask_[ref.reg / 64] |= std::uint64_t(1) << (ref.reg % 64);
     const Addr lo = first < last ? first : last;
     const Addr hi = first < last ? last : first;
     r.rangeLo = lo;
@@ -271,11 +273,11 @@ VecRegFile::release(Reg &reg, ReleaseCause cause)
         ++fates_.releasedBulk;
         break;
     }
+    const auto id = VecRegId(unsigned(&reg - regs_.data()));
     reg.allocated = false;
+    rangedMask_[id / 64] &= ~(std::uint64_t(1) << (id % 64));
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,
-                  packVregArg(VecRegId(unsigned(&reg - regs_.data())),
-                              reg.gen, unsigned(cause)),
-                  age);
+                  packVregArg(id, reg.gen, unsigned(cause)), age);
 }
 
 std::optional<VecRegFile::ReleaseCause>
@@ -355,6 +357,20 @@ VecRegFile::auditSweep(Addr gmrbb) const
     return {};
 }
 
+std::string
+VecRegFile::auditRanged() const
+{
+    for (unsigned i = 0; i < rangedMask_.size() * 64; ++i) {
+        const bool set = (rangedMask_[i / 64] >> (i % 64)) & 1;
+        const bool ranged =
+            i < numRegs_ && regs_[i].allocated && regs_[i].hasRange;
+        if (set != ranged)
+            return detail::concat("vreg ", i, ": range mask bit ", set,
+                                  " but allocated with a range ", ranged);
+    }
+    return {};
+}
+
 void
 VecRegFile::releaseAll()
 {
@@ -375,6 +391,7 @@ VecRegFile::releaseSquashed(VecRegRef ref)
             if (e.loadId != 0)
                 ports_->resolveElem(e.loadId, false);
     r.allocated = false;
+    rangedMask_[ref.reg / 64] &= ~(std::uint64_t(1) << (ref.reg % 64));
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,
                   packVregArg(ref.reg, r.gen, /*cause=*/4),
                   clock_ - r.allocCycle);

@@ -19,7 +19,9 @@
  * that moment.
  *
  * Allocation and the live-register walk read each register's
- * `allocated` flag lowest-index-first. Consumers poll element state:
+ * `allocated` flag lowest-index-first; the store check walks, in the
+ * same order, a bitmask of the live registers that hold a load range
+ * (audited by auditRanged()). Consumers poll element state:
  * the datapath through srcElem(), the core's parked validations
  * through the engine's validation status.
  */
@@ -32,6 +34,8 @@
 #include <string>
 #include <vector>
 
+#include "common/bitutils.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "mem/port.hh"
 
@@ -198,10 +202,8 @@ class VecRegFile
      */
     bool rangeOverlaps(VecRegRef ref, Addr lo, Addr hi) const;
 
-    /** Run @p fn over every live register in ascending index order
-     *  (inlined; no type erasure — this runs once per committed store
-     *  for the Section 3.6 check). @p fn may release the register it
-     *  is given. */
+    /** Run @p fn over every live register in ascending index order.
+     *  @p fn may release the register it is given. */
     template <typename Fn>
     void
     forEachLive(Fn &&fn) const
@@ -209,6 +211,29 @@ class VecRegFile
         for (unsigned i = 0; i < numRegs_; ++i)
             if (regs_[i].allocated)
                 fn(VecRegRef{VecRegId(i), regs_[i].gen});
+    }
+
+    /**
+     * Run @p fn over every live register that holds a load range (the
+     * registers a committed store can conflict with, Section 3.6), in
+     * ascending index order, through a bitmask of them. @p fn may
+     * release or kill the register it is given.
+     */
+    template <typename Fn>
+    void
+    forEachRanged(Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < rangedMask_.size(); ++w) {
+            std::uint64_t bits = rangedMask_[w];
+            while (bits) {
+                const unsigned b = countTrailingZeros(bits);
+                const unsigned i = unsigned(w * 64 + b);
+                fn(VecRegRef{VecRegId(i), regs_[i].gen});
+                // Re-read the word: @p fn may have released a register
+                // above this one.
+                bits = rangedMask_[w] & (~std::uint64_t(1) << b);
+            }
+        }
     }
 
     // --- fused hot-path queries ----------------------------------------
@@ -240,6 +265,33 @@ class VecRegFile
             return SrcElem::Dead;
         const unsigned e = r.uniform ? 0 : elem;
         return (r.rMask >> e) & 1 ? SrcElem::Ready : SrcElem::Pending;
+    }
+
+    /** The target element of a parked validation, as the core sees it
+     *  (SdvEngine::validationStatus). */
+    enum class ValElem : std::uint8_t
+    {
+        Ready,   ///< computed: the validation may complete
+        Waiting, ///< not computed yet
+        Dead,    ///< can never be computed: fall back to scalar
+    };
+
+    /**
+     * @return the state of element @p elem of @p ref for the validation
+     * waiting on it: Dead when the incarnation is dead, else Ready when
+     * the element is computed (even on a killed register), else Dead
+     * when killed, else Waiting.
+     */
+    ValElem
+    valElem(VecRegRef ref, unsigned elem) const
+    {
+        if (!isLive(ref))
+            return ValElem::Dead;
+        sdv_assert(elem < vlen_, "element out of range");
+        const Reg &r = regs_[ref.reg];
+        if ((r.rMask >> elem) & 1)
+            return ValElem::Ready;
+        return r.killed ? ValElem::Dead : ValElem::Waiting;
     }
 
     /** @return the source element's value (element 0 when uniform);
@@ -298,6 +350,14 @@ class VecRegFile
      * @return the first mismatch as text, or empty when they agree
      */
     std::string auditSweep(Addr gmrbb) const;
+
+    /**
+     * Check forEachRanged()'s bitmask against its definition: a bit is
+     * set exactly for the allocated registers that hold a load range.
+     * A test hook, like auditSweep().
+     * @return the first mismatch as text, or empty when they agree
+     */
+    std::string auditRanged() const;
 
     /**
      * Try to release registers by condition 1 / killed state. Runs once
@@ -416,6 +476,9 @@ class VecRegFile
     std::vector<Reg> regs_;
     std::vector<VecRegId> sweepCandidates_;
     std::vector<bool> sweepMarked_;     ///< dedup for the candidate list
+    /** Bit i of word i / 64: register i is allocated and hasRange (set
+     *  by setAddrRange, cleared when the register is released). */
+    std::vector<std::uint64_t> rangedMask_;
     VecRegFateStats fates_;
     Cycle clock_ = 0;
     std::uint64_t allocFailures_ = 0;

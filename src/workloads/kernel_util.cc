@@ -50,27 +50,11 @@ subIndexMask(std::size_t words, std::size_t divisor)
 }
 
 void
-fillWords(ProgramBuilder &b, Addr base, size_t count,
-          const std::function<std::uint64_t(size_t)> &f)
-{
-    for (size_t i = 0; i < count; ++i)
-        b.pokeWord(base + Addr(i) * 8, f(i));
-}
-
-void
 fillRandomWords(ProgramBuilder &b, Addr base, size_t count, Random &rng,
                 std::uint64_t bound)
 {
     for (size_t i = 0; i < count; ++i)
         b.pokeWord(base + Addr(i) * 8, rng.below(bound));
-}
-
-void
-fillDoubles(ProgramBuilder &b, Addr base, size_t count,
-            const std::function<double(size_t)> &f)
-{
-    for (size_t i = 0; i < count; ++i)
-        b.pokeDouble(base + Addr(i) * 8, f(i));
 }
 
 Addr

@@ -73,16 +73,26 @@ constexpr RegId acc0 = 20, acc1 = 21, acc2 = 22;
 constexpr RegId framePtr = 26, lcgState = 27, lcgMult = 28;
 
 /** Fill @p count words starting at @p base with f(i). */
-void fillWords(ProgramBuilder &b, Addr base, size_t count,
-               const std::function<std::uint64_t(size_t)> &f);
+template <typename F>
+void
+fillWords(ProgramBuilder &b, Addr base, size_t count, F &&f)
+{
+    for (size_t i = 0; i < count; ++i)
+        b.pokeWord(base + Addr(i) * 8, f(i));
+}
 
 /** Fill with uniform values in [0, bound). */
 void fillRandomWords(ProgramBuilder &b, Addr base, size_t count,
                      Random &rng, std::uint64_t bound);
 
 /** Fill with doubles f(i). */
-void fillDoubles(ProgramBuilder &b, Addr base, size_t count,
-                 const std::function<double(size_t)> &f);
+template <typename F>
+void
+fillDoubles(ProgramBuilder &b, Addr base, size_t count, F &&f)
+{
+    for (size_t i = 0; i < count; ++i)
+        b.pokeDouble(base + Addr(i) * 8, f(i));
+}
 
 /** Input perturbation of the FP builders under --fuzz-speculation: a
  *  small deterministic offset derived from the fuzz seed,

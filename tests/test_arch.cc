@@ -296,5 +296,46 @@ TEST(Loader, CodeAndDataLoaded)
     EXPECT_EQ(first.op, Opcode::NOP);
 }
 
+TEST(Loader, LaterPokeOfTheSameWordWins)
+{
+    ProgramBuilder b;
+    const Addr buf = b.allocWords("buf", 2);
+    b.pokeWord(buf + 8, 5);
+    b.pokeWord(buf + 8, 6);
+    b.pokeDouble(buf, 1.5);
+    b.pokeWord(buf, 7);
+    b.halt();
+    SparseMemory mem;
+    loadProgram(b.finish(), mem);
+    EXPECT_EQ(mem.read64(buf), 7u);
+    EXPECT_EQ(mem.read64(buf + 8), 6u);
+}
+
+TEST(Loader, PokeThatCannotLandPanicsAtThePoke)
+{
+    // Nothing allocated yet: there is no word to set.
+    EXPECT_DEATH(ProgramBuilder().pokeWord(Program::defaultDataBase, 1),
+                 "poke outside allocated data");
+
+    // After finish() the image belongs to the program.
+    EXPECT_DEATH(
+        {
+            ProgramBuilder b;
+            const Addr buf = b.allocWords("buf", 1);
+            b.halt();
+            b.finish();
+            b.pokeWord(buf, 1);
+        },
+        "poke after finish");
+
+    // Outside every allocation: below the data base, past the end, or
+    // straddling it.
+    ProgramBuilder b;
+    const Addr buf = b.allocWords("buf", 2);
+    EXPECT_DEATH(b.pokeWord(buf - 8, 1), "poke outside allocated data");
+    EXPECT_DEATH(b.pokeWord(buf + 16, 1), "poke outside allocated data");
+    EXPECT_DEATH(b.pokeDouble(buf + 12, 1.0), "poke outside allocated data");
+}
+
 } // namespace
 } // namespace sdv

@@ -335,7 +335,8 @@ TEST(Pipeline, CycleBudgetStopsEveryRunLoopAtTheBudget)
  * Run @p prog on @p cfg one cycle at a time and audit the incremental
  * structures after every tick: the core's wakeup state, issue queue
  * and completion heap against the ROB, and the register file's release
- * sweep against the freeing conditions.
+ * sweep against the freeing conditions and its range mask against the
+ * registers' recorded load ranges.
  * @return the run's verified result, or an unfinished one at the
  *         first mismatch
  */
@@ -349,6 +350,8 @@ runAudited(const CoreConfig &cfg, const Program &prog)
         std::string mismatch = core.auditScheduler();
         if (mismatch.empty())
             mismatch = core.engine().vrf().auditSweep(core.engine().gmrbb());
+        if (mismatch.empty())
+            mismatch = core.engine().vrf().auditRanged();
         if (!mismatch.empty()) {
             ADD_FAILURE() << "cycle " << core.cycle() << ": " << mismatch;
             return {};
@@ -387,8 +390,8 @@ TEST(Pipeline, WakeupStateMatchesItsAuditEveryCycle)
     EXPECT_TRUE(squashed.verified);
     EXPECT_GT(squashed.core.storeConflictSquashes, 0u);
 
-    // Some validation fell back to scalar (ValStatus::Dead) and went
-    // through the issue queue.
+    // Some validation fell back to scalar (VecRegFile::ValElem::Dead)
+    // and went through the issue queue.
     EXPECT_GT(fallbacks + squashed.engine.lateValidationFallbacks, 0u);
 }
 
